@@ -14,7 +14,7 @@ import numpy as np
 from lvfield.analysis import fit_loglog
 from lvfield.kernel import cell_centers
 from lvfield.model import CoefficientSet, Field
-from lvfield.solver import heat_matrix_banded, step_fd
+from lvfield.solver import diffusion_multiplier, euler_step
 
 
 def main(argv=None) -> int:
@@ -46,13 +46,12 @@ def main(argv=None) -> int:
         n_steps = round(args.t_final / dt)
         agg_u = xi_u.reshape(args.paths, n_steps, fold, n).sum(axis=2) / np.sqrt(fold)
         agg_v = xi_v.reshape(args.paths, n_steps, fold, n).sum(axis=2) / np.sqrt(fold)
-        u = np.tile(init.u, (args.paths, 1))
-        v = np.tile(init.v, (args.paths, 1))
-        ab = heat_matrix_banded(n, dt)
+        state = np.stack([np.tile(init.u, (args.paths, 1)), np.tile(init.v, (args.paths, 1))])
+        multiplier = diffusion_multiplier("fd", n, dt)
         for s in range(n_steps):
-            u, v, _, _ = step_fd(u, v, coeffs, agg_u[:, s], agg_v[:, s],
-                                 dt, radius=20.0, ab=ab)
-        finals.append((u, v))
+            state, _ = euler_step(state, np.stack([agg_u[:, s], agg_v[:, s]]), coeffs,
+                                  dt, radius=20.0, scheme="fd", multiplier=multiplier)
+        finals.append(state)
 
     errors = []
     for dt, (u_c, v_c), (u_f, v_f) in zip(dts, finals[:-1], finals[1:]):

@@ -33,8 +33,8 @@ from .kernel import (IncrementFunctional, gaussian_comparison_sweep,
                      increment_bound_shape, increment_functional,
                      kernel_eigen_series, kernel_image_sum, kernel_mass_defect,
                      semigroup_compose_defect)
-from .noise import (SPECIES_U, SPECIES_V, representation_equivalence_check,
-                    test_function_library)
+from .noise import (SPECIES_U, SPECIES_V, audit_functions,
+                    representation_equivalence_check)
 from .solver import run_ensemble, simulate_path
 
 _ENV_OUT = "LVFIELD_OUT"
@@ -246,7 +246,7 @@ def cmd_noise_check(cfg: ExperimentConfig, out_dir: Path):
     worst_ks = 0.0
     worst_var = 0.0
     ks_crit = None
-    for name, f in test_function_library().items():
+    for name, f in audit_functions().items():
         rep = representation_equivalence_check(
             f, name=name, n_steps=n_steps, n_cells=n_cells,
             n_replications=n_replications, master_seed=cfg.master_seed,

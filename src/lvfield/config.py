@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import COEFFICIENT_NAMES, CoefficientSet, Field
-from .noise import NoisePlan
+from .noise import SEED_LIMIT, NoisePlan
 from .solver import SolverConfig
 
 
@@ -238,6 +238,12 @@ class ExperimentConfig:
 
     def with_overrides(self, seed=None, n_paths=None, output_dir=None,
                        threads=None) -> "ExperimentConfig":
+        if seed is not None and not 0 <= seed < SEED_LIMIT:
+            raise ConfigError(f"--seed must be in [0, 2^63), got {seed}")
+        if n_paths is not None and n_paths < 1:
+            raise ConfigError(f"--paths must be >= 1, got {n_paths}")
+        if threads is not None and threads < 0:
+            raise ConfigError(f"--threads must be >= 0, got {threads}")
         out = self
         if seed is not None:
             out = replace(out, master_seed=int(seed))
@@ -324,6 +330,8 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
     representation = noise.get_choice("representation", ("sheet", "spectral"),
                                       "sheet" if scheme == "fd" else "spectral")
     master_seed = noise.get_int("master_seed", 0)
+    if not 0 <= master_seed < SEED_LIMIT:
+        noise._fail("master_seed", f"must be in [0, 2^63), got {master_seed}")
     noise_n_modes = noise.get_int("n_modes", None)
     weights_spec = noise.get_str("weights", "white")
     summability_class = noise.get_float("summability_class", None)

@@ -35,12 +35,15 @@ STREAM_BOOTSTRAP = 255
 
 MIN_REPLICATIONS = 100
 
+# Master seeds are packed into stream keys as signed 64-bit integers.
+SEED_LIMIT = 2**63
+
 
 def stream_key(master_seed: int, path_index: int, species: int) -> int:
     """128-bit Philox key for one (seed, path, species) stream."""
     digest = hashlib.sha256(
         b"lvfield.noise.v1"
-        + struct.pack("<qqq", master_seed & (2**63 - 1), path_index, species)
+        + struct.pack("<qqq", master_seed, path_index, species)
     ).digest()
     return int.from_bytes(digest[:16], "little")
 
@@ -288,7 +291,7 @@ def representation_equivalence_check(f, *, name: str = "f", t_final: float = 1.0
     )
 
 
-def test_function_library() -> dict:
+def audit_functions() -> dict:
     """The ten space-time test functions of the equivalence audit."""
     return {
         "one": lambda s, x: np.ones_like(s + x),

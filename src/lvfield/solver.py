@@ -1,24 +1,24 @@
 """Time stepping for the two-species stochastic reaction-diffusion system.
 
-Two schemes advance the truncated system
+One step advances the truncated system
 
     dU = [Laplacian U + f_{n,1}(x, U, V)] dt + sigma_1 U dW_1
     dV = [Laplacian V + f_{n,2}(x, U, V)] dt + sigma_2 V dW_2
 
-with Neumann conditions on [0, 1]:
+with Neumann conditions on [0, 1], on a state of shape (2, P, n) that stacks
+the species.  Drift and multiplicative noise are explicit: u + dt f + sigma u
+dW is assembled on the grid, multiplied per DCT-II mode, and transformed
+back.  The cosine modes diagonalize both diffusion operators, so the two
+schemes differ only in that multiplier and in the noise field:
 
-  fd        semi-implicit Euler: implicit tridiagonal diffusion step with
-            mirrored ghost cells (exact discrete mass conservation for the
-            pure heat flow), explicit truncated drift, explicit
-            multiplicative sheet noise sigma u dW / h;
-  spectral  exponential Euler on the DCT-II modes: the full right-hand side
-            is assembled in physical space, transformed, damped by
-            exp(-k^2 pi^2 dt), and transformed back; noise enters as
-            sum_k lambda_k dbeta_k e_k(x) with K = grid_size modes by
-            default, matching the sheet discretization's per-cell variance.
+  fd        semi-implicit Euler: the resolvent 1 / (1 + 4 dt n^2 sin^2(k pi/2n))
+            of the mirrored-ghost Laplacian (exact discrete mass conservation
+            for the pure heat flow); sheet noise, cell normals * sqrt(dt n);
+  spectral  exponential Euler: the heat semigroup exp(-k^2 pi^2 dt); noise
+            sum_k lambda_k dbeta_k e_k(x) on K = grid_size modes by default,
+            matching the sheet discretization's per-cell variance.
 
-Both schemes clamp negative cells to zero after the step and account the
-clipped mass.  Paths are advanced in batches along a leading axis; every
+The step clamps negative cells to zero and accounts the clipped mass.  Every
 path owns its own noise streams, so results are bit-identical regardless of
 batch decomposition or thread count.
 """
@@ -30,7 +30,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .grid import from_modes, to_modes
 from .model import (
@@ -72,8 +71,6 @@ class SolverConfig:
         Drift truncation ball radius; defaults to 10 (1 + |init|_E).
     n_modes : int, optional
         Spectral noise modes; defaults to grid_size.
-    positivity_policy : str
-        Only "clamp" is implemented: negatives are set to zero post step.
     probe_sites : tuple of float
         x locations whose values enter the record series and the
         time-increment statistics.
@@ -99,7 +96,6 @@ class SolverConfig:
     record_interval: float | None = None
     truncation_radius: float | None = None
     n_modes: int | None = None
-    positivity_policy: str = "clamp"
     probe_sites: tuple = (0.125, 0.375, 0.5, 0.625, 0.875)
     stats_after: float | None = None
     space_lag_cells: tuple = ()
@@ -109,8 +105,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in ("fd", "spectral"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.positivity_policy != "clamp":
-            raise ValueError(f"unknown positivity policy {self.positivity_policy!r}")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_final < self.dt:
@@ -171,87 +165,60 @@ def validate_run(config: SolverConfig, coeffs: CoefficientSet, init: Field) -> f
 
 
 # ---------------------------------------------------------------------------
-# Single steps (batched along leading axes).
+# The step (species on the leading axis, paths on the next).
 # ---------------------------------------------------------------------------
 
-def heat_matrix_banded(n: int, dt: float) -> np.ndarray:
-    """Banded (I - dt L) for the mirrored-ghost Neumann Laplacian.
+def diffusion_multiplier(scheme: str, n: int, dt: float) -> np.ndarray:
+    """Per-mode factor of one diffusion step on the DCT-II modes k = 0..n-1.
 
-    Layout for scipy.linalg.solve_banded with (1, 1) bands:
-
-        ab[0, 1:] upper diagonal      -dt/h^2
-        ab[1, :]  main diagonal       1 + 2 dt/h^2  (1 + dt/h^2 at the ends)
-        ab[2, :-1] lower diagonal     -dt/h^2
+    fd: the implicit-Euler resolvent (I - dt L)^-1 of the mirrored-ghost
+    Neumann Laplacian, whose eigenvalues are -4 n^2 sin^2(k pi / 2n);
+    spectral: the exact heat semigroup exp(-k^2 pi^2 dt).
     """
-    r = dt * n * n
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[1, 0] = ab[1, -1] = 1.0 + r
-    ab[2, :-1] = -r
-    return ab
+    k = np.arange(n)
+    if scheme == "fd":
+        return 1.0 / (1.0 + 4.0 * dt * n * n * np.sin(k * np.pi / (2 * n)) ** 2)
+    return np.exp(-(k ** 2) * np.pi**2 * dt)
 
 
-def _clamp(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Returns (clipped mass ratio per path, clip event count per path);
-    # arr is modified in place.
-    neg = np.minimum(arr, 0.0)
-    clipped = -neg.sum(axis=-1)
+def _clamp(arr: np.ndarray) -> np.ndarray:
+    # Zeroes negative cells in place; returns the clipped-to-total mass
+    # ratio along the last axis.  abs, not unary minus, so that a step with
+    # nothing clipped reports +0.0 rather than -0.0.
+    clipped = np.abs(np.minimum(arr, 0.0).sum(axis=-1))
     pre_mass = arr.sum(axis=-1)
     np.maximum(arr, 0.0, out=arr)
-    ratio = clipped / np.maximum(np.abs(pre_mass), 1e-300)
-    return ratio, (neg < 0).sum(axis=-1)
+    return clipped / np.maximum(np.abs(pre_mass), 1e-300)
 
 
-def step_fd(u, v, coeffs: CoefficientSet, xi_u, xi_v, dt: float, radius: float,
-            ab: np.ndarray | None = None):
-    """One semi-implicit step.  xi are standard normals, shape like u.
+def euler_step(state: np.ndarray, xi: np.ndarray, coeffs: CoefficientSet, dt: float,
+               radius: float, scheme: str, multiplier: np.ndarray,
+               weights: np.ndarray | None = None):
+    """One step of either scheme on a (2, P, n) state of (U, V).
 
-    Returns (u_next, v_next, clip_ratio_u, clip_ratio_v); clip ratios are the
+    xi are standard normals of shape (2, P, n) for fd, or (2, P, K) mode
+    normals with K <= n for spectral (lambda_k = weights, 1 if None).
+    multiplier is diffusion_multiplier(scheme, n, dt).
+
+    Returns (next state, clip ratio of shape (2, P)); clip ratios are the
     clipped-to-total mass ratios of the positivity clamp this step.
     """
-    n = u.shape[-1]
-    if ab is None:
-        ab = heat_matrix_banded(n, dt)
-    f1, f2 = truncated_drift(u, v, coeffs, radius)
-    scale1 = coeffs.sigma1 * np.sqrt(dt * n)
-    scale2 = coeffs.sigma2 * np.sqrt(dt * n)
-    rhs_u = u + dt * f1 + scale1 * u * xi_u
-    rhs_v = v + dt * f2 + scale2 * v * xi_v
-    u_next = solve_banded((1, 1), ab, np.atleast_2d(rhs_u).reshape(-1, n).T).T.reshape(u.shape).copy()
-    v_next = solve_banded((1, 1), ab, np.atleast_2d(rhs_v).reshape(-1, n).T).T.reshape(v.shape).copy()
-    ratio_u, _ = _clamp(u_next)
-    ratio_v, _ = _clamp(v_next)
-    return u_next, v_next, ratio_u, ratio_v
-
-
-def step_spectral(u, v, coeffs: CoefficientSet, xi_u, xi_v, dt: float, radius: float,
-                  weights: np.ndarray | None = None):
-    """One exponential-Euler step.  xi are standard normals, shape (..., K).
-
-    Modes K <= grid_size; the increment field sum_k lambda_k sqrt(dt) xi_k e_k
-    is realized on the grid before multiplying the state.
-    """
-    n = u.shape[-1]
-    k_modes = xi_u.shape[-1]
-    coeff_u = np.sqrt(dt) * xi_u
-    coeff_v = np.sqrt(dt) * xi_v
-    if weights is not None:
-        coeff_u = coeff_u * weights
-        coeff_v = coeff_v * weights
-    if k_modes < n:
-        pad = np.zeros(u.shape[:-1] + (n - k_modes,))
-        coeff_u = np.concatenate([coeff_u, pad], axis=-1)
-        coeff_v = np.concatenate([coeff_v, pad], axis=-1)
-    dw_u = from_modes(coeff_u)
-    dw_v = from_modes(coeff_v)
-    f1, f2 = truncated_drift(u, v, coeffs, radius)
-    damp = np.exp(-(np.arange(n) ** 2) * np.pi**2 * dt)
-    u_next = from_modes(to_modes(u + dt * f1 + coeffs.sigma1 * u * dw_u) * damp)
-    v_next = from_modes(to_modes(v + dt * f2 + coeffs.sigma2 * v * dw_v) * damp)
-    ratio_u, _ = _clamp(u_next)
-    ratio_v, _ = _clamp(v_next)
-    return u_next, v_next, ratio_u, ratio_v
+    n = state.shape[-1]
+    if scheme == "fd":
+        dw = np.sqrt(dt * n) * xi
+    else:
+        modes = np.sqrt(dt) * xi
+        if weights is not None:
+            modes = modes * weights
+        if modes.shape[-1] < n:
+            pad = np.zeros(modes.shape[:-1] + (n - modes.shape[-1],))
+            modes = np.concatenate([modes, pad], axis=-1)
+        dw = from_modes(modes)
+    drift = np.stack(truncated_drift(state[0], state[1], coeffs, radius))
+    sigma = np.stack([coeffs.sigma1, coeffs.sigma2])[:, None]
+    rhs = state + dt * drift + sigma * state * dw
+    state_next = from_modes(to_modes(rhs) * multiplier)
+    return state_next, _clamp(state_next)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +249,7 @@ class EnsembleStats:
     site_v: np.ndarray              # (P, R, S)
     exit_step: np.ndarray           # (P,) first step outside the ball, -1 if none
     clip_max_ratio: np.ndarray      # (P,) worst per-step clipped mass ratio
-    clip_events: np.ndarray         # (P,) steps-with-clamp count, summed over species
+    clip_events: np.ndarray         # (P,) steps in which the clamp cut U or V
     truncation_radius: float
     space_lags: np.ndarray = field(default_factory=lambda: np.empty(0))
     space_p2: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
@@ -292,6 +259,11 @@ class EnsembleStats:
     time_p2: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     time_p4: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     time_count: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+
+    # The fields with the path axis first; merge concatenates exactly these.
+    PER_PATH_FIELDS = ("path_indices", "mass_u", "mass_v", "supnorm", "rough_u",
+                       "site_u", "site_v", "exit_step", "clip_max_ratio", "clip_events",
+                       "space_p2", "space_p4", "time_p2", "time_p4")
 
     @property
     def n_paths(self) -> int:
@@ -308,24 +280,9 @@ class EnsembleStats:
         if not (np.array_equal(self.space_count, other.space_count)
                 and np.array_equal(self.time_count, other.time_count)):
             raise ValueError("cannot merge ensembles with different statistics plans")
-        cat = lambda a, b: np.concatenate([a, b], axis=0)
-        return replace(
-            self,
-            path_indices=cat(self.path_indices, other.path_indices),
-            mass_u=cat(self.mass_u, other.mass_u),
-            mass_v=cat(self.mass_v, other.mass_v),
-            supnorm=cat(self.supnorm, other.supnorm),
-            rough_u=cat(self.rough_u, other.rough_u),
-            site_u=cat(self.site_u, other.site_u),
-            site_v=cat(self.site_v, other.site_v),
-            exit_step=cat(self.exit_step, other.exit_step),
-            clip_max_ratio=cat(self.clip_max_ratio, other.clip_max_ratio),
-            clip_events=cat(self.clip_events, other.clip_events),
-            space_p2=cat(self.space_p2, other.space_p2),
-            space_p4=cat(self.space_p4, other.space_p4),
-            time_p2=cat(self.time_p2, other.time_p2),
-            time_p4=cat(self.time_p4, other.time_p4),
-        )
+        return replace(self, **{
+            name: np.concatenate([getattr(self, name), getattr(other, name)], axis=0)
+            for name in self.PER_PATH_FIELDS})
 
     def exit_fraction(self) -> float:
         return float(np.mean(self.exit_step >= 0))
@@ -337,10 +294,6 @@ class Trajectory:
 
     snapshots: list
     stats: EnsembleStats
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([f.time for f in self.snapshots])
 
 
 def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
@@ -365,10 +318,8 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                 f"noise plan provides {weights.size} mode weights, scheme needs {k_modes}")
         weights = weights[:k_modes]
 
-    u = np.tile(init.u, (p, 1))
-    v = np.tile(init.v, (p, 1))
-
-    ab = heat_matrix_banded(n, dt) if config.scheme == "fd" else None
+    state = np.stack([np.tile(init.u, (p, 1)), np.tile(init.v, (p, 1))])
+    multiplier = diffusion_multiplier(config.scheme, n, dt)
 
     record_steps = np.arange(0, n_steps + 1, config.record_every)
     if record_steps[-1] != n_steps:
@@ -415,6 +366,7 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     sqrt_h = np.sqrt(1.0 / n)
 
     def record(state_step: int, row: int):
+        u, v = state
         mass_u[:, row] = u.mean(axis=1)
         mass_v[:, row] = v.mean(axis=1)
         supnorm_rec[:, row] = np.hypot(u, v).max(axis=1)
@@ -445,45 +397,41 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     for step_idx in sorted(snapshot_steps):
         if step_idx == 0:
             for t_snap in snapshot_steps[0]:
-                snapshots.append(Field(u[0].copy(), v[0].copy(), time=t_snap))
+                snapshots.append(Field(state[0, 0].copy(), state[1, 0].copy(), time=t_snap))
     if ring is not None:
-        ring[0] = u[:, site_idx]
+        ring[0] = state[0][:, site_idx]
 
-    gens_u = [plan.generator(int(idx), SPECIES_U) for idx in path_indices]
-    gens_v = [plan.generator(int(idx), SPECIES_V) for idx in path_indices]
-    draw_width = k_modes if config.scheme == "spectral" else n
-    block = max(1, min(n_steps, _BLOCK_BUDGET // max(1, p * draw_width)))
+    # Row 0 of the draw buffer comes from each path's U stream, row 1 from
+    # its V stream, each consumed in step order.
+    gens = [[plan.generator(int(idx), species) for idx in path_indices]
+            for species in (SPECIES_U, SPECIES_V)]
+    block = max(1, min(n_steps, _BLOCK_BUDGET // max(1, p * k_modes)))
 
-    xi_u = np.empty((p, block, draw_width))
-    xi_v = np.empty((p, block, draw_width))
+    xi = np.empty((2, p, block, k_modes))
 
     step = 0
     while step < n_steps:
         s_block = min(block, n_steps - step)
-        for i in range(p):
-            xi_u[i, :s_block] = gens_u[i].standard_normal((s_block, draw_width))
-            xi_v[i, :s_block] = gens_v[i].standard_normal((s_block, draw_width))
+        for species, species_gens in enumerate(gens):
+            for i, gen in enumerate(species_gens):
+                xi[species, i, :s_block] = gen.standard_normal((s_block, k_modes))
         for s in range(s_block):
             step += 1
-            if config.scheme == "fd":
-                u, v, ratio_u, ratio_v = step_fd(
-                    u, v, coeffs, xi_u[:, s], xi_v[:, s], dt, radius, ab)
-            else:
-                u, v, ratio_u, ratio_v = step_spectral(
-                    u, v, coeffs, xi_u[:, s], xi_v[:, s], dt, radius, weights)
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-                bad = int(np.argmax(~np.all(np.isfinite(u), axis=1) | ~np.all(np.isfinite(v), axis=1)))
+            state, ratio = euler_step(state, xi[:, :, s], coeffs, dt, radius,
+                                      config.scheme, multiplier, weights)
+            if not np.all(np.isfinite(state)):
+                bad = int(np.argmax(~np.all(np.isfinite(state), axis=(0, 2))))
                 raise SimulationBlowup(
                     f"non-finite state at step {step} (t = {step * dt:.6g}) on path "
                     f"{int(path_indices[bad])}")
-            np.maximum(clip_max, np.maximum(ratio_u, ratio_v), out=clip_max)
-            clip_events += (ratio_u > 0) + (ratio_v > 0)
+            np.maximum(clip_max, ratio.max(axis=0), out=clip_max)
+            clip_events += (ratio > 0).any(axis=0)
 
-            newly_out = (exit_step < 0) & (np.hypot(u, v).max(axis=1) >= radius)
+            newly_out = (exit_step < 0) & (np.hypot(state[0], state[1]).max(axis=1) >= radius)
             exit_step[newly_out] = step
 
             if ring is not None:
-                ring[step % (max_time_lag + 1)] = u[:, site_idx]
+                ring[step % (max_time_lag + 1)] = state[0][:, site_idx]
                 if step >= stats_start:
                     cur = ring[step % (max_time_lag + 1)]
                     for j, lag in enumerate(time_lags):
@@ -498,7 +446,7 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                 record(step, record_lookup[step])
             if step in snapshot_steps:
                 for t_snap in snapshot_steps[step]:
-                    snapshots.append(Field(u[0].copy(), v[0].copy(), time=t_snap))
+                    snapshots.append(Field(state[0, 0].copy(), state[1, 0].copy(), time=t_snap))
 
     stats = EnsembleStats(
         master_seed=plan.master_seed,

@@ -40,8 +40,8 @@ from lvfield.kernel import (
 from lvfield.model import CoefficientSet, Field
 from lvfield.noise import (
     NoisePlan,
+    audit_functions,
     representation_equivalence_check,
-    test_function_library,
 )
 from lvfield.solver import SolverConfig, run_ensemble, simulate_path
 
@@ -170,7 +170,7 @@ def test_increment_evaluator_scaling():
 
 def test_noise_representation_equivalence():
     t0 = time.time()
-    library = test_function_library()
+    library = audit_functions()
     assert len(library) == 10
     worst_ks, worst_var, crit = 0.0, 0.0, None
     for name, f in library.items():

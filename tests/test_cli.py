@@ -192,6 +192,15 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--seed", "9223372036854775808"), ("--paths", "0")])
+    def test_out_of_range_override_is_2(self, tmp_path, capsys, flag, value):
+        cfg = write(tmp_path, BENCH)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), flag, value]) == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not (out / "verdicts.csv").exists()
+
     def test_malformed_config_reports_line(self, tmp_path, capsys):
         cfg = write(tmp_path, "[model]\nu0 = 1.0\n[solver]\ndt = soon\n")
         assert main(["simulate", "--config", cfg]) == 2

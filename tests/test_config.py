@@ -178,6 +178,12 @@ class TestParseErrors:
         msg = self.err("[model]\nu0 = 1.0\n[run]\nn_paths = 0\n")
         assert "n_paths" in msg
 
+    @pytest.mark.parametrize("seed", [-1, 2**63])
+    def test_seed_outside_63_bits_rejected(self, seed):
+        msg = self.err(f"[model]\nu0 = 1.0\n[noise]\nmaster_seed = {seed}\n")
+        assert "cfg.ini:4" in msg
+        assert "master_seed" in msg
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError) as info:
             load_config(tmp_path / "nope.ini")
@@ -233,6 +239,15 @@ class TestOverrides:
         assert cfg.n_paths == 3
         assert cfg.output_dir == "alt"
         assert cfg.threads == 2
+
+    @pytest.mark.parametrize("override", [
+        dict(seed=-1), dict(seed=2**63), dict(n_paths=0), dict(threads=-1)])
+    def test_out_of_range_override_rejected(self, override):
+        with pytest.raises(ConfigError, match="must be"):
+            parse(GOOD).with_overrides(**override)
+
+    def test_largest_seed_accepted(self):
+        assert parse(GOOD).with_overrides(seed=2**63 - 1).master_seed == 2**63 - 1
 
     def test_none_overrides_are_identity(self):
         cfg = parse(GOOD)

@@ -31,6 +31,8 @@ class TestStreams:
         # Hash-derived keys must never drift between versions.
         assert nz.stream_key(0, 0, 0) == nz.stream_key(0, 0, 0)
         assert nz.stream_key(1, 2, 3) != nz.stream_key(3, 2, 1)
+        assert nz.stream_key(42, 3, 1) == 176311650875966678917410365821711094694
+        assert nz.stream_key(2**63 - 1, 0, 1) == 266153989985945142665600864830053539567
 
 
 class TestSheet:
@@ -165,7 +167,7 @@ class TestSummability:
 
 class TestEquivalence:
     def test_three_functions_pass(self):
-        lib = nz.test_function_library()
+        lib = nz.audit_functions()
         for name in ("one", "cos_2pi_x", "traveling"):
             r = nz.representation_equivalence_check(lib[name], name=name,
                                                     n_replications=4000, master_seed=42)
@@ -186,7 +188,7 @@ class TestEquivalence:
                                                 n_replications=99)
 
     def test_audit_is_deterministic(self):
-        f = nz.test_function_library()["bump"]
+        f = nz.audit_functions()["bump"]
         r1 = nz.representation_equivalence_check(f, n_replications=500, master_seed=9)
         r2 = nz.representation_equivalence_check(f, n_replications=500, master_seed=9)
         assert r1.walsh_variance == r2.walsh_variance

@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from lvfield.grid import cell_centers
+from lvfield.grid import cell_centers, from_modes, to_modes
 from lvfield.kernel import semigroup_apply
 from lvfield.model import CoefficientSet, Field
 from lvfield.noise import NoisePlan
 from lvfield.solver import (
     EnsembleStats,
     SolverConfig,
-    heat_matrix_banded,
+    diffusion_multiplier,
+    euler_step,
     run_ensemble,
     simulate_path,
-    step_fd,
-    step_spectral,
     validate_run,
 )
 from lvfield.statutil import fit_loglog, ks_critical, ks_statistic
@@ -186,6 +185,25 @@ class TestHeatFlowOracle:
         assert np.max(drift) < 1e-12
 
 
+class TestDiffusionMultiplier:
+    @staticmethod
+    def dense_fd_laplacian(n):
+        # (L u)_j = n^2 (u_{j-1} - 2 u_j + u_{j+1}) with mirrored ghost
+        # cells u_{-1} = u_0 and u_n = u_{n-1}.
+        lap = (np.diag(np.full(n - 1, 1.0), -1) + np.diag(np.full(n, -2.0))
+               + np.diag(np.full(n - 1, 1.0), 1))
+        lap[0, 0] = lap[-1, -1] = -1.0
+        return lap * n * n
+
+    @pytest.mark.parametrize("n", [8, 64, 128])
+    @pytest.mark.parametrize("dt", [1e-5, 1e-3, 2e-2])
+    def test_fd_multiplier_is_the_implicit_solve(self, n, dt):
+        rhs = np.random.default_rng(n).standard_normal((3, n))
+        dense = np.linalg.solve(np.eye(n) - dt * self.dense_fd_laplacian(n), rhs.T).T
+        via_modes = from_modes(to_modes(rhs) * diffusion_multiplier("fd", n, dt))
+        assert np.max(np.abs(via_modes - dense)) < 1e-12
+
+
 class TestCrossSchemeDeterministic:
     def test_nonlinear_deterministic_agreement(self):
         # Both schemes on the competition drift with sigma = 0 must agree to
@@ -229,17 +247,19 @@ class TestDeterminism:
         assert np.array_equal(a.site_u, b.site_u)
         assert np.array_equal(a.supnorm, b.supnorm)
 
-    def test_chunking_does_not_change_results(self):
-        a = small_run(chunk_size=10)
-        b = small_run(chunk_size=3)
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_chunking_does_not_change_results(self, scheme):
+        a = small_run(chunk_size=10, scheme=scheme)
+        b = small_run(chunk_size=3, scheme=scheme)
         assert np.array_equal(a.path_indices, b.path_indices)
         assert np.array_equal(a.mass_u, b.mass_u)
         assert np.array_equal(a.site_v, b.site_v)
         assert np.array_equal(a.clip_max_ratio, b.clip_max_ratio)
 
-    def test_threads_do_not_change_results(self):
-        a = small_run(chunk_size=4, threads=1)
-        b = small_run(chunk_size=4, threads=2)
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_threads_do_not_change_results(self, scheme):
+        a = small_run(chunk_size=4, threads=1, scheme=scheme)
+        b = small_run(chunk_size=4, threads=2, scheme=scheme)
         assert np.array_equal(a.mass_u, b.mass_u)
         assert np.array_equal(a.site_u, b.site_u)
 
@@ -276,6 +296,13 @@ class TestEnsembleStats:
         parts = small_run(n_paths=10, chunk_size=4)
         assert np.array_equal(parts.path_indices, np.arange(10))
         assert np.array_equal(a.mass_v, parts.mass_v)
+        first = small_run(n_paths=3)
+        second = small_run(n_paths=7)
+        second.path_indices = second.path_indices + 3
+        merged = first.merge(second)
+        for name in EnsembleStats.PER_PATH_FIELDS:
+            assert getattr(merged, name).shape[0] == 3 + 7, name
+            assert np.array_equal(getattr(merged, name)[:3], getattr(first, name)), name
 
     def test_exit_probe_fires(self):
         n = 16
@@ -300,15 +327,26 @@ class TestClamp:
     def test_strong_negative_kick_is_clamped(self):
         n = 8
         coeffs = CoefficientSet.constant(n, sigma1=1.0)
-        u = np.full(n, 0.1)
-        v = np.full(n, 0.2)
-        xi_down = np.full(n, -10.0)
-        u2, v2, ratio_u, ratio_v = step_fd(u, v, coeffs, xi_down, np.zeros(n),
-                                           dt=0.01, radius=10.0)
+        state = np.stack([np.full((1, n), 0.1), np.full((1, n), 0.2)])
+        xi = np.stack([np.full((1, n), -10.0), np.zeros((1, n))])
+        (u2, v2), (ratio_u, ratio_v) = euler_step(
+            state, xi, coeffs, dt=0.01, radius=10.0, scheme="fd",
+            multiplier=diffusion_multiplier("fd", n, 0.01))
         assert np.all(u2 == 0.0)
-        assert ratio_u == pytest.approx(1.0)
+        assert ratio_u[0] == pytest.approx(1.0)
         assert np.all(v2 > 0.0)
-        assert ratio_v == 0.0
+        assert ratio_v[0] == 0.0
+
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_nothing_clipped_reports_positive_zero(self, scheme):
+        n = 8
+        coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.1, sigma2=0.1)
+        state = np.stack([np.full((2, n), 0.5), np.zeros((2, n))])
+        xi = np.random.default_rng(0).standard_normal((2, 2, n))
+        _, ratio = euler_step(state, xi, coeffs, dt=1e-3, radius=10.0, scheme=scheme,
+                              multiplier=diffusion_multiplier(scheme, n, 1e-3))
+        assert np.all(ratio == 0.0)
+        assert not np.any(np.signbit(ratio))
 
     def test_clip_diagnostics_accumulate(self):
         # drive hard enough that clamping occurs along the way
@@ -394,13 +432,13 @@ class TestRefinement:
             # aggregate fold consecutive fine draws into one standard normal
             agg_u = xi_u.reshape(n_paths, n_steps, fold, n).sum(axis=2) / np.sqrt(fold)
             agg_v = xi_v.reshape(n_paths, n_steps, fold, n).sum(axis=2) / np.sqrt(fold)
-            u = np.tile(u0, (n_paths, 1))
-            v = np.tile(v0, (n_paths, 1))
-            ab = heat_matrix_banded(n, dt)
+            state = np.stack([np.tile(u0, (n_paths, 1)), np.tile(v0, (n_paths, 1))])
+            multiplier = diffusion_multiplier("fd", n, dt)
             for s in range(n_steps):
-                u, v, _, _ = step_fd(u, v, coeffs, agg_u[:, s], agg_v[:, s],
-                                     dt, radius=20.0, ab=ab)
-            finals.append((u, v))
+                state, _ = euler_step(state, np.stack([agg_u[:, s], agg_v[:, s]]),
+                                      coeffs, dt, radius=20.0, scheme="fd",
+                                      multiplier=multiplier)
+            finals.append(state)
 
         errors = []
         for (u_c, v_c), (u_f, v_f) in zip(finals[:-1], finals[1:]):
