@@ -2,7 +2,9 @@
 """Run every shipped config through its CLI subcommand and tally verdicts.
 
 The two *_control configs are out-of-hypothesis runs whose checks are
-supposed to fail; for those an exit status of 1 is the expected outcome.
+supposed to fail; for those an exit status of 1 with a written verdicts.csv
+is the expected outcome (exit 2 and 3, config and runtime errors, write
+none).
 Everything else must exit 0.  Total wall time is dominated by the holder
 and invariant ensembles (several minutes each).
 """
@@ -46,9 +48,12 @@ def main(argv=None) -> int:
         cmd = [sys.executable, "-m", "lvfield", command,
                "--config", str(args.configs / name), "--out", str(out_dir)]
         print(f">> {command} {name}", flush=True)
+        verdicts = out_dir / "verdicts.csv"
+        verdicts.unlink(missing_ok=True)      # left by an earlier run
         t0 = time.time()
         proc = subprocess.run(cmd)
-        ok = proc.returncode == want
+        # a control must fail a check, not crash: exit 1 with its verdicts
+        ok = proc.returncode == want and (want != 1 or verdicts.exists())
         results.append((name, command, want, proc.returncode, time.time() - t0, ok))
         print(f"   exit {proc.returncode} (expected {want}) "
               f"in {results[-1][4]:.1f} s", flush=True)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, ifft
-from scipy.stats import gaussian_kde
 
 from .grid import to_modes
 from .model import CoefficientSet
@@ -103,6 +102,16 @@ def _moment_curve(p2: np.ndarray, p4: np.ndarray, count: np.ndarray, p: int) -> 
     return sums.sum(axis=0) / (count * p2.shape[0])
 
 
+def check_lag_coverage(lags) -> None:
+    """Refuse fewer than MIN_HOLDER_LAGS lags or under MIN_LAG_DECADES decades."""
+    lags = np.asarray(lags, dtype=float)
+    if lags.size < MIN_HOLDER_LAGS:
+        raise ValueError(f"need at least {MIN_HOLDER_LAGS} lags, got {lags.size}")
+    decades = np.log10(lags.max() / lags.min())
+    if decades < MIN_LAG_DECADES:
+        raise ValueError(f"lags span {decades:.2f} decades, need {MIN_LAG_DECADES}")
+
+
 def holder_estimate(table, direction: str = "space", p: int = 4,
                     n_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES) -> HolderEstimate:
     """Regress ln E|increment|^p on ln lag; the exponent is slope / p.
@@ -118,11 +127,7 @@ def holder_estimate(table, direction: str = "space", p: int = 4,
     if p not in (2, 4):
         raise ValueError("moment order p must be 2 or 4")
     lags = np.asarray(table.lags, dtype=float)
-    if lags.size < MIN_HOLDER_LAGS:
-        raise ValueError(f"need at least {MIN_HOLDER_LAGS} lags, got {lags.size}")
-    decades = np.log10(lags.max() / lags.min())
-    if decades < MIN_LAG_DECADES:
-        raise ValueError(f"lags span {decades:.2f} decades, need {MIN_LAG_DECADES}")
+    check_lag_coverage(lags)
     moments = _moment_curve(table.p2, table.p4, table.count, p)
     if np.any(moments <= 0):
         raise ValueError("degenerate increment table: zero moments at some lag")
@@ -512,6 +517,8 @@ def density_smoke_test(samples, min_samples: int = MIN_DENSITY_SAMPLES,
     if positive.size >= 2 and np.ptp(positive) > 0:
         _, counts = np.unique(positive, return_counts=True)
         max_jump = counts.max() / n
+        from scipy.stats import gaussian_kde   # deferred: slow to import
+
         kde = gaussian_kde(positive, bw_method="silverman")
         bandwidth = float(np.sqrt(kde.covariance[0, 0]))
         grid = np.linspace(positive.min(), positive.max(), kde_points)

@@ -8,7 +8,9 @@ are byte-identical across reruns, thread counts, and output locations; only
 runtime.json carries wall-clock information.
 
 Exit status: 0 when every verdict passes, 1 on a failed verdict, 2 on a
-config or usage error.
+config or usage error, 3 on a runtime or estimator error (a simulation
+blowup, or an estimator refusing its input); exits 2 and 3 write no
+verdicts.csv.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (density_smoke_test, extinction_report, holder_estimate,
+from .analysis import (check_lag_coverage, density_smoke_test,
+                       extinction_report, holder_estimate,
                        mild_log_functional_audit, moment_bound_curve,
                        stationarity_report)
 from .config import ConfigError, ExperimentConfig, load_config
@@ -35,7 +38,7 @@ from .kernel import (IncrementFunctional, gaussian_comparison_sweep,
                      semigroup_compose_defect)
 from .noise import (SPECIES_U, SPECIES_V, audit_functions,
                     representation_equivalence_check)
-from .solver import run_ensemble, simulate_path
+from .solver import SimulationBlowup, run_ensemble, simulate_path
 
 _ENV_OUT = "LVFIELD_OUT"
 
@@ -337,15 +340,26 @@ def cmd_holder(cfg: ExperimentConfig, out_dir: Path):
     n_resamples = opts.get_int("resamples", 200)
     opts.reject_unknown()
 
+    # Refuse lag sets the estimator would refuse before paying for the
+    # ensemble; the lags are built as the solver records them.
+    lag_sets = (("space_lags", np.asarray(cfg.space_lags, dtype=np.int64) / cfg.n),
+                ("time_lags", np.asarray(cfg.time_lags, dtype=np.int64) * cfg.dt))
+    if not any(lags.size for _, lags in lag_sets):
+        raise ConfigError("holder needs space_lags or time_lags in [solver]",
+                          cfg.path)
+    for key, lags in lag_sets:
+        if lags.size:
+            try:
+                check_lag_coverage(lags)
+            except ValueError as e:
+                raise ConfigError(f"[solver] {key}: {e}", cfg.path) from None
+
     stats, _ = _ensemble(cfg)
     estimates = []
     if stats.space_lags.size:
         estimates.append((holder_estimate(stats, "space", p, n_resamples), band_space))
     if stats.time_lags.size:
         estimates.append((holder_estimate(stats, "time", p, n_resamples), band_time))
-    if not estimates:
-        raise ConfigError("holder needs space_lags or time_lags in [solver]",
-                          cfg.path)
 
     rows, moment_rows, verdicts = [], [], []
     for est, band in estimates:
@@ -517,6 +531,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (SimulationBlowup, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
 
     files.append(write_verdicts(out_dir, cfg, verdicts))
     write_runtime(out_dir, args.command, cfg, time.perf_counter() - started, files)

@@ -136,10 +136,16 @@ def drift(u, v, coeffs: CoefficientSet):
     return f1, f2
 
 
-def truncated_drift(u, v, coeffs: CoefficientSet, radius: float):
-    """(f_{n,1}, f_{n,2}): f composed with radial projection onto |z| <= radius."""
+def truncated_drift(u, v, coeffs: CoefficientSet, radius: float, inside: bool = False):
+    """(f_{n,1}, f_{n,2}): f composed with radial projection onto |z| <= radius.
+
+    inside=True asserts that every |(u, v)| <= radius.  The projection is
+    the identity there, so it is skipped and the result is bit-identical.
+    """
     if radius <= 0:
         raise ValueError(f"truncation radius must be positive, got {radius}")
+    if inside:
+        return drift(u, v, coeffs)
     r = np.hypot(u, v)
     scale = np.where(r > radius, radius / np.maximum(r, 1e-300), 1.0)
     return drift(u * scale, v * scale, coeffs)

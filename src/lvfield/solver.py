@@ -21,6 +21,16 @@ schemes differ only in that multiplier and in the noise field:
 The step clamps negative cells to zero and accounts the clipped mass.  Every
 path owns its own noise streams, so results are bit-identical regardless of
 batch decomposition or thread count.
+
+The step loop pays only for work that can change the state.  It computes
+|z|^2 = U^2 + V^2 once per step; the largest value is the finiteness check
+(a full isfinite scan runs only when it is not finite), the exit probe
+(|z|^2 >= radius^2) and the next step's truncation, whose radial projection
+is skipped while every cell is inside the ball, where it is the identity.
+One min reduction skips the clamp when every cell is positive.  With more
+than one worker, run_ensemble gives each worker one chunk: _BLOCK_BUDGET
+already bounds memory through the block length, and every chunk pays the
+per-step Python overhead once more.
 """
 
 from __future__ import annotations
@@ -184,7 +194,11 @@ def diffusion_multiplier(scheme: str, n: int, dt: float) -> np.ndarray:
 def _clamp(arr: np.ndarray) -> np.ndarray:
     # Zeroes negative cells in place; returns the clipped-to-total mass
     # ratio along the last axis.  abs, not unary minus, so that a step with
-    # nothing clipped reports +0.0 rather than -0.0.
+    # nothing clipped reports +0.0 rather than -0.0.  When every cell is
+    # positive there is nothing to do; a zero cell may be -0.0, which the
+    # clamp turns into +0.0, so a state touching zero still passes through.
+    if arr.min() > 0.0:
+        return np.zeros(arr.shape[:-1])
     clipped = np.abs(np.minimum(arr, 0.0).sum(axis=-1))
     pre_mass = arr.sum(axis=-1)
     np.maximum(arr, 0.0, out=arr)
@@ -193,12 +207,14 @@ def _clamp(arr: np.ndarray) -> np.ndarray:
 
 def euler_step(state: np.ndarray, xi: np.ndarray, coeffs: CoefficientSet, dt: float,
                radius: float, scheme: str, multiplier: np.ndarray,
-               weights: np.ndarray | None = None):
+               weights: np.ndarray | None = None, inside: bool = False):
     """One step of either scheme on a (2, P, n) state of (U, V).
 
     xi are standard normals of shape (2, P, n) for fd, or (2, P, K) mode
     normals with K <= n for spectral (lambda_k = weights, 1 if None).
-    multiplier is diffusion_multiplier(scheme, n, dt).
+    multiplier is diffusion_multiplier(scheme, n, dt).  inside=True asserts
+    that every cell lies in the truncation ball, so the drift skips the
+    radial projection (see truncated_drift).
 
     Returns (next state, clip ratio of shape (2, P)); clip ratios are the
     clipped-to-total mass ratios of the positivity clamp this step.
@@ -214,7 +230,7 @@ def euler_step(state: np.ndarray, xi: np.ndarray, coeffs: CoefficientSet, dt: fl
             pad = np.zeros(modes.shape[:-1] + (n - modes.shape[-1],))
             modes = np.concatenate([modes, pad], axis=-1)
         dw = from_modes(modes)
-    drift = np.stack(truncated_drift(state[0], state[1], coeffs, radius))
+    drift = np.stack(truncated_drift(state[0], state[1], coeffs, radius, inside))
     sigma = np.stack([coeffs.sigma1, coeffs.sigma2])[:, None]
     rhs = state + dt * drift + sigma * state * dw
     state_next = from_modes(to_modes(rhs) * multiplier)
@@ -409,6 +425,14 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
 
     xi = np.empty((2, p, block, k_modes))
 
+    # The projection is skipped only below radius^2 by more than the rounding
+    # of U^2 + V^2: then hypot(U, V) <= radius in every cell, where the
+    # projecting drift scales by exactly 1.
+    radius_sq = radius * radius
+    inside_sq = radius_sq * (1.0 - 4.0 * np.finfo(float).eps)
+    r2_max = np.max(state[0] * state[0] + state[1] * state[1], axis=1)
+    r2_top = r2_max.max()
+
     step = 0
     while step < n_steps:
         s_block = min(block, n_steps - step)
@@ -418,8 +442,13 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
         for s in range(s_block):
             step += 1
             state, ratio = euler_step(state, xi[:, :, s], coeffs, dt, radius,
-                                      config.scheme, multiplier, weights)
-            if not np.all(np.isfinite(state)):
+                                      config.scheme, multiplier, weights,
+                                      inside=r2_top < inside_sq)
+            r2_max = np.max(state[0] * state[0] + state[1] * state[1], axis=1)
+            r2_top = r2_max.max()
+            # NaN and inf propagate into the max; a finite state whose
+            # U^2 + V^2 overflows is no blowup.
+            if not np.isfinite(r2_top) and not np.all(np.isfinite(state)):
                 bad = int(np.argmax(~np.all(np.isfinite(state), axis=(0, 2))))
                 raise SimulationBlowup(
                     f"non-finite state at step {step} (t = {step * dt:.6g}) on path "
@@ -427,8 +456,9 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
             np.maximum(clip_max, ratio.max(axis=0), out=clip_max)
             clip_events += (ratio > 0).any(axis=0)
 
-            newly_out = (exit_step < 0) & (np.hypot(state[0], state[1]).max(axis=1) >= radius)
-            exit_step[newly_out] = step
+            if r2_top >= radius_sq:
+                newly_out = (exit_step < 0) & (r2_max >= radius_sq)
+                exit_step[newly_out] = step
 
             if ring is not None:
                 ring[step % (max_time_lag + 1)] = state[0][:, site_idx]
@@ -490,8 +520,9 @@ def run_ensemble(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                  threads: int = 1, chunk_size: int | None = None) -> EnsembleStats:
     """Advance n_paths independent paths and collect their statistics.
 
-    threads > 1 distributes path chunks over processes; threads = 0 uses the
-    CPU count.  Chunking never changes results, only memory and wall time.
+    threads > 1 distributes path chunks over processes, one chunk per
+    worker by default; threads = 0 uses the CPU count.  Chunking never
+    changes results, only memory and wall time.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -500,14 +531,14 @@ def run_ensemble(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     indices = np.arange(path_offset, path_offset + n_paths)
     if chunk_size is None:
         per = max(1, _BLOCK_BUDGET // max(1, config.grid_size * 64))
-        chunk_size = min(n_paths, max(64, per)) if threads == 1 else max(1, -(-n_paths // (threads * 2)))
+        chunk_size = min(n_paths, max(64, per)) if threads == 1 else -(-n_paths // threads)
     chunks = [indices[i:i + chunk_size] for i in range(0, n_paths, chunk_size)]
 
     if threads == 1 or len(chunks) == 1:
         results = [_run_paths(init, coeffs, plan, config, c)[0] for c in chunks]
     else:
         jobs = [(init, coeffs, plan, config, c) for c in chunks]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
             results = list(pool.map(_worker, jobs))
 
     merged = results[0]

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 
 def ks_statistic(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    # scipy.stats costs most of the CLI's import time; load it on first use.
+    from scipy.stats import ks_2samp
+
     return float(ks_2samp(np.asarray(a), np.asarray(b), method="asymp").statistic)
 
 

@@ -57,13 +57,18 @@ def check(name: str, ok: bool, detail: str):
 
 
 def run_config(name: str, n_paths: int | None = None):
-    """Run the ensemble of a shipped config, returning (cfg, stats, secs)."""
+    """Run the ensemble of a shipped config, returning (cfg, stats, secs).
+
+    Uses every core: results do not depend on the worker count
+    (TestDeterminism in test_solver.py guards this).
+    """
     cfg = load_config(CONFIG_DIR / name)
     if n_paths is not None:
         cfg = cfg.with_overrides(n_paths=n_paths)
     t0 = time.time()
     stats = run_ensemble(cfg.initial_field(), cfg.coefficient_set(),
-                         cfg.noise_plan(), cfg.solver_config(), cfg.n_paths)
+                         cfg.noise_plan(), cfg.solver_config(), cfg.n_paths,
+                         threads=0)
     return cfg, stats, time.time() - t0
 
 

@@ -2,10 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lvfield
+from lvfield import cli
 from lvfield.cli import main
+from lvfield.solver import SimulationBlowup
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 BENCH = """\
 [model]
@@ -217,6 +226,39 @@ class TestExitCodes:
         assert main(["holder", "--config", cfg, "--out", str(tmp_path / "h")]) == 2
         assert "space_lags" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lags, message", [
+        ("space_lags = 1, 2", "space_lags: need at least 5 lags, got 2"),
+        ("space_lags = 4, 5, 6, 7, 8", "space_lags: lags span 0.30 decades"),
+        ("space_lags = 1, 2, 3, 5, 8\ntime_lags = 1, 2", "time_lags: need at least 5 lags"),
+    ])
+    def test_holder_with_too_few_lags_is_2(self, tmp_path, capsys, monkeypatch, lags, message):
+        cfg = write(tmp_path, BENCH.replace("[solver]\n", f"[solver]\n{lags}\nstats_after = 0.1\n"))
+        # refused before the ensemble runs
+        monkeypatch.setattr(cli, "run_ensemble", None)
+        out = tmp_path / "h"
+        assert main(["holder", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "verdicts.csv").exists()
+
+    def test_estimator_refusal_is_3(self, tmp_path, capsys):
+        # 10 paths are too few samples for the density test, which refuses them
+        out = tmp_path / "d"
+        assert main(["density", "--config", str(CONFIG_DIR / "density_control.ini"),
+                     "--paths", "10", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "needs >= 2000 samples, got 10" in err
+        assert not (out / "verdicts.csv").exists()
+
+    def test_blowup_is_3(self, tmp_path, capsys, monkeypatch):
+        def blow_up(*args, **kwargs):
+            raise SimulationBlowup("non-finite state at step 3 (t = 0.003) on path 0")
+        monkeypatch.setattr(cli, "simulate_path", blow_up)
+        cfg = write(tmp_path, BENCH)
+        out = tmp_path / "s"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert "error: non-finite state at step 3" in capsys.readouterr().err
+        assert not (out / "verdicts.csv").exists()
+
     def test_failed_verdict_is_1(self, tmp_path, capsys):
         cfg = write(tmp_path, BENCH + "\n[kernel_check]\ncross_tol = 0\n"
                     "lattice = 4\nn_sweep = 3\n")
@@ -354,3 +396,15 @@ n_paths = 80
             main(["--version"])
         assert info.value.code == 0
         assert "lvfield" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time; only the estimators that use
+    # it load it
+    src = str(Path(lvfield.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, lvfield.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

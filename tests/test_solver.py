@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import lvfield.solver as solver
 from lvfield.grid import cell_centers, from_modes, to_modes
 from lvfield.kernel import semigroup_apply
-from lvfield.model import CoefficientSet, Field
+from lvfield.model import CoefficientSet, Field, truncated_drift
 from lvfield.noise import NoisePlan
 from lvfield.solver import (
     EnsembleStats,
+    SimulationBlowup,
     SolverConfig,
     diffusion_multiplier,
     euler_step,
@@ -263,6 +265,34 @@ class TestDeterminism:
         assert np.array_equal(a.mass_u, b.mass_u)
         assert np.array_equal(a.site_u, b.site_u)
 
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_default_pool_runs_one_chunk_per_worker(self, scheme, monkeypatch):
+        a = small_run(threads=1, scheme=scheme)
+        b = small_run(threads=2, scheme=scheme)
+        for name in EnsembleStats.PER_PATH_FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                jobs.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                args = list(args)
+                jobs.extend(len(arg[-1]) for arg in args)
+                return map(fn, args)
+
+        jobs = []
+        monkeypatch.setattr(solver, "ProcessPoolExecutor", InlinePool)
+        c = small_run(threads=2, scheme=scheme)
+        assert jobs == [2, 5, 5]          # two workers, one chunk of 5 paths each
+        assert np.array_equal(a.mass_u, c.mass_u)
+
     def test_different_seeds_differ(self):
         a = small_run(seed=11)
         b = small_run(seed=12)
@@ -317,6 +347,22 @@ class TestEnsembleStats:
         assert abs(t_exit - np.log(6.0 / 5.0) / 3.0) < 5e-3
         assert np.all(np.isfinite(stats.supnorm))
 
+    def test_exit_step_independent_of_chunks_and_workers(self):
+        # noisy growth from 1 crosses the radius 3 at a different step on
+        # each path
+        n = 16
+        init = constant_field(n, 1.0, 0.5)
+        coeffs = CoefficientSet.constant(n, m1=2.0, sigma1=1.0, m2=0.5, sigma2=0.5)
+        cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=1.0, truncation_radius=3.0)
+        runs = [run_ensemble(init, coeffs, sheet_plan(5), cfg, n_paths=8,
+                             chunk_size=chunk, threads=threads)
+                for chunk, threads in ((None, 1), (3, 1), (1, 1), (None, 2), (3, 2))]
+        steps = runs[0].exit_step
+        assert np.sum(steps > 0) >= 4 and np.unique(steps).size > 4
+        for other in runs[1:]:
+            assert np.array_equal(other.exit_step, steps)
+            assert np.array_equal(other.mass_u, runs[0].mass_u)
+
     def test_no_exit_when_radius_large(self):
         stats = small_run(n_paths=4)
         assert stats.exit_fraction() == 0.0
@@ -358,6 +404,122 @@ class TestClamp:
         assert np.any(stats.clip_events > 0)
         assert np.all(stats.clip_max_ratio >= 0.0)
         assert np.all(stats.mass_u >= 0.0)
+
+
+    def test_clamp_leaves_positive_state_untouched(self):
+        arr = np.random.default_rng(1).uniform(0.1, 1.0, (2, 3, 8))
+        before = arr.copy()
+        ratio = solver._clamp(arr)
+        assert ratio.shape == (2, 3)
+        assert np.all(ratio == 0.0) and not np.any(np.signbit(ratio))
+        assert np.array_equal(arr, before)
+
+    def test_clamp_reports_clipped_mass(self):
+        arr = np.array([[[1.0, -0.5, 2.0, 0.5]], [[1.0, 1.0, 1.0, 1.0]]])
+        ratio = solver._clamp(arr)
+        assert ratio[0, 0] == 0.5 / 3.0
+        assert ratio[1, 0] == 0.0
+        assert np.array_equal(arr[0, 0], [1.0, 0.0, 2.0, 0.5])
+
+    def test_clamp_turns_negative_zero_positive(self):
+        arr = np.array([[[-0.0, 1.0]], [[0.5, 0.5]]])
+        ratio = solver._clamp(arr)
+        assert not np.any(np.signbit(arr)) and not np.any(np.signbit(ratio))
+
+
+class TestTruncation:
+    def make(self, u0, v0, n=8):
+        coeffs = CoefficientSet.constant(n, m1=1.0, a1=0.5, b1=0.3, sigma1=0.4,
+                                         m2=0.8, a2=0.4, b2=0.2, sigma2=0.3)
+        rng = np.random.default_rng(3)
+        state = np.stack([np.full((3, n), u0), np.full((3, n), v0)])
+        state = state * rng.uniform(0.5, 1.0, state.shape)
+        return coeffs, state, rng.standard_normal(state.shape)
+
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_skipped_projection_inside_is_bit_identical(self, scheme):
+        coeffs, state, xi = self.make(2.0, 1.5)
+        radius = 2.5 * 1.0000001       # the corner cells sit just inside
+        state[:, 0, 0] = (2.0, 1.5)
+        assert np.hypot(state[0], state[1]).max() <= radius
+        mult = diffusion_multiplier(scheme, 8, 1e-3)
+        skipped = euler_step(state, xi, coeffs, 1e-3, radius, scheme, mult, inside=True)
+        projected = euler_step(state, xi, coeffs, 1e-3, radius, scheme, mult)
+        assert np.array_equal(skipped[0], projected[0])
+        for a, b in zip(truncated_drift(state[0], state[1], coeffs, radius, True),
+                        truncated_drift(state[0], state[1], coeffs, radius)):
+            assert np.array_equal(a, b)
+
+    def test_projection_applies_outside(self):
+        coeffs, state, _ = self.make(2.0, 1.5)
+        state[:, 1, 4] = (30.0, 40.0)           # |z| = 50 > radius
+        f1, f2 = truncated_drift(state[0], state[1], coeffs, 10.0)
+        g1, g2 = truncated_drift(state[0] / 5.0, state[1] / 5.0, coeffs, 10.0, True)
+        assert f1[1, 4] == pytest.approx(g1[1, 4], rel=1e-14)
+        assert f2[1, 4] == pytest.approx(g2[1, 4], rel=1e-14)
+        g1, _ = truncated_drift(state[0], state[1], coeffs, 10.0, True)
+        assert f1[1, 4] != g1[1, 4]
+        mask = np.ones(f1.shape, bool)
+        mask[1, 4] = False
+        assert np.array_equal(f1[mask], g1[mask])
+
+    def test_loop_projects_only_once_a_cell_is_out(self, monkeypatch):
+        # deterministic growth e^{3t} from 5 crosses the radius 6 near
+        # step 61; the drift must project from the first step after that
+        calls = []
+
+        def recording_drift(u, v, coeffs, radius, inside=False):
+            calls.append((inside, float(np.hypot(u, v).max())))
+            return truncated_drift(u, v, coeffs, radius, inside)
+
+        monkeypatch.setattr(solver, "truncated_drift", recording_drift)
+        n = 16
+        cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=0.1, truncation_radius=6.0)
+        stats = run_ensemble(constant_field(n, 5.0, 0.0), CoefficientSet.constant(n, m1=3.0),
+                             sheet_plan(), cfg, n_paths=2)
+        exit_step = int(stats.exit_step[0])
+        assert 50 < exit_step < 70
+        assert len(calls) == cfg.n_steps
+        assert all(inside for inside, _ in calls[:exit_step])
+        assert not any(inside for inside, _ in calls[exit_step:])
+        assert all(r < 6.0 for _, r in calls[:exit_step])
+
+
+class TestBlowup:
+    def poisoned(self, monkeypatch, value, at_call, path=1):
+        # the fd step calls from_modes once, for the new state
+        count = [0]
+
+        def from_modes_poisoned(modes):
+            out = from_modes(modes)
+            count[0] += 1
+            if count[0] == at_call:
+                out[0, path, 3] = value
+            return out
+
+        monkeypatch.setattr(solver, "from_modes", from_modes_poisoned)
+
+    # (-inf is not poison: the clamp sets it to 0 before the check)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_state_names_step_and_path(self, monkeypatch, value):
+        self.poisoned(monkeypatch, value, at_call=7)
+        n = 8
+        cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=0.02)
+        with pytest.raises(SimulationBlowup,
+                           match=r"at step 7 \(t = 0\.007\) on path 11$"):
+            run_ensemble(constant_field(n, 0.5, 0.5), CoefficientSet.constant(n, m1=1.0),
+                         sheet_plan(), cfg, n_paths=3, path_offset=10)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_radius_is_no_blowup(self, monkeypatch):
+        # U^2 overflows while U stays finite: the exit probe fires, the run goes on
+        self.poisoned(monkeypatch, 1e200, at_call=4)
+        n = 8
+        cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=0.01)
+        stats = run_ensemble(constant_field(n, 0.5, 0.5), CoefficientSet.constant(n, m1=1.0),
+                             sheet_plan(), cfg, n_paths=3)
+        assert list(stats.exit_step) == [-1, 4, -1]
+        assert np.all(np.isfinite(stats.mass_u))
 
 
 class TestIncrementRecording:
