@@ -10,7 +10,8 @@ runtime.json carries wall-clock information.
 Exit status: 0 when every verdict passes, 1 on a failed verdict, 2 on a
 config or usage error, 3 on a runtime or estimator error (a simulation
 blowup, or an estimator refusing its input); exits 2 and 3 write no
-verdicts.csv.
+verdicts.csv.  Once the output directory exists, runtime.json records the
+outcome as its status: "ok", "checks-failed" or "error" (with the message).
 """
 
 from __future__ import annotations
@@ -98,11 +99,13 @@ def write_verdicts(out_dir: Path, cfg: ExperimentConfig, verdicts) -> Path:
 
 
 def write_runtime(out_dir: Path, command: str, cfg: ExperimentConfig,
-                  seconds: float, files):
+                  seconds: float, files, status: str = "ok", error: str | None = None):
     payload = {"command": command, "config": cfg.path,
                "config_hash": cfg.config_hash, "version": __version__,
-               "runtime_seconds": seconds,
+               "status": status, "runtime_seconds": seconds,
                "files": sorted(f.name for f in files)}
+    if error is not None:
+        payload["error"] = error
     (out_dir / "runtime.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -522,27 +525,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
+    out_dir = None
     try:
         cfg = load_config(args.config).with_overrides(
             seed=args.seed, n_paths=args.paths, threads=args.threads)
         out_dir = Path(args.out or os.environ.get(_ENV_OUT) or cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         verdicts, files = args.func(cfg, out_dir)
-    except ConfigError as e:
+    except (ConfigError, SimulationBlowup, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (SimulationBlowup, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        if out_dir is not None and out_dir.is_dir():
+            write_runtime(out_dir, args.command, cfg, time.perf_counter() - started, [],
+                          status="error", error=str(e))
+        return 2 if isinstance(e, ConfigError) else 3
 
     files.append(write_verdicts(out_dir, cfg, verdicts))
-    write_runtime(out_dir, args.command, cfg, time.perf_counter() - started, files)
+    n_pass = sum(v.passed for v in verdicts)
+    write_runtime(out_dir, args.command, cfg, time.perf_counter() - started, files,
+                  status="ok" if n_pass == len(verdicts) else "checks-failed")
 
     for v in verdicts:
         status = "PASS" if v.passed else "FAIL"
         print(f"[{status}] {v.check_name}: statistic={v.statistic:.6g} "
               f"threshold={v.threshold:.6g}")
-    n_pass = sum(v.passed for v in verdicts)
     print(f"{n_pass}/{len(verdicts)} checks passed ({out_dir / 'verdicts.csv'})")
     return 0 if n_pass == len(verdicts) else 1
 

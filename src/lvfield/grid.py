@@ -27,10 +27,6 @@ def cell_centers(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
-def cell_width(n: int) -> float:
-    return 1.0 / n
-
-
 def mass(values: np.ndarray) -> float:
     """Midpoint quadrature of a grid function, h * sum_j u_j."""
     return float(np.mean(values, axis=-1))
@@ -47,13 +43,6 @@ def to_modes(values: np.ndarray) -> np.ndarray:
 def from_modes(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of to_modes: u_j = sum_k c_k e_k(x_j), along the last axis."""
     return idct(coeffs * np.sqrt(coeffs.shape[-1]), type=2, norm="ortho", axis=-1)
-
-
-def basis_function(k: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal cosine basis element e_k evaluated at x."""
-    if k == 0:
-        return np.ones_like(np.asarray(x, dtype=float))
-    return np.sqrt(2.0) * np.cos(k * np.pi * np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)

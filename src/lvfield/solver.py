@@ -28,15 +28,24 @@ The step loop pays only for work that can change the state.  It computes
 (|z|^2 >= radius^2) and the next step's truncation, whose radial projection
 is skipped while every cell is inside the ball, where it is the identity.
 One min reduction skips the clamp when every cell is positive.  With more
-than one worker, run_ensemble gives each worker one chunk: _BLOCK_BUDGET
-already bounds memory through the block length, and every chunk pays the
-per-step Python overhead once more.
+than one worker, run_ensemble gives each worker one chunk: the block length
+bounds the noise memory, and every chunk pays the per-step Python overhead
+once more.
+
+Noise is drawn in blocks of steps on one helper thread, one block ahead:
+while the loop steps block b from one buffer, the helper fills block b + 1
+into the other from the same per-path generators in the same order (numpy
+releases the GIL while it fills).  _BLOCK_BUDGET bounds each of the two
+buffers, both species counted, so the draw memory of a run is at most
+2 * _BLOCK_BUDGET doubles.  The increment statistics take fourth powers as
+(d^2)^2, never through libm pow, and handle every live time lag of a step
+in one pass.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,8 +63,13 @@ from .noise import SPECIES_U, SPECIES_V, NoisePlan
 # dt * (drift Lipschitz bound at the truncation radius) must stay below this.
 STABILITY_LIMIT = 0.5
 
-# Target elements per noise block draw; bounds memory, never changes results.
-_BLOCK_BUDGET = 8_000_000
+# Elements per noise draw buffer (two buffers per run, both species in
+# each); bounds memory, never changes results.
+_BLOCK_BUDGET = 2_000_000
+
+# A chunk on one worker holds _CHUNK_CELLS // grid_size paths (at least 64),
+# which bounds the per-path arrays of very large ensembles.
+_CHUNK_CELLS = 125_000
 
 
 class SimulationBlowup(RuntimeError):
@@ -197,7 +211,10 @@ def _clamp(arr: np.ndarray) -> np.ndarray:
     # nothing clipped reports +0.0 rather than -0.0.  When every cell is
     # positive there is nothing to do; a zero cell may be -0.0, which the
     # clamp turns into +0.0, so a state touching zero still passes through.
-    if arr.min() > 0.0:
+    # A NaN or -inf cell is left for the caller's finiteness check: clamping
+    # -inf to 0 would hide a blowup.
+    lowest = arr.min()
+    if lowest > 0.0 or not lowest > -np.inf:
         return np.zeros(arr.shape[:-1])
     clipped = np.abs(np.minimum(arr, 0.0).sum(axis=-1))
     pre_mass = arr.sum(axis=-1)
@@ -393,8 +410,9 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
             for j, lag in enumerate(space_lags):
                 if anchor_idx is None:
                     d = u[:, lag:] - u[:, :-lag]
-                    space_p2[:, j] += np.sum(d**2, axis=1)
-                    space_p4[:, j] += np.sum(d**4, axis=1)
+                    d2 = d * d
+                    space_p2[:, j] += np.sum(d2, axis=1)
+                    space_p4[:, j] += np.sum(d2 * d2, axis=1)
                     space_count[j] += n - lag
                 else:
                     # dyadic pairs just off the anchor; the anchor cell
@@ -404,8 +422,9 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                                    (anchor_idx + lag, anchor_idx + 2 * lag)):
                         if 0 <= lo and hi < n:
                             d = u[:, hi] - u[:, lo]
-                            space_p2[:, j] += d**2
-                            space_p4[:, j] += d**4
+                            d2 = d * d
+                            space_p2[:, j] += d2
+                            space_p4[:, j] += d2 * d2
                             space_count[j] += 1
 
     record(0, 0)
@@ -417,13 +436,19 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     if ring is not None:
         ring[0] = state[0][:, site_idx]
 
-    # Row 0 of the draw buffer comes from each path's U stream, row 1 from
-    # its V stream, each consumed in step order.
+    # Row 0 of a draw buffer comes from each path's U stream, row 1 from its
+    # V stream, each consumed in step order.  Only the helper thread touches
+    # the generators, and it fills only the buffer the loop has finished.
     gens = [[plan.generator(int(idx), species) for idx in path_indices]
             for species in (SPECIES_U, SPECIES_V)]
-    block = max(1, min(n_steps, _BLOCK_BUDGET // max(1, p * k_modes)))
+    block = max(1, min(n_steps, _BLOCK_BUDGET // max(1, 2 * p * k_modes)))
+    buffers = [np.empty((2, p, block, k_modes)) for _ in range(2)]
 
-    xi = np.empty((2, p, block, k_modes))
+    def draw(buf: np.ndarray, count: int) -> np.ndarray:
+        for species, species_gens in enumerate(gens):
+            for i, gen in enumerate(species_gens):
+                gen.standard_normal((count, k_modes), out=buf[species, i, :count])
+        return buf
 
     # The projection is skipped only below radius^2 by more than the rounding
     # of U^2 + V^2: then hypot(U, V) <= radius in every cell, where the
@@ -432,51 +457,57 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     inside_sq = radius_sq * (1.0 - 4.0 * np.finfo(float).eps)
     r2_max = np.max(state[0] * state[0] + state[1] * state[1], axis=1)
     r2_top = r2_max.max()
+    ring_len = max_time_lag + 1
 
     step = 0
-    while step < n_steps:
-        s_block = min(block, n_steps - step)
-        for species, species_gens in enumerate(gens):
-            for i, gen in enumerate(species_gens):
-                xi[species, i, :s_block] = gen.standard_normal((s_block, k_modes))
-        for s in range(s_block):
-            step += 1
-            state, ratio = euler_step(state, xi[:, :, s], coeffs, dt, radius,
-                                      config.scheme, multiplier, weights,
-                                      inside=r2_top < inside_sq)
-            r2_max = np.max(state[0] * state[0] + state[1] * state[1], axis=1)
-            r2_top = r2_max.max()
-            # NaN and inf propagate into the max; a finite state whose
-            # U^2 + V^2 overflows is no blowup.
-            if not np.isfinite(r2_top) and not np.all(np.isfinite(state)):
-                bad = int(np.argmax(~np.all(np.isfinite(state), axis=(0, 2))))
-                raise SimulationBlowup(
-                    f"non-finite state at step {step} (t = {step * dt:.6g}) on path "
-                    f"{int(path_indices[bad])}")
-            np.maximum(clip_max, ratio.max(axis=0), out=clip_max)
-            clip_events += (ratio > 0).any(axis=0)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(draw, buffers[0], min(block, n_steps))
+        while step < n_steps:
+            s_block = min(block, n_steps - step)
+            xi = pending.result()
+            ahead = step + s_block
+            if ahead < n_steps:
+                pending = helper.submit(draw, buffers[1] if xi is buffers[0] else buffers[0],
+                                        min(block, n_steps - ahead))
+            for s in range(s_block):
+                step += 1
+                state, ratio = euler_step(state, xi[:, :, s], coeffs, dt, radius,
+                                          config.scheme, multiplier, weights,
+                                          inside=r2_top < inside_sq)
+                r2_max = np.max(state[0] * state[0] + state[1] * state[1], axis=1)
+                r2_top = r2_max.max()
+                # NaN and inf propagate into the max; a finite state whose
+                # U^2 + V^2 overflows is no blowup.
+                if not np.isfinite(r2_top) and not np.all(np.isfinite(state)):
+                    bad = int(np.argmax(~np.all(np.isfinite(state), axis=(0, 2))))
+                    raise SimulationBlowup(
+                        f"non-finite state at step {step} (t = {step * dt:.6g}) on path "
+                        f"{int(path_indices[bad])}")
+                np.maximum(clip_max, ratio.max(axis=0), out=clip_max)
+                clip_events += (ratio > 0).any(axis=0)
 
-            if r2_top >= radius_sq:
-                newly_out = (exit_step < 0) & (r2_max >= radius_sq)
-                exit_step[newly_out] = step
+                if r2_top >= radius_sq:
+                    newly_out = (exit_step < 0) & (r2_max >= radius_sq)
+                    exit_step[newly_out] = step
 
-            if ring is not None:
-                ring[step % (max_time_lag + 1)] = state[0][:, site_idx]
-                if step >= stats_start:
-                    cur = ring[step % (max_time_lag + 1)]
-                    for j, lag in enumerate(time_lags):
-                        if step - lag >= stats_start:
-                            past = ring[(step - lag) % (max_time_lag + 1)]
-                            d = cur - past
-                            time_p2[:, j] += np.sum(d**2, axis=1)
-                            time_p4[:, j] += np.sum(d**4, axis=1)
-                            time_count[j] += n_sites
+                if ring is not None:
+                    cur = ring[step % ring_len]
+                    cur[...] = state[0][:, site_idx]
+                    live = time_lags <= step - stats_start
+                    if live.any():
+                        # every live lag at once: (n_live, P, S) increments
+                        d = cur - ring[(step - time_lags[live]) % ring_len]
+                        d *= d
+                        time_p2[:, live] += d.sum(axis=2).T
+                        d *= d
+                        time_p4[:, live] += d.sum(axis=2).T
+                        time_count[live] += n_sites
 
-            if step in record_lookup:
-                record(step, record_lookup[step])
-            if step in snapshot_steps:
-                for t_snap in snapshot_steps[step]:
-                    snapshots.append(Field(state[0, 0].copy(), state[1, 0].copy(), time=t_snap))
+                if step in record_lookup:
+                    record(step, record_lookup[step])
+                if step in snapshot_steps:
+                    for t_snap in snapshot_steps[step]:
+                        snapshots.append(Field(state[0, 0].copy(), state[1, 0].copy(), time=t_snap))
 
     stats = EnsembleStats(
         master_seed=plan.master_seed,
@@ -530,7 +561,7 @@ def run_ensemble(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
         threads = os.cpu_count() or 1
     indices = np.arange(path_offset, path_offset + n_paths)
     if chunk_size is None:
-        per = max(1, _BLOCK_BUDGET // max(1, config.grid_size * 64))
+        per = max(1, _CHUNK_CELLS // config.grid_size)
         chunk_size = min(n_paths, max(64, per)) if threads == 1 else -(-n_paths // threads)
     chunks = [indices[i:i + chunk_size] for i in range(0, n_paths, chunk_size)]
 

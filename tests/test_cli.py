@@ -124,6 +124,7 @@ class TestSimulate:
 
         runtime = json.loads((out / "runtime.json").read_text())
         assert runtime["command"] == "simulate"
+        assert runtime["status"] == "ok" and "error" not in runtime
         assert runtime["runtime_seconds"] > 0
         assert "verdicts.csv" in runtime["files"]
         assert "snapshots.ndjson" in runtime["files"]
@@ -239,6 +240,8 @@ class TestExitCodes:
         assert main(["holder", "--config", cfg, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "verdicts.csv").exists()
+        runtime = json.loads((out / "runtime.json").read_text())
+        assert runtime["status"] == "error" and message in runtime["error"]
 
     def test_estimator_refusal_is_3(self, tmp_path, capsys):
         # 10 paths are too few samples for the density test, which refuses them
@@ -248,6 +251,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "needs >= 2000 samples, got 10" in err
         assert not (out / "verdicts.csv").exists()
+        runtime = json.loads((out / "runtime.json").read_text())
+        assert runtime["command"] == "density"
+        assert runtime["status"] == "error"
+        assert "needs >= 2000 samples, got 10" in runtime["error"]
+        assert runtime["files"] == []
 
     def test_blowup_is_3(self, tmp_path, capsys, monkeypatch):
         def blow_up(*args, **kwargs):
@@ -258,6 +266,8 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
         assert "error: non-finite state at step 3" in capsys.readouterr().err
         assert not (out / "verdicts.csv").exists()
+        runtime = json.loads((out / "runtime.json").read_text())
+        assert runtime["status"] == "error" and "step 3" in runtime["error"]
 
     def test_failed_verdict_is_1(self, tmp_path, capsys):
         cfg = write(tmp_path, BENCH + "\n[kernel_check]\ncross_tol = 0\n"
@@ -269,6 +279,8 @@ class TestExitCodes:
         by_name = {row[0]: row[2] for row in rows}
         assert by_name["kernel-cross-representation"] == "false"
         assert by_name["kernel-mass-conservation"] == "true"
+        runtime = json.loads((out / "runtime.json").read_text())
+        assert runtime["status"] == "checks-failed" and "error" not in runtime
 
     def test_atom_control_fails_density(self, tmp_path):
         # sigma = 0: all paths identical, the one-point law is a point mass

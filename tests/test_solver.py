@@ -1,6 +1,10 @@
 """Scheme correctness against deterministic oracles, determinism of the
 ensemble machinery, and the strong self-refinement rate."""
 
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -499,16 +503,43 @@ class TestBlowup:
 
         monkeypatch.setattr(solver, "from_modes", from_modes_poisoned)
 
-    # (-inf is not poison: the clamp sets it to 0 before the check)
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    # -inf must not reach the clamp as a negative cell: zeroing it would
+    # hide the blowup behind an inf / inf clip ratio
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_state_names_step_and_path(self, monkeypatch, value):
         self.poisoned(monkeypatch, value, at_call=7)
         n = 8
         cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=0.02)
-        with pytest.raises(SimulationBlowup,
-                           match=r"at step 7 \(t = 0\.007\) on path 11$"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SimulationBlowup,
+                               match=r"at step 7 \(t = 0\.007\) on path 11$"):
+                run_ensemble(constant_field(n, 0.5, 0.5), CoefficientSet.constant(n, m1=1.0),
+                             sheet_plan(), cfg, n_paths=3, path_offset=10)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_clamp_leaves_non_finite_state_to_the_check(self, value):
+        arr = np.array([[[1.0, -0.5, value]], [[1.0, 1.0, 1.0]]])
+        before = arr.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratio = solver._clamp(arr)
+        assert np.all(ratio == 0.0) and not np.any(np.signbit(ratio))
+        assert np.array_equal(arr, before, equal_nan=True)
+
+    def test_blowup_in_a_later_block_stops_the_helper(self, monkeypatch):
+        # four-step blocks: step 7 is stepped from the second block while
+        # the helper draws the third
+        self.poisoned(monkeypatch, np.nan, at_call=7)
+        n, p = 8, 3
+        monkeypatch.setattr(solver, "_BLOCK_BUDGET", 2 * p * n * 4)
+        cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=0.02)
+        before = threading.active_count()
+        with pytest.raises(SimulationBlowup, match=r"at step 7 \(t = 0\.007\) on path 1$"):
             run_ensemble(constant_field(n, 0.5, 0.5), CoefficientSet.constant(n, m1=1.0),
-                         sheet_plan(), cfg, n_paths=3, path_offset=10)
+                         sheet_plan(), cfg, n_paths=p)
+        assert threading.active_count() == before
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_radius_is_no_blowup(self, monkeypatch):
@@ -561,6 +592,150 @@ class TestIncrementRecording:
         for j in range(stats.space_lags.size):
             assert np.all(stats.space_p2[:, j] ** 2
                           <= stats.space_count[j] * stats.space_p4[:, j] + 1e-30)
+
+    @pytest.mark.parametrize("anchor", [None, 0.5])
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_matches_per_lag_loop(self, monkeypatch, scheme, anchor):
+        # 20 steps, statistics from step 12: lag 5 turns live at step 17
+        # and lag 9 never does; the lags are deliberately unsorted
+        n, p = 16, 3
+        init = constant_field(n, 0.5, 0.5)
+        coeffs = CoefficientSet.constant(n, sigma1=0.3, sigma2=0.3)
+        cfg = SolverConfig(scheme=scheme, grid_size=n, dt=1e-2, t_final=0.2,
+                           record_interval=2e-2, stats_after=0.12,
+                           space_lag_cells=(4, 1, 2), time_lag_steps=(5, 1, 9, 3),
+                           space_anchor=anchor, probe_sites=(0.25, 0.5, 0.75))
+        states = [np.stack([np.tile(init.u, (p, 1)), np.tile(init.v, (p, 1))])]
+
+        def recording_step(*args, **kwargs):
+            result = euler_step(*args, **kwargs)
+            states.append(result[0].copy())
+            return result
+
+        monkeypatch.setattr(solver, "euler_step", recording_step)
+        plan = sheet_plan(5) if scheme == "fd" else spectral_plan(5)
+        stats = run_ensemble(init, coeffs, plan, cfg, n_paths=p)
+        assert len(states) == cfg.n_steps + 1
+        ref = per_lag_statistics(states, cfg)
+
+        assert np.array_equal(stats.time_count, ref["time_count"])
+        assert stats.time_count[2] == 0 and 0 < stats.time_count[0] < stats.time_count[1]
+        assert np.array_equal(stats.space_count, ref["space_count"])
+        for name in ("space_p2", "time_p2"):
+            assert np.array_equal(getattr(stats, name), ref[name]), name
+        for name in ("space_p4", "time_p4"):
+            np.testing.assert_allclose(getattr(stats, name), ref[name], rtol=1e-14, atol=0)
+
+
+def per_lag_statistics(states, cfg):
+    """Increment sums one lag at a time, with d**2 and d**4, from the states
+    of every step (states[s] is the (2, P, n) state after step s)."""
+    n, dt = cfg.grid_size, cfg.dt
+    p = states[0].shape[1]
+    sites = cfg.site_indices()
+    space_lags, time_lags = cfg.space_lag_cells, cfg.time_lag_steps
+    out = {"space_p2": np.zeros((p, len(space_lags))), "space_p4": np.zeros((p, len(space_lags))),
+           "space_count": np.zeros(len(space_lags), dtype=np.int64),
+           "time_p2": np.zeros((p, len(time_lags))), "time_p4": np.zeros((p, len(time_lags))),
+           "time_count": np.zeros(len(time_lags), dtype=np.int64)}
+    stats_start = round(cfg.stats_after / dt)
+    record_steps = set(range(0, cfg.n_steps + 1, cfg.record_every)) | {cfg.n_steps}
+    anchor = None
+    if cfg.space_anchor is not None:
+        anchor = int(np.clip(round(cfg.space_anchor * n - 0.5), 0, n - 1))
+    for step, state in enumerate(states):
+        u = state[0]
+        if step in record_steps and step * dt >= cfg.stats_after - 1e-12:
+            for j, lag in enumerate(space_lags):
+                if anchor is None:
+                    pairs = [(u[:, lag:] - u[:, :-lag], n - lag)]
+                else:
+                    pairs = [(u[:, hi:hi + 1] - u[:, lo:lo + 1], 1)
+                             for lo, hi in ((anchor - 2 * lag, anchor - lag),
+                                            (anchor + lag, anchor + 2 * lag))
+                             if 0 <= lo and hi < n]
+                for d, count in pairs:
+                    out["space_p2"][:, j] += np.sum(d**2, axis=1)
+                    out["space_p4"][:, j] += np.sum(d**4, axis=1)
+                    out["space_count"][j] += count
+        for j, lag in enumerate(time_lags):
+            if step - lag >= stats_start:
+                d = u[:, sites] - states[step - lag][0][:, sites]
+                out["time_p2"][:, j] += np.sum(d**2, axis=1)
+                out["time_p4"][:, j] += np.sum(d**4, axis=1)
+                out["time_count"][j] += sites.size
+    return out
+
+
+class TestDrawAhead:
+    N_STEPS = 50
+
+    def run(self, monkeypatch, scheme, threads, block):
+        # 6 paths, 16 cells (16 noise modes under either scheme); the budget
+        # gives each worker's chunk of 6 / threads paths `block` steps
+        n, p = 16, 6
+        monkeypatch.setattr(solver, "_BLOCK_BUDGET", 2 * (p // threads) * n * block)
+        init = constant_field(n, 0.5, 0.4)
+        coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4)
+        plan = sheet_plan(8) if scheme == "fd" else spectral_plan(8)
+        cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-3, t_final=self.N_STEPS * 2e-3,
+                           record_interval=1e-2, stats_after=0.05,
+                           space_lag_cells=(1, 3), time_lag_steps=(2, 7))
+        return run_ensemble(init, coeffs, plan, cfg, n_paths=p, threads=threads)
+
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_block_layout_does_not_change_results(self, monkeypatch, scheme):
+        # one-step blocks, 7-step blocks (7 does not divide 50), one block
+        ref = self.run(monkeypatch, scheme, 1, self.N_STEPS)
+        assert np.all(ref.time_count > 0) and np.all(ref.space_count > 0)
+        for threads in (1, 2):
+            for block in (1, 7, self.N_STEPS):
+                other = self.run(monkeypatch, scheme, threads, block)
+                for name in EnsembleStats.PER_PATH_FIELDS:
+                    assert np.array_equal(getattr(other, name), getattr(ref, name)), \
+                        (name, threads, block)
+
+    def test_fast_thread_switching_does_not_change_results(self, monkeypatch):
+        # hand the interpreter between the loop and the helper as often as
+        # it will go: a buffer read before its draw finished would show
+        ref = self.run(monkeypatch, "fd", 1, self.N_STEPS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            other = self.run(monkeypatch, "fd", 1, 1)
+        finally:
+            sys.setswitchinterval(interval)
+        for name in EnsembleStats.PER_PATH_FIELDS:
+            assert np.array_equal(getattr(other, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("budget", [640, 700, 10**6])
+    def test_draw_buffers_stay_within_budget(self, monkeypatch, budget):
+        # 4 paths of 16 cells: 640 elements per buffer hold 5 steps of both
+        # species, 700 still only 5, 10**6 the whole run in one block
+        bases, threads_seen = {}, set()
+        original = NoisePlan.generator
+
+        class Recording:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, size, out=None):
+                bases[id(out.base)] = out.base.size
+                threads_seen.add(threading.current_thread() is threading.main_thread())
+                return self.gen.standard_normal(size, out=out)
+
+        monkeypatch.setattr(NoisePlan, "generator",
+                            lambda plan, path, species: Recording(original(plan, path, species)))
+        monkeypatch.setattr(solver, "_BLOCK_BUDGET", budget)
+        n = 16
+        cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=0.05)
+        stats = run_ensemble(constant_field(n, 0.5, 0.4),
+                             CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4),
+                             sheet_plan(11), cfg, n_paths=4)
+        assert stats.n_paths == 4
+        assert sum(bases.values()) <= 2 * budget
+        assert len(bases) == (1 if budget == 10**6 else 2)
+        assert threads_seen == {False}           # drawn on the helper thread only
 
 
 # ---------------------------------------------------------------------------
