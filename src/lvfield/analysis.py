@@ -295,9 +295,11 @@ class MildAuditRow:
 class MildAuditReport:
     rows: tuple
     sup_m: float
+    limit_floor: float              # 1 - limit_tol
+    drift_ceiling: float            # sup m + 1e-9
     monotone_ok: bool               # M_eta nondecreasing as eta decreases
-    limit_ok: bool                  # M_eta >= 1 - 1e-3 at the smallest eta
-    drift_ok: bool                  # drift ratio <= sup m + 1e-9 everywhere
+    limit_ok: bool                  # M_eta >= limit_floor at the smallest eta
+    drift_ok: bool                  # drift ratio <= drift_ceiling everywhere
 
     @property
     def passed(self) -> bool:
@@ -327,6 +329,8 @@ def mild_log_functional_audit(snapshots, coeffs: CoefficientSet,
     if any(e < 0 for e in etas):
         raise ValueError("eta must be nonnegative")
     sup_m = float(np.max(coeffs.m1 if species == SPECIES_U else coeffs.m2))
+    limit_floor = 1.0 - limit_tol
+    drift_ceiling = sup_m + 1e-9
 
     rows = []
     monotone_ok = True
@@ -358,12 +362,13 @@ def mild_log_functional_audit(snapshots, coeffs: CoefficientSet,
             if prev is not None and m_eta < prev - 1e-12:
                 monotone_ok = False
             prev = m_eta
-            if drift_ratio > sup_m + 1e-9:
+            if drift_ratio > drift_ceiling:
                 drift_ok = False
-        if prev < 1.0 - limit_tol:
+        if prev < limit_floor:
             limit_ok = False
 
     return MildAuditReport(rows=tuple(rows), sup_m=sup_m,
+                           limit_floor=limit_floor, drift_ceiling=drift_ceiling,
                            monotone_ok=monotone_ok, limit_ok=limit_ok,
                            drift_ok=drift_ok)
 

@@ -70,7 +70,7 @@ def _cell(value) -> str:
 def write_csv(path: Path, cfg: ExperimentConfig, columns, rows):
     lines = [f"# lvfield {__version__}",
              f"# config_hash={cfg.config_hash}",
-             f"# seed={cfg.master_seed}",
+             f"# seed={cfg.noise.master_seed}",
              ",".join(columns)]
     for row in rows:
         lines.append(",".join(_cell(v) for v in row))
@@ -79,8 +79,8 @@ def write_csv(path: Path, cfg: ExperimentConfig, columns, rows):
 
 def write_snapshots(path: Path, cfg: ExperimentConfig, snapshots):
     meta = {"format": "lvfield.snapshots.v1", "version": __version__,
-            "config_hash": cfg.config_hash, "seed": cfg.master_seed,
-            "n": cfg.n, "scheme": cfg.scheme}
+            "config_hash": cfg.config_hash, "seed": cfg.noise.master_seed,
+            "n": cfg.solver.grid_size, "scheme": cfg.solver.scheme}
     with open(path, "w", newline="\n") as f:
         f.write(json.dumps(meta, sort_keys=True) + "\n")
         for snap in snapshots:
@@ -255,7 +255,7 @@ def cmd_noise_check(cfg: ExperimentConfig, out_dir: Path):
     for name, f in audit_functions().items():
         rep = representation_equivalence_check(
             f, name=name, n_steps=n_steps, n_cells=n_cells,
-            n_replications=n_replications, master_seed=cfg.master_seed,
+            n_replications=n_replications, master_seed=cfg.noise.master_seed,
             alpha=alpha, variance_tolerance=variance_tol)
         rows.append((name, rep.target_variance, rep.walsh_variance,
                      rep.spectral_variance, rep.ks_stat, rep.ks_crit, rep.passed))
@@ -310,9 +310,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path):
         drift_worst = max(r.drift_ratio for r in rep.rows)
         verdicts += [
             Verdict("log-functional-quadratic-term", "log-mass-expansion",
-                    rep.monotone_ok and rep.limit_ok, m_small, 1.0),
+                    rep.monotone_ok and rep.limit_ok, m_small, rep.limit_floor),
             Verdict("log-functional-drift-term", "drift-domination",
-                    rep.drift_ok, drift_worst, rep.sup_m),
+                    rep.drift_ok, drift_worst, rep.drift_ceiling),
         ]
     return verdicts, [path]
 
@@ -345,8 +345,9 @@ def cmd_holder(cfg: ExperimentConfig, out_dir: Path):
 
     # Refuse lag sets the estimator would refuse before paying for the
     # ensemble; the lags are built as the solver records them.
-    lag_sets = (("space_lags", np.asarray(cfg.space_lags, dtype=np.int64) / cfg.n),
-                ("time_lags", np.asarray(cfg.time_lags, dtype=np.int64) * cfg.dt))
+    sconf = cfg.solver
+    lag_sets = (("space_lags", np.asarray(sconf.space_lag_cells) / sconf.grid_size),
+                ("time_lags", np.asarray(sconf.time_lag_steps) * sconf.dt))
     if not any(lags.size for _, lags in lag_sets):
         raise ConfigError("holder needs space_lags or time_lags in [solver]",
                           cfg.path)
@@ -461,7 +462,7 @@ def cmd_invariant(cfg: ExperimentConfig, out_dir: Path):
 
 def cmd_density(cfg: ExperimentConfig, out_dir: Path):
     opts = cfg.extra("density")
-    at_time = opts.get_float("time", cfg.t_final)
+    at_time = opts.get_float("time", cfg.solver.t_final)
     at_site = opts.get_float("site", 0.5)
     species = _species_index(opts.get_choice("species", ("u", "v"), "u"))
     min_samples = opts.get_int("min_samples", 2000)

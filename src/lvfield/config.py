@@ -30,7 +30,7 @@ traceable to the exact parameters that produced them.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -170,27 +170,11 @@ class ExperimentConfig:
     """Validated experiment parameters plus raw per-command extras."""
 
     path: str
-    n: int
     coefficients: dict                  # name -> expression string
     u0: str
     v0: str
-    scheme: str
-    dt: float
-    t_final: float
-    snapshot_times: tuple
-    record_interval: float | None
-    truncation_radius: float | None
-    solver_n_modes: int | None
-    probe_sites: tuple | None
-    stats_after: float | None
-    space_lags: tuple
-    time_lags: tuple
-    space_anchor: float | None
-    representation: str
-    master_seed: int
-    noise_n_modes: int | None
-    weights_spec: str
-    summability_class: float | None
+    solver: SolverConfig
+    noise: NoisePlan
     n_paths: int
     output_dir: str
     name: str
@@ -200,37 +184,16 @@ class ExperimentConfig:
     # -- derived objects ---------------------------------------------------
 
     def coefficient_set(self) -> CoefficientSet:
-        return CoefficientSet.from_expressions(self.n, **self.coefficients)
+        return CoefficientSet.from_expressions(self.solver.grid_size, **self.coefficients)
 
     def initial_field(self) -> Field:
-        return Field.from_expressions(self.n, u0=self.u0, v0=self.v0)
+        return Field.from_expressions(self.solver.grid_size, u0=self.u0, v0=self.v0)
 
     def noise_plan(self) -> NoisePlan:
-        weights = None
-        if self.weights_spec != "white":
-            q = float(self.weights_spec.split(":", 1)[1])
-            k = np.arange(self.noise_n_modes, dtype=float)
-            weights = np.where(k == 0, 1.0, np.maximum(k, 1.0) ** (-q))
-        return NoisePlan(representation=self.representation,
-                         master_seed=self.master_seed,
-                         n_modes=self.noise_n_modes,
-                         weights=weights,
-                         summability_class=self.summability_class)
+        return self.noise
 
     def solver_config(self) -> SolverConfig:
-        kwargs = dict(scheme=self.scheme, dt=self.dt, t_final=self.t_final,
-                      snapshot_times=self.snapshot_times,
-                      record_interval=self.record_interval,
-                      truncation_radius=self.truncation_radius,
-                      n_modes=self.solver_n_modes,
-                      stats_after=self.stats_after,
-                      space_lag_cells=self.space_lags,
-                      time_lag_steps=self.time_lags,
-                      space_anchor=self.space_anchor,
-                      grid_size=self.n)
-        if self.probe_sites is not None:
-            kwargs["probe_sites"] = self.probe_sites
-        return SolverConfig(**kwargs)
+        return self.solver
 
     def extra(self, section: str) -> "SectionView":
         data = {k: (v, None) for k, v in self.extras.get(section, {}).items()}
@@ -246,7 +209,7 @@ class ExperimentConfig:
             raise ConfigError(f"--threads must be >= 0, got {threads}")
         out = self
         if seed is not None:
-            out = replace(out, master_seed=int(seed))
+            out = replace(out, noise=replace(out.noise, master_seed=int(seed)))
         if n_paths is not None:
             out = replace(out, n_paths=int(n_paths))
         if output_dir is not None:
@@ -258,27 +221,15 @@ class ExperimentConfig:
     # -- provenance --------------------------------------------------------
 
     def canonical_text(self) -> str:
-        """Deterministic dump of every effective parameter, for hashing."""
-        rows = {
-            "model.n": self.n, "model.u0": self.u0, "model.v0": self.v0,
-            "solver.scheme": self.scheme, "solver.dt": repr(self.dt),
-            "solver.t_final": repr(self.t_final),
-            "solver.snapshot_times": ",".join(repr(t) for t in self.snapshot_times),
-            "solver.record_interval": repr(self.record_interval),
-            "solver.truncation_radius": repr(self.truncation_radius),
-            "solver.n_modes": repr(self.solver_n_modes),
-            "solver.probe_sites": repr(self.probe_sites),
-            "solver.stats_after": repr(self.stats_after),
-            "solver.space_lags": ",".join(map(str, self.space_lags)),
-            "solver.time_lags": ",".join(map(str, self.time_lags)),
-            "solver.space_anchor": repr(self.space_anchor),
-            "noise.representation": self.representation,
-            "noise.master_seed": self.master_seed,
-            "noise.n_modes": repr(self.noise_n_modes),
-            "noise.weights": self.weights_spec,
-            "noise.summability_class": repr(self.summability_class),
-            "run.n_paths": self.n_paths, "run.name": self.name,
-        }
+        """Deterministic dump of every effective parameter, for hashing.
+
+        output_dir and threads are left out: they never change results.
+        """
+        rows = {"model.u0": self.u0, "model.v0": self.v0,
+                "run.n_paths": self.n_paths, "run.name": self.name}
+        for section, params in (("solver", self.solver), ("noise", self.noise)):
+            for f in fields(params):
+                rows[f"{section}.{f.name}"] = repr(getattr(params, f.name))
         for name, expr_src in self.coefficients.items():
             rows[f"model.{name}"] = expr_src
         for section, data in self.extras.items():
@@ -292,6 +243,13 @@ class ExperimentConfig:
 
 
 _KNOWN_SECTIONS = ("model", "solver", "noise", "run")
+
+
+def _construct(cls, section: str, path: str, **kwargs):
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"[{section}] {e}", path) from e
 
 
 def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
@@ -312,18 +270,18 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
 
     solver = SectionView("solver", sections.get("solver", {}), path)
     scheme = solver.get_choice("scheme", ("fd", "spectral"), "fd")
-    dt = solver.get_float("dt", 1e-3)
-    t_final = solver.get_float("t_final", 1.0)
-    snapshot_times = solver.get_float_list("snapshot_times")
-    record_interval = solver.get_float("record_interval", None)
-    truncation_radius = solver.get_float("truncation_radius", None)
-    solver_n_modes = solver.get_int("n_modes", None)
-    probe_raw = solver.get_str("probe_sites", None)
-    probe_sites = solver.get_float_list("probe_sites") if probe_raw is not None else None
-    stats_after = solver.get_float("stats_after", None)
-    space_lags = solver.get_int_list("space_lags")
-    time_lags = solver.get_int_list("time_lags")
-    space_anchor = solver.get_float("space_anchor", None)
+    solver_params = dict(
+        scheme=scheme, grid_size=n,
+        dt=solver.get_float("dt", 1e-3),
+        t_final=solver.get_float("t_final", 1.0),
+        snapshot_times=solver.get_float_list("snapshot_times"),
+        record_interval=solver.get_float("record_interval", None),
+        truncation_radius=solver.get_float("truncation_radius", None),
+        probe_sites=solver.get_float_list("probe_sites", SolverConfig.probe_sites),
+        stats_after=solver.get_float("stats_after", None),
+        space_lag_cells=solver.get_int_list("space_lags"),
+        time_lag_steps=solver.get_int_list("time_lags"),
+        space_anchor=solver.get_float("space_anchor", None))
     solver.reject_unknown()
 
     noise = SectionView("noise", sections.get("noise", {}), path)
@@ -332,22 +290,6 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
     master_seed = noise.get_int("master_seed", 0)
     if not 0 <= master_seed < SEED_LIMIT:
         noise._fail("master_seed", f"must be in [0, 2^63), got {master_seed}")
-    noise_n_modes = noise.get_int("n_modes", None)
-    weights_spec = noise.get_str("weights", "white")
-    summability_class = noise.get_float("summability_class", None)
-    if weights_spec != "white":
-        head, sep, tail = weights_spec.partition(":")
-        ok = head == "power" and sep
-        if ok:
-            try:
-                q = float(tail)
-                ok = np.isfinite(q) and q > 0
-            except ValueError:
-                ok = False
-        if not ok:
-            noise._fail("weights", f"expected 'white' or 'power:<q>', got {weights_spec!r}")
-        if noise_n_modes is None:
-            noise._fail("weights", "power weights need noise n_modes")
     noise.reject_unknown()
 
     run = SectionView("run", sections.get("run", {}), path)
@@ -367,23 +309,19 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
             extras[section] = {k: v for k, (v, _) in data.items()}
 
     cfg = ExperimentConfig(
-        path=path, n=n, coefficients=coefficients, u0=u0, v0=v0,
-        scheme=scheme, dt=dt, t_final=t_final, snapshot_times=snapshot_times,
-        record_interval=record_interval, truncation_radius=truncation_radius,
-        solver_n_modes=solver_n_modes, probe_sites=probe_sites,
-        stats_after=stats_after, space_lags=space_lags, time_lags=time_lags,
-        space_anchor=space_anchor, representation=representation,
-        master_seed=master_seed, noise_n_modes=noise_n_modes,
-        weights_spec=weights_spec, summability_class=summability_class,
+        path=path, coefficients=coefficients, u0=u0, v0=v0,
+        solver=_construct(SolverConfig, "solver", path, **solver_params),
+        noise=_construct(NoisePlan, "noise", path, representation=representation,
+                         master_seed=master_seed),
         n_paths=n_paths, output_dir=output_dir, name=name, threads=threads,
         extras=extras)
 
-    # early validation of derived objects so errors point at the config
-    _validate_derived(cfg, sections, path)
+    # early validation of the model so errors point at the config
+    _validate_model(cfg, sections, path)
     return cfg
 
 
-def _validate_derived(cfg: ExperimentConfig, sections: dict, path: str):
+def _validate_model(cfg: ExperimentConfig, sections: dict, path: str):
     from .expr import ExprError, parse
 
     def line_of(key):
@@ -400,14 +338,6 @@ def _validate_derived(cfg: ExperimentConfig, sections: dict, path: str):
         cfg.initial_field()
     except ValueError as e:
         raise ConfigError(f"[model] {e}", path) from e
-    try:
-        cfg.solver_config()
-    except ValueError as e:
-        raise ConfigError(f"[solver] {e}", path) from e
-    try:
-        cfg.noise_plan()
-    except ValueError as e:
-        raise ConfigError(f"[noise] {e}", path) from e
 
 
 def load_config(path) -> ExperimentConfig:

@@ -27,17 +27,16 @@ the literal grid sum to rounding and the tests check this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .grid import GridFunction, cell_centers, from_modes, to_modes
+from .grid import cell_centers, from_modes, to_modes
 
 # Eigen series truncation rule: keep modes until exp(-K^2 pi^2 t) < MODE_TOL.
 MODE_TOL = 1e-14
 
-# Representation switch for auto evaluation.  Both representations are well
+# Representation switch of heat_kernel.  Both representations are well
 # converged near the switch point with the default truncations.
 T_SWITCH = 0.01
 
@@ -105,47 +104,22 @@ def kernel_eigen_series(t, x, y, n_modes: int | None = None):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class KernelEval:
-    """Kernel evaluator with a fixed representation and truncation settings.
-
-    representation is one of "image", "eigen", "auto"; auto switches from the
-    image sum to the eigen series at t = T_SWITCH.
-    """
-
-    representation: str = "auto"
-    n_images: int = DEFAULT_N_IMAGES
-    n_modes: int | None = None
-
-    def __post_init__(self):
-        if self.representation not in ("image", "eigen", "auto"):
-            raise ValueError(f"unknown kernel representation {self.representation!r}")
-        if self.n_images < 1:
-            raise ValueError("n_images must be >= 1")
-        if self.n_modes is not None and self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
-
-    def __call__(self, t, x, y):
-        if self.representation == "image":
-            return kernel_image_sum(t, x, y, self.n_images)
-        if self.representation == "eigen":
-            return kernel_eigen_series(t, x, y, self.n_modes)
-        if t < T_SWITCH:
-            return kernel_image_sum(t, x, y, self.n_images)
-        return kernel_eigen_series(t, x, y, self.n_modes)
+def heat_kernel(t, x, y):
+    """Neumann heat kernel: the image sum below T_SWITCH, the eigen series above."""
+    if t < T_SWITCH:
+        return kernel_image_sum(t, x, y)
+    return kernel_eigen_series(t, x, y)
 
 
-def kernel_mass_defect(t: float, x, n_quad: int = DEFAULT_N_QUAD,
-                       representation: str = "auto") -> float:
+def kernel_mass_defect(t: float, x, n_quad: int = DEFAULT_N_QUAD) -> float:
     """Max |h sum_q G_t(x, xi_q) - 1| over the given x values.
 
     Conservation of mass under Neumann boundary conditions; the quadrature is
-    the literal midpoint sum so this exercises the chosen representation.
+    the literal midpoint sum of heat_kernel.
     """
     xi = cell_centers(n_quad)
-    kernel = KernelEval(representation=representation)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = kernel(t, x[:, None], xi[None, :])
+    vals = heat_kernel(t, x[:, None], xi[None, :])
     return float(np.max(np.abs(vals.mean(axis=-1) - 1.0)))
 
 
@@ -153,17 +127,13 @@ def semigroup_apply(u, t: float):
     """Heat semigroup e^{t Laplacian} with Neumann conditions on a grid function.
 
     Acts diagonally on the DCT-II modes with multipliers exp(-k^2 pi^2 t);
-    t = 0 is the identity.  Accepts a GridFunction or a bare sample array
-    (last axis is space) and returns the same kind.
+    t = 0 is the identity.  u holds grid samples along its last axis.
     """
     if t < 0.0:
         raise ValueError(f"semigroup time must be >= 0, got {t}")
-    wrap = isinstance(u, GridFunction)
-    values = u.values if wrap else np.asarray(u, dtype=float)
-    n = values.shape[-1]
-    k = np.arange(n)
-    out = from_modes(to_modes(values) * np.exp(-(k**2) * np.pi**2 * t))
-    return GridFunction(out) if wrap else out
+    u = np.asarray(u, dtype=float)
+    k = np.arange(u.shape[-1])
+    return from_modes(to_modes(u) * np.exp(-(k**2) * np.pi**2 * t))
 
 
 def semigroup_apply_quadrature(u, t: float, n_images: int = DEFAULT_N_IMAGES):
@@ -173,22 +143,18 @@ def semigroup_apply_quadrature(u, t: float, n_images: int = DEFAULT_N_IMAGES):
     O(n^2) so it is for verification, not production stepping.
     """
     t = _check_time(t)
-    wrap = isinstance(u, GridFunction)
-    values = u.values if wrap else np.asarray(u, dtype=float)
-    n = values.shape[-1]
+    u = np.asarray(u, dtype=float)
+    n = u.shape[-1]
     x = cell_centers(n)
     mat = kernel_image_sum(t, x[:, None], x[None, :], n_images) / n
-    out = values @ mat.T
-    return GridFunction(out) if wrap else out
+    return u @ mat.T
 
 
 def semigroup_compose_defect(u, s: float, t: float) -> float:
     """Sup-norm defect of e^{s L} e^{t L} u = e^{(s+t) L} u."""
     two_step = semigroup_apply(semigroup_apply(u, t), s)
     one_step = semigroup_apply(u, s + t)
-    a = two_step.values if isinstance(two_step, GridFunction) else two_step
-    b = one_step.values if isinstance(one_step, GridFunction) else one_step
-    return float(np.max(np.abs(a - b)))
+    return float(np.max(np.abs(two_step - one_step)))
 
 
 def gaussian_comparison_ratio(t, x, y, n_images: int = DEFAULT_N_IMAGES):

@@ -151,14 +151,6 @@ def truncated_drift(u, v, coeffs: CoefficientSet, radius: float, inside: bool = 
     return drift(u * scale, v * scale, coeffs)
 
 
-def drift_sup_bound(coeffs: CoefficientSet, radius: float) -> float:
-    """Bound on |f_{n,i}| over the radius ball: n (sup m + n sup a + n sup b)."""
-    bounds = []
-    for m, a, b in ((coeffs.m1, coeffs.a1, coeffs.b1), (coeffs.m2, coeffs.a2, coeffs.b2)):
-        bounds.append(radius * (m.max() + radius * a.max() + radius * b.max()))
-    return float(max(bounds))
-
-
 def drift_lipschitz_bound(coeffs: CoefficientSet, radius: float) -> float:
     """Lipschitz estimate for the truncated drift on all of R^2.
 
@@ -176,7 +168,3 @@ def default_truncation_radius(init: Field) -> float:
     """n = 10 (1 + sup-norm of the initial state)."""
     return 10.0 * (1.0 + sup_norm(init.u, init.v))
 
-
-def exceeds_radius(u: np.ndarray, v: np.ndarray, radius: float) -> bool:
-    """Exit-time probe: has the state left the radius ball."""
-    return bool(np.hypot(u, v).max() >= radius)

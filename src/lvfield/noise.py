@@ -4,10 +4,9 @@ Two discretizations of the same cylindrical Wiener process drive everything:
 
   sheet     independent cell increments dW_{ij} ~ N(0, dt * h) on the
             space-time grid, the rectangle-increment view;
-  spectral  dW(s, x) = sum_k lambda_k dbeta_k(s) e_k(x) over the orthonormal
-            cosine basis e_0 = 1, e_k = sqrt(2) cos(k pi x), with independent
-            scalar Brownian motions beta_k.  White noise has lambda_k = 1;
-            summable weights give trace-class (colored) noise.
+  spectral  dW(s, x) = sum_k dbeta_k(s) e_k(x) over the orthonormal cosine
+            basis e_0 = 1, e_k = sqrt(2) cos(k pi x), with independent scalar
+            Brownian motions beta_k.
 
 Stream discipline: every (master_seed, path_index, species) triple owns one
 Philox counter stream keyed by a hash of the triple, and a path's draws are
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,50 +52,6 @@ def noise_generator(master_seed: int, path_index: int, species: int) -> np.rando
     return np.random.Generator(np.random.Philox(key=stream_key(master_seed, path_index, species)))
 
 
-def sample_sheet_increments(n_cells: int, dt: float, gen: np.random.Generator,
-                            n_steps: int = 1) -> np.ndarray:
-    """Sheet increments with Var = dt * h per cell, shape (n_steps, n_cells)."""
-    if n_cells < 1 or n_steps < 1:
-        raise ValueError("n_cells and n_steps must be >= 1")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    scale = np.sqrt(dt / n_cells)
-    return scale * gen.standard_normal((n_steps, n_cells))
-
-
-def sample_spectral_increments(n_modes: int, dt: float, gen: np.random.Generator,
-                               weights: np.ndarray | None = None,
-                               n_steps: int = 1) -> np.ndarray:
-    """Mode increments lambda_k dbeta_k with Var = (lambda_k)^2 dt, shape (n_steps, n_modes)."""
-    if n_modes < 1 or n_steps < 1:
-        raise ValueError("n_modes and n_steps must be >= 1")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    out = np.sqrt(dt) * gen.standard_normal((n_steps, n_modes))
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n_modes,):
-            raise ValueError(f"weights shape {weights.shape} does not match n_modes {n_modes}")
-        out *= weights
-    return out
-
-
-def walsh_integral(f_samples: np.ndarray, increments: np.ndarray) -> float:
-    """int int f dW against sheet increments; plain sum of f * dW."""
-    f_samples = np.asarray(f_samples, dtype=float)
-    if f_samples.shape != increments.shape:
-        raise ValueError(f"shape mismatch {f_samples.shape} vs {increments.shape}")
-    return float(np.sum(f_samples * increments))
-
-
-def spectral_integral(coefficients: np.ndarray, increments: np.ndarray) -> float:
-    """sum_k int <f(s), e_k> dbeta_k against mode increments."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.shape != increments.shape:
-        raise ValueError(f"shape mismatch {coefficients.shape} vs {increments.shape}")
-    return float(np.sum(coefficients * increments))
-
-
 def cell_average_coefficients(f_values: np.ndarray, n_modes: int) -> np.ndarray:
     """Cosine coefficients of the piecewise-constant extension of grid samples.
 
@@ -119,63 +74,20 @@ def cell_average_coefficients(f_values: np.ndarray, n_modes: int) -> np.ndarray:
     return out
 
 
-def summability_ratio(weights: np.ndarray, p: float) -> float:
-    """Tail flatness of sum_k lambda_k^p: (S_L - S_{L/10}) / S_L.
-
-    Small values certify a numerically converged p-th power sum over the
-    declared truncation length L = len(weights).
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or weights.size < 20:
-        raise ValueError("summability check needs a 1d weight sequence of length >= 20")
-    if np.any(~np.isfinite(weights)) or np.any(weights < 0):
-        raise ValueError("weights must be finite and nonnegative")
-    powers = weights**p
-    total = float(np.sum(powers))
-    if total <= 0:
-        raise ValueError("weights are identically zero")
-    head = float(np.sum(powers[: weights.size // 10]))
-    return (total - head) / total
-
-
-SUMMABILITY_TOL = 1e-6
-
-
 @dataclass(frozen=True)
 class NoisePlan:
     """How a simulation draws its noise.
 
     representation "sheet" feeds the finite-difference scheme; "spectral"
-    feeds the spectral scheme.  weights is None for white noise or a
-    per-mode sequence lambda_k (k = 1..n_modes; mode 0 has weight 1).
-    Declaring summability_class p asserts sum lambda_k^p converges and is
-    checked numerically at construction.
+    feeds the spectral scheme.  Both draw white noise.
     """
 
     representation: str = "sheet"
     master_seed: int = 0
-    n_modes: int | None = None
-    weights: np.ndarray | None = None
-    summability_class: float | None = None
 
     def __post_init__(self):
         if self.representation not in ("sheet", "spectral"):
             raise ValueError(f"unknown noise representation {self.representation!r}")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if np.any(~np.isfinite(w)) or np.any(w < 0):
-                raise ValueError("noise weights must be finite and nonnegative")
-            if self.n_modes is not None and w.shape != (self.n_modes,):
-                raise ValueError(f"weights shape {w.shape} does not match n_modes {self.n_modes}")
-            object.__setattr__(self, "weights", w)
-        if self.summability_class is not None:
-            if self.weights is None:
-                raise ValueError("summability_class declared for white noise, which is not summable")
-            ratio = summability_ratio(self.weights, self.summability_class)
-            if ratio >= SUMMABILITY_TOL:
-                raise ValueError(
-                    f"declared summability class p={self.summability_class} fails the tail "
-                    f"flatness check: last-decade share {ratio:.2e} >= {SUMMABILITY_TOL:.0e}")
 
     def generator(self, path_index: int, species: int) -> np.random.Generator:
         return noise_generator(self.master_seed, path_index, species)

@@ -15,8 +15,8 @@ schemes differ only in that multiplier and in the noise field:
             of the mirrored-ghost Laplacian (exact discrete mass conservation
             for the pure heat flow); sheet noise, cell normals * sqrt(dt n);
   spectral  exponential Euler: the heat semigroup exp(-k^2 pi^2 dt); noise
-            sum_k lambda_k dbeta_k e_k(x) on K = grid_size modes by default,
-            matching the sheet discretization's per-cell variance.
+            sum_k dbeta_k e_k(x) on the grid_size cosine modes, matching the
+            sheet discretization's per-cell variance.
 
 The step clamps negative cells to zero and accounts the clipped mass.  Every
 path owns its own noise streams, so results are bit-identical regardless of
@@ -93,8 +93,6 @@ class SolverConfig:
         Spacing of the scalar record series; defaults to t_final / 200.
     truncation_radius : float, optional
         Drift truncation ball radius; defaults to 10 (1 + |init|_E).
-    n_modes : int, optional
-        Spectral noise modes; defaults to grid_size.
     probe_sites : tuple of float
         x locations whose values enter the record series and the
         time-increment statistics.
@@ -119,7 +117,6 @@ class SolverConfig:
     snapshot_times: tuple = ()
     record_interval: float | None = None
     truncation_radius: float | None = None
-    n_modes: int | None = None
     probe_sites: tuple = (0.125, 0.375, 0.5, 0.625, 0.875)
     stats_after: float | None = None
     space_lag_cells: tuple = ()
@@ -145,8 +142,6 @@ class SolverConfig:
             raise ValueError("record_interval must be >= dt")
         if self.truncation_radius is not None and self.truncation_radius <= 0:
             raise ValueError("truncation_radius must be positive")
-        if self.n_modes is not None and not 1 <= self.n_modes <= self.grid_size:
-            raise ValueError("n_modes must be in [1, grid_size]")
         for x in self.probe_sites:
             if not 0.0 <= x <= 1.0:
                 raise ValueError(f"probe site {x} outside [0, 1]")
@@ -224,14 +219,13 @@ def _clamp(arr: np.ndarray) -> np.ndarray:
 
 def euler_step(state: np.ndarray, xi: np.ndarray, coeffs: CoefficientSet, dt: float,
                radius: float, scheme: str, multiplier: np.ndarray,
-               weights: np.ndarray | None = None, inside: bool = False):
+               inside: bool = False):
     """One step of either scheme on a (2, P, n) state of (U, V).
 
-    xi are standard normals of shape (2, P, n) for fd, or (2, P, K) mode
-    normals with K <= n for spectral (lambda_k = weights, 1 if None).
-    multiplier is diffusion_multiplier(scheme, n, dt).  inside=True asserts
-    that every cell lies in the truncation ball, so the drift skips the
-    radial projection (see truncated_drift).
+    xi are standard normals of shape (2, P, n): cell normals for fd, mode
+    normals for spectral.  multiplier is diffusion_multiplier(scheme, n, dt).
+    inside=True asserts that every cell lies in the truncation ball, so the
+    drift skips the radial projection (see truncated_drift).
 
     Returns (next state, clip ratio of shape (2, P)); clip ratios are the
     clipped-to-total mass ratios of the positivity clamp this step.
@@ -240,13 +234,7 @@ def euler_step(state: np.ndarray, xi: np.ndarray, coeffs: CoefficientSet, dt: fl
     if scheme == "fd":
         dw = np.sqrt(dt * n) * xi
     else:
-        modes = np.sqrt(dt) * xi
-        if weights is not None:
-            modes = modes * weights
-        if modes.shape[-1] < n:
-            pad = np.zeros(modes.shape[:-1] + (n - modes.shape[-1],))
-            modes = np.concatenate([modes, pad], axis=-1)
-        dw = from_modes(modes)
+        dw = from_modes(np.sqrt(dt) * xi)
     drift = np.stack(truncated_drift(state[0], state[1], coeffs, radius, inside))
     sigma = np.stack([coeffs.sigma1, coeffs.sigma2])[:, None]
     rhs = state + dt * drift + sigma * state * dw
@@ -343,13 +331,6 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     n = config.grid_size
     dt = config.dt
     n_steps = config.n_steps
-    k_modes = (config.n_modes or n) if config.scheme == "spectral" else n
-    weights = plan.weights
-    if weights is not None:
-        if weights.size < k_modes:
-            raise ValueError(
-                f"noise plan provides {weights.size} mode weights, scheme needs {k_modes}")
-        weights = weights[:k_modes]
 
     state = np.stack([np.tile(init.u, (p, 1)), np.tile(init.v, (p, 1))])
     multiplier = diffusion_multiplier(config.scheme, n, dt)
@@ -441,13 +422,13 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     # the generators, and it fills only the buffer the loop has finished.
     gens = [[plan.generator(int(idx), species) for idx in path_indices]
             for species in (SPECIES_U, SPECIES_V)]
-    block = max(1, min(n_steps, _BLOCK_BUDGET // max(1, 2 * p * k_modes)))
-    buffers = [np.empty((2, p, block, k_modes)) for _ in range(2)]
+    block = max(1, min(n_steps, _BLOCK_BUDGET // max(1, 2 * p * n)))
+    buffers = [np.empty((2, p, block, n)) for _ in range(2)]
 
     def draw(buf: np.ndarray, count: int) -> np.ndarray:
         for species, species_gens in enumerate(gens):
             for i, gen in enumerate(species_gens):
-                gen.standard_normal((count, k_modes), out=buf[species, i, :count])
+                gen.standard_normal((count, n), out=buf[species, i, :count])
         return buf
 
     # The projection is skipped only below radius^2 by more than the rounding
@@ -472,7 +453,7 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
             for s in range(s_block):
                 step += 1
                 state, ratio = euler_step(state, xi[:, :, s], coeffs, dt, radius,
-                                          config.scheme, multiplier, weights,
+                                          config.scheme, multiplier,
                                           inside=r2_top < inside_sq)
                 r2_max = np.max(state[0] * state[0] + state[1] * state[1], axis=1)
                 r2_top = r2_max.max()

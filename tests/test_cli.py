@@ -140,6 +140,21 @@ class TestSimulate:
         assert all(abs(v - expected) < 5e-3 for v in last["U"])
         assert all(v == 0.0 for v in last["V"])
 
+    def test_log_functional_thresholds_are_the_tested_ones(self, tmp_path, capsys):
+        out = tmp_path / "logistic"
+        main(["simulate", "--config", str(CONFIG_DIR / "logistic.ini"), "--out", str(out)])
+        _, _, rows = read_csv(out / "verdicts.csv")
+        verdicts = {row[0]: (row[2] == "true", float(row[3]), float(row[4])) for row in rows}
+        passed, m_eta, floor = verdicts["log-functional-quadratic-term"]
+        assert floor == 1.0 - 1e-3
+        assert passed == (m_eta >= floor)
+        passed, ratio, ceiling = verdicts["log-functional-drift-term"]
+        assert ceiling == 1.0 + 1e-9
+        assert passed == (ratio <= ceiling)
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if "log-functional-quadratic-term" in line]
+        assert printed[0].endswith(" threshold=0.999")
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
@@ -216,6 +231,13 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert ":4:" in err and "dt" in err
+
+    def test_solver_constructor_error_is_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "[model]\nu0 = 1.0\n[solver]\ndt = 3e-3\nt_final = 1.0\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "[solver] t_final = 1.0 is not a multiple of dt" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_subcommand_is_2(self):
         with pytest.raises(SystemExit) as info:

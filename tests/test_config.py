@@ -1,10 +1,14 @@
 """Config parsing, validation, and provenance hashing."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from lvfield.config import ConfigError, load_config, parse_config_text
 from lvfield.model import COEFFICIENT_NAMES
+from lvfield.noise import NoisePlan
+from lvfield.solver import SolverConfig
 
 GOOD = """\
 # benchmark-ish scenario
@@ -46,29 +50,27 @@ def parse(text, path="cfg.ini"):
 class TestParseSuccess:
     def test_round_trip_fields(self):
         cfg = parse(GOOD)
-        assert cfg.n == 32
-        assert cfg.scheme == "fd"
-        assert cfg.dt == 1e-3
-        assert cfg.snapshot_times == (0.1, 0.5)
-        assert cfg.space_lags == (1, 2, 4)
-        assert cfg.master_seed == 42
+        assert cfg.solver.grid_size == 32
+        assert cfg.solver.scheme == "fd"
+        assert cfg.solver.dt == 1e-3
+        assert cfg.solver.snapshot_times == (0.1, 0.5)
+        assert cfg.solver.space_lag_cells == (1, 2, 4)
+        assert cfg.noise.master_seed == 42
         assert cfg.n_paths == 8
         assert cfg.name == "bench"
         assert cfg.coefficients["b1"] == "0.3"
 
     def test_defaults(self):
         cfg = parse("[model]\nu0 = 1.0\n")
-        assert cfg.n == 64
-        assert cfg.scheme == "fd"
-        assert cfg.representation == "sheet"
+        assert cfg.solver == SolverConfig(grid_size=64)
+        assert cfg.noise == NoisePlan(representation="sheet", master_seed=0)
         assert cfg.v0 == "0"
         assert cfg.n_paths == 1
         assert cfg.threads == 1
-        assert cfg.weights_spec == "white"
 
     def test_spectral_scheme_defaults_spectral_noise(self):
         cfg = parse("[model]\nu0 = 1.0\n[solver]\nscheme = spectral\n")
-        assert cfg.representation == "spectral"
+        assert cfg.noise.representation == "spectral"
 
     def test_name_defaults_to_file_stem(self):
         cfg = parse("[model]\nu0 = 1.0\n", path="configs/extinction.ini")
@@ -88,21 +90,12 @@ class TestParseSuccess:
         cfg = parse(GOOD)
         coeffs = cfg.coefficient_set()
         init = cfg.initial_field()
-        plan = cfg.noise_plan()
-        sconf = cfg.solver_config()
         assert coeffs.m1.shape == (32,)
         assert np.all(init.u > 0)
-        assert plan.representation == "sheet"
-        assert sconf.grid_size == 32
-        assert sconf.n_steps == 500
-
-    def test_power_weights(self):
-        cfg = parse("[model]\nu0 = 1.0\n[solver]\nscheme = spectral\n"
-                    "[noise]\nn_modes = 16\nweights = power:1.5\n")
-        plan = cfg.noise_plan()
-        assert plan.weights is not None
-        assert plan.weights[0] == 1.0
-        assert plan.weights[2] == pytest.approx(2.0 ** -1.5)
+        assert cfg.noise_plan() is cfg.noise
+        assert cfg.solver_config() is cfg.solver
+        assert cfg.noise.representation == "sheet"
+        assert cfg.solver.n_steps == 500
 
 
 class TestParseErrors:
@@ -158,17 +151,24 @@ class TestParseErrors:
         msg = self.err("[model]\nu0 = 1.0\n[solver]\nscheme = dg\n")
         assert "must be one of" in msg
 
-    def test_weights_without_q(self):
-        msg = self.err("[model]\nu0 = 1.0\n[noise]\nn_modes = 8\nweights = power\n")
-        assert "power:<q>" in msg
-
-    def test_weights_need_n_modes(self):
-        msg = self.err("[model]\nu0 = 1.0\n[noise]\nweights = power:2\n")
-        assert "n_modes" in msg
+    @pytest.mark.parametrize("section,key,value", [
+        ("solver", "n_modes", "8"), ("noise", "n_modes", "8"),
+        ("noise", "weights", "power:1.5"), ("noise", "summability_class", "3")])
+    def test_removed_colored_noise_key_is_unknown(self, section, key, value):
+        msg = self.err(f"[model]\nu0 = 1.0\n[{section}]\n{key} = {value}\n")
+        assert msg.startswith("cfg.ini:4:")
+        assert f"[{section}] {key}: unknown key" in msg
 
     def test_t_final_not_multiple_of_dt(self):
         msg = self.err("[model]\nu0 = 1.0\n[solver]\ndt = 3e-3\nt_final = 1.0\n")
         assert "[solver]" in msg
+        assert "not a multiple of dt" in msg
+
+    def test_noise_constructor_error_names_section(self, monkeypatch):
+        def refuse(self):
+            raise ValueError("refused")
+        monkeypatch.setattr(NoisePlan, "__post_init__", refuse)
+        assert self.err("[model]\nu0 = 1.0\n") == "cfg.ini: [noise] refused"
 
     def test_tiny_grid_rejected(self):
         msg = self.err("[model]\nn = 1\nu0 = 1.0\n")
@@ -193,7 +193,7 @@ class TestParseErrors:
         p = tmp_path / "a.ini"
         p.write_text(GOOD)
         cfg = load_config(p)
-        assert cfg.n == 32
+        assert cfg.solver.grid_size == 32
         assert cfg.path == str(p)
 
 
@@ -230,12 +230,35 @@ class TestHashing:
             assert any(line.startswith(f"model.{key}=") for line in lines)
         assert "noise.master_seed=42" in lines
 
+    def test_canonical_text_has_one_row_per_solver_and_noise_field(self):
+        lines = parse(GOOD).canonical_text().splitlines()
+        for section, cls in (("solver", SolverConfig), ("noise", NoisePlan)):
+            keys = sorted(line.split("=", 1)[0] for line in lines
+                          if line.startswith(f"{section}."))
+            assert keys == sorted(f"{section}.{f.name}" for f in fields(cls))
+
+    def test_hash_sees_every_solver_and_noise_field(self):
+        cfg = parse(GOOD)
+        changed = {"solver": dict(
+            scheme="spectral", dt=5e-4, t_final=1.0, grid_size=16,
+            snapshot_times=(0.2,), record_interval=0.01, truncation_radius=5.0,
+            probe_sites=(0.5,), stats_after=0.1, space_lag_cells=(1, 3),
+            time_lag_steps=(3,), space_anchor=0.5),
+            "noise": dict(representation="spectral", master_seed=43)}
+        for section, values in changed.items():
+            held = getattr(cfg, section)
+            assert set(values) == {f.name for f in fields(held)}
+            for name, value in values.items():
+                assert getattr(held, name) != value
+                other = replace(cfg, **{section: replace(held, **{name: value})})
+                assert other.config_hash != cfg.config_hash, f"{section}.{name}"
+
 
 class TestOverrides:
     def test_override_fields(self):
         cfg = parse(GOOD).with_overrides(seed=9, n_paths=3,
                                          output_dir="alt", threads=2)
-        assert cfg.master_seed == 9
+        assert cfg.noise.master_seed == 9
         assert cfg.n_paths == 3
         assert cfg.output_dir == "alt"
         assert cfg.threads == 2
@@ -247,7 +270,7 @@ class TestOverrides:
             parse(GOOD).with_overrides(**override)
 
     def test_largest_seed_accepted(self):
-        assert parse(GOOD).with_overrides(seed=2**63 - 1).master_seed == 2**63 - 1
+        assert parse(GOOD).with_overrides(seed=2**63 - 1).noise.master_seed == 2**63 - 1
 
     def test_none_overrides_are_identity(self):
         cfg = parse(GOOD)

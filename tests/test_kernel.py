@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lvfield.grid import GridFunction, cell_centers, from_modes, to_modes
+from lvfield.grid import cell_centers, from_modes, to_modes
 from lvfield.kernel import (
     DEFAULT_N_QUAD,
     IncrementFunctional,
-    KernelEval,
     gaussian_comparison_sweep,
+    heat_kernel,
     increment_bound_shape,
     increment_functional,
     increment_functional_series,
@@ -69,12 +69,11 @@ class TestRepresentations:
 
     def test_auto_switch_is_seamless(self):
         # Both representations are fully converged at the switch time, so
-        # auto evaluation has no representation jump there.
-        k = KernelEval()
+        # heat_kernel has no representation jump there.
         for t in (0.00999, 0.01001):
             img = kernel_image_sum(t, 0.4, 0.6)
             eig = kernel_eigen_series(t, 0.4, 0.6)
-            assert k(t, 0.4, 0.6) in (img, eig)
+            assert heat_kernel(t, 0.4, 0.6) == (img if t < 0.01 else eig)
             assert img == pytest.approx(eig, abs=1e-12)
 
     def test_invalid_inputs(self):
@@ -82,15 +81,13 @@ class TestRepresentations:
             kernel_image_sum(0.0, 0.3, 0.7)
         with pytest.raises(ValueError):
             kernel_eigen_series(-1.0, 0.3, 0.7)
-        with pytest.raises(ValueError):
-            KernelEval(representation="fourier")
 
 
 class TestSemigroup:
     def test_identity_at_zero(self):
-        u = GridFunction(np.sin(3 * cell_centers(64)) + 2.0)
-        out = semigroup_apply(u, 0.0).values
-        assert np.max(np.abs(out - u.values)) < 1e-14
+        u = np.sin(3 * cell_centers(64)) + 2.0
+        out = semigroup_apply(u, 0.0)
+        assert np.max(np.abs(out - u)) < 1e-14
 
     def test_constants_are_fixed(self):
         u = np.full(128, 3.25)

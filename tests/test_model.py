@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lvfield.grid import GridFunction, cell_centers
+from lvfield.grid import cell_centers
 from lvfield.model import (
     CoefficientSet,
     Field,
     default_truncation_radius,
     drift,
     drift_lipschitz_bound,
-    drift_sup_bound,
-    exceeds_radius,
     sup_norm,
     truncated_drift,
 )
@@ -78,12 +76,6 @@ class TestField:
         assert f.u.max() <= 0.5**0.3 + 1e-12
         assert np.all(f.v == 0)
 
-    def test_mass(self):
-        g = GridFunction(np.full(32, 2.0))
-        assert g.mass() == pytest.approx(2.0)
-        x = cell_centers(4096)
-        assert GridFunction(x).mass() == pytest.approx(0.5, abs=1e-9)
-
 
 class TestDrift:
     def test_zero_state_is_absorbing(self):
@@ -145,7 +137,8 @@ class TestTruncatedDrift:
     def test_sup_bound_holds(self, state, radius):
         c = const_coeffs(8, m1=1.0, a1=0.5, b1=0.3, m2=0.8, a2=0.4, b2=0.2, sigma1=0.5, sigma2=0.5)
         f1, f2 = truncated_drift(state[0], state[1], c, radius)
-        bound = drift_sup_bound(c, radius)
+        # on the radius ball |f_i| <= radius (sup m_i + radius sup a_i + radius sup b_i)
+        bound = radius * max(1.0 + radius * (0.5 + 0.3), 0.8 + radius * (0.4 + 0.2))
         assert np.max(np.abs(f1)) <= bound + 1e-9
         assert np.max(np.abs(f2)) <= bound + 1e-9
 
@@ -179,8 +172,3 @@ class TestSupNormAndExit:
     def test_default_radius(self):
         f = Field(u=np.full(8, 3.0), v=np.full(8, 4.0))
         assert default_truncation_radius(f) == pytest.approx(60.0)
-
-    def test_exit_probe(self):
-        assert not exceeds_radius(np.ones(4), np.ones(4), radius=2.0)
-        assert exceeds_radius(np.ones(4), np.ones(4), radius=np.sqrt(2.0))
-        assert exceeds_radius(np.array([5.0, 0.0]), np.zeros(2), radius=4.0)

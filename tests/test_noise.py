@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from lvfield import noise as nz
 from lvfield.statutil import ks_critical
@@ -35,68 +34,7 @@ class TestStreams:
         assert nz.stream_key(2**63 - 1, 0, 1) == 266153989985945142665600864830053539567
 
 
-class TestSheet:
-    def test_cell_variance_and_independence(self):
-        gen = nz.noise_generator(11, 0, 0)
-        n_cells, dt = 8, 0.01
-        draws = nz.sample_sheet_increments(n_cells, dt, gen, n_steps=125000)
-        var = draws.var(axis=0)
-        assert np.all(np.abs(var / (dt / n_cells) - 1.0) < 0.02)
-        corr = np.corrcoef(draws.T)
-        off = corr[~np.eye(n_cells, dtype=bool)]
-        assert np.max(np.abs(off)) < 4.0 / np.sqrt(125000) * 1.5
-
-    def test_invalid_args(self):
-        gen = nz.noise_generator(0, 0, 0)
-        with pytest.raises(ValueError):
-            nz.sample_sheet_increments(0, 0.1, gen)
-        with pytest.raises(ValueError):
-            nz.sample_sheet_increments(4, -0.1, gen)
-
-
-class TestSpectral:
-    def test_mode_variance(self):
-        gen = nz.noise_generator(12, 0, 0)
-        draws = nz.sample_spectral_increments(6, 0.04, gen, n_steps=100000)
-        assert np.all(np.abs(draws.var(axis=0) / 0.04 - 1.0) < 0.02)
-
-    def test_weights_scale_modes(self):
-        w = np.array([1.0, 0.5, 0.25, 0.125])
-        gen = nz.noise_generator(13, 0, 0)
-        draws = nz.sample_spectral_increments(4, 1.0, gen, weights=w, n_steps=50000)
-        ratio = draws.std(axis=0) / w
-        assert np.all(np.abs(ratio - 1.0) < 0.03)
-
-    def test_weight_shape_mismatch(self):
-        gen = nz.noise_generator(0, 0, 0)
-        with pytest.raises(ValueError):
-            nz.sample_spectral_increments(4, 0.1, gen, weights=np.ones(3))
-
-
 class TestIntegrals:
-    def test_zero_integrand_gives_zero(self):
-        gen = nz.noise_generator(3, 0, 0)
-        dw = nz.sample_sheet_increments(16, 0.1, gen, n_steps=10)
-        assert nz.walsh_integral(np.zeros((10, 16)), dw) == 0.0
-
-    @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
-    @settings(max_examples=25, deadline=None)
-    def test_linearity(self, a, b):
-        gen = nz.noise_generator(4, 0, 0)
-        dw = nz.sample_sheet_increments(8, 0.1, gen, n_steps=5)
-        rng = np.random.default_rng(0)
-        f = rng.standard_normal((5, 8))
-        g = rng.standard_normal((5, 8))
-        lhs = nz.walsh_integral(a * f + b * g, dw)
-        rhs = a * nz.walsh_integral(f, dw) + b * nz.walsh_integral(g, dw)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            nz.walsh_integral(np.zeros((3, 4)), np.zeros((4, 3)))
-        with pytest.raises(ValueError):
-            nz.spectral_integral(np.zeros((3, 4)), np.zeros((3, 5)))
-
     def test_indicator_isometry(self):
         # Var int int 1_{x < 1/2} dW = t / 2.
         n_reps, n_steps, n_cells, t = 20000, 10, 16, 1.0
@@ -137,32 +75,6 @@ class TestCellAverageCoefficients:
         phi = nz.cell_average_coefficients(f, 4 * n)
         assert np.sum(phi**2) <= np.mean(f**2) * (1 + 1e-12)
         assert np.sum(phi**2) == pytest.approx(0.5, rel=2e-3)
-
-
-class TestSummability:
-    def test_power_law_weights_pass(self):
-        k = np.arange(1, 10001)
-        ratio = nz.summability_ratio(1.0 / k, 3.0)
-        assert ratio < nz.SUMMABILITY_TOL
-
-    def test_flat_weights_fail(self):
-        ratio = nz.summability_ratio(np.ones(10000), 3.0)
-        assert ratio > 0.5
-
-    def test_plan_rejects_unsummable_declaration(self):
-        with pytest.raises(ValueError, match="summability"):
-            nz.NoisePlan(representation="spectral", n_modes=1000,
-                         weights=np.ones(1000), summability_class=3.0)
-
-    def test_plan_accepts_summable_declaration(self):
-        k = np.arange(1, 10001)
-        plan = nz.NoisePlan(representation="spectral", n_modes=10000,
-                            weights=1.0 / k, summability_class=3.0)
-        assert plan.summability_class == 3.0
-
-    def test_white_noise_cannot_declare_a_class(self):
-        with pytest.raises(ValueError):
-            nz.NoisePlan(representation="spectral", summability_class=2.0)
 
 
 class TestEquivalence:
