@@ -48,9 +48,12 @@ def main(argv=None) -> int:
         agg_v = xi_v.reshape(args.paths, n_steps, fold, n).sum(axis=2) / np.sqrt(fold)
         state = np.stack([np.tile(init.u, (args.paths, 1)), np.tile(init.v, (args.paths, 1))])
         multiplier = diffusion_multiplier("fd", n, dt)
+        # sheet noise: sigma dW = sigma sqrt(dt n) times the cell normals
+        noise_scale = np.sqrt(dt * n) * np.stack([coeffs.sigma1, coeffs.sigma2])[:, None]
         for s in range(n_steps):
-            state, _ = euler_step(state, np.stack([agg_u[:, s], agg_v[:, s]]), coeffs,
-                                  dt, radius=20.0, scheme="fd", multiplier=multiplier)
+            noise = noise_scale * np.stack([agg_u[:, s], agg_v[:, s]])
+            state, _ = euler_step(state, noise, coeffs, dt, radius=20.0,
+                                  multiplier=multiplier)
         finals.append(state)
 
     errors = []

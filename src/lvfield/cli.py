@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -39,7 +40,7 @@ from .kernel import (IncrementFunctional, gaussian_comparison_sweep,
                      semigroup_compose_defect)
 from .noise import (SPECIES_U, SPECIES_V, audit_functions,
                     representation_equivalence_check)
-from .solver import SimulationBlowup, run_ensemble, simulate_path
+from .solver import SimulationBlowup, Trajectory, run_ensemble, simulate_path
 
 _ENV_OUT = "LVFIELD_OUT"
 
@@ -98,11 +99,21 @@ def write_verdicts(out_dir: Path, cfg: ExperimentConfig, verdicts) -> Path:
     return path
 
 
-def write_runtime(out_dir: Path, command: str, cfg: ExperimentConfig,
-                  seconds: float, files, status: str = "ok", error: str | None = None):
+def _peak_rss_mb() -> float:
+    # ru_maxrss is in KiB on Linux; children are the finished pool workers
+    return max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024.0
+
+
+def write_runtime(out_dir: Path, command: str, cfg: ExperimentConfig, seconds: float,
+                  meter: "EnsembleMeter", files, status: str = "ok",
+                  error: str | None = None):
     payload = {"command": command, "config": cfg.path,
                "config_hash": cfg.config_hash, "version": __version__,
                "status": status, "runtime_seconds": seconds,
+               "path_steps": meter.path_steps,
+               "path_steps_per_s": meter.path_steps / meter.seconds if meter.seconds else 0.0,
+               "peak_rss_mb": _peak_rss_mb(),
                "files": sorted(f.name for f in files)}
     if error is not None:
         payload["error"] = error
@@ -113,15 +124,32 @@ def write_runtime(out_dir: Path, command: str, cfg: ExperimentConfig,
 # Shared experiment plumbing
 # ---------------------------------------------------------------------------
 
+@dataclass
+class EnsembleMeter:
+    """Path-steps simulated and seconds spent inside run_ensemble and
+    simulate_path, for the throughput in runtime.json."""
+
+    path_steps: int = 0
+    seconds: float = 0.0
+
+    def run(self, simulate, init, coeffs, plan, config, *args, **kwargs):
+        start = time.perf_counter()
+        out = simulate(init, coeffs, plan, config, *args, **kwargs)
+        self.seconds += time.perf_counter() - start
+        stats = out.stats if isinstance(out, Trajectory) else out
+        self.path_steps += stats.n_paths * config.n_steps
+        return out
+
+
 def _build(cfg: ExperimentConfig):
     return (cfg.initial_field(), cfg.coefficient_set(), cfg.noise_plan(),
             cfg.solver_config())
 
 
-def _ensemble(cfg: ExperimentConfig):
+def _ensemble(cfg: ExperimentConfig, meter: EnsembleMeter):
     init, coeffs, plan, sconf = _build(cfg)
-    stats = run_ensemble(init, coeffs, plan, sconf, cfg.n_paths,
-                         threads=cfg.threads)
+    stats = meter.run(run_ensemble, init, coeffs, plan, sconf, cfg.n_paths,
+                      threads=cfg.threads)
     return stats, coeffs
 
 
@@ -180,7 +208,7 @@ _MODULUS_SWEEPS = (
 )
 
 
-def cmd_kernel_check(cfg: ExperimentConfig, out_dir: Path):
+def cmd_kernel_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     opts = cfg.extra("kernel_check")
     cross_tol = opts.get_float("cross_tol", 1e-8)
     mass_tol = opts.get_float("mass_tol", 1e-6)
@@ -239,7 +267,7 @@ def cmd_kernel_check(cfg: ExperimentConfig, out_dir: Path):
     return verdicts, [path]
 
 
-def cmd_noise_check(cfg: ExperimentConfig, out_dir: Path):
+def cmd_noise_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     opts = cfg.extra("noise_check")
     n_replications = opts.get_int("n_replications", 10000)
     alpha = opts.get_float("alpha", 0.01)
@@ -278,7 +306,7 @@ def cmd_noise_check(cfg: ExperimentConfig, out_dir: Path):
     return verdicts, [path]
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path):
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     opts = cfg.extra("simulate")
     clip_tol = opts.get_float("clip_tol", 1e-3)
     exit_tol = opts.get_float("exit_tol", 0.01)
@@ -289,7 +317,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path):
     init, coeffs, plan, sconf = _build(cfg)
     if not sconf.snapshot_times:
         sconf = replace(sconf, snapshot_times=(sconf.t_final,))
-    traj = simulate_path(init, coeffs, plan, sconf, path_index=0)
+    traj = meter.run(simulate_path, init, coeffs, plan, sconf, path_index=0)
 
     path = out_dir / "snapshots.ndjson"
     write_snapshots(path, cfg, traj.snapshots)
@@ -317,14 +345,14 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path):
     return verdicts, [path]
 
 
-def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path):
+def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     opts = cfg.extra("ensemble")
     clip_tol = opts.get_float("clip_tol", 1e-3)
     exit_tol = opts.get_float("exit_tol", 0.01)
     p = opts.get_float("p", 2.0)
     opts.reject_unknown()
 
-    stats, _ = _ensemble(cfg)
+    stats, _ = _ensemble(cfg, meter)
     path = out_dir / "ensemble.csv"
     write_csv(path, cfg, _SERIES_COLUMNS, _series_rows(stats, p))
     summary = out_dir / "ensemble_summary.csv"
@@ -335,7 +363,7 @@ def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path):
     return _positivity_verdicts(stats, clip_tol, exit_tol), [path, summary]
 
 
-def cmd_holder(cfg: ExperimentConfig, out_dir: Path):
+def cmd_holder(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     opts = cfg.extra("holder")
     p = opts.get_int("p", 4)
     band_space = opts.get_float_list("band_space", (0.40, 0.55))
@@ -358,7 +386,7 @@ def cmd_holder(cfg: ExperimentConfig, out_dir: Path):
             except ValueError as e:
                 raise ConfigError(f"[solver] {key}: {e}", cfg.path) from None
 
-    stats, _ = _ensemble(cfg)
+    stats, _ = _ensemble(cfg, meter)
     estimates = []
     if stats.space_lags.size:
         estimates.append((holder_estimate(stats, "space", p, n_resamples), band_space))
@@ -389,7 +417,7 @@ def cmd_holder(cfg: ExperimentConfig, out_dir: Path):
     return verdicts, [path, moments]
 
 
-def cmd_extinction(cfg: ExperimentConfig, out_dir: Path):
+def cmd_extinction(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     opts = cfg.extra("extinction")
     species = _species_index(opts.get_choice("species", ("u", "v"), "u"))
     w_lo = opts.get_float("window_start", 5.0)
@@ -398,7 +426,7 @@ def cmd_extinction(cfg: ExperimentConfig, out_dir: Path):
     n_resamples = opts.get_int("resamples", 200)
     opts.reject_unknown()
 
-    stats, coeffs = _ensemble(cfg)
+    stats, coeffs = _ensemble(cfg, meter)
     rep = extinction_report(stats, coeffs, species=species,
                             tail_window=(w_lo, w_hi), eta=eta,
                             n_resamples=n_resamples)
@@ -420,7 +448,7 @@ def cmd_extinction(cfg: ExperimentConfig, out_dir: Path):
     return verdicts, [path]
 
 
-def cmd_invariant(cfg: ExperimentConfig, out_dir: Path):
+def cmd_invariant(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     opts = cfg.extra("invariant")
     p = opts.get_float("p", 2.0)
     n_windows = opts.get_int("n_windows", 4)
@@ -428,7 +456,7 @@ def cmd_invariant(cfg: ExperimentConfig, out_dir: Path):
     required = opts.get_float("required_fraction", 0.8)
     opts.reject_unknown()
 
-    stats, coeffs = _ensemble(cfg)
+    stats, coeffs = _ensemble(cfg, meter)
     moment = moment_bound_curve(stats, coeffs, p=p)
     stat = stationarity_report(stats, n_windows=n_windows, alpha=alpha,
                                required_fraction=required)
@@ -460,7 +488,7 @@ def cmd_invariant(cfg: ExperimentConfig, out_dir: Path):
     return verdicts, [curve, windows, sites]
 
 
-def cmd_density(cfg: ExperimentConfig, out_dir: Path):
+def cmd_density(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     opts = cfg.extra("density")
     at_time = opts.get_float("time", cfg.solver.t_final)
     at_site = opts.get_float("site", 0.5)
@@ -468,7 +496,7 @@ def cmd_density(cfg: ExperimentConfig, out_dir: Path):
     min_samples = opts.get_int("min_samples", 2000)
     opts.reject_unknown()
 
-    stats, _ = _ensemble(cfg)
+    stats, _ = _ensemble(cfg, meter)
     ti = int(np.argmin(np.abs(stats.times - at_time)))
     si = int(np.argmin(np.abs(stats.site_x - at_site)))
     series = stats.site_u if species == SPECIES_U else stats.site_v
@@ -526,23 +554,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
+    meter = EnsembleMeter()
     out_dir = None
     try:
         cfg = load_config(args.config).with_overrides(
             seed=args.seed, n_paths=args.paths, threads=args.threads)
         out_dir = Path(args.out or os.environ.get(_ENV_OUT) or cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        verdicts, files = args.func(cfg, out_dir)
+        verdicts, files = args.func(cfg, out_dir, meter)
     except (ConfigError, SimulationBlowup, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         if out_dir is not None and out_dir.is_dir():
-            write_runtime(out_dir, args.command, cfg, time.perf_counter() - started, [],
-                          status="error", error=str(e))
+            write_runtime(out_dir, args.command, cfg, time.perf_counter() - started, meter,
+                          [], status="error", error=str(e))
         return 2 if isinstance(e, ConfigError) else 3
 
     files.append(write_verdicts(out_dir, cfg, verdicts))
     n_pass = sum(v.passed for v in verdicts)
-    write_runtime(out_dir, args.command, cfg, time.perf_counter() - started, files,
+    write_runtime(out_dir, args.command, cfg, time.perf_counter() - started, meter, files,
                   status="ok" if n_pass == len(verdicts) else "checks-failed")
 
     for v in verdicts:

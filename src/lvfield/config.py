@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import COEFFICIENT_NAMES, CoefficientSet, Field
-from .noise import SEED_LIMIT, NoisePlan
+from .noise import SEED_LIMIT, FieldError, NoisePlan
 from .solver import SolverConfig
 
 
@@ -97,10 +97,13 @@ class SectionView:
         self._seen.add(key)
         return self._data.get(key)
 
-    def _fail(self, key, message):
+    def line(self, key):
+        """Line number of key, or None when the file does not set it."""
         entry = self._data.get(key)
-        line = entry[1] if entry else None
-        raise ConfigError(f"[{self.name}] {key}: {message}", self._path, line)
+        return entry[1] if entry else None
+
+    def _fail(self, key, message):
+        raise ConfigError(f"[{self.name}] {key}: {message}", self._path, self.line(key))
 
     def get_str(self, key, default=None):
         entry = self._raw(key)
@@ -245,11 +248,18 @@ class ExperimentConfig:
 _KNOWN_SECTIONS = ("model", "solver", "noise", "run")
 
 
-def _construct(cls, section: str, path: str, **kwargs):
+# [solver] keys named differently from the SolverConfig field they set.
+_SOLVER_KEYS = {"space_lag_cells": "space_lags", "time_lag_steps": "time_lags"}
+
+
+def _construct(cls, section: str, path: str, line_of, **kwargs):
+    """cls(**kwargs); a ValueError becomes a ConfigError at the line of the
+    failing field's key (line_of maps a field name to it)."""
     try:
         return cls(**kwargs)
     except ValueError as e:
-        raise ConfigError(f"[{section}] {e}", path) from e
+        line = line_of(e.field) if isinstance(e, FieldError) else None
+        raise ConfigError(f"[{section}] {e}", path, line) from e
 
 
 def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
@@ -308,11 +318,16 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
         if section not in _KNOWN_SECTIONS:
             extras[section] = {k: v for k, (v, _) in data.items()}
 
+    def solver_line(field_name):
+        if field_name == "grid_size":
+            return model.line("n")
+        return solver.line(_SOLVER_KEYS.get(field_name, field_name))
+
     cfg = ExperimentConfig(
         path=path, coefficients=coefficients, u0=u0, v0=v0,
-        solver=_construct(SolverConfig, "solver", path, **solver_params),
-        noise=_construct(NoisePlan, "noise", path, representation=representation,
-                         master_seed=master_seed),
+        solver=_construct(SolverConfig, "solver", path, solver_line, **solver_params),
+        noise=_construct(NoisePlan, "noise", path, noise.line,
+                         representation=representation, master_seed=master_seed),
         n_paths=n_paths, output_dir=output_dir, name=name, threads=threads,
         extras=extras)
 

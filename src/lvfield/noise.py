@@ -38,6 +38,14 @@ MIN_REPLICATIONS = 100
 SEED_LIMIT = 2**63
 
 
+class FieldError(ValueError):
+    """A NoisePlan or SolverConfig check that failed; .field names the field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def stream_key(master_seed: int, path_index: int, species: int) -> int:
     """128-bit Philox key for one (seed, path, species) stream."""
     digest = hashlib.sha256(
@@ -87,7 +95,8 @@ class NoisePlan:
 
     def __post_init__(self):
         if self.representation not in ("sheet", "spectral"):
-            raise ValueError(f"unknown noise representation {self.representation!r}")
+            raise FieldError("representation",
+                             f"unknown noise representation {self.representation!r}")
 
     def generator(self, path_index: int, species: int) -> np.random.Generator:
         return noise_generator(self.master_seed, path_index, species)

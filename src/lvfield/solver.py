@@ -7,39 +7,52 @@ One step advances the truncated system
 
 with Neumann conditions on [0, 1], on a state of shape (2, P, n) that stacks
 the species.  Drift and multiplicative noise are explicit: u + dt f + sigma u
-dW is assembled on the grid, multiplied per DCT-II mode, and transformed
-back.  The cosine modes diagonalize both diffusion operators, so the two
-schemes differ only in that multiplier and in the noise field:
+dW is assembled on the grid in the growth-factor form
+
+    state * ((1 + dt M) - dt A state - dt B state[::-1] + sigma dW),
+
+multiplied per DCT-II mode, and transformed back.  The cosine modes
+diagonalize both diffusion operators, so the two schemes differ only in that
+multiplier and in the noise field sigma dW:
 
   fd        semi-implicit Euler: the resolvent 1 / (1 + 4 dt n^2 sin^2(k pi/2n))
             of the mirrored-ghost Laplacian (exact discrete mass conservation
-            for the pure heat flow); sheet noise, cell normals * sqrt(dt n);
+            for the pure heat flow); sheet noise, sigma sqrt(dt n) times cell
+            normals;
   spectral  exponential Euler: the heat semigroup exp(-k^2 pi^2 dt); noise
             sum_k dbeta_k e_k(x) on the grid_size cosine modes, matching the
             sheet discretization's per-cell variance.
 
-The step clamps negative cells to zero and accounts the clipped mass.  Every
-path owns its own noise streams, so results are bit-identical regardless of
-batch decomposition or thread count.
+Inside the ball the step allocates no (2, P, n) temporary: it writes into
+one of two work arrays that alternate, uses the step's noise field as
+scratch, and transforms in place with scipy's orthonormal dct and idct,
+whose scalings cancel.  A cell
+outside the truncation ball takes u + dt f_n(u, v) + u sigma dW with the
+projected drift instead; that is decided per cell, so a path's numbers
+never depend on its chunk-mates.  The step clamps negative cells to zero
+and accounts the clipped mass.  Every path owns its own noise streams, so
+results are bit-identical regardless of batch decomposition or thread count.
 
 The step loop pays only for work that can change the state.  It computes
-|z|^2 = U^2 + V^2 once per step; the largest value is the finiteness check
-(a full isfinite scan runs only when it is not finite), the exit probe
-(|z|^2 >= radius^2) and the next step's truncation, whose radial projection
-is skipped while every cell is inside the ball, where it is the identity.
-One min reduction skips the clamp when every cell is positive.  With more
-than one worker, run_ensemble gives each worker one chunk: the block length
-bounds the noise memory, and every chunk pays the per-step Python overhead
-once more.
+|z|^2 = U^2 + V^2 once per step into the work array the step has left; the
+largest value is the finiteness check (a full isfinite scan runs only when
+it is not finite), the exit probe (the per-path max is taken only once it
+reaches radius^2) and the next step's truncation, whose per-cell check is
+skipped while every cell is inside the ball.  One min reduction skips the
+clamp, and the loop's clip bookkeeping, when every cell is positive.  With
+more than one worker, run_ensemble gives each worker one chunk: the block
+length bounds the noise memory, and every chunk pays the per-step Python
+overhead once more.
 
 Noise is drawn in blocks of steps on one helper thread, one block ahead:
 while the loop steps block b from one buffer, the helper fills block b + 1
 into the other from the same per-path generators in the same order (numpy
-releases the GIL while it fills).  _BLOCK_BUDGET bounds each of the two
-buffers, both species counted, so the draw memory of a run is at most
-2 * _BLOCK_BUDGET doubles.  The increment statistics take fourth powers as
-(d^2)^2, never through libm pow, and handle every live time lag of a step
-in one pass.
+releases the GIL while it fills) and turns it into the noise field in place
+(for spectral noise one batched idct over the block).  _BLOCK_BUDGET bounds
+each of the two buffers, both species counted, so the draw memory of a run
+is at most 2 * _BLOCK_BUDGET doubles.  The increment statistics take fourth
+powers as (d^2)^2, never through libm pow, and handle every live time lag of
+a step in one pass.
 """
 
 from __future__ import annotations
@@ -49,8 +62,8 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.fft import dct, idct
 
-from .grid import from_modes, to_modes
 from .model import (
     CoefficientSet,
     Field,
@@ -58,7 +71,7 @@ from .model import (
     drift_lipschitz_bound,
     truncated_drift,
 )
-from .noise import SPECIES_U, SPECIES_V, NoisePlan
+from .noise import SPECIES_U, SPECIES_V, FieldError, NoisePlan
 
 # dt * (drift Lipschitz bound at the truncation radius) must stay below this.
 STABILITY_LIMIT = 0.5
@@ -125,30 +138,31 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.scheme not in ("fd", "spectral"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise FieldError("scheme", f"unknown scheme {self.scheme!r}")
         if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise FieldError("dt", f"dt must be positive, got {self.dt}")
         if self.t_final < self.dt:
-            raise ValueError("t_final must be at least one step")
+            raise FieldError("t_final", "t_final must be at least one step")
         if self.grid_size < 2:
-            raise ValueError("grid_size must be >= 2")
+            raise FieldError("grid_size", "grid_size must be >= 2")
         n_steps = round(self.t_final / self.dt)
         if abs(n_steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
-            raise ValueError(f"t_final = {self.t_final} is not a multiple of dt = {self.dt}")
+            raise FieldError("t_final",
+                             f"t_final = {self.t_final} is not a multiple of dt = {self.dt}")
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.t_final + 1e-12:
-                raise ValueError(f"snapshot time {t} outside [0, t_final]")
+                raise FieldError("snapshot_times", f"snapshot time {t} outside [0, t_final]")
         if self.record_interval is not None and self.record_interval < self.dt:
-            raise ValueError("record_interval must be >= dt")
+            raise FieldError("record_interval", "record_interval must be >= dt")
         if self.truncation_radius is not None and self.truncation_radius <= 0:
-            raise ValueError("truncation_radius must be positive")
+            raise FieldError("truncation_radius", "truncation_radius must be positive")
         for x in self.probe_sites:
             if not 0.0 <= x <= 1.0:
-                raise ValueError(f"probe site {x} outside [0, 1]")
+                raise FieldError("probe_sites", f"probe site {x} outside [0, 1]")
         if any(l < 1 for l in self.space_lag_cells) or any(l >= self.grid_size for l in self.space_lag_cells):
-            raise ValueError("space lags must be in [1, grid_size)")
+            raise FieldError("space_lag_cells", "space lags must be in [1, grid_size)")
         if any(l < 1 for l in self.time_lag_steps):
-            raise ValueError("time lags must be >= 1 step")
+            raise FieldError("time_lag_steps", "time lags must be >= 1 step")
 
     @property
     def n_steps(self) -> int:
@@ -200,46 +214,86 @@ def diffusion_multiplier(scheme: str, n: int, dt: float) -> np.ndarray:
     return np.exp(-(k ** 2) * np.pi**2 * dt)
 
 
-def _clamp(arr: np.ndarray) -> np.ndarray:
+def _clamp(arr: np.ndarray) -> np.ndarray | None:
     # Zeroes negative cells in place; returns the clipped-to-total mass
-    # ratio along the last axis.  abs, not unary minus, so that a step with
-    # nothing clipped reports +0.0 rather than -0.0.  When every cell is
-    # positive there is nothing to do; a zero cell may be -0.0, which the
-    # clamp turns into +0.0, so a state touching zero still passes through.
-    # A NaN or -inf cell is left for the caller's finiteness check: clamping
-    # -inf to 0 would hide a blowup.
+    # ratio along the last axis, or None when there is nothing to clip.
+    # abs, not unary minus, so that a clamped state with nothing clipped
+    # reports +0.0 rather than -0.0.  When every cell is positive there is
+    # nothing to do; a zero cell may be -0.0, which the clamp turns into
+    # +0.0, so a state touching zero still passes through.  A NaN or -inf
+    # cell is left for the caller's finiteness check: clamping -inf to 0
+    # would hide a blowup.
     lowest = arr.min()
     if lowest > 0.0 or not lowest > -np.inf:
-        return np.zeros(arr.shape[:-1])
+        return None
     clipped = np.abs(np.minimum(arr, 0.0).sum(axis=-1))
     pre_mass = arr.sum(axis=-1)
     np.maximum(arr, 0.0, out=arr)
     return clipped / np.maximum(np.abs(pre_mass), 1e-300)
 
 
-def euler_step(state: np.ndarray, xi: np.ndarray, coeffs: CoefficientSet, dt: float,
-               radius: float, scheme: str, multiplier: np.ndarray,
-               inside: bool = False):
+def growth_terms(coeffs: CoefficientSet, dt: float) -> tuple:
+    """(1 + dt M, dt A, dt B) of the growth-factor step, each of shape (2, 1, n).
+
+    M = (m1, m2) and A = (a1, a2) act on a species itself, B = (b1, b2) on
+    the other one, in the species-stacked layout of the state.
+    """
+    def stacked(first, second):
+        return np.stack([first, second])[:, None]
+
+    return (1.0 + dt * stacked(coeffs.m1, coeffs.m2), dt * stacked(coeffs.a1, coeffs.a2),
+            dt * stacked(coeffs.b1, coeffs.b2))
+
+
+def euler_step(state: np.ndarray, noise: np.ndarray, coeffs: CoefficientSet, dt: float,
+               radius: float, multiplier: np.ndarray, out: np.ndarray | None = None,
+               inside: bool = False, terms: tuple | None = None):
     """One step of either scheme on a (2, P, n) state of (U, V).
 
-    xi are standard normals of shape (2, P, n): cell normals for fd, mode
-    normals for spectral.  multiplier is diffusion_multiplier(scheme, n, dt).
-    inside=True asserts that every cell lies in the truncation ball, so the
-    drift skips the radial projection (see truncated_drift).
+    noise is this step's noise field sigma dW, shape (2, P, n): sigma
+    sqrt(dt n) times cell normals for fd, sigma from_modes(sqrt(dt) times
+    mode normals) for spectral.  The step uses it as scratch, so it is
+    spent afterwards.  multiplier is diffusion_multiplier(scheme, n, dt) and
+    terms is growth_terms(coeffs, dt), computed when not given.  The new
+    state is written into out (allocated when not given), which must not
+    overlap state or noise.
 
-    Returns (next state, clip ratio of shape (2, P)); clip ratios are the
-    clipped-to-total mass ratios of the positivity clamp this step.
+    Every cell takes the growth-factor form of u + dt f(u, v) + sigma u dW,
+
+        state * ((1 + dt M) - dt A state - dt B state[::-1] + noise).
+
+    With inside=False, the cells with hypot(u, v) > radius then take
+    u + dt f_n(u, v) + u noise instead, with the projected drift of
+    truncated_drift.  inside=True asserts that every cell lies in the
+    truncation ball, so that check is skipped.  A cell's result depends
+    only on its own state either way.
+
+    Returns (next state, clip ratio): the clipped-to-total mass ratios of the
+    positivity clamp, shape (2, P), or None when no cell needed clamping.
     """
-    n = state.shape[-1]
-    if scheme == "fd":
-        dw = np.sqrt(dt * n) * xi
-    else:
-        dw = from_modes(np.sqrt(dt) * xi)
-    drift = np.stack(truncated_drift(state[0], state[1], coeffs, radius, inside))
-    sigma = np.stack([coeffs.sigma1, coeffs.sigma2])[:, None]
-    rhs = state + dt * drift + sigma * state * dw
-    state_next = from_modes(to_modes(rhs) * multiplier)
-    return state_next, _clamp(state_next)
+    if out is None:
+        out = np.empty_like(state)
+    growth, dt_a, dt_b = growth_terms(coeffs, dt) if terms is None else terms
+    projected = None
+    if not inside:
+        outside = np.hypot(state[0], state[1]) > radius
+        if outside.any():
+            drift = np.stack(truncated_drift(state[0], state[1], coeffs, radius))
+            projected = state + dt * drift + state * noise
+    np.multiply(dt_a, state, out=out)
+    noise -= out
+    np.multiply(dt_b, state[::-1], out=out)
+    np.subtract(noise, out, out=out)
+    out += growth
+    out *= state
+    if projected is not None:
+        np.copyto(out, projected, where=outside)
+    # dct and idct with the same orthonormal scaling: to_modes' 1/sqrt(n)
+    # and from_modes' sqrt(n) cancel.
+    out = dct(out, type=2, norm="ortho", axis=-1, overwrite_x=True)
+    out *= multiplier
+    out = idct(out, type=2, norm="ortho", axis=-1, overwrite_x=True)
+    return out, _clamp(out)
 
 
 # ---------------------------------------------------------------------------
@@ -420,24 +474,37 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     # Row 0 of a draw buffer comes from each path's U stream, row 1 from its
     # V stream, each consumed in step order.  Only the helper thread touches
     # the generators, and it fills only the buffer the loop has finished.
+    # It also turns the normals into the noise field sigma dW in place, so
+    # the loop reads a finished field.
     gens = [[plan.generator(int(idx), species) for idx in path_indices]
             for species in (SPECIES_U, SPECIES_V)]
     block = max(1, min(n_steps, _BLOCK_BUDGET // max(1, 2 * p * n)))
     buffers = [np.empty((2, p, block, n)) for _ in range(2)]
+    noise_scale = np.sqrt(dt * n) * np.stack([coeffs.sigma1, coeffs.sigma2])[:, None, None]
 
     def draw(buf: np.ndarray, count: int) -> np.ndarray:
         for species, species_gens in enumerate(gens):
             for i, gen in enumerate(species_gens):
                 gen.standard_normal((count, n), out=buf[species, i, :count])
+        xi = buf[:, :, :count]
+        if config.scheme == "spectral":
+            # from_modes(sqrt(dt) xi) = sqrt(dt n) idct(xi), for every step
+            # at once; overwrite_x transforms the block in place
+            idct(xi, type=2, norm="ortho", axis=-1, overwrite_x=True)
+        xi *= noise_scale
         return buf
+
+    # The state alternates between two work arrays; the one a step has just
+    # left is scratch for U^2 + V^2 of the new state.
+    work = (state, np.empty_like(state))
+    terms = growth_terms(coeffs, dt)
 
     # The projection is skipped only below radius^2 by more than the rounding
     # of U^2 + V^2: then hypot(U, V) <= radius in every cell, where the
     # projecting drift scales by exactly 1.
     radius_sq = radius * radius
     inside_sq = radius_sq * (1.0 - 4.0 * np.finfo(float).eps)
-    r2_max = np.max(state[0] * state[0] + state[1] * state[1], axis=1)
-    r2_top = r2_max.max()
+    r2_top = np.max(state[0] * state[0] + state[1] * state[1])
     ring_len = max_time_lag + 1
 
     step = 0
@@ -445,18 +512,19 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
         pending = helper.submit(draw, buffers[0], min(block, n_steps))
         while step < n_steps:
             s_block = min(block, n_steps - step)
-            xi = pending.result()
+            noise = pending.result()
             ahead = step + s_block
             if ahead < n_steps:
-                pending = helper.submit(draw, buffers[1] if xi is buffers[0] else buffers[0],
+                pending = helper.submit(draw, buffers[1] if noise is buffers[0] else buffers[0],
                                         min(block, n_steps - ahead))
             for s in range(s_block):
                 step += 1
-                state, ratio = euler_step(state, xi[:, :, s], coeffs, dt, radius,
-                                          config.scheme, multiplier,
-                                          inside=r2_top < inside_sq)
-                r2_max = np.max(state[0] * state[0] + state[1] * state[1], axis=1)
-                r2_top = r2_max.max()
+                state, ratio = euler_step(state, noise[:, :, s], coeffs, dt, radius, multiplier,
+                                          out=work[step % 2], inside=r2_top < inside_sq,
+                                          terms=terms)
+                r2 = np.multiply(state, state, out=work[(step + 1) % 2])
+                r2 = np.add(r2[0], r2[1], out=r2[0])
+                r2_top = r2.max()
                 # NaN and inf propagate into the max; a finite state whose
                 # U^2 + V^2 overflows is no blowup.
                 if not np.isfinite(r2_top) and not np.all(np.isfinite(state)):
@@ -464,11 +532,12 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                     raise SimulationBlowup(
                         f"non-finite state at step {step} (t = {step * dt:.6g}) on path "
                         f"{int(path_indices[bad])}")
-                np.maximum(clip_max, ratio.max(axis=0), out=clip_max)
-                clip_events += (ratio > 0).any(axis=0)
+                if ratio is not None:
+                    np.maximum(clip_max, ratio.max(axis=0), out=clip_max)
+                    clip_events += (ratio > 0).any(axis=0)
 
                 if r2_top >= radius_sq:
-                    newly_out = (exit_step < 0) & (r2_max >= radius_sq)
+                    newly_out = (exit_step < 0) & (r2.max(axis=1) >= radius_sq)
                     exit_step[newly_out] = step
 
                 if ring is not None:

@@ -182,6 +182,33 @@ class TestDeterminism:
         assert tree_bytes(tmp_path / "a") != tree_bytes(tmp_path / "b")
 
 
+class TestRuntimeThroughput:
+    @pytest.mark.parametrize("command, path_steps", [("ensemble", 4 * 200), ("simulate", 200)])
+    def test_runtime_reports_throughput_and_memory(self, tmp_path, monkeypatch,
+                                                   command, path_steps):
+        cfg = write(tmp_path, BENCH)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        runtime = json.loads((tmp_path / "a" / "runtime.json").read_text())
+        assert runtime["path_steps"] == path_steps
+        assert 0 < runtime["path_steps_per_s"] < float("inf")
+        assert runtime["peak_rss_mb"] > 1.0
+        assert sorted(runtime["files"]) == sorted(tree_bytes(tmp_path / "a"))
+
+        # the same run with an inert meter writes the same bytes elsewhere
+        monkeypatch.setattr(cli.EnsembleMeter, "run",
+                            lambda self, simulate, *args, **kwargs: simulate(*args, **kwargs))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+        assert json.loads((tmp_path / "b" / "runtime.json").read_text())["path_steps"] == 0
+
+    def test_commands_without_paths_report_zero(self, tmp_path):
+        cfg = write(tmp_path, BENCH + "\n[noise_check]\nn_replications = 500\n"
+                    "n_steps = 5\nn_cells = 8\nvariance_tol = 0.2\n")
+        main(["noise-check", "--config", cfg, "--out", str(tmp_path / "n")])
+        runtime = json.loads((tmp_path / "n" / "runtime.json").read_text())
+        assert runtime["path_steps"] == 0 and runtime["path_steps_per_s"] == 0.0
+
+
 class TestOutputResolution:
     def test_env_var_used_without_flag(self, tmp_path, monkeypatch):
         cfg = write(tmp_path, BENCH)
@@ -236,7 +263,9 @@ class TestExitCodes:
         cfg = write(tmp_path, "[model]\nu0 = 1.0\n[solver]\ndt = 3e-3\nt_final = 1.0\n")
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-        assert "[solver] t_final = 1.0 is not a multiple of dt" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "[solver] t_final = 1.0 is not a multiple of dt" in err
+        assert f"error: {cfg}:5: [solver]" in err
         assert not out.exists()
 
     def test_unknown_subcommand_is_2(self):

@@ -164,6 +164,25 @@ class TestParseErrors:
         assert "[solver]" in msg
         assert "not a multiple of dt" in msg
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("t_final", "0.0105", "t_final = 0.0105 is not a multiple of dt"),
+        ("snapshot_times", "0.5, 2.0", "snapshot time 2.0 outside"),
+        ("record_interval", "1e-4", "record_interval must be >= dt"),
+        ("truncation_radius", "-1", "truncation_radius must be positive"),
+        ("probe_sites", "0.5, 1.5", "probe site 1.5 outside"),
+        ("space_lags", "1, 16", "space lags must be in"),
+        ("time_lags", "0", "time lags must be"),
+    ])
+    def test_solver_constructor_error_reports_key_line(self, key, value, message):
+        msg = self.err(f"[model]\nn = 16\nu0 = 1.0\n[solver]\ndt = 1e-3\n{key} = {value}\n")
+        assert msg.startswith("cfg.ini:6: [solver] ")
+        assert message in msg
+
+    def test_constructor_error_on_a_default_has_no_line(self):
+        # t_final left at its default 1.0: no line to point at
+        msg = self.err("[model]\nu0 = 1.0\n[solver]\ndt = 3e-3\n")
+        assert msg.startswith("cfg.ini: [solver] t_final = 1.0 is not a multiple")
+
     def test_noise_constructor_error_names_section(self, monkeypatch):
         def refuse(self):
             raise ValueError("refused")

@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 import lvfield.solver as solver
 from lvfield.grid import cell_centers, from_modes, to_modes
 from lvfield.kernel import semigroup_apply
-from lvfield.model import CoefficientSet, Field, truncated_drift
+from lvfield.model import CoefficientSet, Field, drift, truncated_drift
 from lvfield.noise import NoisePlan
 from lvfield.solver import (
     EnsembleStats,
@@ -20,6 +20,7 @@ from lvfield.solver import (
     SolverConfig,
     diffusion_multiplier,
     euler_step,
+    growth_terms,
     run_ensemble,
     simulate_path,
     validate_run,
@@ -37,6 +38,22 @@ def sheet_plan(seed=0):
 
 def spectral_plan(seed=0):
     return NoisePlan(representation="spectral", master_seed=seed)
+
+
+def noise_field(scheme, xi, coeffs, dt):
+    """sigma dW of one step from standard normals of shape (2, P, n): cell
+    normals for fd, mode normals for spectral."""
+    n = xi.shape[-1]
+    sigma = np.stack([coeffs.sigma1, coeffs.sigma2])[:, None]
+    dw = np.sqrt(dt * n) * xi if scheme == "fd" else from_modes(np.sqrt(dt) * xi)
+    return sigma * dw
+
+
+def textbook_step(state, xi, coeffs, dt, radius, scheme):
+    """from_modes(to_modes(u + dt f_n + sigma u dW) * multiplier), unclamped."""
+    f = np.stack(truncated_drift(state[0], state[1], coeffs, radius))
+    rhs = state + dt * f + noise_field(scheme, xi, coeffs, dt) * state
+    return from_modes(to_modes(rhs) * diffusion_multiplier(scheme, state.shape[-1], dt))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +397,7 @@ class TestClamp:
         state = np.stack([np.full((1, n), 0.1), np.full((1, n), 0.2)])
         xi = np.stack([np.full((1, n), -10.0), np.zeros((1, n))])
         (u2, v2), (ratio_u, ratio_v) = euler_step(
-            state, xi, coeffs, dt=0.01, radius=10.0, scheme="fd",
+            state, noise_field("fd", xi, coeffs, 0.01), coeffs, dt=0.01, radius=10.0,
             multiplier=diffusion_multiplier("fd", n, 0.01))
         assert np.all(u2 == 0.0)
         assert ratio_u[0] == pytest.approx(1.0)
@@ -393,8 +410,8 @@ class TestClamp:
         coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.1, sigma2=0.1)
         state = np.stack([np.full((2, n), 0.5), np.zeros((2, n))])
         xi = np.random.default_rng(0).standard_normal((2, 2, n))
-        _, ratio = euler_step(state, xi, coeffs, dt=1e-3, radius=10.0, scheme=scheme,
-                              multiplier=diffusion_multiplier(scheme, n, 1e-3))
+        _, ratio = euler_step(state, noise_field(scheme, xi, coeffs, 1e-3), coeffs, dt=1e-3,
+                              radius=10.0, multiplier=diffusion_multiplier(scheme, n, 1e-3))
         assert np.all(ratio == 0.0)
         assert not np.any(np.signbit(ratio))
 
@@ -411,12 +428,17 @@ class TestClamp:
 
 
     def test_clamp_leaves_positive_state_untouched(self):
+        # nothing to clip: no ratios, so the loop skips the clip bookkeeping
         arr = np.random.default_rng(1).uniform(0.1, 1.0, (2, 3, 8))
         before = arr.copy()
-        ratio = solver._clamp(arr)
-        assert ratio.shape == (2, 3)
-        assert np.all(ratio == 0.0) and not np.any(np.signbit(ratio))
+        assert solver._clamp(arr) is None
         assert np.array_equal(arr, before)
+
+    def test_unclipped_run_reports_positive_zero(self):
+        stats = small_run(n_paths=3)
+        assert np.all(stats.clip_events == 0)
+        assert np.all(stats.clip_max_ratio == 0.0)
+        assert not np.any(np.signbit(stats.clip_max_ratio))
 
     def test_clamp_reports_clipped_mass(self):
         arr = np.array([[[1.0, -0.5, 2.0, 0.5]], [[1.0, 1.0, 1.0, 1.0]]])
@@ -447,10 +469,11 @@ class TestTruncation:
         state[:, 0, 0] = (2.0, 1.5)
         assert np.hypot(state[0], state[1]).max() <= radius
         mult = diffusion_multiplier(scheme, 8, 1e-3)
-        skipped = euler_step(state, xi, coeffs, 1e-3, radius, scheme, mult, inside=True)
-        projected = euler_step(state, xi, coeffs, 1e-3, radius, scheme, mult)
+        noise = noise_field(scheme, xi, coeffs, 1e-3)
+        skipped = euler_step(state, noise.copy(), coeffs, 1e-3, radius, mult, inside=True)
+        projected = euler_step(state, noise.copy(), coeffs, 1e-3, radius, mult)
         assert np.array_equal(skipped[0], projected[0])
-        for a, b in zip(truncated_drift(state[0], state[1], coeffs, radius, True),
+        for a, b in zip(drift(state[0], state[1], coeffs),
                         truncated_drift(state[0], state[1], coeffs, radius)):
             assert np.array_equal(a, b)
 
@@ -458,10 +481,10 @@ class TestTruncation:
         coeffs, state, _ = self.make(2.0, 1.5)
         state[:, 1, 4] = (30.0, 40.0)           # |z| = 50 > radius
         f1, f2 = truncated_drift(state[0], state[1], coeffs, 10.0)
-        g1, g2 = truncated_drift(state[0] / 5.0, state[1] / 5.0, coeffs, 10.0, True)
+        g1, g2 = drift(state[0] / 5.0, state[1] / 5.0, coeffs)
         assert f1[1, 4] == pytest.approx(g1[1, 4], rel=1e-14)
         assert f2[1, 4] == pytest.approx(g2[1, 4], rel=1e-14)
-        g1, _ = truncated_drift(state[0], state[1], coeffs, 10.0, True)
+        g1, _ = drift(state[0], state[1], coeffs)
         assert f1[1, 4] != g1[1, 4]
         mask = np.ones(f1.shape, bool)
         mask[1, 4] = False
@@ -469,14 +492,14 @@ class TestTruncation:
 
     def test_loop_projects_only_once_a_cell_is_out(self, monkeypatch):
         # deterministic growth e^{3t} from 5 crosses the radius 6 near
-        # step 61; the drift must project from the first step after that
+        # step 61; the step must project from the first step after that
         calls = []
 
-        def recording_drift(u, v, coeffs, radius, inside=False):
-            calls.append((inside, float(np.hypot(u, v).max())))
-            return truncated_drift(u, v, coeffs, radius, inside)
+        def recording_step(state, *args, inside=False, **kwargs):
+            calls.append((inside, float(np.hypot(state[0], state[1]).max())))
+            return euler_step(state, *args, inside=inside, **kwargs)
 
-        monkeypatch.setattr(solver, "truncated_drift", recording_drift)
+        monkeypatch.setattr(solver, "euler_step", recording_step)
         n = 16
         cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=0.1, truncation_radius=6.0)
         stats = run_ensemble(constant_field(n, 5.0, 0.0), CoefficientSet.constant(n, m1=3.0),
@@ -489,19 +512,103 @@ class TestTruncation:
         assert all(r < 6.0 for _, r in calls[:exit_step])
 
 
+class TestFusedStep:
+    N, P, DT = 16, 4, 1e-3
+
+    def make(self, seed=4):
+        n, p = self.N, self.P
+        coeffs = CoefficientSet.from_expressions(
+            n, m1="1 + 0.5*x", a1="0.5", b1="0.3 + 0.2*x", sigma1="0.4",
+            m2="0.8", a2="0.4 + 0.1*x", b2="0.2", sigma2="0.3 - 0.1*x")
+        rng = np.random.default_rng(seed)
+        state = rng.uniform(0.5, 1.5, (2, p, n))
+        return coeffs, state, rng.standard_normal((2, p, n))
+
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    @pytest.mark.parametrize("outside", [False, True])
+    def test_matches_textbook_step(self, scheme, outside):
+        coeffs, state, xi = self.make()
+        radius = 10.0
+        if outside:
+            state[:, 1, 4] = (30.0, 40.0)           # |z| = 50
+            state[:, 3, 0] = (12.0, 0.5)
+        assert (np.hypot(state[0], state[1]).max() > radius) == outside
+        want = textbook_step(state, xi, coeffs, self.DT, radius, scheme)
+        got, ratio = euler_step(state, noise_field(scheme, xi, coeffs, self.DT), coeffs,
+                                self.DT, radius, diffusion_multiplier(scheme, self.N, self.DT),
+                                inside=not outside)
+        assert ratio is None
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_preallocated_out_and_terms(self):
+        coeffs, state, xi = self.make()
+        mult = diffusion_multiplier("fd", self.N, self.DT)
+        noise = noise_field("fd", xi, coeffs, self.DT)
+        ref, _ = euler_step(state, noise.copy(), coeffs, self.DT, 10.0, mult)
+        out = np.empty_like(state)
+        got, _ = euler_step(state, noise, coeffs, self.DT, 10.0, mult, out=out,
+                            terms=growth_terms(coeffs, self.DT))
+        assert np.shares_memory(got, out)
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_loop_state_shares_no_memory_with_input_or_draw_buffer(self, monkeypatch, scheme):
+        seen = []
+
+        def checking_step(state, noise, *args, **kwargs):
+            result = euler_step(state, noise, *args, **kwargs)
+            seen.append((np.shares_memory(result[0], state),
+                         np.shares_memory(result[0], noise.base)))
+            return result
+
+        monkeypatch.setattr(solver, "euler_step", checking_step)
+        stats = small_run(n_paths=3, scheme=scheme)
+        assert len(seen) == round(0.1 / 2e-3)
+        assert not any(shared for pair in seen for shared in pair)
+        monkeypatch.undo()
+        assert np.array_equal(stats.mass_u, small_run(n_paths=3, scheme=scheme).mass_u)
+
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_draw_thread_builds_the_noise_field(self, monkeypatch, scheme):
+        # 3 paths of 16 cells in 4-step blocks over 10 steps: sigma dW from
+        # each path's own streams, step by step, across block boundaries
+        n, p, dt, n_steps = 16, 3, 1e-3, 10
+        monkeypatch.setattr(solver, "_BLOCK_BUDGET", 2 * p * n * 4)
+        coeffs = CoefficientSet.from_expressions(n, m1="0.2", sigma1="0.5 + x",
+                                                 m2="0.1", sigma2="0.4")
+        plan = sheet_plan(9) if scheme == "fd" else spectral_plan(9)
+        fields = []
+
+        def recording_step(state, noise, *args, **kwargs):
+            fields.append(noise.copy())
+            return euler_step(state, noise, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "euler_step", recording_step)
+        cfg = SolverConfig(scheme=scheme, grid_size=n, dt=dt, t_final=n_steps * dt)
+        run_ensemble(constant_field(n, 0.5, 0.4), coeffs, plan, cfg, n_paths=p,
+                     path_offset=5)
+        xi = np.stack([[plan.generator(5 + i, species).standard_normal((n_steps, n))
+                        for i in range(p)] for species in (0, 1)])
+        assert len(fields) == n_steps
+        for s, got in enumerate(fields):
+            want = noise_field(scheme, xi[:, :, s], coeffs, dt)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), s
+
+
 class TestBlowup:
     def poisoned(self, monkeypatch, value, at_call, path=1):
-        # the fd step calls from_modes once, for the new state
+        # the fd step calls idct once, for the new state, before the clamp
         count = [0]
+        idct = solver.idct
 
-        def from_modes_poisoned(modes):
-            out = from_modes(modes)
+        def idct_poisoned(*args, **kwargs):
+            out = idct(*args, **kwargs)
             count[0] += 1
             if count[0] == at_call:
                 out[0, path, 3] = value
             return out
 
-        monkeypatch.setattr(solver, "from_modes", from_modes_poisoned)
+        monkeypatch.setattr(solver, "idct", idct_poisoned)
 
     # -inf must not reach the clamp as a negative cell: zeroing it would
     # hide the blowup behind an inf / inf clip ratio
@@ -524,8 +631,7 @@ class TestBlowup:
         before = arr.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ratio = solver._clamp(arr)
-        assert np.all(ratio == 0.0) and not np.any(np.signbit(ratio))
+            assert solver._clamp(arr) is None
         assert np.array_equal(arr, before, equal_nan=True)
 
     def test_blowup_in_a_later_block_stops_the_helper(self, monkeypatch):
@@ -772,8 +878,8 @@ class TestRefinement:
             state = np.stack([np.tile(u0, (n_paths, 1)), np.tile(v0, (n_paths, 1))])
             multiplier = diffusion_multiplier("fd", n, dt)
             for s in range(n_steps):
-                state, _ = euler_step(state, np.stack([agg_u[:, s], agg_v[:, s]]),
-                                      coeffs, dt, radius=20.0, scheme="fd",
+                noise = noise_field("fd", np.stack([agg_u[:, s], agg_v[:, s]]), coeffs, dt)
+                state, _ = euler_step(state, noise, coeffs, dt, radius=20.0,
                                       multiplier=multiplier)
             finals.append(state)
 
