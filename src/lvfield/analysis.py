@@ -4,11 +4,10 @@ Each report is a deterministic function of the ensemble data and its own
 parameters: bootstrap streams are derived from the ensemble's master seed,
 so repeated analysis of the same data reproduces byte-identical numbers.
 
-Contents: Hölder exponent regression on increment-moment tables (with a
-fractional-noise surrogate generator for self-calibration), the log-mass
-extinction report, the mild-Itô log-functional audit, the p-th moment
-flat-tail check, the stationarity window report, and the one-point density
-smoke test.
+Contents: Hölder exponent regression on increment-moment tables, the
+log-mass extinction report, the mild-Itô log-functional audit, the p-th
+moment flat-tail check, the stationarity window report, and the one-point
+density smoke test.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft
 
 from .grid import to_modes
 from .model import CoefficientSet
@@ -63,25 +61,6 @@ class IncrementTable:
             raise ValueError(f"ensemble carries no {direction} increment statistics")
         return cls(lags=lags, p2=p2, p4=p4, count=count,
                    master_seed=stats.master_seed)
-
-    @classmethod
-    def from_paths(cls, paths: np.ndarray, lag_steps, step: float,
-                   master_seed: int = 0) -> "IncrementTable":
-        """Build the table from raw sampled paths, shape (P, n_samples)."""
-        paths = np.atleast_2d(np.asarray(paths, dtype=float))
-        lag_steps = np.asarray(lag_steps, dtype=np.int64)
-        if np.any(lag_steps < 1) or np.any(lag_steps >= paths.shape[1]):
-            raise ValueError("lag steps must be in [1, n_samples)")
-        p2 = np.empty((paths.shape[0], lag_steps.size))
-        p4 = np.empty_like(p2)
-        count = np.empty(lag_steps.size, dtype=np.int64)
-        for j, lag in enumerate(lag_steps):
-            d = paths[:, lag:] - paths[:, :-lag]
-            p2[:, j] = np.sum(d**2, axis=1)
-            p4[:, j] = np.sum(d**4, axis=1)
-            count[j] = paths.shape[1] - lag
-        return cls(lags=lag_steps * step, p2=p2, p4=p4, count=count,
-                   master_seed=master_seed)
 
 
 @dataclass(frozen=True)
@@ -151,48 +130,6 @@ def holder_estimate(table, direction: str = "space", p: int = 4,
                           log_log_slope=slope, r2=r2, exponent=exponent,
                           exponent_se=se,
                           confidence_band=(exponent - 2 * se, exponent + 2 * se))
-
-
-def fractional_increments(hurst: float, n: int, n_paths: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Unit-step fractional Gaussian noise by circulant embedding.
-
-    Rows are independent; cumulative sums are fBm samples with
-    Var(B_{k+l} - B_k) = l^{2 hurst} exactly.
-    """
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"hurst must be in (0, 1), got {hurst}")
-    if n < 2:
-        raise ValueError("need at least 2 increments")
-    k = np.arange(n + 1, dtype=float)
-    gamma = 0.5 * ((k + 1) ** (2 * hurst) - 2 * k ** (2 * hurst)
-                   + np.abs(k - 1) ** (2 * hurst))
-    circ = np.concatenate([gamma, gamma[-2:0:-1]])       # length 2n
-    lam = fft(circ).real
-    # tiny negative eigenvalues from roundoff are clipped
-    lam = np.maximum(lam, 0.0)
-    m = circ.size
-    w = rng.standard_normal((n_paths, m)) + 1j * rng.standard_normal((n_paths, m))
-    y = ifft(np.sqrt(lam) * w, axis=1) * np.sqrt(m)
-    return y[:, :n].real
-
-
-def holder_selfcheck(hurst: float, n_increments: int = 100_000,
-                     n_paths: int = 20, seed: int = 0,
-                     lag_steps=(1, 2, 4, 8, 16, 32, 64)) -> HolderEstimate:
-    """Estimator calibration on surrogate paths with a known exponent.
-
-    Generates fBm paths totalling n_increments steps and runs the same
-    moment regression the field estimates use; the returned exponent should
-    sit within a few hundredths of hurst.
-    """
-    per_path = max(2, n_increments // n_paths)
-    rng = np.random.default_rng(seed)
-    fgn = fractional_increments(hurst, per_path, n_paths, rng)
-    paths = np.cumsum(fgn, axis=1)
-    table = IncrementTable.from_paths(paths, lag_steps, step=1.0 / per_path,
-                                      master_seed=seed)
-    return holder_estimate(table, direction="surrogate")
 
 
 # ---------------------------------------------------------------------------

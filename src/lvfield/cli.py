@@ -33,7 +33,7 @@ from .analysis import (check_lag_coverage, density_smoke_test,
                        mild_log_functional_audit, moment_bound_curve,
                        stationarity_report)
 from .config import ConfigError, ExperimentConfig, load_config
-from .grid import cell_centers
+from .grid import cell_centers, from_modes, to_modes
 from .kernel import (IncrementFunctional, gaussian_comparison_sweep,
                      increment_bound_shape, increment_functional,
                      kernel_eigen_series, kernel_image_sum, kernel_mass_defect,
@@ -113,6 +113,10 @@ def write_runtime(out_dir: Path, command: str, cfg: ExperimentConfig, seconds: f
                "status": status, "runtime_seconds": seconds,
                "path_steps": meter.path_steps,
                "path_steps_per_s": meter.path_steps / meter.seconds if meter.seconds else 0.0,
+               "recorded_floor": meter.recorded_floor if meter.paths else None,
+               "clip_max_ratio": meter.clip_max_ratio,
+               "clip_steps": meter.clip_steps,
+               "exit_fraction": meter.exited_paths / meter.paths if meter.paths else 0.0,
                "peak_rss_mb": _peak_rss_mb(),
                "files": sorted(f.name for f in files)}
     if error is not None:
@@ -124,20 +128,38 @@ def write_runtime(out_dir: Path, command: str, cfg: ExperimentConfig, seconds: f
 # Shared experiment plumbing
 # ---------------------------------------------------------------------------
 
+def _recorded_floor(stats, snapshots=()) -> float:
+    """Lowest recorded value: masses, probe-site series and snapshot fields."""
+    arrays = [stats.mass_u, stats.mass_v, stats.site_u, stats.site_v]
+    arrays += [a for snap in snapshots for a in (snap.u, snap.v)]
+    return min(float(a.min(initial=np.inf)) for a in arrays)
+
+
 @dataclass
 class EnsembleMeter:
-    """Path-steps simulated and seconds spent inside run_ensemble and
-    simulate_path, for the throughput in runtime.json."""
+    """What run_ensemble and simulate_path did, for runtime.json: the
+    path-steps simulated and the seconds spent inside them (the throughput),
+    and the positivity counters of the paths they returned."""
 
     path_steps: int = 0
     seconds: float = 0.0
+    paths: int = 0
+    exited_paths: int = 0
+    clip_steps: int = 0
+    clip_max_ratio: float = 0.0
+    recorded_floor: float = np.inf
 
     def run(self, simulate, init, coeffs, plan, config, *args, **kwargs):
         start = time.perf_counter()
         out = simulate(init, coeffs, plan, config, *args, **kwargs)
         self.seconds += time.perf_counter() - start
-        stats = out.stats if isinstance(out, Trajectory) else out
+        stats, snapshots = (out.stats, out.snapshots) if isinstance(out, Trajectory) else (out, ())
         self.path_steps += stats.n_paths * config.n_steps
+        self.paths += stats.n_paths
+        self.exited_paths += int(np.count_nonzero(stats.exit_step >= 0))
+        self.clip_steps += int(stats.clip_events.sum())
+        self.clip_max_ratio = max(self.clip_max_ratio, float(stats.clip_max_ratio.max()))
+        self.recorded_floor = min(self.recorded_floor, _recorded_floor(stats, snapshots))
         return out
 
 
@@ -175,8 +197,7 @@ _SERIES_COLUMNS = ("time", "mean_lnmass_u", "se_lnmass_u", "mean_lnmass_v",
 
 
 def _positivity_verdicts(stats, clip_tol: float, exit_tol: float):
-    floor = min(float(stats.mass_u.min()), float(stats.mass_v.min()),
-                float(stats.site_u.min()), float(stats.site_v.min()))
+    floor = _recorded_floor(stats)
     clip = float(stats.clip_max_ratio.max()) if stats.n_paths else 0.0
     return [
         Verdict("recorded-state-nonnegative", "positivity", floor >= 0.0, floor, 0.0),
@@ -188,6 +209,54 @@ def _positivity_verdicts(stats, clip_tol: float, exit_tol: float):
 
 def _species_index(label: str) -> int:
     return SPECIES_U if label == "u" else SPECIES_V
+
+
+def _uniform(a: np.ndarray) -> bool:
+    return bool(np.all(a == a[0]))
+
+
+_LOGISTIC_TOL = 5e-3
+
+
+def _logistic_verdict(stats, m: float, a: float, u0: float) -> Verdict:
+    """Recorded mass of U against the logistic closed form.
+
+    With no noise, constant m, a and u0 and no V, every cell solves
+    du/dt = u (m - a u): u(t) = u0 e^{mt} / (1 + a u0 (e^{mt} - 1) / m).
+    """
+    t = stats.times
+    growth = np.expm1(m * t) / m if m else t
+    exact = u0 * np.exp(m * t) / (1.0 + a * u0 * growth)
+    err = float(np.max(np.abs(stats.mass_u[0] - exact)))
+    return Verdict("logistic-closed-form", "deterministic-logistic",
+                   err < _LOGISTIC_TOL, err, _LOGISTIC_TOL)
+
+
+def _linear_mean_verdict(sconf, stats, m: float, u0: np.ndarray) -> Verdict:
+    """Monte Carlo mean of U at the probe sites against exp(mt) exp(tL) u0.
+
+    With a1 = b1 = 0 and constant m the mean field solves the linear equation
+    d/dt E U = (L + m) E U, where L has the eigenvalues of the scheme's
+    Laplacian on the cosine modes.  The statistic is the worst deviation in
+    units of 3 standard errors at the recorded times nearest the snapshot
+    times (t_final when none are set).
+    """
+    n = sconf.grid_size
+    k = np.arange(n)
+    lam = (-4.0 * n * n * np.sin(k * np.pi / (2 * n)) ** 2 if sconf.scheme == "fd"
+           else -(k ** 2) * np.pi**2)
+    sites = sconf.site_indices()
+    devs = []
+    for t_check in sconf.snapshot_times or (sconf.t_final,):
+        r = int(np.argmin(np.abs(stats.times - t_check)))
+        t = stats.times[r]
+        target = np.exp(m * t) * from_modes(to_modes(u0) * np.exp(lam * t))[sites]
+        sample = stats.site_u[:, r, :]
+        se = sample.std(axis=0, ddof=1) / np.sqrt(stats.n_paths)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            devs.append(np.abs(sample.mean(axis=0) - target) / (3.0 * se))
+    worst = float(np.max(devs))        # a NaN deviation fails the check
+    return Verdict("linear-mean-field", "linear-mean-equation", worst <= 1.0, worst, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +411,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
             Verdict("log-functional-drift-term", "drift-domination",
                     rep.drift_ok, drift_worst, rep.drift_ceiling),
         ]
+    if (not coeffs.sigma1.any() and not coeffs.sigma2.any() and not init.v.any()
+            and all(_uniform(a) for a in (coeffs.m1, coeffs.a1, init.u))):
+        verdicts.append(_logistic_verdict(traj.stats, coeffs.m1[0], coeffs.a1[0], init.u[0]))
     return verdicts, [path]
 
 
@@ -352,7 +424,7 @@ def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     p = opts.get_float("p", 2.0)
     opts.reject_unknown()
 
-    stats, _ = _ensemble(cfg, meter)
+    stats, coeffs = _ensemble(cfg, meter)
     path = out_dir / "ensemble.csv"
     write_csv(path, cfg, _SERIES_COLUMNS, _series_rows(stats, p))
     summary = out_dir / "ensemble_summary.csv"
@@ -360,7 +432,13 @@ def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
               ("n_paths", "exit_fraction", "max_clip_ratio", "clip_steps"),
               [(stats.n_paths, stats.exit_fraction(),
                 float(stats.clip_max_ratio.max()), int(stats.clip_events.sum()))])
-    return _positivity_verdicts(stats, clip_tol, exit_tol), [path, summary]
+    verdicts = _positivity_verdicts(stats, clip_tol, exit_tol)
+    # a standard error needs noise and two paths
+    if (not coeffs.a1.any() and not coeffs.b1.any() and _uniform(coeffs.m1)
+            and coeffs.sigma1.any() and stats.n_paths > 1 and stats.site_x.size):
+        verdicts.append(_linear_mean_verdict(cfg.solver, stats, coeffs.m1[0],
+                                             cfg.initial_field().u))
+    return verdicts, [path, summary]
 
 
 def cmd_holder(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):

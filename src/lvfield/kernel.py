@@ -136,20 +136,6 @@ def semigroup_apply(u, t: float):
     return from_modes(to_modes(u) * np.exp(-(k**2) * np.pi**2 * t))
 
 
-def semigroup_apply_quadrature(u, t: float, n_images: int = DEFAULT_N_IMAGES):
-    """e^{t Laplacian} u by midpoint quadrature of the image-sum kernel.
-
-    Independent route used to cross-check the spectral application; cost is
-    O(n^2) so it is for verification, not production stepping.
-    """
-    t = _check_time(t)
-    u = np.asarray(u, dtype=float)
-    n = u.shape[-1]
-    x = cell_centers(n)
-    mat = kernel_image_sum(t, x[:, None], x[None, :], n_images) / n
-    return u @ mat.T
-
-
 def semigroup_compose_defect(u, s: float, t: float) -> float:
     """Sup-norm defect of e^{s L} e^{t L} u = e^{(s+t) L} u."""
     two_step = semigroup_apply(semigroup_apply(u, t), s)
@@ -339,43 +325,6 @@ def increment_functional(quantity: IncrementFunctional, *, t: float,
 
     # TIME_INCREMENT_FIXED
     return float(_time_increment_integrand([t], [s], x, n_quad, literal)[0])
-
-
-def increment_functional_series(quantity: IncrementFunctional, *, t: float,
-                                s: float | None = None, x: float = 0.5,
-                                y: float | None = None,
-                                n_modes: int = 200000) -> float:
-    """Closed-form eigen-sum value with exact time integration.
-
-    Independent oracle route: the xi integral by Parseval and the time
-    integral in closed form per mode.  Differs from increment_functional by
-    its time-quadrature error only.
-    """
-    quantity = IncrementFunctional(quantity)
-    n = np.arange(1, n_modes + 1)
-    lam = n**2 * np.pi**2
-
-    if quantity is IncrementFunctional.SPACE_INCREMENT:
-        w = (np.cos(n * np.pi * x) - np.cos(n * np.pi * y)) ** 2
-        return float(np.sum(2.0 * np.exp(-2.0 * lam * t) * w))
-
-    if quantity is IncrementFunctional.SPACE_INCREMENT_TIME_INTEGRATED:
-        w = (np.cos(n * np.pi * x) - np.cos(n * np.pi * y)) ** 2
-        return float(np.sum(2.0 * w * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam)))
-
-    if quantity is IncrementFunctional.SQUARE_TAIL:
-        w = np.cos(n * np.pi * x) ** 2
-        tail = np.sum(2.0 * w * (1.0 - np.exp(-2.0 * lam * (t - s))) / (2.0 * lam))
-        return float((t - s) + tail)
-
-    if quantity is IncrementFunctional.TIME_INCREMENT_INTEGRATED:
-        w = np.cos(n * np.pi * x) ** 2
-        jump = (1.0 - np.exp(-lam * (t - s))) ** 2
-        return float(np.sum(2.0 * w * jump * (1.0 - np.exp(-2.0 * lam * s)) / (2.0 * lam)))
-
-    w = np.cos(n * np.pi * x) ** 2
-    jump = (1.0 - np.exp(-lam * (t - s))) ** 2
-    return float(np.sum(2.0 * w * np.exp(-2.0 * lam * s) * jump))
 
 
 def increment_bound_shape(quantity: IncrementFunctional, *, t: float,

@@ -9,12 +9,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lvfield"
 
-# Oracles and the estimator self-check that only tests call today.  ROADMAP
-# item 3 makes the self-check a CLI verdict; item 4 moves the oracles into
-# tests/.  Nothing else may join this list.
-TEST_ONLY = {"holder_selfcheck", "semigroup_apply_quadrature",
-             "increment_functional_series"}
-
 
 def _definitions():
     for path in sorted(PACKAGE.glob("*.py")):
@@ -47,6 +41,4 @@ def test_named_outside_its_definition(path, node):
                for source, lines in CALLERS.items()
                for i, line in enumerate(lines)
                if not (source == path and i in own))
-    assert used != (node.name in TEST_ONLY), (
-        f"{path.name}:{node.lineno} {node.name} has no caller in src/, scripts/ or perfbench/"
-        if not used else f"{node.name} has a caller now; drop it from TEST_ONLY")
+    assert used, f"{path.name}:{node.lineno} {node.name} has no caller in src/, scripts/ or perfbench/"
