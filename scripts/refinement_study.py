@@ -14,7 +14,7 @@ import numpy as np
 from lvfield.analysis import fit_loglog
 from lvfield.kernel import cell_centers
 from lvfield.model import CoefficientSet, Field
-from lvfield.solver import diffusion_multiplier, euler_step
+from lvfield.solver import diffusion_operator, euler_step
 
 
 def main(argv=None) -> int:
@@ -47,13 +47,13 @@ def main(argv=None) -> int:
         agg_u = xi_u.reshape(args.paths, n_steps, fold, n).sum(axis=2) / np.sqrt(fold)
         agg_v = xi_v.reshape(args.paths, n_steps, fold, n).sum(axis=2) / np.sqrt(fold)
         state = np.stack([np.tile(init.u, (args.paths, 1)), np.tile(init.v, (args.paths, 1))])
-        multiplier = diffusion_multiplier("fd", n, dt)
+        operator = diffusion_operator("fd", n, dt)
         # sheet noise: sigma dW = sigma sqrt(dt n) times the cell normals
         noise_scale = np.sqrt(dt * n) * np.stack([coeffs.sigma1, coeffs.sigma2])[:, None]
         for s in range(n_steps):
             noise = noise_scale * np.stack([agg_u[:, s], agg_v[:, s]])
             state, _ = euler_step(state, noise, coeffs, dt, radius=20.0,
-                                  multiplier=multiplier)
+                                  operator=operator)
         finals.append(state)
 
     errors = []

@@ -8,6 +8,12 @@ two-species competition system.
 
 __version__ = "0.1.0"
 
+import os
+# One BLAS thread: more would spin against the worker processes and the noise
+# thread.  Must run before numpy loads BLAS (see README).
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .config import ConfigError, ExperimentConfig, load_config
 from .model import CoefficientSet, Field
 from .noise import NoisePlan

@@ -188,15 +188,7 @@ def _diag_quadrature(const_coeff, cos_coeffs):
     return const_coeff**2 + 0.5 * np.sum(cos_coeffs**2, axis=-1)
 
 
-def _quadrature_literal(const_coeff, cos_coeffs, n_quad):
-    # Literal midpoint grid sum; reference path for tests.
-    xi = cell_centers(n_quad)
-    n = np.arange(1, cos_coeffs.shape[-1] + 1)
-    field = const_coeff[..., None] + cos_coeffs @ np.cos(np.outer(n, np.pi * xi))
-    return np.mean(field**2, axis=-1)
-
-
-def _space_increment_integrand(times, x, y, n_quad, literal=False):
+def _space_increment_integrand(times, x, y, n_quad):
     # int (G_u(x, .) - G_u(y, .))^2 dxi for each u in times; the constant
     # modes cancel in the difference.
     times = np.asarray(times, dtype=float)
@@ -206,24 +198,20 @@ def _space_increment_integrand(times, x, y, n_quad, literal=False):
         np.cos(n * np.pi * x) - np.cos(n * np.pi * y)
     )
     const = np.zeros(len(times))
-    if literal:
-        return _quadrature_literal(const, coeffs, n_quad)
     return _diag_quadrature(const, coeffs)
 
 
-def _square_integrand(times, x, n_quad, literal=False):
+def _square_integrand(times, x, n_quad):
     # int G_u(x, .)^2 dxi for each u in times.
     times = np.asarray(times, dtype=float)
     k = modes_for_time(float(times.min()), n_quad)
     n = np.arange(1, k + 1)
     coeffs = 2.0 * np.exp(-np.outer(times, n**2 * np.pi**2)) * np.cos(n * np.pi * x)
     const = np.ones(len(times))
-    if literal:
-        return _quadrature_literal(const, coeffs, n_quad)
     return _diag_quadrature(const, coeffs)
 
 
-def _time_increment_integrand(gaps_t, gaps_s, x, n_quad, literal=False):
+def _time_increment_integrand(gaps_t, gaps_s, x, n_quad):
     # int (G_{u}(x, .) - G_{v}(x, .))^2 dxi for paired times u = gaps_t,
     # v = gaps_s; constants cancel.
     gaps_t = np.asarray(gaps_t, dtype=float)
@@ -233,8 +221,6 @@ def _time_increment_integrand(gaps_t, gaps_s, x, n_quad, literal=False):
     lam = n**2 * np.pi**2
     coeffs = 2.0 * (np.exp(-np.outer(gaps_t, lam)) - np.exp(-np.outer(gaps_s, lam))) * np.cos(n * np.pi * x)
     const = np.zeros(len(gaps_t))
-    if literal:
-        return _quadrature_literal(const, coeffs, n_quad)
     return _diag_quadrature(const, coeffs)
 
 
@@ -257,8 +243,7 @@ def increment_functional(quantity: IncrementFunctional, *, t: float,
                          s: float | None = None, x: float = 0.5,
                          y: float | None = None,
                          n_quad: int | None = None,
-                         n_time: int = DEFAULT_N_TIME,
-                         literal: bool = False) -> float:
+                         n_time: int = DEFAULT_N_TIME) -> float:
     """Evaluate one of the squared-kernel increment integrals.
 
     Parameters
@@ -277,9 +262,6 @@ def increment_functional(quantity: IncrementFunctional, *, t: float,
         near the singular endpoint lives at fine xi scales).
     n_time : int
         Midpoint cells for the time integral (in the substituted variable).
-    literal : bool
-        Evaluate the xi quadrature as the explicit grid sum instead of the
-        orthogonality diagonal form.  Same value; reference path.
 
     Returns
     -------
@@ -304,27 +286,27 @@ def increment_functional(quantity: IncrementFunctional, *, t: float,
             raise ValueError(f"{quantity.value} needs 0 < s < t, got s={s}, t={t}")
 
     if quantity is IncrementFunctional.SPACE_INCREMENT:
-        return float(_space_increment_integrand([t], x, y, n_quad, literal)[0])
+        return float(_space_increment_integrand([t], x, y, n_quad)[0])
 
     if quantity is IncrementFunctional.SPACE_INCREMENT_TIME_INTEGRATED:
         return _time_integral(
-            lambda u: _space_increment_integrand(u, x, y, n_quad, literal),
+            lambda u: _space_increment_integrand(u, x, y, n_quad),
             t, n_time)
 
     if quantity is IncrementFunctional.SQUARE_TAIL:
         # int_s^t int G_{t-r}^2 dxi dr, gap u = t - r in (0, t - s).
         return _time_integral(
-            lambda u: _square_integrand(u, x, n_quad, literal),
+            lambda u: _square_integrand(u, x, n_quad),
             t - s, n_time)
 
     if quantity is IncrementFunctional.TIME_INCREMENT_INTEGRATED:
         # int_0^s int (G_{t-r} - G_{s-r})^2 dxi dr, gap u = s - r in (0, s).
         return _time_integral(
-            lambda u: _time_increment_integrand(t - s + u, u, x, n_quad, literal),
+            lambda u: _time_increment_integrand(t - s + u, u, x, n_quad),
             s, n_time)
 
     # TIME_INCREMENT_FIXED
-    return float(_time_increment_integrand([t], [s], x, n_quad, literal)[0])
+    return float(_time_increment_integrand([t], [s], x, n_quad)[0])
 
 
 def increment_bound_shape(quantity: IncrementFunctional, *, t: float,

@@ -11,9 +11,9 @@ dW is assembled on the grid in the growth-factor form
 
     state * ((1 + dt M) - dt A state - dt B state[::-1] + sigma dW),
 
-multiplied per DCT-II mode, and transformed back.  The cosine modes
-diagonalize both diffusion operators, so the two schemes differ only in that
-multiplier and in the noise field sigma dW:
+and multiplied by D = E^T diag(multiplier) E / n, E the cosine basis.  The
+cosine modes diagonalize both diffusion operators, so the two schemes differ
+only in that per-mode multiplier and in the noise field sigma dW:
 
   fd        semi-implicit Euler: the resolvent 1 / (1 + 4 dt n^2 sin^2(k pi/2n))
             of the mirrored-ghost Laplacian (exact discrete mass conservation
@@ -23,15 +23,17 @@ multiplier and in the noise field sigma dW:
             sum_k dbeta_k e_k(x) on the grid_size cosine modes, matching the
             sheet discretization's per-cell variance.
 
-Inside the ball the step allocates no (2, P, n) temporary: it writes into
-one of two work arrays that alternate, uses the step's noise field as
-scratch, and transforms in place with scipy's orthonormal dct and idct,
-whose scalings cancel.  A cell
-outside the truncation ball takes u + dt f_n(u, v) + u sigma dW with the
-projected drift instead; that is decided per cell, so a path's numbers
-never depend on its chunk-mates.  The step clamps negative cells to zero
-and accounts the clipped mass.  Every path owns its own noise streams, so
-results are bit-identical regardless of batch decomposition or thread count.
+The diffusion is one BLAS product over the (2P, n) view of the state, never
+over a single row: BLAS takes a single row through gemv, one ulp away from
+the gemm rows, and a one-path chunk would stop matching a larger one.
+Inside the ball the step allocates no (2, P, n) temporary: it assembles the
+right-hand side in the step's noise field, used as scratch, and writes the
+product into one of two work arrays that alternate.  A cell outside the
+truncation ball takes u + dt f_n(u, v) + u sigma dW with the projected drift
+instead; that is decided per cell, so a path's numbers never depend on its
+chunk-mates.  The step clamps negative cells to zero and accounts the
+clipped mass.  Every path owns its own noise streams, so results are
+bit-identical regardless of batch decomposition or thread count.
 
 The step loop pays only for work that can change the state.  It computes
 |z|^2 = U^2 + V^2 once per step into the work array the step has left; the
@@ -48,11 +50,11 @@ Noise is drawn in blocks of steps on one helper thread, one block ahead:
 while the loop steps block b from one buffer, the helper fills block b + 1
 into the other from the same per-path generators in the same order (numpy
 releases the GIL while it fills) and turns it into the noise field in place
-(for spectral noise one batched idct over the block).  _BLOCK_BUDGET bounds
-each of the two buffers, both species counted, so the draw memory of a run
-is at most 2 * _BLOCK_BUDGET doubles.  The increment statistics take fourth
-powers as (d^2)^2, never through libm pow, and handle every live time lag of
-a step in one pass.
+(for spectral noise one (2P, n) product with the cosine basis per step).
+_BLOCK_BUDGET bounds each of the two buffers, both species counted, so the
+draw memory of a run is at most 2 * _BLOCK_BUDGET doubles.  The increment
+statistics take fourth powers as (d^2)^2, never through libm pow, and
+handle every live time lag of a step in one pass.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.fft import dct, idct
 
+from .grid import cosine_basis
 from .model import (
     CoefficientSet,
     Field,
@@ -201,17 +203,19 @@ def validate_run(config: SolverConfig, coeffs: CoefficientSet, init: Field) -> f
 # The step (species on the leading axis, paths on the next).
 # ---------------------------------------------------------------------------
 
-def diffusion_multiplier(scheme: str, n: int, dt: float) -> np.ndarray:
-    """Per-mode factor of one diffusion step on the DCT-II modes k = 0..n-1.
+def diffusion_operator(scheme: str, n: int, dt: float) -> np.ndarray:
+    """The (n, n) matrix D of one diffusion step on grid rows, u @ D =
+    from_modes(multiplier * to_modes(u)), with the per-mode multiplier
 
     fd: the implicit-Euler resolvent (I - dt L)^-1 of the mirrored-ghost
     Neumann Laplacian, whose eigenvalues are -4 n^2 sin^2(k pi / 2n);
     spectral: the exact heat semigroup exp(-k^2 pi^2 dt).
     """
     k = np.arange(n)
-    if scheme == "fd":
-        return 1.0 / (1.0 + 4.0 * dt * n * n * np.sin(k * np.pi / (2 * n)) ** 2)
-    return np.exp(-(k ** 2) * np.pi**2 * dt)
+    multiplier = (1.0 / (1.0 + 4.0 * dt * n * n * np.sin(k * np.pi / (2 * n)) ** 2)
+                  if scheme == "fd" else np.exp(-(k ** 2) * np.pi**2 * dt))
+    basis = cosine_basis(n)
+    return basis.T @ (multiplier[:, None] * basis) / n
 
 
 def _clamp(arr: np.ndarray) -> np.ndarray | None:
@@ -246,17 +250,17 @@ def growth_terms(coeffs: CoefficientSet, dt: float) -> tuple:
 
 
 def euler_step(state: np.ndarray, noise: np.ndarray, coeffs: CoefficientSet, dt: float,
-               radius: float, multiplier: np.ndarray, out: np.ndarray | None = None,
+               radius: float, operator: np.ndarray, out: np.ndarray | None = None,
                inside: bool = False, terms: tuple | None = None):
     """One step of either scheme on a (2, P, n) state of (U, V).
 
     noise is this step's noise field sigma dW, shape (2, P, n): sigma
     sqrt(dt n) times cell normals for fd, sigma from_modes(sqrt(dt) times
-    mode normals) for spectral.  The step uses it as scratch, so it is
-    spent afterwards.  multiplier is diffusion_multiplier(scheme, n, dt) and
-    terms is growth_terms(coeffs, dt), computed when not given.  The new
-    state is written into out (allocated when not given), which must not
-    overlap state or noise.
+    mode normals) for spectral.  The step assembles its right-hand side in
+    it, so it is spent afterwards.  operator is diffusion_operator(scheme,
+    n, dt) and terms is growth_terms(coeffs, dt), computed when not given.
+    The new state is written into out (allocated when not given), which must
+    be C-contiguous and must not overlap state or noise.
 
     Every cell takes the growth-factor form of u + dt f(u, v) + sigma u dW,
 
@@ -272,7 +276,7 @@ def euler_step(state: np.ndarray, noise: np.ndarray, coeffs: CoefficientSet, dt:
     positivity clamp, shape (2, P), or None when no cell needed clamping.
     """
     if out is None:
-        out = np.empty_like(state)
+        out = np.empty(state.shape)
     growth, dt_a, dt_b = growth_terms(coeffs, dt) if terms is None else terms
     projected = None
     if not inside:
@@ -283,16 +287,13 @@ def euler_step(state: np.ndarray, noise: np.ndarray, coeffs: CoefficientSet, dt:
     np.multiply(dt_a, state, out=out)
     noise -= out
     np.multiply(dt_b, state[::-1], out=out)
-    np.subtract(noise, out, out=out)
-    out += growth
-    out *= state
+    noise -= out
+    noise += growth
+    noise *= state
     if projected is not None:
-        np.copyto(out, projected, where=outside)
-    # dct and idct with the same orthonormal scaling: to_modes' 1/sqrt(n)
-    # and from_modes' sqrt(n) cancel.
-    out = dct(out, type=2, norm="ortho", axis=-1, overwrite_x=True)
-    out *= multiplier
-    out = idct(out, type=2, norm="ortho", axis=-1, overwrite_x=True)
+        np.copyto(noise, projected, where=outside)
+    rows = 2 * state.shape[1]
+    np.matmul(noise.reshape(rows, -1), operator, out=out.reshape(rows, -1))
     return out, _clamp(out)
 
 
@@ -387,7 +388,7 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     n_steps = config.n_steps
 
     state = np.stack([np.tile(init.u, (p, 1)), np.tile(init.v, (p, 1))])
-    multiplier = diffusion_multiplier(config.scheme, n, dt)
+    operator = diffusion_operator(config.scheme, n, dt)
 
     record_steps = np.arange(0, n_steps + 1, config.record_every)
     if record_steps[-1] != n_steps:
@@ -480,6 +481,9 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
             for species in (SPECIES_U, SPECIES_V)]
     block = max(1, min(n_steps, _BLOCK_BUDGET // max(1, 2 * p * n)))
     buffers = [np.empty((2, p, block, n)) for _ in range(2)]
+    # spectral noise: from_modes(sqrt(dt) xi) = sqrt(dt n) xi @ (E / sqrt(n)),
+    # one (2P, n) product per step as in the step itself
+    basis = cosine_basis(n) / np.sqrt(n) if config.scheme == "spectral" else None
     noise_scale = np.sqrt(dt * n) * np.stack([coeffs.sigma1, coeffs.sigma2])[:, None, None]
 
     def draw(buf: np.ndarray, count: int) -> np.ndarray:
@@ -487,10 +491,11 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
             for i, gen in enumerate(species_gens):
                 gen.standard_normal((count, n), out=buf[species, i, :count])
         xi = buf[:, :, :count]
-        if config.scheme == "spectral":
-            # from_modes(sqrt(dt) xi) = sqrt(dt n) idct(xi), for every step
-            # at once; overwrite_x transforms the block in place
-            idct(xi, type=2, norm="ortho", axis=-1, overwrite_x=True)
+        if basis is not None:
+            field = np.empty((2 * p, n))
+            for s in range(count):
+                np.matmul(xi[:, :, s].reshape(2 * p, n), basis, out=field)
+                xi[:, :, s] = field.reshape(2, p, n)
         xi *= noise_scale
         return buf
 
@@ -519,7 +524,7 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                                         min(block, n_steps - ahead))
             for s in range(s_block):
                 step += 1
-                state, ratio = euler_step(state, noise[:, :, s], coeffs, dt, radius, multiplier,
+                state, ratio = euler_step(state, noise[:, :, s], coeffs, dt, radius, operator,
                                           out=work[step % 2], inside=r2_top < inside_sq,
                                           terms=terms)
                 r2 = np.multiply(state, state, out=work[(step + 1) % 2])

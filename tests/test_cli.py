@@ -621,13 +621,42 @@ n_paths = 80
         assert "lvfield" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the import time; only the estimators that use
-    # it load it
+def lvfield_subprocess(code: str, **env_changes) -> str:
+    """stdout of a fresh interpreter running code with lvfield importable;
+    an env value of None removes the variable."""
     src = str(Path(lvfield.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, lvfield.cli; print('scipy.stats' in sys.modules)"
+    for name, value in env_changes.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy costs most of the import time; only the estimators that use
+    # scipy.stats load it
+    assert lvfield_subprocess(f"import sys, lvfield.cli\n{SCIPY_LOADED}") == "[]"
+
+
+def test_simulate_run_leaves_scipy_unloaded(tmp_path):
+    config = ROOT / "perfbench" / "configs" / "mild_audit_spectral.ini"
+    run = f"assert main(['simulate', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0"
+    code = f"import sys\nfrom lvfield.cli import main\n{run}\n{SCIPY_LOADED}"
+    assert lvfield_subprocess(code) == "[]"
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_pins_blas_threads_unless_set(preset):
+    code = f"import os, lvfield\nprint([os.environ[name] for name in {BLAS_THREADS!r}])"
+    shown = lvfield_subprocess(code, **{name: preset for name in BLAS_THREADS})
+    assert shown == str([preset or "1"] * 3)

@@ -7,10 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.fft import dct, idct
 from scipy.integrate import solve_ivp
 
 import lvfield.solver as solver
-from lvfield.grid import cell_centers, from_modes, to_modes
+from lvfield.grid import cell_centers, cosine_basis, from_modes, to_modes
 from lvfield.kernel import semigroup_apply
 from lvfield.model import CoefficientSet, Field, drift, truncated_drift
 from lvfield.noise import NoisePlan
@@ -18,7 +19,7 @@ from lvfield.solver import (
     EnsembleStats,
     SimulationBlowup,
     SolverConfig,
-    diffusion_multiplier,
+    diffusion_operator,
     euler_step,
     growth_terms,
     run_ensemble,
@@ -40,12 +41,25 @@ def spectral_plan(seed=0):
     return NoisePlan(representation="spectral", master_seed=seed)
 
 
+# The references below transform with scipy's fast DCT, a route independent
+# of the dense cosine products the library uses.
+
+def mode_multiplier(scheme, n, dt):
+    """Per-mode factor of one diffusion step on the DCT-II modes: the fd
+    resolvent 1 / (1 + 4 dt n^2 sin^2(k pi / 2n)) or the heat semigroup."""
+    k = np.arange(n)
+    if scheme == "fd":
+        return 1.0 / (1.0 + 4.0 * dt * n * n * np.sin(k * np.pi / (2 * n)) ** 2)
+    return np.exp(-(k ** 2) * np.pi**2 * dt)
+
+
 def noise_field(scheme, xi, coeffs, dt):
     """sigma dW of one step from standard normals of shape (2, P, n): cell
     normals for fd, mode normals for spectral."""
     n = xi.shape[-1]
     sigma = np.stack([coeffs.sigma1, coeffs.sigma2])[:, None]
-    dw = np.sqrt(dt * n) * xi if scheme == "fd" else from_modes(np.sqrt(dt) * xi)
+    # from_modes(sqrt(dt) xi) = sqrt(dt n) times the orthonormal inverse DCT-II
+    dw = np.sqrt(dt * n) * (xi if scheme == "fd" else idct(xi, type=2, norm="ortho", axis=-1))
     return sigma * dw
 
 
@@ -53,7 +67,10 @@ def textbook_step(state, xi, coeffs, dt, radius, scheme):
     """from_modes(to_modes(u + dt f_n + sigma u dW) * multiplier), unclamped."""
     f = np.stack(truncated_drift(state[0], state[1], coeffs, radius))
     rhs = state + dt * f + noise_field(scheme, xi, coeffs, dt) * state
-    return from_modes(to_modes(rhs) * diffusion_multiplier(scheme, state.shape[-1], dt))
+    # the orthonormal pair's scalings cancel
+    modes = dct(rhs, type=2, norm="ortho", axis=-1)
+    modes *= mode_multiplier(scheme, state.shape[-1], dt)
+    return idct(modes, type=2, norm="ortho", axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +240,44 @@ class TestDiffusionMultiplier:
     def test_fd_multiplier_is_the_implicit_solve(self, n, dt):
         rhs = np.random.default_rng(n).standard_normal((3, n))
         dense = np.linalg.solve(np.eye(n) - dt * self.dense_fd_laplacian(n), rhs.T).T
-        via_modes = from_modes(to_modes(rhs) * diffusion_multiplier("fd", n, dt))
+        via_modes = from_modes(to_modes(rhs) * mode_multiplier("fd", n, dt))
         assert np.max(np.abs(via_modes - dense)) < 1e-12
+        assert np.max(np.abs(rhs @ diffusion_operator("fd", n, dt) - dense)) < 1e-12
+
+
+class TestDenseTransforms:
+    """The dense cosine products against scipy's fast DCT-II, on data of
+    order one on the grid."""
+
+    SIZES = [2, 3, 8, 64, 128, 513]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_to_modes_matches_dct(self, n):
+        u = np.random.default_rng(n).uniform(-1.0, 1.0, (4, n))
+        want = dct(u, type=2, norm="ortho", axis=-1) / np.sqrt(n)
+        assert np.max(np.abs(to_modes(u) - want)) <= 1e-14
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_from_modes_matches_idct(self, n):
+        # coefficients of size 1/sqrt(n) give grid values of order one
+        c = np.random.default_rng(n).standard_normal((4, n)) / np.sqrt(n)
+        want = idct(c * np.sqrt(n), type=2, norm="ortho", axis=-1)
+        assert np.max(np.abs(from_modes(c) - want)) <= 1e-14
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_basis_rows_are_orthonormal(self, n):
+        basis = cosine_basis(n)
+        assert np.max(np.abs(basis @ basis.T / n - np.eye(n))) <= 1e-14
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("scheme, dt", [("fd", 1e-3), ("fd", 2e-5), ("spectral", 1e-3),
+                                            ("spectral", 2e-5)])
+    def test_diffusion_operator_matches_dct_pair(self, n, scheme, dt):
+        u = np.random.default_rng(n).uniform(-1.0, 1.0, (4, n))
+        modes = dct(u, type=2, norm="ortho", axis=-1)
+        modes *= mode_multiplier(scheme, n, dt)
+        want = idct(modes, type=2, norm="ortho", axis=-1)
+        assert np.max(np.abs(u @ diffusion_operator(scheme, n, dt) - want)) <= 1e-14
 
 
 class TestCrossSchemeDeterministic:
@@ -314,6 +367,38 @@ class TestDeterminism:
         assert jobs == [2, 5, 5]          # two workers, one chunk of 5 paths each
         assert np.array_equal(a.mass_u, c.mass_u)
 
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_one_path_chunks_match_one_chunk_at_blas_size(self, scheme):
+        # n = 128 and 64 paths: the diffusion product of one chunk has 128
+        # rows, that of a one-path chunk 2; row results must not depend on it
+        n = 128
+        init = constant_field(n, 0.5, 0.4)
+        coeffs = CoefficientSet.constant(n, m1=0.2, a1=0.3, b1=0.1, sigma1=0.5,
+                                         m2=0.1, a2=0.2, b2=0.2, sigma2=0.4)
+        plan = sheet_plan(17) if scheme == "fd" else spectral_plan(17)
+        cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-5, t_final=4e-4,
+                           record_interval=1e-4)
+        one = run_ensemble(init, coeffs, plan, cfg, n_paths=64, chunk_size=64)
+        single = run_ensemble(init, coeffs, plan, cfg, n_paths=64, chunk_size=1)
+        for name in EnsembleStats.PER_PATH_FIELDS:
+            assert np.array_equal(getattr(single, name), getattr(one, name)), name
+
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_simulate_path_is_path_of_the_ensemble(self, scheme):
+        n = 32
+        x = cell_centers(n)
+        init = Field(0.5 + 0.2 * np.cos(np.pi * x), np.full(n, 0.4))
+        coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4)
+        plan = sheet_plan(23) if scheme == "fd" else spectral_plan(23)
+        cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-3, t_final=0.1,
+                           record_interval=2e-2)
+        ensemble = run_ensemble(init, coeffs, plan, cfg, n_paths=5, path_offset=3)
+        for row, index in ((0, 3), (2, 5)):
+            single = simulate_path(init, coeffs, plan, cfg, path_index=index).stats
+            for name in EnsembleStats.PER_PATH_FIELDS:
+                assert np.array_equal(getattr(single, name)[0], getattr(ensemble, name)[row]), \
+                    (name, index)
+
     def test_different_seeds_differ(self):
         a = small_run(seed=11)
         b = small_run(seed=12)
@@ -398,7 +483,7 @@ class TestClamp:
         xi = np.stack([np.full((1, n), -10.0), np.zeros((1, n))])
         (u2, v2), (ratio_u, ratio_v) = euler_step(
             state, noise_field("fd", xi, coeffs, 0.01), coeffs, dt=0.01, radius=10.0,
-            multiplier=diffusion_multiplier("fd", n, 0.01))
+            operator=diffusion_operator("fd", n, 0.01))
         assert np.all(u2 == 0.0)
         assert ratio_u[0] == pytest.approx(1.0)
         assert np.all(v2 > 0.0)
@@ -411,7 +496,7 @@ class TestClamp:
         state = np.stack([np.full((2, n), 0.5), np.zeros((2, n))])
         xi = np.random.default_rng(0).standard_normal((2, 2, n))
         _, ratio = euler_step(state, noise_field(scheme, xi, coeffs, 1e-3), coeffs, dt=1e-3,
-                              radius=10.0, multiplier=diffusion_multiplier(scheme, n, 1e-3))
+                              radius=10.0, operator=diffusion_operator(scheme, n, 1e-3))
         assert np.all(ratio == 0.0)
         assert not np.any(np.signbit(ratio))
 
@@ -468,10 +553,10 @@ class TestTruncation:
         radius = 2.5 * 1.0000001       # the corner cells sit just inside
         state[:, 0, 0] = (2.0, 1.5)
         assert np.hypot(state[0], state[1]).max() <= radius
-        mult = diffusion_multiplier(scheme, 8, 1e-3)
+        operator = diffusion_operator(scheme, 8, 1e-3)
         noise = noise_field(scheme, xi, coeffs, 1e-3)
-        skipped = euler_step(state, noise.copy(), coeffs, 1e-3, radius, mult, inside=True)
-        projected = euler_step(state, noise.copy(), coeffs, 1e-3, radius, mult)
+        skipped = euler_step(state, noise.copy(), coeffs, 1e-3, radius, operator, inside=True)
+        projected = euler_step(state, noise.copy(), coeffs, 1e-3, radius, operator)
         assert np.array_equal(skipped[0], projected[0])
         for a, b in zip(drift(state[0], state[1], coeffs),
                         truncated_drift(state[0], state[1], coeffs, radius)):
@@ -535,18 +620,18 @@ class TestFusedStep:
         assert (np.hypot(state[0], state[1]).max() > radius) == outside
         want = textbook_step(state, xi, coeffs, self.DT, radius, scheme)
         got, ratio = euler_step(state, noise_field(scheme, xi, coeffs, self.DT), coeffs,
-                                self.DT, radius, diffusion_multiplier(scheme, self.N, self.DT),
+                                self.DT, radius, diffusion_operator(scheme, self.N, self.DT),
                                 inside=not outside)
         assert ratio is None
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_preallocated_out_and_terms(self):
         coeffs, state, xi = self.make()
-        mult = diffusion_multiplier("fd", self.N, self.DT)
+        operator = diffusion_operator("fd", self.N, self.DT)
         noise = noise_field("fd", xi, coeffs, self.DT)
-        ref, _ = euler_step(state, noise.copy(), coeffs, self.DT, 10.0, mult)
+        ref, _ = euler_step(state, noise.copy(), coeffs, self.DT, 10.0, operator)
         out = np.empty_like(state)
-        got, _ = euler_step(state, noise, coeffs, self.DT, 10.0, mult, out=out,
+        got, _ = euler_step(state, noise, coeffs, self.DT, 10.0, operator, out=out,
                             terms=growth_terms(coeffs, self.DT))
         assert np.shares_memory(got, out)
         assert np.array_equal(got, ref)
@@ -597,18 +682,18 @@ class TestFusedStep:
 
 class TestBlowup:
     def poisoned(self, monkeypatch, value, at_call, path=1):
-        # the fd step calls idct once, for the new state, before the clamp
+        # the step calls the clamp once, on the new state; the poisoned
+        # cell reaches the real clamp first
         count = [0]
-        idct = solver.idct
+        clamp = solver._clamp
 
-        def idct_poisoned(*args, **kwargs):
-            out = idct(*args, **kwargs)
+        def clamp_poisoned(arr):
             count[0] += 1
             if count[0] == at_call:
-                out[0, path, 3] = value
-            return out
+                arr[0, path, 3] = value
+            return clamp(arr)
 
-        monkeypatch.setattr(solver, "idct", idct_poisoned)
+        monkeypatch.setattr(solver, "_clamp", clamp_poisoned)
 
     # -inf must not reach the clamp as a negative cell: zeroing it would
     # hide the blowup behind an inf / inf clip ratio
@@ -876,11 +961,11 @@ class TestRefinement:
             agg_u = xi_u.reshape(n_paths, n_steps, fold, n).sum(axis=2) / np.sqrt(fold)
             agg_v = xi_v.reshape(n_paths, n_steps, fold, n).sum(axis=2) / np.sqrt(fold)
             state = np.stack([np.tile(u0, (n_paths, 1)), np.tile(v0, (n_paths, 1))])
-            multiplier = diffusion_multiplier("fd", n, dt)
+            operator = diffusion_operator("fd", n, dt)
             for s in range(n_steps):
                 noise = noise_field("fd", np.stack([agg_u[:, s], agg_v[:, s]]), coeffs, dt)
                 state, _ = euler_step(state, noise, coeffs, dt, radius=20.0,
-                                      multiplier=multiplier)
+                                      operator=operator)
             finals.append(state)
 
         errors = []
