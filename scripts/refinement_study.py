@@ -11,10 +11,10 @@ import argparse
 
 import numpy as np
 
-from lvfield.analysis import fit_loglog
-from lvfield.kernel import cell_centers
+from lvfield.grid import cell_centers
 from lvfield.model import CoefficientSet, Field
 from lvfield.solver import diffusion_operator, euler_step
+from lvfield.statutil import fit_loglog
 
 
 def main(argv=None) -> int:

@@ -157,10 +157,11 @@ class ExtinctionReport:
 
 
 def extinction_report(stats: EnsembleStats, coeffs: CoefficientSet,
-                      species: int = SPECIES_U, tail_window: tuple = (5.0, None),
-                      eta: float | None = None,
-                      n_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES) -> ExtinctionReport:
+                      species: int = SPECIES_U,
+                      tail_window: tuple = (5.0, None)) -> ExtinctionReport:
     """Log-mass decay check: slope of E ln(eta + mass) against the rate bound.
+
+    eta is 1e-12 times the initial mean mass (1e-300 when that is zero).
 
     The per-species rate bound is sup m - inf sigma^2 / 2 taken from the
     coefficient extrema.  The slope over the tail window must not exceed it
@@ -172,10 +173,7 @@ def extinction_report(stats: EnsembleStats, coeffs: CoefficientSet,
     times = stats.times
     initial_mass = float(mass[:, 0].mean())
     degenerate = initial_mass <= 0.0
-    if eta is None:
-        eta = 1e-12 * initial_mass if initial_mass > 0 else 1e-300
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    eta = 1e-12 * initial_mass if initial_mass > 0 else 1e-300
 
     log_mass = np.log(eta + mass)
     mean_log = log_mass.mean(axis=0)
@@ -198,7 +196,7 @@ def extinction_report(stats: EnsembleStats, coeffs: CoefficientSet,
 
     slope = window_slope(log_mass)
     rng = noise_generator(stats.master_seed, 0, STREAM_BOOTSTRAP)
-    slope_se = bootstrap_se(log_mass, window_slope, n_resamples, rng) \
+    slope_se = bootstrap_se(log_mass, window_slope, DEFAULT_BOOTSTRAP_RESAMPLES, rng) \
         if stats.n_paths > 1 else 0.0
 
     pointwise_ok = mean_log <= mean_log[0] + r_bound * times + 3.0 * se + 1e-12
@@ -244,7 +242,7 @@ class MildAuditReport:
 
 
 def mild_log_functional_audit(snapshots, coeffs: CoefficientSet,
-                              etas=(1e-2, 1e-4, 1e-6), species: int = SPECIES_U,
+                              etas=(1e-2, 1e-4, 1e-6),
                               limit_tol: float = 1e-3) -> MildAuditReport:
     """Quadratic-variation and drift inequalities of the log-mass expansion.
 
@@ -252,7 +250,7 @@ def mild_log_functional_audit(snapshots, coeffs: CoefficientSet,
 
         M_eta = sum_k exp(-2 k^2 pi^2 (t-s)) c_k^2 / (eta + c_0)^2
 
-    with c the cosine coefficients of the species field at time s: the
+    with c the cosine coefficients of the U field at time s: the
     squared L2 norm of the semigroup-evolved field over the squared
     regularized mass.  Dropping all k >= 1 terms and letting eta -> 0 shows
     M_eta -> >= 1, with equality for constant fields; the values must be
@@ -265,7 +263,7 @@ def mild_log_functional_audit(snapshots, coeffs: CoefficientSet,
     etas = tuple(sorted(etas, reverse=True))
     if any(e < 0 for e in etas):
         raise ValueError("eta must be nonnegative")
-    sup_m = float(np.max(coeffs.m1 if species == SPECIES_U else coeffs.m2))
+    sup_m = float(np.max(coeffs.m1))
     limit_floor = 1.0 - limit_tol
     drift_ceiling = sup_m + 1e-9
 
@@ -276,19 +274,14 @@ def mild_log_functional_audit(snapshots, coeffs: CoefficientSet,
     for a, b in zip(snapshots[:-1], snapshots[1:]):
         if b.time <= a.time:
             raise ValueError("snapshots must be strictly time ordered")
-        state = a.u if species == SPECIES_U else a.v
-        other = a.v if species == SPECIES_U else a.u
-        c = to_modes(state)
+        c = to_modes(a.u)
         mass = c[0]
         if mass <= 0 and 0.0 in etas:
             raise ValueError("zero mass snapshot audited with eta = 0")
         gap = b.time - a.time
         damp2 = np.exp(-2.0 * (np.arange(c.size) ** 2) * np.pi**2 * gap)
         num = float(np.sum(damp2 * c**2))
-        m_coeff = coeffs.m1 if species == SPECIES_U else coeffs.m2
-        a_coeff = coeffs.a1 if species == SPECIES_U else coeffs.a2
-        b_coeff = coeffs.b1 if species == SPECIES_U else coeffs.b2
-        reaction = state * (m_coeff - a_coeff * state - b_coeff * other)
+        reaction = a.u * (coeffs.m1 - coeffs.a1 * a.u - coeffs.b1 * a.v)
 
         prev = None
         for eta in etas:
@@ -438,8 +431,7 @@ class DensityReport:
         return self.atom_free
 
 
-def density_smoke_test(samples, min_samples: int = MIN_DENSITY_SAMPLES,
-                       kde_points: int = 256) -> DensityReport:
+def density_smoke_test(samples, kde_points: int = 256) -> DensityReport:
     """Continuity check of a one-point marginal from path samples.
 
     Exact zeros (the absorbing state) are tallied separately; among the
@@ -450,8 +442,8 @@ def density_smoke_test(samples, min_samples: int = MIN_DENSITY_SAMPLES,
     """
     samples = np.asarray(samples, dtype=float).ravel()
     n = samples.size
-    if n < min_samples:
-        raise ValueError(f"density test needs >= {min_samples} samples, got {n}")
+    if n < MIN_DENSITY_SAMPLES:
+        raise ValueError(f"density test needs >= {MIN_DENSITY_SAMPLES} samples, got {n}")
     if np.any(~np.isfinite(samples)) or np.any(samples < 0):
         raise ValueError("samples must be finite and nonnegative")
     zero_fraction = float(np.mean(samples == 0.0))

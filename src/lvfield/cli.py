@@ -178,13 +178,13 @@ def _ensemble(cfg: ExperimentConfig, meter: EnsembleMeter):
 _LOG_MASS_ETA = 1e-12
 
 
-def _series_rows(stats, p: float):
+def _series_rows(stats):
     mean = lambda a: a.mean(axis=0)
     se = lambda a: (a.std(axis=0, ddof=1) / np.sqrt(a.shape[0])
                     if a.shape[0] > 1 else np.zeros(a.shape[1]))
     ln_u = np.log(_LOG_MASS_ETA + stats.mass_u)
     ln_v = np.log(_LOG_MASS_ETA + stats.mass_v)
-    sup_p = stats.supnorm**p
+    sup_p = stats.supnorm**2.0                # the sup-norm moment of order p = 2
     cols = (stats.times,
             mean(ln_u), se(ln_u), mean(ln_v), se(ln_v),
             mean(sup_p), se(sup_p),
@@ -196,14 +196,20 @@ _SERIES_COLUMNS = ("time", "mean_lnmass_u", "se_lnmass_u", "mean_lnmass_v",
                    "se_lnmass_v", "mean_supnorm_p", "se_supnorm_p", "n_paths")
 
 
-def _positivity_verdicts(stats, clip_tol: float, exit_tol: float):
+# positivity tolerances: the per-step clipped mass ratio and the share of
+# paths that leave the truncation ball
+CLIP_TOL = 1e-3
+EXIT_TOL = 0.01
+
+
+def _positivity_verdicts(stats):
     floor = _recorded_floor(stats)
     clip = float(stats.clip_max_ratio.max()) if stats.n_paths else 0.0
     return [
         Verdict("recorded-state-nonnegative", "positivity", floor >= 0.0, floor, 0.0),
-        Verdict("pre-clamp-clipped-mass", "positivity", clip <= clip_tol, clip, clip_tol),
+        Verdict("pre-clamp-clipped-mass", "positivity", clip <= CLIP_TOL, clip, CLIP_TOL),
         Verdict("truncation-exit-fraction", "truncation-rarity",
-                stats.exit_fraction() <= exit_tol, stats.exit_fraction(), exit_tol),
+                stats.exit_fraction() <= EXIT_TOL, stats.exit_fraction(), EXIT_TOL),
     ]
 
 
@@ -376,13 +382,6 @@ def cmd_noise_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
-    opts = cfg.extra("simulate")
-    clip_tol = opts.get_float("clip_tol", 1e-3)
-    exit_tol = opts.get_float("exit_tol", 0.01)
-    audit = opts.get_choice("mild_audit", ("on", "off"), "on")
-    audit_species = opts.get_choice("audit_species", ("u", "v"), "u")
-    opts.reject_unknown()
-
     init, coeffs, plan, sconf = _build(cfg)
     if not sconf.snapshot_times:
         sconf = replace(sconf, snapshot_times=(sconf.t_final,))
@@ -393,15 +392,12 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
 
     floor = min(float(s.u.min()) for s in traj.snapshots)
     floor = min(floor, min(float(s.v.min()) for s in traj.snapshots))
-    verdicts = _positivity_verdicts(traj.stats, clip_tol, exit_tol)
+    verdicts = _positivity_verdicts(traj.stats)
     verdicts[0] = Verdict("snapshot-state-nonnegative", "positivity",
                           floor >= 0.0, floor, 0.0)
 
-    species = _species_index(audit_species)
-    masses = [float((s.u if species == SPECIES_U else s.v).mean())
-              for s in traj.snapshots]
-    if audit == "on" and len(traj.snapshots) >= 2 and min(masses) > 0:
-        rep = mild_log_functional_audit(traj.snapshots, coeffs, species=species)
+    if len(traj.snapshots) >= 2 and min(float(s.u.mean()) for s in traj.snapshots) > 0:
+        rep = mild_log_functional_audit(traj.snapshots, coeffs)
         eta_min = min(r.eta for r in rep.rows)
         m_small = min(r.m_eta for r in rep.rows if r.eta == eta_min)
         drift_worst = max(r.drift_ratio for r in rep.rows)
@@ -418,21 +414,15 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
 
 
 def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
-    opts = cfg.extra("ensemble")
-    clip_tol = opts.get_float("clip_tol", 1e-3)
-    exit_tol = opts.get_float("exit_tol", 0.01)
-    p = opts.get_float("p", 2.0)
-    opts.reject_unknown()
-
     stats, coeffs = _ensemble(cfg, meter)
     path = out_dir / "ensemble.csv"
-    write_csv(path, cfg, _SERIES_COLUMNS, _series_rows(stats, p))
+    write_csv(path, cfg, _SERIES_COLUMNS, _series_rows(stats))
     summary = out_dir / "ensemble_summary.csv"
     write_csv(summary, cfg,
               ("n_paths", "exit_fraction", "max_clip_ratio", "clip_steps"),
               [(stats.n_paths, stats.exit_fraction(),
                 float(stats.clip_max_ratio.max()), int(stats.clip_events.sum()))])
-    verdicts = _positivity_verdicts(stats, clip_tol, exit_tol)
+    verdicts = _positivity_verdicts(stats)
     # a standard error needs noise and two paths
     if (not coeffs.a1.any() and not coeffs.b1.any() and _uniform(coeffs.m1)
             and coeffs.sigma1.any() and stats.n_paths > 1 and stats.site_x.size):
@@ -446,7 +436,6 @@ def cmd_holder(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     p = opts.get_int("p", 4)
     band_space = opts.get_float_list("band_space", (0.40, 0.55))
     band_time = opts.get_float_list("band_time", (0.18, 0.30))
-    n_resamples = opts.get_int("resamples", 200)
     opts.reject_unknown()
 
     # Refuse lag sets the estimator would refuse before paying for the
@@ -467,9 +456,9 @@ def cmd_holder(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     stats, _ = _ensemble(cfg, meter)
     estimates = []
     if stats.space_lags.size:
-        estimates.append((holder_estimate(stats, "space", p, n_resamples), band_space))
+        estimates.append((holder_estimate(stats, "space", p), band_space))
     if stats.time_lags.size:
-        estimates.append((holder_estimate(stats, "time", p, n_resamples), band_time))
+        estimates.append((holder_estimate(stats, "time", p), band_time))
 
     rows, moment_rows, verdicts = [], [], []
     for est, band in estimates:
@@ -500,14 +489,10 @@ def cmd_extinction(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     species = _species_index(opts.get_choice("species", ("u", "v"), "u"))
     w_lo = opts.get_float("window_start", 5.0)
     w_hi = opts.get_float("window_end", None)
-    eta = opts.get_float("eta", None)
-    n_resamples = opts.get_int("resamples", 200)
     opts.reject_unknown()
 
     stats, coeffs = _ensemble(cfg, meter)
-    rep = extinction_report(stats, coeffs, species=species,
-                            tail_window=(w_lo, w_hi), eta=eta,
-                            n_resamples=n_resamples)
+    rep = extinction_report(stats, coeffs, species=species, tail_window=(w_lo, w_hi))
 
     bound = rep.mean_log_mass[0] + rep.r_bound * rep.times
     rows = list(zip(rep.times, rep.mean_log_mass, rep.log_mass_se, bound,
@@ -571,14 +556,13 @@ def cmd_density(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     at_time = opts.get_float("time", cfg.solver.t_final)
     at_site = opts.get_float("site", 0.5)
     species = _species_index(opts.get_choice("species", ("u", "v"), "u"))
-    min_samples = opts.get_int("min_samples", 2000)
     opts.reject_unknown()
 
     stats, _ = _ensemble(cfg, meter)
     ti = int(np.argmin(np.abs(stats.times - at_time)))
     si = int(np.argmin(np.abs(stats.site_x - at_site)))
     series = stats.site_u if species == SPECIES_U else stats.site_v
-    rep = density_smoke_test(series[:, ti, si], min_samples=min_samples)
+    rep = density_smoke_test(series[:, ti, si])
 
     path = out_dir / "density.csv"
     write_csv(path, cfg, ("value", "kde_density"),

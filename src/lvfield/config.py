@@ -19,12 +19,14 @@ Example::
     [run]
     n_paths = 100
 
-Full-line comments start with '#' or ';'.  Coefficients and initial data are
-arithmetic expressions in x (see expr module); plain numbers are valid
-expressions.  Every parse or validation failure reports the file and line it
-came from.  The canonical dump of the effective configuration (after any
-command-line overrides) is hashed into output file headers, so outputs are
-traceable to the exact parameters that produced them.
+Besides those four, a config may hold only the option sections of the
+commands in COMMAND_SECTIONS.  Full-line comments start with '#' or ';'.
+Coefficients and initial data are arithmetic expressions in x (see expr
+module); plain numbers are valid expressions.  Every parse or validation
+failure reports the file and line it came from.  The canonical dump of the
+effective configuration (after any command-line overrides) is hashed into
+output file headers, so outputs are traceable to the exact parameters that
+produced them.
 """
 
 from __future__ import annotations
@@ -53,6 +55,13 @@ class ConfigError(Exception):
         super().__init__(f"{where} {message}".strip())
 
 
+# The sections a config may hold: the four it is built from, then the option
+# sections of the commands that read any.
+COMMAND_SECTIONS = ("kernel_check", "noise_check", "holder", "extinction",
+                    "invariant", "density")
+_SECTIONS = ("model", "solver", "noise", "run") + COMMAND_SECTIONS
+
+
 def _read_sections(text: str, path: str) -> dict:
     """Sections as {name: {key: (raw_value, line_number)}}."""
     sections: dict = {}
@@ -65,6 +74,8 @@ def _read_sections(text: str, path: str) -> dict:
             if not line.endswith("]") or len(line) < 3:
                 raise ConfigError(f"malformed section header {line!r}", path, lineno)
             name = line[1:-1].strip()
+            if name not in _SECTIONS:
+                raise ConfigError(f"unknown section [{name}]", path, lineno)
             if name in sections:
                 raise ConfigError(f"duplicate section [{name}]", path, lineno)
             current = sections.setdefault(name, {})
@@ -182,7 +193,7 @@ class ExperimentConfig:
     output_dir: str
     name: str
     threads: int
-    extras: dict = field(default_factory=dict)  # section -> {key: value string}
+    extras: dict = field(default_factory=dict)  # section -> {key: (value, line)}
 
     # -- derived objects ---------------------------------------------------
 
@@ -199,8 +210,9 @@ class ExperimentConfig:
         return self.solver
 
     def extra(self, section: str) -> "SectionView":
-        data = {k: (v, None) for k, v in self.extras.get(section, {}).items()}
-        return SectionView(section, data, self.path)
+        if section not in COMMAND_SECTIONS:
+            raise KeyError(f"no command section [{section}]")
+        return SectionView(section, self.extras.get(section, {}), self.path)
 
     def with_overrides(self, seed=None, n_paths=None, output_dir=None,
                        threads=None) -> "ExperimentConfig":
@@ -236,16 +248,13 @@ class ExperimentConfig:
         for name, expr_src in self.coefficients.items():
             rows[f"model.{name}"] = expr_src
         for section, data in self.extras.items():
-            for key, value in data.items():
+            for key, (value, _) in data.items():
                 rows[f"{section}.{key}"] = value
         return "\n".join(f"{k}={rows[k]}" for k in sorted(rows)) + "\n"
 
     @property
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
-
-
-_KNOWN_SECTIONS = ("model", "solver", "noise", "run")
 
 
 # [solver] keys named differently from the SolverConfig field they set.
@@ -295,8 +304,11 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
     solver.reject_unknown()
 
     noise = SectionView("noise", sections.get("noise", {}), path)
-    representation = noise.get_choice("representation", ("sheet", "spectral"),
-                                      "sheet" if scheme == "fd" else "spectral")
+    matching = "sheet" if scheme == "fd" else "spectral"
+    representation = noise.get_choice("representation", ("sheet", "spectral"), matching)
+    if representation != matching:
+        noise._fail("representation",
+                    f"{representation} noise does not drive the {scheme} scheme")
     master_seed = noise.get_int("master_seed", 0)
     if not 0 <= master_seed < SEED_LIMIT:
         noise._fail("master_seed", f"must be in [0, 2^63), got {master_seed}")
@@ -313,10 +325,7 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
         run._fail("threads", f"must be >= 0, got {threads}")
     run.reject_unknown()
 
-    extras = {}
-    for section, data in sections.items():
-        if section not in _KNOWN_SECTIONS:
-            extras[section] = {k: v for k, (v, _) in data.items()}
+    extras = {s: data for s, data in sections.items() if s in COMMAND_SECTIONS}
 
     def solver_line(field_name):
         if field_name == "grid_size":

@@ -428,6 +428,61 @@ class TestExitCodes:
         assert f"error: {cfg}:5: [solver]" in err
         assert not out.exists()
 
+    # keys that no shipped scenario set, now constants; the [simulate] and
+    # [ensemble] sections held nothing else, so they are unknown sections
+    @pytest.mark.parametrize("section, key, value", [
+        ("simulate", "clip_tol", "1e-3"), ("simulate", "exit_tol", "0.01"),
+        ("simulate", "mild_audit", "off"), ("simulate", "audit_species", "v"),
+        ("ensemble", "clip_tol", "1e-3"), ("ensemble", "exit_tol", "0.01"),
+        ("ensemble", "p", "2.0"), ("holder", "resamples", "50"),
+        ("extinction", "eta", "1e-9"), ("extinction", "resamples", "50"),
+        ("density", "min_samples", "10"),
+    ])
+    def test_removed_key_fails_at_its_line(self, tmp_path, capsys, monkeypatch,
+                                           section, key, value):
+        text = BENCH + f"\n[{section}]\n{key} = {value}\n"
+        cfg = write(tmp_path, text)
+        monkeypatch.setattr(cli, "run_ensemble", None)
+        monkeypatch.setattr(cli, "simulate_path", None)
+        out = tmp_path / "o"
+        # each section is named after the command that read it
+        assert main([section, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        line = len(text.splitlines())
+        if section in ("simulate", "ensemble"):
+            assert err == f"error: {cfg}:{line - 1}: unknown section [{section}]\n"
+        else:
+            assert err == f"error: {cfg}:{line}: [{section}] {key}: unknown key\n"
+        assert not (out / "verdicts.csv").exists()
+
+    def test_misspelled_section_fails_at_its_header(self, tmp_path, capsys):
+        cfg = write(tmp_path, ATOM.replace("[density]", "[densty]"))
+        assert main(["density", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+        line = ATOM.splitlines().index("[density]") + 1
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: unknown section [densty]\n"
+
+    def test_command_option_error_names_its_line(self, tmp_path, capsys, monkeypatch):
+        cfg = write(tmp_path, ATOM.replace("site = 0.5", "site = zzz"))
+        monkeypatch.setattr(cli, "run_ensemble", None)
+        assert main(["density", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+        line = ATOM.splitlines().index("site = 0.5") + 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:{line}: [density] site: invalid number 'zzz'\n")
+
+    @pytest.mark.parametrize("scheme, representation", [
+        ("fd", "spectral"), ("spectral", "sheet")])
+    def test_noise_scheme_mismatch_is_2(self, tmp_path, capsys, scheme, representation):
+        text = BENCH.replace("[solver]\n", f"[solver]\nscheme = {scheme}\n").replace(
+            "[noise]\n", f"[noise]\nrepresentation = {representation}\n")
+        cfg = write(tmp_path, text)
+        out = tmp_path / "s"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        line = text.splitlines().index(f"representation = {representation}") + 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:{line}: [noise] representation: {representation} noise "
+            f"does not drive the {scheme} scheme\n")
+        assert not out.exists()
+
     def test_unknown_subcommand_is_2(self):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate", "--config", "x"])

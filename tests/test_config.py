@@ -86,6 +86,10 @@ class TestParseSuccess:
         assert view.get_int("p") == 4
         assert view.get_float_list("band_space") == (0.40, 0.55)
 
+    def test_extra_refuses_a_section_no_command_reads(self):
+        with pytest.raises(KeyError, match="simulate"):
+            parse(GOOD).extra("simulate")
+
     def test_derived_objects_build(self):
         cfg = parse(GOOD)
         coeffs = cfg.coefficient_set()
