@@ -144,16 +144,22 @@ class ExtinctionReport:
     log_mass_se: np.ndarray
     eta: float
     r_bound: float                  # sup m - inf sigma^2 / 2
-    window: tuple
     slope: float
     slope_se: float
     slope_ok: bool
     pointwise_ok: np.ndarray        # per recorded time
     degenerate: bool
 
-    @property
-    def passed(self) -> bool:
-        return bool(self.slope_ok and np.all(self.pointwise_ok) and not self.degenerate)
+
+def tail_window_mask(times, tail_window: tuple) -> np.ndarray:
+    """The recorded times in tail_window = (start, end or None); refuses
+    a window that covers fewer than 3 of them."""
+    t_lo, t_hi = tail_window
+    mask = (times >= t_lo) & (times <= (np.inf if t_hi is None else t_hi))
+    if mask.sum() < 3:
+        raise ValueError(f"tail window {tail_window} covers {int(mask.sum())} "
+                         "recorded times; need at least 3")
+    return mask
 
 
 def extinction_report(stats: EnsembleStats, coeffs: CoefficientSet,
@@ -182,13 +188,7 @@ def extinction_report(stats: EnsembleStats, coeffs: CoefficientSet,
 
     r_bound = coeffs.extinction_rate_bound(species)
 
-    t_lo, t_hi = tail_window
-    mask = times >= t_lo
-    if t_hi is not None:
-        mask &= times <= t_hi
-    if mask.sum() < 3:
-        raise ValueError(f"tail window {tail_window} covers {int(mask.sum())} "
-                         "recorded times; need at least 3")
+    mask = tail_window_mask(times, tail_window)
     tw = times[mask]
 
     def window_slope(rows):
@@ -203,7 +203,7 @@ def extinction_report(stats: EnsembleStats, coeffs: CoefficientSet,
     slope_ok = slope <= r_bound + 3.0 * slope_se
     return ExtinctionReport(species=species, times=times, mean_log_mass=mean_log,
                             log_mass_se=se, eta=eta, r_bound=r_bound,
-                            window=(t_lo, t_hi), slope=slope, slope_se=slope_se,
+                            slope=slope, slope_se=slope_se,
                             slope_ok=bool(slope_ok), pointwise_ok=pointwise_ok,
                             degenerate=degenerate)
 
@@ -230,20 +230,15 @@ class MildAuditRow:
 class MildAuditReport:
     rows: tuple
     sup_m: float
-    limit_floor: float              # 1 - limit_tol
+    limit_floor: float              # 1 - 1e-3
     drift_ceiling: float            # sup m + 1e-9
     monotone_ok: bool               # M_eta nondecreasing as eta decreases
     limit_ok: bool                  # M_eta >= limit_floor at the smallest eta
     drift_ok: bool                  # drift ratio <= drift_ceiling everywhere
 
-    @property
-    def passed(self) -> bool:
-        return self.monotone_ok and self.limit_ok and self.drift_ok
-
 
 def mild_log_functional_audit(snapshots, coeffs: CoefficientSet,
-                              etas=(1e-2, 1e-4, 1e-6),
-                              limit_tol: float = 1e-3) -> MildAuditReport:
+                              etas=(1e-2, 1e-4, 1e-6)) -> MildAuditReport:
     """Quadratic-variation and drift inequalities of the log-mass expansion.
 
     For consecutive snapshot pairs (s, t) the audited quantity is
@@ -254,9 +249,9 @@ def mild_log_functional_audit(snapshots, coeffs: CoefficientSet,
     squared L2 norm of the semigroup-evolved field over the squared
     regularized mass.  Dropping all k >= 1 terms and letting eta -> 0 shows
     M_eta -> >= 1, with equality for constant fields; the values must be
-    nondecreasing as eta decreases.  The drift ratio
-    integral of the reaction term over (eta + mass) stays below sup m for
-    nonnegative states regardless of the competition terms.
+    nondecreasing as eta decreases and reach 1 - 1e-3 at the smallest eta.
+    The drift ratio integral of the reaction term over (eta + mass) stays
+    below sup m for nonnegative states regardless of the competition terms.
     """
     if len(snapshots) < 2:
         raise ValueError("need at least two snapshots to audit")
@@ -264,7 +259,7 @@ def mild_log_functional_audit(snapshots, coeffs: CoefficientSet,
     if any(e < 0 for e in etas):
         raise ValueError("eta must be nonnegative")
     sup_m = float(np.max(coeffs.m1))
-    limit_floor = 1.0 - limit_tol
+    limit_floor = 1.0 - 1e-3
     drift_ceiling = sup_m + 1e-9
 
     rows = []
@@ -318,6 +313,11 @@ class MomentBoundReport:
     flat_ok: bool                   # tail max within 2x of the earlier max
 
 
+def check_moment_order(p: float) -> None:
+    if p <= 0:
+        raise ValueError("p must be positive")
+
+
 def moment_bound_curve(stats: EnsembleStats, coeffs: CoefficientSet,
                        p: float = 2.0) -> MomentBoundReport:
     """E sup-norm^p over time with a no-growth verdict on the tail.
@@ -326,8 +326,7 @@ def moment_bound_curve(stats: EnsembleStats, coeffs: CoefficientSet,
     bounded-in-time process keeps the ratio near 1, exponential growth
     fails it.  Scenarios with inf a_i = 0 are labeled out-of-hypothesis.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    check_moment_order(p)
     curve = np.mean(stats.supnorm**p, axis=0)
     t_end = stats.times[-1]
     tail = curve[stats.times >= 0.5 * t_end]
@@ -360,6 +359,11 @@ class StationarityReport:
         return self.fraction_ok >= self.required_fraction
 
 
+def check_window_count(n_windows: int) -> None:
+    if n_windows < 2 or n_windows % 2:
+        raise ValueError("n_windows must be even and >= 2")
+
+
 def stationarity_report(stats: EnsembleStats, n_windows: int = 4,
                         alpha: float = 0.05,
                         required_fraction: float = 0.8) -> StationarityReport:
@@ -371,8 +375,7 @@ def stationarity_report(stats: EnsembleStats, n_windows: int = 4,
     two samples are compared by a two-sample KS test at level alpha (paths
     are the independent unit, so n = number of paths on each side).
     """
-    if n_windows < 2 or n_windows % 2:
-        raise ValueError("n_windows must be even and >= 2")
+    check_window_count(n_windows)
     times = stats.times
     burn = 0.25 * times[-1]
     idx = np.nonzero(times >= burn)[0]
@@ -426,19 +429,16 @@ class DensityReport:
     def atom_free(self) -> bool:
         return self.max_cdf_jump < self.jump_threshold
 
-    @property
-    def passed(self) -> bool:
-        return self.atom_free
 
-
-def density_smoke_test(samples, kde_points: int = 256) -> DensityReport:
+def density_smoke_test(samples) -> DensityReport:
     """Continuity check of a one-point marginal from path samples.
 
     Exact zeros (the absorbing state) are tallied separately; among the
     positive samples, any repeated value creates an empirical-CDF jump of
     its multiplicity over n, and the test demands the largest jump stay
-    below 3/sqrt(n).  A Gaussian KDE with Silverman bandwidth is attached
-    for plotting.
+    below 3/sqrt(n).  For plotting, a Gaussian KDE of the positive samples
+    is attached on 256 points spanning them, with Silverman's bandwidth
+    std * (3n/4)^(-1/5).
     """
     samples = np.asarray(samples, dtype=float).ravel()
     n = samples.size
@@ -451,12 +451,10 @@ def density_smoke_test(samples, kde_points: int = 256) -> DensityReport:
     if positive.size >= 2 and np.ptp(positive) > 0:
         _, counts = np.unique(positive, return_counts=True)
         max_jump = counts.max() / n
-        from scipy.stats import gaussian_kde   # deferred: slow to import
-
-        kde = gaussian_kde(positive, bw_method="silverman")
-        bandwidth = float(np.sqrt(kde.covariance[0, 0]))
-        grid = np.linspace(positive.min(), positive.max(), kde_points)
-        density = kde(grid)
+        bandwidth = float(positive.std(ddof=1) * (0.75 * positive.size) ** -0.2)
+        grid = np.linspace(positive.min(), positive.max(), 256)
+        z = (grid[:, None] - positive) / bandwidth
+        density = np.exp(-0.5 * z * z).mean(axis=1) / (bandwidth * np.sqrt(2.0 * np.pi))
     elif positive.size:
         # all positive samples identical: one atom carrying everything
         max_jump = positive.size / n

@@ -8,10 +8,12 @@ are byte-identical across reruns, thread counts, and output locations; only
 runtime.json carries wall-clock information.
 
 Exit status: 0 when every verdict passes, 1 on a failed verdict, 2 on a
-config or usage error, 3 on a runtime or estimator error (a simulation
-blowup, or an estimator refusing its input); exits 2 and 3 write no
-verdicts.csv.  Once the output directory exists, runtime.json records the
-outcome as its status: "ok", "checks-failed" or "error" (with the message).
+config or usage error (command options an estimator would refuse among
+them, caught before anything is simulated), 3 on a runtime or estimator
+error (a simulation blowup, or an estimator refusing its input); exits 2
+and 3 write no verdicts.csv.  Once the output directory exists,
+runtime.json records the outcome as its status: "ok", "checks-failed" or
+"error" (with the message).
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (check_lag_coverage, density_smoke_test,
+from .analysis import (check_lag_coverage, check_moment_order,
+                       check_window_count, density_smoke_test,
                        extinction_report, holder_estimate,
                        mild_log_functional_audit, moment_bound_curve,
-                       stationarity_report)
+                       stationarity_report, tail_window_mask)
 from .config import ConfigError, ExperimentConfig, load_config
 from .grid import cell_centers, from_modes, to_modes
 from .kernel import (IncrementFunctional, gaussian_comparison_sweep,
@@ -41,6 +44,7 @@ from .kernel import (IncrementFunctional, gaussian_comparison_sweep,
 from .noise import (SPECIES_U, SPECIES_V, audit_functions,
                     representation_equivalence_check)
 from .solver import SimulationBlowup, Trajectory, run_ensemble, simulate_path
+from .statutil import ks_critical
 
 _ENV_OUT = "LVFIELD_OUT"
 
@@ -363,11 +367,8 @@ def cmd_noise_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
         rows.append((name, rep.target_variance, rep.walsh_variance,
                      rep.spectral_variance, rep.ks_stat, rep.ks_crit, rep.passed))
         worst_ks = max(worst_ks, rep.ks_stat)
+        worst_var = max(worst_var, rep.variance_error)
         ks_crit = rep.ks_crit
-        if rep.target_variance > 0:
-            worst_var = max(worst_var,
-                            abs(rep.walsh_variance / rep.target_variance - 1.0),
-                            abs(rep.spectral_variance / rep.target_variance - 1.0))
 
     path = out_dir / "noise_check.csv"
     write_csv(path, cfg, ("function", "target_variance", "walsh_variance",
@@ -490,6 +491,12 @@ def cmd_extinction(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     w_lo = opts.get_float("window_start", 5.0)
     w_hi = opts.get_float("window_end", None)
     opts.reject_unknown()
+    # refuse a window the report would refuse before paying for the
+    # ensemble; a window set only by its end is that key's fault
+    key = "window_end" if w_hi is not None and opts.line("window_start") is None \
+        else "window_start"
+    opts.check(key, tail_window_mask, cfg.solver.record_steps() * cfg.solver.dt,
+               (w_lo, w_hi))
 
     stats, coeffs = _ensemble(cfg, meter)
     rep = extinction_report(stats, coeffs, species=species, tail_window=(w_lo, w_hi))
@@ -518,6 +525,9 @@ def cmd_invariant(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     alpha = opts.get_float("alpha", 0.05)
     required = opts.get_float("required_fraction", 0.8)
     opts.reject_unknown()
+    opts.check("p", check_moment_order, p)
+    opts.check("n_windows", check_window_count, n_windows)
+    opts.check("alpha", ks_critical, alpha, cfg.n_paths, cfg.n_paths)
 
     stats, coeffs = _ensemble(cfg, meter)
     moment = moment_bound_curve(stats, coeffs, p=p)

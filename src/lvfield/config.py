@@ -169,6 +169,13 @@ class SectionView:
         except ValueError:
             self._fail(key, f"invalid integer list {value!r}")
 
+    def check(self, key, validate, *args):
+        """validate(*args); a ValueError it raises fails at the key's line."""
+        try:
+            validate(*args)
+        except ValueError as e:
+            self._fail(key, str(e))
+
     def reject_unknown(self):
         unknown = set(self._data) - self._seen
         if unknown:

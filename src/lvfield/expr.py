@@ -11,10 +11,9 @@ Grammar (EBNF):
     number  := decimal literal, e.g. 2, 0.3, 1e-3
 
 The variable is always called x; profiles are evaluated on the cell-center
-grid (and weight sequences reuse the grammar with x bound to the mode index).
-Exponents are numeric literals only, so the parser stays total and errors
-carry a column.  A fractional power of a negative base evaluates to nan and
-is rejected by the caller's finiteness validation.
+grid.  Exponents are numeric literals only, so the parser stays total and
+errors carry a column.  A fractional power of a negative base evaluates to
+nan and is rejected by the caller's finiteness validation.
 """
 
 from __future__ import annotations

@@ -40,7 +40,9 @@ MODE_TOL = 1e-14
 # converged near the switch point with the default truncations.
 T_SWITCH = 0.01
 
-DEFAULT_N_IMAGES = 20
+# Images n = -N_IMAGES..N_IMAGES of the image sum.  The tail decays like
+# exp(-n^2 / t), so this covers every t of practical interest.
+N_IMAGES = 20
 DEFAULT_N_QUAD = 2048
 
 # The time-integrated functionals have integrands ~ (gap)^(-1/2) at the moving
@@ -67,23 +69,13 @@ def modes_for_time(t: float, n_quad: int | None = None) -> int:
     return max(k, 1)
 
 
-def kernel_image_sum(t, x, y, n_images: int = DEFAULT_N_IMAGES):
-    """Neumann heat kernel via the method of images.
-
-    Parameters
-    ----------
-    t : float
-        Time, > 0.
-    x, y : array_like
-        Points in [0, 1], broadcast together.
-    n_images : int
-        Images n = -n_images..n_images are summed.  The tail decays like
-        exp(-n^2 / t), so the default covers every t of practical interest.
-    """
+def kernel_image_sum(t, x, y):
+    """Neumann heat kernel via the method of images, at time t > 0 and
+    points x, y in [0, 1] broadcast together."""
     t = _check_time(t)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    ns = 2.0 * np.arange(-n_images, n_images + 1)
+    ns = 2.0 * np.arange(-N_IMAGES, N_IMAGES + 1)
     d1 = y[..., None] - x[..., None] - ns
     d2 = y[..., None] + x[..., None] - ns
     total = np.exp(-(d1**2) / (4.0 * t)).sum(axis=-1) + np.exp(-(d2**2) / (4.0 * t)).sum(axis=-1)
@@ -143,26 +135,21 @@ def semigroup_compose_defect(u, s: float, t: float) -> float:
     return float(np.max(np.abs(two_step - one_step)))
 
 
-def gaussian_comparison_ratio(t, x, y, n_images: int = DEFAULT_N_IMAGES):
-    """Ratio of G_t(x, y) to the reference Gaussian (2 pi t)^(-1/2) exp(-|x-y|^2 / 2t)."""
-    t = _check_time(t)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    ref = np.exp(-((x - y) ** 2) / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
-    return kernel_image_sum(t, x, y, n_images) / ref
-
-
-def gaussian_comparison_sweep(times, n_points: int = 20,
-                              n_images: int = DEFAULT_N_IMAGES) -> tuple[float, float]:
-    """(inf, sup) of the Gaussian comparison ratio over a (t, x, y) lattice.
+def gaussian_comparison_sweep(times) -> tuple[float, float]:
+    """(inf, sup) of G_t(x, y) over the reference Gaussian
+    (2 pi t)^(-1/2) exp(-|x-y|^2 / 2t) on a 20 x 20 lattice of (x, y), at
+    each of the given times.
 
     The check is qualitative: the ratio must stay within a finite positive
     envelope on the sweep.  No universal constants are asserted.
     """
-    x = cell_centers(n_points)
+    x = cell_centers(20)[:, None]
+    y = x.T
     lo, hi = np.inf, -np.inf
     for t in times:
-        r = gaussian_comparison_ratio(t, x[:, None], x[None, :], n_images)
+        t = _check_time(t)
+        ref = np.exp(-((x - y) ** 2) / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
+        r = kernel_image_sum(t, x, y) / ref
         lo = min(lo, float(r.min()))
         hi = max(hi, float(r.max()))
     return lo, hi

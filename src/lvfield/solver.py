@@ -170,10 +170,12 @@ class SolverConfig:
     def n_steps(self) -> int:
         return round(self.t_final / self.dt)
 
-    @property
-    def record_every(self) -> int:
+    def record_steps(self) -> np.ndarray:
+        """Steps after which the record series are taken: one every
+        record_interval from step 0, and always the last step."""
         interval = self.record_interval if self.record_interval is not None else self.t_final / 200
-        return max(1, round(interval / self.dt))
+        steps = np.arange(0, self.n_steps + 1, max(1, round(interval / self.dt)))
+        return steps if steps[-1] == self.n_steps else np.append(steps, self.n_steps)
 
     def site_indices(self) -> np.ndarray:
         n = self.grid_size
@@ -390,9 +392,7 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     state = np.stack([np.tile(init.u, (p, 1)), np.tile(init.v, (p, 1))])
     operator = diffusion_operator(config.scheme, n, dt)
 
-    record_steps = np.arange(0, n_steps + 1, config.record_every)
-    if record_steps[-1] != n_steps:
-        record_steps = np.append(record_steps, n_steps)
+    record_steps = config.record_steps()
     n_rec = record_steps.size
     record_lookup = {int(s): i for i, s in enumerate(record_steps)}
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.fft import fft, ifft
+from scipy.stats import gaussian_kde
 
 from lvfield.grid import cell_centers
 from lvfield.analysis import (
@@ -215,7 +216,7 @@ class TestExtinction:
         assert report.slope <= report.r_bound + 3 * report.slope_se
         assert report.slope_ok
         assert np.all(report.pointwise_ok)
-        assert report.passed
+        assert not report.degenerate
 
     def test_deterministic_logistic_is_silent(self):
         # sigma = 0: R = +0.3, mass settles at the carrying capacity and the
@@ -236,7 +237,6 @@ class TestExtinction:
         stats = run_ensemble(init, coeffs, sheet_plan(), cfg, n_paths=2)
         report = extinction_report(stats, coeffs, tail_window=(1.0, None))
         assert report.degenerate
-        assert not report.passed
 
     def test_window_must_contain_times(self):
         stats, coeffs = self.run_scenario(sigma1=1.0, t_final=1.0, n_paths=2)
@@ -275,7 +275,7 @@ class TestMildAudit:
         report = mild_log_functional_audit(snaps, coeffs, etas=(1e-2, 1e-4, 0.0))
         final = [r for r in report.rows if r.eta == 0.0]
         assert final[0].m_eta == pytest.approx(1.0, abs=1e-12)
-        assert report.passed
+        assert report.monotone_ok and report.limit_ok and report.drift_ok
 
     def test_stochastic_snapshots_pass(self):
         snaps, coeffs = self.snapshots_from_run()
@@ -283,7 +283,7 @@ class TestMildAudit:
         assert report.monotone_ok
         assert report.limit_ok
         assert report.drift_ok
-        assert report.passed
+        assert report.limit_floor == 1.0 - 1e-3
         # monotone toward the limit: larger eta gives smaller M
         by_pair = {}
         for row in report.rows:
@@ -406,11 +406,21 @@ class TestDensity:
         samples = np.exp(0.4 * rng.standard_normal(4000) - 1.0)
         report = density_smoke_test(samples)
         assert report.atom_free
-        assert report.passed
         assert report.zero_fraction == 0.0
         assert report.max_cdf_jump == pytest.approx(1 / 4000)
         assert report.kde_bandwidth > 0
         assert report.kde_grid.size == 256
+
+    def test_kde_matches_scipy_silverman(self):
+        rng = np.random.default_rng(77)
+        for n in (2000, 3500, 6000):
+            samples = np.exp(0.5 * rng.standard_normal(n) - 1.0)
+            report = density_smoke_test(samples)
+            kde = gaussian_kde(samples, bw_method="silverman")
+            assert report.kde_bandwidth == pytest.approx(
+                np.sqrt(kde.covariance[0, 0]), rel=1e-14, abs=0.0)
+            np.testing.assert_allclose(report.kde_density, kde(report.kde_grid),
+                                       rtol=1e-12, atol=0.0)
 
     def test_constant_samples_report_atom(self):
         report = density_smoke_test(np.full(2500, 0.7))

@@ -509,6 +509,49 @@ class TestExitCodes:
         runtime = json.loads((out / "runtime.json").read_text())
         assert runtime["status"] == "error" and message in runtime["error"]
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_windows", "3", "n_windows must be even and >= 2"),
+        ("n_windows", "0", "n_windows must be even and >= 2"),
+        ("alpha", "1.5", "alpha must be in (0, 1), got 1.5"),
+        ("p", "0", "p must be positive"),
+    ], ids=["n_windows=3", "n_windows=0", "alpha=1.5", "p=0"])
+    def test_invariant_option_refused_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                        key, value, message):
+        text = BENCH + f"\n[invariant]\n{key} = {value}\n"
+        cfg = write(tmp_path, text)
+        monkeypatch.setattr(cli, "run_ensemble", None)
+        out = tmp_path / "i"
+        assert main(["invariant", "--config", cfg, "--out", str(out)]) == 2
+        line = len(text.splitlines())
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: [invariant] {key}: {message}\n"
+        assert not (out / "verdicts.csv").exists()
+        runtime = json.loads((out / "runtime.json").read_text())
+        assert runtime["status"] == "error" and runtime["path_steps"] == 0
+
+    # BENCH records every step of [0, 0.2]
+    @pytest.mark.parametrize("options, key, window, covered", [
+        ("window_start = 0.25", "window_start", (0.25, None), 0),
+        ("window_start = 0.1\nwindow_end = 0.1015", "window_start", (0.1, 0.1015), 2),
+        ("window_end = 0.15", "window_end", (5.0, 0.15), 0),
+        ("species = u", "window_start", (5.0, None), 0),
+    ], ids=["start-after-run", "start-and-end", "end-only", "default-start"])
+    def test_extinction_window_refused_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                         options, key, window, covered):
+        text = BENCH + f"\n[extinction]\n{options}\n"
+        cfg = write(tmp_path, text)
+        monkeypatch.setattr(cli, "run_ensemble", None)
+        out = tmp_path / "x"
+        assert main(["extinction", "--config", cfg, "--out", str(out)]) == 2
+        # the line of the key at fault, when the file sets it
+        lines = [i + 1 for i, line in enumerate(text.splitlines()) if line.startswith(key)]
+        where = f"{cfg}:{lines[0]}:" if lines else f"{cfg}:"
+        assert capsys.readouterr().err == (
+            f"error: {where} [extinction] {key}: tail window {window} "
+            f"covers {covered} recorded times; need at least 3\n")
+        assert not (out / "verdicts.csv").exists()
+        runtime = json.loads((out / "runtime.json").read_text())
+        assert runtime["status"] == "error" and runtime["path_steps"] == 0
+
     def test_estimator_refusal_is_3(self, tmp_path, capsys):
         # 10 paths are too few samples for the density test, which refuses them
         out = tmp_path / "d"
@@ -695,9 +738,14 @@ SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy costs most of the import time; only the estimators that use
-    # scipy.stats load it
-    assert lvfield_subprocess(f"import sys, lvfield.cli\n{SCIPY_LOADED}") == "[]"
+    # no command imports scipy: the KS statistic and the density KDE are numpy
+    code = ("import sys, numpy as np, lvfield.cli\n"
+            "from lvfield.analysis import density_smoke_test\n"
+            "from lvfield.statutil import ks_statistic\n"
+            "ks_statistic([0.1, 0.3, 0.3], [0.2, 0.3])\n"
+            "density_smoke_test(np.geomspace(0.1, 1.0, 2000))\n"
+            f"{SCIPY_LOADED}")
+    assert lvfield_subprocess(code) == "[]"
 
 
 def test_simulate_run_leaves_scipy_unloaded(tmp_path):

@@ -94,7 +94,7 @@ class TestRepresentations:
         xs = np.linspace(0.0, 1.0, 20)
         worst = 0.0
         for t in ts:
-            a = kernel_image_sum(t, xs[:, None], xs[None, :], n_images=20)
+            a = kernel_image_sum(t, xs[:, None], xs[None, :])
             b = kernel_eigen_series(t, xs[:, None], xs[None, :], n_modes=500)
             worst = max(worst, float(np.max(np.abs(a - b))))
         assert worst <= 1e-8

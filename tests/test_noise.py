@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from lvfield import noise as nz
-from lvfield.statutil import ks_critical
+from lvfield.statutil import ks_critical, ks_statistic
 
 
 class TestStreams:
@@ -83,16 +84,22 @@ class TestEquivalence:
         for name in ("one", "cos_2pi_x", "traveling"):
             r = nz.representation_equivalence_check(lib[name], name=name,
                                                     n_replications=4000, master_seed=42)
-            assert r.walsh_variance_ok, name
-            assert r.spectral_variance_ok, name
-            assert r.ks_ok, name
+            assert r.variance_error <= r.variance_tolerance, name
+            assert r.ks_stat < r.ks_crit, name
+            assert r.passed, name
 
     def test_zero_function_is_exact(self):
         r = nz.representation_equivalence_check(lambda s, x: 0.0 * (s + x),
                                                 n_replications=200, master_seed=0)
         assert r.walsh_variance == 0.0
         assert r.spectral_variance == 0.0
-        assert r.passed
+
+    def test_every_audit_function_has_a_positive_target(self):
+        # the variance verdict divides by the isometry target
+        for name, f in nz.audit_functions().items():
+            r = nz.representation_equivalence_check(f, name=name, n_replications=100)
+            assert r.target_variance > 0.0, name
+            assert np.isfinite(r.variance_error), name
 
     def test_underpowered_replication_count_rejected(self):
         with pytest.raises(ValueError, match="n_replications"):
@@ -105,6 +112,26 @@ class TestEquivalence:
         r2 = nz.representation_equivalence_check(f, n_replications=500, master_seed=9)
         assert r1.walsh_variance == r2.walsh_variance
         assert r1.ks_stat == r2.ks_stat
+
+
+class TestKsStatistic:
+    def test_equals_scipy_asymp_statistic(self):
+        # bit for bit, with ties inside and across the samples in half the
+        # cases, and unequal sizes
+        rng = np.random.default_rng(2024)
+        for case in range(300):
+            n, m = rng.integers(1, 400, size=2)
+            a = rng.standard_normal(n)
+            b = rng.standard_normal(m) + rng.uniform(-0.5, 0.5)
+            if case % 2:
+                levels = rng.integers(2, 40)
+                a, b = np.round(a * levels) / levels, np.round(b * levels) / levels
+            ref = ks_2samp(a, b, method="asymp").statistic
+            assert ks_statistic(a, b) == ref, case
+
+    def test_extremes(self):
+        assert ks_statistic([3.0, 1.0, 2.0, 2.0], [2.0, 1.0, 2.0, 3.0]) == 0.0
+        assert ks_statistic([0.0, 0.5], [1.0, 2.0, 3.0]) == 1.0
 
 
 class TestCritical:

@@ -97,7 +97,10 @@ class TestConfigValidation:
     def test_step_counts(self):
         cfg = SolverConfig(dt=1e-3, t_final=0.5, record_interval=1e-2)
         assert cfg.n_steps == 500
-        assert cfg.record_every == 10
+        assert np.array_equal(cfg.record_steps(), np.arange(0, 501, 10))
+        # the last step is always recorded
+        cfg = SolverConfig(dt=1e-3, t_final=0.5, record_interval=3e-2)
+        assert np.array_equal(cfg.record_steps(), np.append(np.arange(0, 481, 30), 500))
 
     def test_stability_bound_enforced(self):
         coeffs = CoefficientSet.constant(16, m1=1.0, a1=1.0)
@@ -830,7 +833,8 @@ def per_lag_statistics(states, cfg):
            "time_p2": np.zeros((p, len(time_lags))), "time_p4": np.zeros((p, len(time_lags))),
            "time_count": np.zeros(len(time_lags), dtype=np.int64)}
     stats_start = round(cfg.stats_after / dt)
-    record_steps = set(range(0, cfg.n_steps + 1, cfg.record_every)) | {cfg.n_steps}
+    every = max(1, round((cfg.record_interval or cfg.t_final / 200) / dt))
+    record_steps = set(range(0, cfg.n_steps + 1, every)) | {cfg.n_steps}
     anchor = None
     if cfg.space_anchor is not None:
         anchor = int(np.clip(round(cfg.space_anchor * n - 0.5), 0, n - 1))
