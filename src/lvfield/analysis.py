@@ -91,6 +91,11 @@ def check_lag_coverage(lags) -> None:
         raise ValueError(f"lags span {decades:.2f} decades, need {MIN_LAG_DECADES}")
 
 
+def check_increment_order(p: int) -> None:
+    if p not in (2, 4):
+        raise ValueError("moment order p must be 2 or 4")
+
+
 def holder_estimate(table, direction: str = "space", p: int = 4,
                     n_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES) -> HolderEstimate:
     """Regress ln E|increment|^p on ln lag; the exponent is slope / p.
@@ -103,8 +108,7 @@ def holder_estimate(table, direction: str = "space", p: int = 4,
     """
     if isinstance(table, EnsembleStats):
         table = IncrementTable.from_ensemble(table, direction)
-    if p not in (2, 4):
-        raise ValueError("moment order p must be 2 or 4")
+    check_increment_order(p)
     lags = np.asarray(table.lags, dtype=float)
     check_lag_coverage(lags)
     moments = _moment_curve(table.p2, table.p4, table.count, p)

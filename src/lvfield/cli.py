@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (check_lag_coverage, check_moment_order,
+from .analysis import (check_increment_order, check_lag_coverage, check_moment_order,
                        check_window_count, density_smoke_test,
                        extinction_report, holder_estimate,
                        mild_log_functional_audit, moment_bound_curve,
@@ -438,6 +438,7 @@ def cmd_holder(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     band_space = opts.get_float_list("band_space", (0.40, 0.55))
     band_time = opts.get_float_list("band_time", (0.18, 0.30))
     opts.reject_unknown()
+    opts.check("p", check_increment_order, p)
 
     # Refuse lag sets the estimator would refuse before paying for the
     # ensemble; the lags are built as the solver records them.

@@ -5,15 +5,19 @@ One step advances the truncated system
     dU = [Laplacian U + f_{n,1}(x, U, V)] dt + sigma_1 U dW_1
     dV = [Laplacian V + f_{n,2}(x, U, V)] dt + sigma_2 V dW_2
 
-with Neumann conditions on [0, 1], on a state of shape (2, P, n) that stacks
-the species.  Drift and multiplicative noise are explicit: u + dt f + sigma u
-dW is assembled on the grid in the growth-factor form
+with Neumann conditions on [0, 1], on a state of shape (S, P, n) that stacks
+the S live species.  A species whose initial field is zero stays zero, since
+both its reaction term and its noise carry the factor u_i; it is never drawn,
+stepped or clamped (S = 1), and the records read it as zeros.  Drift and
+multiplicative noise are explicit: u + dt f + sigma u dW is assembled on the
+grid in the growth-factor form
 
     state * ((1 + dt M) - dt A state - dt B state[::-1] + sigma dW),
 
-and multiplied by D = E^T diag(multiplier) E / n, E the cosine basis.  The
-cosine modes diagonalize both diffusion operators, so the two schemes differ
-only in that per-mode multiplier and in the noise field sigma dW:
+whose competition term B drops with one live species, and multiplied by
+D = E^T diag(multiplier) E / n, E the cosine basis.  The cosine modes
+diagonalize both diffusion operators, so the two schemes differ only in that
+per-mode multiplier and in the noise field sigma dW:
 
   fd        semi-implicit Euler: the resolvent 1 / (1 + 4 dt n^2 sin^2(k pi/2n))
             of the mirrored-ghost Laplacian (exact discrete mass conservation
@@ -23,17 +27,21 @@ only in that per-mode multiplier and in the noise field sigma dW:
             sum_k dbeta_k e_k(x) on the grid_size cosine modes, matching the
             sheet discretization's per-cell variance.
 
-The diffusion is one BLAS product over the (2P, n) view of the state, never
+The diffusion is one BLAS product over the (S P, n) view of the state, never
 over a single row: BLAS takes a single row through gemv, one ulp away from
-the gemm rows, and a one-path chunk would stop matching a larger one.
-Inside the ball the step allocates no (2, P, n) temporary: it assembles the
+the gemm rows, and a one-path chunk would stop matching a larger one, so a
+one-path run of one live species steps the zero species too.  Inside the
+ball the step allocates no (S, P, n) temporary: it assembles the
 right-hand side in the step's noise field, used as scratch, and writes the
 product into one of two work arrays that alternate.  A cell outside the
 truncation ball takes u + dt f_n(u, v) + u sigma dW with the projected drift
 instead; that is decided per cell, so a path's numbers never depend on its
 chunk-mates.  The step clamps negative cells to zero and accounts the
-clipped mass.  Every path owns its own noise streams, so results are
-bit-identical regardless of batch decomposition or thread count.
+clipped mass.  Every path owns its own noise streams, so a path's results
+do not depend on its chunk or on the thread count wherever the gemm rows do
+not depend on how many rows the product has.  With numpy 2.4.6 and OpenBLAS
+0.3.31 that holds at n = 8, 16, 63, 64, 127, 128, 200 and 256 but not at
+n = 100, 129, 500 or 513, where chunks of other sizes move results by an ulp.
 
 The step loop pays only for work that can change the state.  It computes
 |z|^2 = U^2 + V^2 once per step into the work array the step has left; the
@@ -50,11 +58,11 @@ Noise is drawn in blocks of steps on one helper thread, one block ahead:
 while the loop steps block b from one buffer, the helper fills block b + 1
 into the other from the same per-path generators in the same order (numpy
 releases the GIL while it fills) and turns it into the noise field in place
-(for spectral noise one (2P, n) product with the cosine basis per step).
-_BLOCK_BUDGET bounds each of the two buffers, both species counted, so the
-draw memory of a run is at most 2 * _BLOCK_BUDGET doubles.  The increment
+(for spectral noise one (S P, n) product with the cosine basis per step).
+_BLOCK_BUDGET bounds each of the two buffers, the live species counted, so
+the draw memory of a run is at most 2 * _BLOCK_BUDGET doubles.  The increment
 statistics take fourth powers as (d^2)^2, never through libm pow, and
-handle every live time lag of a step in one pass.
+handle every due time lag of a step in one pass.
 """
 
 from __future__ import annotations
@@ -75,10 +83,13 @@ from .model import (
 )
 from .noise import SPECIES_U, SPECIES_V, FieldError, NoisePlan
 
+# The species rows of a state that steps both (U, V).
+SPECIES = (SPECIES_U, SPECIES_V)
+
 # dt * (drift Lipschitz bound at the truncation radius) must stay below this.
 STABILITY_LIMIT = 0.5
 
-# Elements per noise draw buffer (two buffers per run, both species in
+# Elements per noise draw buffer (two buffers per run, the live species in
 # each); bounds memory, never changes results.
 _BLOCK_BUDGET = 2_000_000
 
@@ -238,14 +249,15 @@ def _clamp(arr: np.ndarray) -> np.ndarray | None:
     return clipped / np.maximum(np.abs(pre_mass), 1e-300)
 
 
-def growth_terms(coeffs: CoefficientSet, dt: float) -> tuple:
-    """(1 + dt M, dt A, dt B) of the growth-factor step, each of shape (2, 1, n).
+def growth_terms(coeffs: CoefficientSet, dt: float, species: tuple = SPECIES) -> tuple:
+    """(1 + dt M, dt A, dt B) of the growth-factor step, each of shape (S, 1, n)
+    for the S stepped species.
 
     M = (m1, m2) and A = (a1, a2) act on a species itself, B = (b1, b2) on
     the other one, in the species-stacked layout of the state.
     """
     def stacked(first, second):
-        return np.stack([first, second])[:, None]
+        return np.stack([first, second])[list(species), None]
 
     return (1.0 + dt * stacked(coeffs.m1, coeffs.m2), dt * stacked(coeffs.a1, coeffs.a2),
             dt * stacked(coeffs.b1, coeffs.b2))
@@ -253,48 +265,54 @@ def growth_terms(coeffs: CoefficientSet, dt: float) -> tuple:
 
 def euler_step(state: np.ndarray, noise: np.ndarray, coeffs: CoefficientSet, dt: float,
                radius: float, operator: np.ndarray, out: np.ndarray | None = None,
-               inside: bool = False, terms: tuple | None = None):
-    """One step of either scheme on a (2, P, n) state of (U, V).
+               inside: bool = False, terms: tuple | None = None, species: tuple = SPECIES):
+    """One step of either scheme on a (S, P, n) state of the stepped species.
 
-    noise is this step's noise field sigma dW, shape (2, P, n): sigma
+    species names the S rows of state: (SPECIES_U, SPECIES_V) for (U, V), or
+    one of them when the other is identically zero, which it then stays.
+    noise is this step's noise field sigma dW, shape (S, P, n): sigma
     sqrt(dt n) times cell normals for fd, sigma from_modes(sqrt(dt) times
     mode normals) for spectral.  The step assembles its right-hand side in
     it, so it is spent afterwards.  operator is diffusion_operator(scheme,
-    n, dt) and terms is growth_terms(coeffs, dt), computed when not given.
-    The new state is written into out (allocated when not given), which must
-    be C-contiguous and must not overlap state or noise.
+    n, dt) and terms is growth_terms(coeffs, dt, species), computed when not
+    given.  The new state is written into out (allocated when not given),
+    which must be C-contiguous and must not overlap state or noise.
 
     Every cell takes the growth-factor form of u + dt f(u, v) + sigma u dW,
 
-        state * ((1 + dt M) - dt A state - dt B state[::-1] + noise).
+        state * ((1 + dt M) - dt A state - dt B state[::-1] + noise),
 
-    With inside=False, the cells with hypot(u, v) > radius then take
+    whose competition term B drops when one species is zero.  With
+    inside=False, the cells with hypot(u, v) > radius then take
     u + dt f_n(u, v) + u noise instead, with the projected drift of
-    truncated_drift.  inside=True asserts that every cell lies in the
-    truncation ball, so that check is skipped.  A cell's result depends
-    only on its own state either way.
+    truncated_drift and a zero species read as zero.  inside=True asserts
+    that every cell lies in the truncation ball, so that check is skipped.
+    A cell's result depends only on its own state either way.
 
     Returns (next state, clip ratio): the clipped-to-total mass ratios of the
-    positivity clamp, shape (2, P), or None when no cell needed clamping.
+    positivity clamp, shape (S, P), or None when no cell needed clamping.
     """
     if out is None:
         out = np.empty(state.shape)
-    growth, dt_a, dt_b = growth_terms(coeffs, dt) if terms is None else terms
+    growth, dt_a, dt_b = growth_terms(coeffs, dt, species) if terms is None else terms
     projected = None
     if not inside:
-        outside = np.hypot(state[0], state[1]) > radius
+        by_species = dict(zip(species, state))
+        u, v = (by_species.get(k, 0.0) for k in SPECIES)
+        outside = np.hypot(u, v) > radius
         if outside.any():
-            drift = np.stack(truncated_drift(state[0], state[1], coeffs, radius))
+            drift = np.stack(truncated_drift(u, v, coeffs, radius))[list(species)]
             projected = state + dt * drift + state * noise
     np.multiply(dt_a, state, out=out)
     noise -= out
-    np.multiply(dt_b, state[::-1], out=out)
-    noise -= out
+    if len(species) == 2:
+        np.multiply(dt_b, state[::-1], out=out)
+        noise -= out
     noise += growth
     noise *= state
     if projected is not None:
         np.copyto(noise, projected, where=outside)
-    rows = 2 * state.shape[1]
+    rows = state.shape[0] * state.shape[1]
     np.matmul(noise.reshape(rows, -1), operator, out=out.reshape(rows, -1))
     return out, _clamp(out)
 
@@ -389,7 +407,14 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     dt = config.dt
     n_steps = config.n_steps
 
-    state = np.stack([np.tile(init.u, (p, 1)), np.tile(init.v, (p, 1))])
+    # Only the live species are stepped (see the module docstring), unless
+    # that would leave the diffusion product a single row.
+    fields = (init.u, init.v)
+    live = tuple(k for k in SPECIES if fields[k].any())
+    if len(live) * p < 2:
+        live = SPECIES
+    state = np.stack([np.tile(fields[k], (p, 1)) for k in live])
+    zero = np.zeros((p, n))
     operator = diffusion_operator(config.scheme, n, dt)
 
     record_steps = config.record_steps()
@@ -434,8 +459,13 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
 
     sqrt_h = np.sqrt(1.0 / n)
 
+    def species_fields() -> list:
+        # (U, V) of the current state
+        by_species = dict(zip(live, state))
+        return [by_species.get(k, zero) for k in SPECIES]
+
     def record(state_step: int, row: int):
-        u, v = state
+        u, v = species_fields()
         mass_u[:, row] = u.mean(axis=1)
         mass_v[:, row] = v.mean(axis=1)
         supnorm_rec[:, row] = np.hypot(u, v).max(axis=1)
@@ -467,24 +497,26 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     snapshots = []
     for step_idx in sorted(snapshot_steps):
         if step_idx == 0:
+            u, v = species_fields()
             for t_snap in snapshot_steps[0]:
-                snapshots.append(Field(state[0, 0].copy(), state[1, 0].copy(), time=t_snap))
+                snapshots.append(Field(u[0].copy(), v[0].copy(), time=t_snap))
     if ring is not None:
-        ring[0] = state[0][:, site_idx]
+        ring[0] = species_fields()[0][:, site_idx]
 
-    # Row 0 of a draw buffer comes from each path's U stream, row 1 from its
-    # V stream, each consumed in step order.  Only the helper thread touches
+    # Each live species' row of a draw buffer comes from each path's stream
+    # of that species, consumed in step order.  Only the helper thread touches
     # the generators, and it fills only the buffer the loop has finished.
     # It also turns the normals into the noise field sigma dW in place, so
     # the loop reads a finished field.
-    gens = [[plan.generator(int(idx), species) for idx in path_indices]
-            for species in (SPECIES_U, SPECIES_V)]
-    block = max(1, min(n_steps, _BLOCK_BUDGET // max(1, 2 * p * n)))
-    buffers = [np.empty((2, p, block, n)) for _ in range(2)]
+    gens = [[plan.generator(int(idx), species) for idx in path_indices] for species in live]
+    rows = len(live) * p
+    block = max(1, min(n_steps, _BLOCK_BUDGET // max(1, rows * n)))
+    buffers = [np.empty((len(live), p, block, n)) for _ in range(2)]
     # spectral noise: from_modes(sqrt(dt) xi) = sqrt(dt n) xi @ (E / sqrt(n)),
-    # one (2P, n) product per step as in the step itself
+    # one (S P, n) product per step as in the step itself
     basis = cosine_basis(n) / np.sqrt(n) if config.scheme == "spectral" else None
-    noise_scale = np.sqrt(dt * n) * np.stack([coeffs.sigma1, coeffs.sigma2])[:, None, None]
+    sigma = np.stack([coeffs.sigma1, coeffs.sigma2])
+    noise_scale = np.sqrt(dt * n) * sigma[list(live), None, None]
 
     def draw(buf: np.ndarray, count: int) -> np.ndarray:
         for species, species_gens in enumerate(gens):
@@ -492,24 +524,25 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                 gen.standard_normal((count, n), out=buf[species, i, :count])
         xi = buf[:, :, :count]
         if basis is not None:
-            field = np.empty((2 * p, n))
+            field = np.empty((rows, n))
             for s in range(count):
-                np.matmul(xi[:, :, s].reshape(2 * p, n), basis, out=field)
-                xi[:, :, s] = field.reshape(2, p, n)
+                np.matmul(xi[:, :, s].reshape(rows, n), basis, out=field)
+                xi[:, :, s] = field.reshape(-1, p, n)
         xi *= noise_scale
         return buf
 
     # The state alternates between two work arrays; the one a step has just
     # left is scratch for U^2 + V^2 of the new state.
     work = (state, np.empty_like(state))
-    terms = growth_terms(coeffs, dt)
+    terms = growth_terms(coeffs, dt, live)
 
     # The projection is skipped only below radius^2 by more than the rounding
     # of U^2 + V^2: then hypot(U, V) <= radius in every cell, where the
     # projecting drift scales by exactly 1.
     radius_sq = radius * radius
     inside_sq = radius_sq * (1.0 - 4.0 * np.finfo(float).eps)
-    r2_top = np.max(state[0] * state[0] + state[1] * state[1])
+    u, v = species_fields()
+    r2_top = np.max(u * u + v * v)
     ring_len = max_time_lag + 1
 
     step = 0
@@ -526,9 +559,9 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                 step += 1
                 state, ratio = euler_step(state, noise[:, :, s], coeffs, dt, radius, operator,
                                           out=work[step % 2], inside=r2_top < inside_sq,
-                                          terms=terms)
+                                          terms=terms, species=live)
                 r2 = np.multiply(state, state, out=work[(step + 1) % 2])
-                r2 = np.add(r2[0], r2[1], out=r2[0])
+                r2 = r2[0] if len(live) == 1 else np.add(r2[0], r2[1], out=r2[0])
                 r2_top = r2.max()
                 # NaN and inf propagate into the max; a finite state whose
                 # U^2 + V^2 overflows is no blowup.
@@ -547,22 +580,23 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
 
                 if ring is not None:
                     cur = ring[step % ring_len]
-                    cur[...] = state[0][:, site_idx]
-                    live = time_lags <= step - stats_start
-                    if live.any():
-                        # every live lag at once: (n_live, P, S) increments
-                        d = cur - ring[(step - time_lags[live]) % ring_len]
+                    cur[...] = species_fields()[0][:, site_idx]
+                    due = time_lags <= step - stats_start
+                    if due.any():
+                        # every due lag at once: (n_due, P, S) increments
+                        d = cur - ring[(step - time_lags[due]) % ring_len]
                         d *= d
-                        time_p2[:, live] += d.sum(axis=2).T
+                        time_p2[:, due] += d.sum(axis=2).T
                         d *= d
-                        time_p4[:, live] += d.sum(axis=2).T
-                        time_count[live] += n_sites
+                        time_p4[:, due] += d.sum(axis=2).T
+                        time_count[due] += n_sites
 
                 if step in record_lookup:
                     record(step, record_lookup[step])
                 if step in snapshot_steps:
+                    u, v = species_fields()
                     for t_snap in snapshot_steps[step]:
-                        snapshots.append(Field(state[0, 0].copy(), state[1, 0].copy(), time=t_snap))
+                        snapshots.append(Field(u[0].copy(), v[0].copy(), time=t_snap))
 
     stats = EnsembleStats(
         master_seed=plan.master_seed,

@@ -509,6 +509,23 @@ class TestExitCodes:
         runtime = json.loads((out / "runtime.json").read_text())
         assert runtime["status"] == "error" and message in runtime["error"]
 
+    @pytest.mark.parametrize("p", ["3", "1"])
+    def test_holder_moment_order_refused_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                           p):
+        text = (BENCH.replace("[solver]\n", "[solver]\nspace_lags = 1, 2, 3, 5, 8\n"
+                              "stats_after = 0.1\n")
+                + f"\n[holder]\np = {p}\n")
+        cfg = write(tmp_path, text)
+        monkeypatch.setattr(cli, "run_ensemble", None)
+        out = tmp_path / "h"
+        assert main(["holder", "--config", cfg, "--out", str(out)]) == 2
+        line = len(text.splitlines())
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:{line}: [holder] p: moment order p must be 2 or 4\n")
+        assert not (out / "verdicts.csv").exists()
+        runtime = json.loads((out / "runtime.json").read_text())
+        assert runtime["status"] == "error" and runtime["path_steps"] == 0
+
     @pytest.mark.parametrize("key, value, message", [
         ("n_windows", "3", "n_windows must be even and >= 2"),
         ("n_windows", "0", "n_windows must be even and >= 2"),

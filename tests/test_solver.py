@@ -14,7 +14,7 @@ import lvfield.solver as solver
 from lvfield.grid import cell_centers, cosine_basis, from_modes, to_modes
 from lvfield.kernel import semigroup_apply
 from lvfield.model import CoefficientSet, Field, drift, truncated_drift
-from lvfield.noise import NoisePlan
+from lvfield.noise import SPECIES_U, SPECIES_V, NoisePlan
 from lvfield.solver import (
     EnsembleStats,
     SimulationBlowup,
@@ -370,19 +370,28 @@ class TestDeterminism:
         assert jobs == [2, 5, 5]          # two workers, one chunk of 5 paths each
         assert np.array_equal(a.mass_u, c.mass_u)
 
+    @pytest.mark.parametrize("n, v0", [(128, 0.4), (64, 0.0), (128, 0.0)])
     @pytest.mark.parametrize("scheme", ["fd", "spectral"])
-    def test_one_path_chunks_match_one_chunk_at_blas_size(self, scheme):
-        # n = 128 and 64 paths: the diffusion product of one chunk has 128
-        # rows, that of a one-path chunk 2; row results must not depend on it
-        n = 128
-        init = constant_field(n, 0.5, 0.4)
+    def test_one_path_chunks_match_one_chunk_at_blas_size(self, monkeypatch, scheme, n, v0):
+        # 64 paths: the diffusion product of one chunk has 128 rows (64 when
+        # V is zero and only U is stepped), that of a one-path chunk 2 (U and
+        # the zero V: never a single row); row results must not depend on it
+        init = constant_field(n, 0.5, v0)
         coeffs = CoefficientSet.constant(n, m1=0.2, a1=0.3, b1=0.1, sigma1=0.5,
                                          m2=0.1, a2=0.2, b2=0.2, sigma2=0.4)
         plan = sheet_plan(17) if scheme == "fd" else spectral_plan(17)
         cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-5, t_final=4e-4,
                            record_interval=1e-4)
+        rows = set()
+
+        def recording_step(state, *args, **kwargs):
+            rows.add(state.shape[0] * state.shape[1])
+            return euler_step(state, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "euler_step", recording_step)
         one = run_ensemble(init, coeffs, plan, cfg, n_paths=64, chunk_size=64)
         single = run_ensemble(init, coeffs, plan, cfg, n_paths=64, chunk_size=1)
+        assert rows == {64 if v0 == 0.0 else 128, 2}
         for name in EnsembleStats.PER_PATH_FIELDS:
             assert np.array_equal(getattr(single, name), getattr(one, name)), name
 
@@ -584,7 +593,8 @@ class TestTruncation:
         calls = []
 
         def recording_step(state, *args, inside=False, **kwargs):
-            calls.append((inside, float(np.hypot(state[0], state[1]).max())))
+            # |z| over the stepped species rows; a species left out is zero
+            calls.append((inside, float(np.hypot.reduce(state, axis=0).max())))
             return euler_step(state, *args, inside=inside, **kwargs)
 
         monkeypatch.setattr(solver, "euler_step", recording_step)
@@ -681,6 +691,99 @@ class TestFusedStep:
         for s, got in enumerate(fields):
             want = noise_field(scheme, xi[:, :, s], coeffs, dt)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), s
+
+
+class TestLiveSpecies:
+    """A species whose initial field is zero stays zero (its reaction term and
+    its noise both carry its density as a factor), so only the live species
+    are drawn, stepped and clamped."""
+
+    N, P, DT = 16, 4, 1e-3
+
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    @pytest.mark.parametrize("outside", [False, True])
+    @pytest.mark.parametrize("alive", [SPECIES_U, SPECIES_V])
+    def test_lone_species_step_is_its_rows_of_the_pair(self, scheme, outside, alive):
+        coeffs, state, xi = TestFusedStep().make()
+        state[1 - alive] = 0.0
+        radius = 10.0
+        if outside:
+            state[alive, 1, 4] = 30.0
+            state[alive, 3, 0] = 12.0
+        assert (np.abs(state[alive]).max() > radius) == outside
+        operator = diffusion_operator(scheme, self.N, self.DT)
+        noise = noise_field(scheme, xi, coeffs, self.DT)
+        pair, pair_ratio = euler_step(state, noise.copy(), coeffs, self.DT, radius, operator,
+                                      inside=not outside)
+        lone, ratio = euler_step(state[alive:alive + 1].copy(), noise[alive:alive + 1].copy(),
+                                 coeffs, self.DT, radius, operator, inside=not outside,
+                                 species=(alive,))
+        assert lone.shape == (1, self.P, self.N)
+        assert np.array_equal(lone[0], pair[alive])
+        assert np.all(pair[1 - alive] == 0.0)
+        # the zero species sends the pair through the clamp, which cuts nothing
+        assert np.all(pair_ratio == 0.0)
+        assert ratio is None or np.array_equal(ratio[0], pair_ratio[alive])
+
+    def run(self, scheme, u0=0.5, v0=0.0, seed=13, n_paths=3, **coefficients):
+        n = 32
+        x = cell_centers(n)
+        profile = lambda level: level * (1.0 + 0.5 * np.cos(np.pi * x))
+        values = dict(m1=0.3, a1=0.4, b1=0.2, sigma1=0.5, m2=0.2, a2=0.3, b2=0.1, sigma2=0.4)
+        values.update(coefficients)
+        coeffs = CoefficientSet.constant(n, **values)
+        plan = sheet_plan(seed) if scheme == "fd" else spectral_plan(seed)
+        cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-3, t_final=0.1,
+                           record_interval=1e-2, truncation_radius=0.7, stats_after=0.05,
+                           space_lag_cells=(1, 2), time_lag_steps=(1, 3))
+        return run_ensemble(Field(profile(u0), profile(v0)), coeffs, plan, cfg, n_paths)
+
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_zero_species_coefficients_change_nothing(self, scheme):
+        ref = self.run(scheme)
+        assert np.all(ref.exit_step > 0)        # the projection is exercised
+        other = self.run(scheme, m2=0.9, a2=0.0, b2=1.5, sigma2=2.0)
+        for name in EnsembleStats.PER_PATH_FIELDS:
+            assert np.array_equal(getattr(other, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_zero_species_is_never_drawn(self, monkeypatch, scheme):
+        asked = []
+        original = NoisePlan.generator
+
+        def recording(plan, path, species):
+            asked.append(species)
+            return original(plan, path, species)
+
+        monkeypatch.setattr(NoisePlan, "generator", recording)
+        self.run(scheme)
+        assert asked == [SPECIES_U] * 3
+
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_zero_species_records_positive_zero(self, scheme):
+        stats = self.run(scheme)
+        for name in ("mass_v", "site_v"):
+            values = getattr(stats, name)
+            assert np.all(values == 0.0) and not np.any(np.signbit(values)), name
+        stats = self.run(scheme, u0=0.0, v0=0.5)
+        for name in ("mass_u", "site_u", "rough_u", "space_p2", "time_p2"):
+            values = getattr(stats, name)
+            assert np.all(values == 0.0) and not np.any(np.signbit(values)), name
+
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_swapped_species_run_is_the_mirror_image(self, scheme):
+        # without noise the stream a species draws from cannot matter
+        coefficients = dict(m1=0.3, a1=0.4, b1=0.2, sigma1=0.0,
+                            m2=0.6, a2=0.1, b2=0.3, sigma2=0.0)
+        swapped = {name[:-1] + str(3 - int(name[-1])): value
+                   for name, value in coefficients.items()}
+        v_run = self.run(scheme, u0=0.0, v0=0.5, **coefficients)
+        u_run = self.run(scheme, u0=0.5, v0=0.0, **swapped)
+        assert np.all(u_run.exit_step > 0)
+        for a, b in (("mass_u", "mass_v"), ("mass_v", "mass_u"), ("site_u", "site_v"),
+                     ("site_v", "site_u"), ("supnorm", "supnorm"), ("exit_step", "exit_step"),
+                     ("clip_max_ratio", "clip_max_ratio"), ("clip_events", "clip_events")):
+            assert np.array_equal(getattr(v_run, a), getattr(u_run, b)), (a, b)
 
 
 class TestBlowup:
@@ -865,12 +968,14 @@ def per_lag_statistics(states, cfg):
 class TestDrawAhead:
     N_STEPS = 50
 
-    def run(self, monkeypatch, scheme, threads, block):
-        # 6 paths, 16 cells (16 noise modes under either scheme); the budget
-        # gives each worker's chunk of 6 / threads paths `block` steps
-        n, p = 16, 6
-        monkeypatch.setattr(solver, "_BLOCK_BUDGET", 2 * (p // threads) * n * block)
-        init = constant_field(n, 0.5, 0.4)
+    def run(self, monkeypatch, scheme, threads, block, n=16, v0=0.4):
+        # 6 paths of n cells (n noise modes under either scheme); the budget
+        # gives each worker's chunk of 6 / threads paths `block` steps of
+        # its live species, V only when v0 is not zero
+        p = 6
+        live = 1 if v0 == 0.0 else 2
+        monkeypatch.setattr(solver, "_BLOCK_BUDGET", live * (p // threads) * n * block)
+        init = constant_field(n, 0.5, v0)
         coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4)
         plan = sheet_plan(8) if scheme == "fd" else spectral_plan(8)
         cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-3, t_final=self.N_STEPS * 2e-3,
@@ -878,14 +983,31 @@ class TestDrawAhead:
                            space_lag_cells=(1, 3), time_lag_steps=(2, 7))
         return run_ensemble(init, coeffs, plan, cfg, n_paths=p, threads=threads)
 
+    @pytest.mark.parametrize("n, v0", [(16, 0.4), (64, 0.0), (128, 0.0)])
     @pytest.mark.parametrize("scheme", ["fd", "spectral"])
-    def test_block_layout_does_not_change_results(self, monkeypatch, scheme):
+    def test_block_layout_does_not_change_results(self, monkeypatch, scheme, n, v0):
         # one-step blocks, 7-step blocks (7 does not divide 50), one block
-        ref = self.run(monkeypatch, scheme, 1, self.N_STEPS)
+        ref = self.run(monkeypatch, scheme, 1, self.N_STEPS, n, v0)
         assert np.all(ref.time_count > 0) and np.all(ref.space_count > 0)
+        drawn = []
+        original = NoisePlan.generator
+
+        class Recording:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, size, out=None):
+                drawn.append(size[0])
+                return self.gen.standard_normal(size, out=out)
+
+        monkeypatch.setattr(NoisePlan, "generator",
+                            lambda plan, path, species: Recording(original(plan, path, species)))
         for threads in (1, 2):
             for block in (1, 7, self.N_STEPS):
-                other = self.run(monkeypatch, scheme, threads, block)
+                drawn.clear()
+                other = self.run(monkeypatch, scheme, threads, block, n, v0)
+                if threads == 1:                # the draws of a pool stay in its workers
+                    assert max(drawn) == block
                 for name in EnsembleStats.PER_PATH_FIELDS:
                     assert np.array_equal(getattr(other, name), getattr(ref, name)), \
                         (name, threads, block)
