@@ -168,15 +168,14 @@ class EnsembleMeter:
 
 
 def _build(cfg: ExperimentConfig):
-    return (cfg.initial_field(), cfg.coefficient_set(), cfg.noise_plan(),
-            cfg.solver_config())
+    return cfg.initial_field(), cfg.coefficient_set(), cfg.noise, cfg.solver
 
 
 def _ensemble(cfg: ExperimentConfig, meter: EnsembleMeter):
     init, coeffs, plan, sconf = _build(cfg)
     stats = meter.run(run_ensemble, init, coeffs, plan, sconf, cfg.n_paths,
                       threads=cfg.threads)
-    return stats, coeffs
+    return stats, coeffs, init
 
 
 _LOG_MASS_ETA = 1e-12
@@ -415,7 +414,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
 
 
 def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
-    stats, coeffs = _ensemble(cfg, meter)
+    stats, coeffs, init = _ensemble(cfg, meter)
     path = out_dir / "ensemble.csv"
     write_csv(path, cfg, _SERIES_COLUMNS, _series_rows(stats))
     summary = out_dir / "ensemble_summary.csv"
@@ -427,8 +426,7 @@ def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     # a standard error needs noise and two paths
     if (not coeffs.a1.any() and not coeffs.b1.any() and _uniform(coeffs.m1)
             and coeffs.sigma1.any() and stats.n_paths > 1 and stats.site_x.size):
-        verdicts.append(_linear_mean_verdict(cfg.solver, stats, coeffs.m1[0],
-                                             cfg.initial_field().u))
+        verdicts.append(_linear_mean_verdict(cfg.solver, stats, coeffs.m1[0], init.u))
     return verdicts, [path, summary]
 
 
@@ -455,7 +453,7 @@ def cmd_holder(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
             except ValueError as e:
                 raise ConfigError(f"[solver] {key}: {e}", cfg.path) from None
 
-    stats, _ = _ensemble(cfg, meter)
+    stats, _, _ = _ensemble(cfg, meter)
     estimates = []
     if stats.space_lags.size:
         estimates.append((holder_estimate(stats, "space", p), band_space))
@@ -499,7 +497,7 @@ def cmd_extinction(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     opts.check(key, tail_window_mask, cfg.solver.record_steps() * cfg.solver.dt,
                (w_lo, w_hi))
 
-    stats, coeffs = _ensemble(cfg, meter)
+    stats, coeffs, _ = _ensemble(cfg, meter)
     rep = extinction_report(stats, coeffs, species=species, tail_window=(w_lo, w_hi))
 
     bound = rep.mean_log_mass[0] + rep.r_bound * rep.times
@@ -530,7 +528,7 @@ def cmd_invariant(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     opts.check("n_windows", check_window_count, n_windows)
     opts.check("alpha", ks_critical, alpha, cfg.n_paths, cfg.n_paths)
 
-    stats, coeffs = _ensemble(cfg, meter)
+    stats, coeffs, _ = _ensemble(cfg, meter)
     moment = moment_bound_curve(stats, coeffs, p=p)
     stat = stationarity_report(stats, n_windows=n_windows, alpha=alpha,
                                required_fraction=required)
@@ -569,7 +567,7 @@ def cmd_density(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     species = _species_index(opts.get_choice("species", ("u", "v"), "u"))
     opts.reject_unknown()
 
-    stats, _ = _ensemble(cfg, meter)
+    stats, _, _ = _ensemble(cfg, meter)
     ti = int(np.argmin(np.abs(stats.times - at_time)))
     si = int(np.argmin(np.abs(stats.site_x - at_site)))
     series = stats.site_u if species == SPECIES_U else stats.site_v

@@ -183,9 +183,6 @@ class SectionView:
             self._fail(key, "unknown key")
 
 
-_EXPR_KEYS = COEFFICIENT_NAMES + ("u0", "v0")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment parameters plus raw per-command extras."""
@@ -210,6 +207,7 @@ class ExperimentConfig:
     def initial_field(self) -> Field:
         return Field.from_expressions(self.solver.grid_size, u0=self.u0, v0=self.v0)
 
+    # The CLI reads .noise and .solver; perfbench/probe.py times these two.
     def noise_plan(self) -> NoisePlan:
         return self.noise
 
@@ -221,8 +219,7 @@ class ExperimentConfig:
             raise KeyError(f"no command section [{section}]")
         return SectionView(section, self.extras.get(section, {}), self.path)
 
-    def with_overrides(self, seed=None, n_paths=None, output_dir=None,
-                       threads=None) -> "ExperimentConfig":
+    def with_overrides(self, seed=None, n_paths=None, threads=None) -> "ExperimentConfig":
         if seed is not None and not 0 <= seed < SEED_LIMIT:
             raise ConfigError(f"--seed must be in [0, 2^63), got {seed}")
         if n_paths is not None and n_paths < 1:
@@ -234,8 +231,6 @@ class ExperimentConfig:
             out = replace(out, noise=replace(out.noise, master_seed=int(seed)))
         if n_paths is not None:
             out = replace(out, n_paths=int(n_paths))
-        if output_dir is not None:
-            out = replace(out, output_dir=str(output_dir))
         if threads is not None:
             out = replace(out, threads=int(threads))
         return out

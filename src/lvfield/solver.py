@@ -49,10 +49,10 @@ largest value is the finiteness check (a full isfinite scan runs only when
 it is not finite), the exit probe (the per-path max is taken only once it
 reaches radius^2) and the next step's truncation, whose per-cell check is
 skipped while every cell is inside the ball.  One min reduction skips the
-clamp, and the loop's clip bookkeeping, when every cell is positive.  With
-more than one worker, run_ensemble gives each worker one chunk: the block
-length bounds the noise memory, and every chunk pays the per-step Python
-overhead once more.
+clamp, and the loop's clip bookkeeping, when every cell is positive.
+run_ensemble gives each worker one chunk, a single worker too: the block
+length, not the chunk, bounds the noise memory, and every chunk pays the
+per-step Python overhead once more.
 
 Noise is drawn in blocks of steps on one helper thread, one block ahead:
 while the loop steps block b from one buffer, the helper fills block b + 1
@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,10 +92,6 @@ STABILITY_LIMIT = 0.5
 # Elements per noise draw buffer (two buffers per run, the live species in
 # each); bounds memory, never changes results.
 _BLOCK_BUDGET = 2_000_000
-
-# A chunk on one worker holds _CHUNK_CELLS // grid_size paths (at least 64),
-# which bounds the per-path arrays of very large ensembles.
-_CHUNK_CELLS = 125_000
 
 
 class SimulationBlowup(RuntimeError):
@@ -346,15 +342,14 @@ class EnsembleStats:
     exit_step: np.ndarray           # (P,) first step outside the ball, -1 if none
     clip_max_ratio: np.ndarray      # (P,) worst per-step clipped mass ratio
     clip_events: np.ndarray         # (P,) steps in which the clamp cut U or V
-    truncation_radius: float
-    space_lags: np.ndarray = field(default_factory=lambda: np.empty(0))
-    space_p2: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    space_p4: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    space_count: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    time_lags: np.ndarray = field(default_factory=lambda: np.empty(0))
-    time_p2: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    time_p4: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    time_count: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    space_lags: np.ndarray          # (L,) spatial lags, in x units
+    space_p2: np.ndarray            # (P, L) summed squared spatial increments
+    space_p4: np.ndarray            # (P, L) summed fourth powers
+    space_count: np.ndarray         # (L,) increments summed per path
+    time_lags: np.ndarray           # (K,) time lags
+    time_p2: np.ndarray             # (P, K) summed squared probe-site increments
+    time_p4: np.ndarray             # (P, K) summed fourth powers
+    time_count: np.ndarray          # (K,) increments summed per path
 
     # The fields with the path axis first; merge concatenates exactly these.
     PER_PATH_FIELDS = ("path_indices", "mass_u", "mass_v", "supnorm", "rough_u",
@@ -424,38 +419,39 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     snapshot_steps = {}
     if keep_snapshots:
         for t_snap in config.snapshot_times:
-            step_idx = round(t_snap / dt)
-            snapshot_steps.setdefault(step_idx, []).append(t_snap)
+            snapshot_steps.setdefault(round(t_snap / dt), []).append(t_snap)
+    snapshots = []
 
     site_idx = config.site_indices()
     n_sites = site_idx.size
-
-    mass_u = np.empty((p, n_rec))
-    mass_v = np.empty((p, n_rec))
-    supnorm_rec = np.empty((p, n_rec))
-    rough_u = np.empty((p, n_rec))
-    site_u = np.empty((p, n_rec, n_sites))
-    site_v = np.empty((p, n_rec, n_sites))
-    exit_step = np.full(p, -1, dtype=np.int64)
-    clip_max = np.zeros(p)
-    clip_events = np.zeros(p, dtype=np.int64)
-
     space_lags = np.asarray(config.space_lag_cells, dtype=np.int64)
     time_lags = np.asarray(config.time_lag_steps, dtype=np.int64)
+
+    # The statistics this run returns, filled in place as it steps.
+    stats = EnsembleStats(
+        master_seed=plan.master_seed, scheme=config.scheme, dt=dt, grid_size=n,
+        path_indices=path_indices, times=record_steps * dt,
+        mass_u=np.empty((p, n_rec)), mass_v=np.empty((p, n_rec)),
+        supnorm=np.empty((p, n_rec)), rough_u=np.empty((p, n_rec)),
+        site_x=(site_idx + 0.5) / n,
+        site_u=np.empty((p, n_rec, n_sites)), site_v=np.empty((p, n_rec, n_sites)),
+        exit_step=np.full(p, -1, dtype=np.int64), clip_max_ratio=np.zeros(p),
+        clip_events=np.zeros(p, dtype=np.int64),
+        space_lags=space_lags / n, space_p2=np.zeros((p, space_lags.size)),
+        space_p4=np.zeros((p, space_lags.size)),
+        space_count=np.zeros(space_lags.size, dtype=np.int64),
+        time_lags=time_lags * dt, time_p2=np.zeros((p, time_lags.size)),
+        time_p4=np.zeros((p, time_lags.size)),
+        time_count=np.zeros(time_lags.size, dtype=np.int64))
+
     do_stats = config.stats_after is not None
     stats_start = round(config.stats_after / dt) if do_stats else n_steps + 1
-    space_p2 = np.zeros((p, space_lags.size))
-    space_p4 = np.zeros((p, space_lags.size))
-    space_count = np.zeros(space_lags.size, dtype=np.int64)
-    time_p2 = np.zeros((p, time_lags.size))
-    time_p4 = np.zeros((p, time_lags.size))
-    time_count = np.zeros(time_lags.size, dtype=np.int64)
     anchor_idx = None
     if config.space_anchor is not None:
         anchor_idx = int(np.clip(round(config.space_anchor * n - 0.5), 0, n - 1))
 
-    max_time_lag = int(time_lags.max()) if time_lags.size else 0
-    ring = np.empty((max_time_lag + 1, p, n_sites)) if max_time_lag else None
+    ring_len = int(time_lags.max(initial=0)) + 1
+    ring = np.empty((ring_len, p, n_sites)) if ring_len > 1 else None
 
     sqrt_h = np.sqrt(1.0 / n)
 
@@ -464,22 +460,21 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
         by_species = dict(zip(live, state))
         return [by_species.get(k, zero) for k in SPECIES]
 
-    def record(state_step: int, row: int):
-        u, v = species_fields()
-        mass_u[:, row] = u.mean(axis=1)
-        mass_v[:, row] = v.mean(axis=1)
-        supnorm_rec[:, row] = np.hypot(u, v).max(axis=1)
-        rough_u[:, row] = np.abs(np.diff(u, axis=1)).max(axis=1) / sqrt_h
-        site_u[:, row, :] = u[:, site_idx]
-        site_v[:, row, :] = v[:, site_idx]
+    def record(u: np.ndarray, v: np.ndarray, state_step: int, row: int):
+        stats.mass_u[:, row] = u.mean(axis=1)
+        stats.mass_v[:, row] = v.mean(axis=1)
+        stats.supnorm[:, row] = np.hypot(u, v).max(axis=1)
+        stats.rough_u[:, row] = np.abs(np.diff(u, axis=1)).max(axis=1) / sqrt_h
+        stats.site_u[:, row, :] = u[:, site_idx]
+        stats.site_v[:, row, :] = v[:, site_idx]
         if do_stats and state_step * dt >= config.stats_after - 1e-12 and space_lags.size:
             for j, lag in enumerate(space_lags):
                 if anchor_idx is None:
                     d = u[:, lag:] - u[:, :-lag]
                     d2 = d * d
-                    space_p2[:, j] += np.sum(d2, axis=1)
-                    space_p4[:, j] += np.sum(d2 * d2, axis=1)
-                    space_count[j] += n - lag
+                    stats.space_p2[:, j] += np.sum(d2, axis=1)
+                    stats.space_p4[:, j] += np.sum(d2 * d2, axis=1)
+                    stats.space_count[j] += n - lag
                 else:
                     # dyadic pairs just off the anchor; the anchor cell
                     # itself never enters (its value relaxes on the heat
@@ -489,19 +484,32 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                         if 0 <= lo and hi < n:
                             d = u[:, hi] - u[:, lo]
                             d2 = d * d
-                            space_p2[:, j] += d2
-                            space_p4[:, j] += d2 * d2
-                            space_count[j] += 1
+                            stats.space_p2[:, j] += d2
+                            stats.space_p4[:, j] += d2 * d2
+                            stats.space_count[j] += 1
 
-    record(0, 0)
-    snapshots = []
-    for step_idx in sorted(snapshot_steps):
-        if step_idx == 0:
-            u, v = species_fields()
-            for t_snap in snapshot_steps[0]:
-                snapshots.append(Field(u[0].copy(), v[0].copy(), time=t_snap))
-    if ring is not None:
-        ring[0] = species_fields()[0][:, site_idx]
+    def observe(step: int):
+        # The time-increment ring, the record and the snapshots of the state
+        # after `step` steps; step 0 is the initial state.
+        u, v = species_fields()
+        if ring is not None:
+            cur = ring[step % ring_len]
+            cur[...] = u[:, site_idx]
+            due = time_lags <= step - stats_start
+            if due.any():
+                # every due lag at once: (n_due, P, S) increments
+                d = cur - ring[(step - time_lags[due]) % ring_len]
+                d *= d
+                stats.time_p2[:, due] += d.sum(axis=2).T
+                d *= d
+                stats.time_p4[:, due] += d.sum(axis=2).T
+                stats.time_count[due] += n_sites
+        if step in record_lookup:
+            record(u, v, step, record_lookup[step])
+        for t_snap in snapshot_steps.get(step, ()):
+            snapshots.append(Field(u[0].copy(), v[0].copy(), time=t_snap))
+
+    observe(0)
 
     # Each live species' row of a draw buffer comes from each path's stream
     # of that species, consumed in step order.  Only the helper thread touches
@@ -543,7 +551,6 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     inside_sq = radius_sq * (1.0 - 4.0 * np.finfo(float).eps)
     u, v = species_fields()
     r2_top = np.max(u * u + v * v)
-    ring_len = max_time_lag + 1
 
     step = 0
     with ThreadPoolExecutor(max_workers=1) as helper:
@@ -571,53 +578,16 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                         f"non-finite state at step {step} (t = {step * dt:.6g}) on path "
                         f"{int(path_indices[bad])}")
                 if ratio is not None:
-                    np.maximum(clip_max, ratio.max(axis=0), out=clip_max)
-                    clip_events += (ratio > 0).any(axis=0)
+                    np.maximum(stats.clip_max_ratio, ratio.max(axis=0),
+                               out=stats.clip_max_ratio)
+                    stats.clip_events += (ratio > 0).any(axis=0)
 
                 if r2_top >= radius_sq:
-                    newly_out = (exit_step < 0) & (r2.max(axis=1) >= radius_sq)
-                    exit_step[newly_out] = step
+                    newly_out = (stats.exit_step < 0) & (r2.max(axis=1) >= radius_sq)
+                    stats.exit_step[newly_out] = step
 
-                if ring is not None:
-                    cur = ring[step % ring_len]
-                    cur[...] = species_fields()[0][:, site_idx]
-                    due = time_lags <= step - stats_start
-                    if due.any():
-                        # every due lag at once: (n_due, P, S) increments
-                        d = cur - ring[(step - time_lags[due]) % ring_len]
-                        d *= d
-                        time_p2[:, due] += d.sum(axis=2).T
-                        d *= d
-                        time_p4[:, due] += d.sum(axis=2).T
-                        time_count[due] += n_sites
+                observe(step)
 
-                if step in record_lookup:
-                    record(step, record_lookup[step])
-                if step in snapshot_steps:
-                    u, v = species_fields()
-                    for t_snap in snapshot_steps[step]:
-                        snapshots.append(Field(u[0].copy(), v[0].copy(), time=t_snap))
-
-    stats = EnsembleStats(
-        master_seed=plan.master_seed,
-        scheme=config.scheme,
-        dt=dt,
-        grid_size=n,
-        path_indices=path_indices,
-        times=record_steps * dt,
-        mass_u=mass_u, mass_v=mass_v,
-        supnorm=supnorm_rec, rough_u=rough_u,
-        site_x=(site_idx + 0.5) / n,
-        site_u=site_u, site_v=site_v,
-        exit_step=exit_step,
-        clip_max_ratio=clip_max,
-        clip_events=clip_events,
-        truncation_radius=radius,
-        space_lags=space_lags / n,
-        space_p2=space_p2, space_p4=space_p4, space_count=space_count,
-        time_lags=time_lags * dt,
-        time_p2=time_p2, time_p4=time_p4, time_count=time_count,
-    )
     return stats, snapshots
 
 
@@ -640,9 +610,10 @@ def run_ensemble(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                  threads: int = 1, chunk_size: int | None = None) -> EnsembleStats:
     """Advance n_paths independent paths and collect their statistics.
 
-    threads > 1 distributes path chunks over processes, one chunk per
-    worker by default; threads = 0 uses the CPU count.  Chunking never
-    changes results, only memory and wall time.
+    The paths are cut into one chunk per worker by default; threads > 1
+    runs the chunks on that many processes, threads = 0 uses the CPU
+    count.  Chunking changes results only where the gemm rows depend on the
+    row count (see the module docstring).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -650,8 +621,7 @@ def run_ensemble(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
         threads = os.cpu_count() or 1
     indices = np.arange(path_offset, path_offset + n_paths)
     if chunk_size is None:
-        per = max(1, _CHUNK_CELLS // config.grid_size)
-        chunk_size = min(n_paths, max(64, per)) if threads == 1 else -(-n_paths // threads)
+        chunk_size = -(-n_paths // threads)
     chunks = [indices[i:i + chunk_size] for i in range(0, n_paths, chunk_size)]
 
     if threads == 1 or len(chunks) == 1:

@@ -239,8 +239,9 @@ class TestHashing:
 
     def test_hash_ignores_output_dir_and_threads(self):
         cfg = parse(GOOD)
-        assert cfg.with_overrides(output_dir="elsewhere",
-                                  threads=4).config_hash == cfg.config_hash
+        moved = replace(cfg, output_dir="elsewhere").with_overrides(threads=4)
+        assert moved.output_dir == "elsewhere"
+        assert moved.config_hash == cfg.config_hash
 
     def test_hash_sees_extras(self):
         assert parse(GOOD + "\n[holder]\np = 2\n").config_hash != parse(GOOD).config_hash
@@ -279,11 +280,9 @@ class TestHashing:
 
 class TestOverrides:
     def test_override_fields(self):
-        cfg = parse(GOOD).with_overrides(seed=9, n_paths=3,
-                                         output_dir="alt", threads=2)
+        cfg = parse(GOOD).with_overrides(seed=9, n_paths=3, threads=2)
         assert cfg.noise.master_seed == 9
         assert cfg.n_paths == 3
-        assert cfg.output_dir == "alt"
         assert cfg.threads == 2
 
     @pytest.mark.parametrize("override", [

@@ -1,6 +1,7 @@
 """Scheme correctness against deterministic oracles, determinism of the
 ensemble machinery, and the strong self-refinement rate."""
 
+import dataclasses
 import sys
 import threading
 import warnings
@@ -451,6 +452,22 @@ class TestEnsembleStats:
         for name in EnsembleStats.PER_PATH_FIELDS:
             assert getattr(merged, name).shape[0] == 3 + 7, name
             assert np.array_equal(getattr(merged, name)[:3], getattr(first, name)), name
+
+    def test_per_path_fields_are_the_path_axis_fields(self):
+        # 7 paths, and no other axis of any field has length 7, so a field's
+        # leading axis is the path axis exactly when its length is 7; merge
+        # would keep only the first chunk of a per-path field left off the tuple
+        n, p = 16, 7
+        cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=0.1, record_interval=2e-2,
+                           stats_after=0.0, space_lag_cells=(1, 2, 3), time_lag_steps=(1, 2))
+        coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4)
+        stats = run_ensemble(constant_field(n, 0.5, 0.4), coeffs, sheet_plan(), cfg, n_paths=p)
+        arrays = {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)
+                  if isinstance(getattr(stats, f.name), np.ndarray)}
+        assert p not in {d for a in arrays.values() for d in a.shape[1:]}
+        leading = {name for name, a in arrays.items() if a.ndim and a.shape[0] == p}
+        assert len(set(EnsembleStats.PER_PATH_FIELDS)) == len(EnsembleStats.PER_PATH_FIELDS)
+        assert leading == set(EnsembleStats.PER_PATH_FIELDS)
 
     def test_exit_probe_fires(self):
         n = 16
