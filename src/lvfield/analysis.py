@@ -4,7 +4,7 @@ Each report is a deterministic function of the ensemble data and its own
 parameters: bootstrap streams are derived from the ensemble's master seed,
 so repeated analysis of the same data reproduces byte-identical numbers.
 
-Contents: Hölder exponent regression on increment-moment tables, the
+Contents: Hölder exponent regression on the ensemble's increment moments, the
 log-mass extinction report, the mild-Itô log-functional audit, the p-th
 moment flat-tail check, the stationarity window report, and the one-point
 density smoke test.
@@ -22,46 +22,16 @@ from .noise import SPECIES_U, STREAM_BOOTSTRAP, noise_generator
 from .solver import EnsembleStats
 from .statutil import bootstrap_se, fit_loglog, ks_critical, ks_statistic
 
-DEFAULT_BOOTSTRAP_RESAMPLES = 200
 MIN_HOLDER_LAGS = 5
 MIN_LAG_DECADES = 0.45
 MIN_DENSITY_SAMPLES = 2000
+# The regularizations of the mild-Itô audit, largest first.
+MILD_AUDIT_ETAS = (1e-2, 1e-4, 1e-6)
 
 
 # ---------------------------------------------------------------------------
 # Hölder exponent estimation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IncrementTable:
-    """Per-path increment power sums at a family of separations.
-
-    lags are physical separations; p2/p4 rows hold per-path sums of squared
-    and fourth-power increments, count the number of increments per path
-    behind each column.
-    """
-
-    lags: np.ndarray
-    p2: np.ndarray
-    p4: np.ndarray
-    count: np.ndarray
-    master_seed: int = 0
-
-    @classmethod
-    def from_ensemble(cls, stats: EnsembleStats, direction: str) -> "IncrementTable":
-        if direction == "space":
-            lags, p2, p4, count = (stats.space_lags, stats.space_p2,
-                                   stats.space_p4, stats.space_count)
-        elif direction == "time":
-            lags, p2, p4, count = (stats.time_lags, stats.time_p2,
-                                   stats.time_p4, stats.time_count)
-        else:
-            raise ValueError(f"direction must be 'space' or 'time', got {direction!r}")
-        if lags.size == 0 or not np.any(count):
-            raise ValueError(f"ensemble carries no {direction} increment statistics")
-        return cls(lags=lags, p2=p2, p4=p4, count=count,
-                   master_seed=stats.master_seed)
-
 
 @dataclass(frozen=True)
 class HolderEstimate:
@@ -74,11 +44,6 @@ class HolderEstimate:
     exponent: float                 # slope / p
     exponent_se: float
     confidence_band: tuple          # exponent +- 2 se
-
-
-def _moment_curve(p2: np.ndarray, p4: np.ndarray, count: np.ndarray, p: int) -> np.ndarray:
-    sums = {2: p2, 4: p4}[p]
-    return sums.sum(axis=0) / (count * p2.shape[0])
 
 
 def check_lag_coverage(lags) -> None:
@@ -96,38 +61,38 @@ def check_increment_order(p: int) -> None:
         raise ValueError("moment order p must be 2 or 4")
 
 
-def holder_estimate(table, direction: str = "space", p: int = 4,
-                    n_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES) -> HolderEstimate:
+def holder_estimate(stats, direction: str = "space", p: int = 4) -> HolderEstimate:
     """Regress ln E|increment|^p on ln lag; the exponent is slope / p.
 
-    table is an IncrementTable or an EnsembleStats (whose tables for the
-    given direction are used).  Lag coverage below 5 lags or 0.45 decades
+    stats is an EnsembleStats, or any object with its master_seed and its
+    {direction}_lags, {direction}_p{p} and {direction}_count fields, for
+    direction "space" or "time".  Lag coverage below 5 lags or 0.45 decades
     (roughly the narrowest window the default lag layout produces) is refused
     rather than silently extrapolated; all-zero increments mean the data
-    cannot carry a regularity estimate.
+    cannot carry a regularity estimate.  The standard error resamples paths
+    with a bootstrap stream derived from master_seed.
     """
-    if isinstance(table, EnsembleStats):
-        table = IncrementTable.from_ensemble(table, direction)
+    if direction not in ("space", "time"):
+        raise ValueError(f"direction must be 'space' or 'time', got {direction!r}")
     check_increment_order(p)
-    lags = np.asarray(table.lags, dtype=float)
+    lags, sums, count = (getattr(stats, f"{direction}_{name}")
+                         for name in ("lags", f"p{p}", "count"))
+    if not np.any(count):
+        raise ValueError(f"ensemble carries no {direction} increment statistics")
+    lags = np.asarray(lags, dtype=float)
     check_lag_coverage(lags)
-    moments = _moment_curve(table.p2, table.p4, table.count, p)
+
+    def moments_of(rows):
+        return rows.sum(axis=0) / (count * rows.shape[0])
+
+    moments = moments_of(sums)
     if np.any(moments <= 0):
         raise ValueError("degenerate increment table: zero moments at some lag")
-
     slope, _, r2 = fit_loglog(lags, moments)
     exponent = slope / p
-
-    stacked = np.concatenate([table.p2, table.p4], axis=1)
-    n_lags = lags.size
-
-    def stat(rows):
-        m = _moment_curve(rows[:, :n_lags], rows[:, n_lags:], table.count, p)
-        return fit_loglog(lags, m)[0] / p
-
-    if stacked.shape[0] > 1:
-        rng = noise_generator(table.master_seed, 0, STREAM_BOOTSTRAP)
-        se = bootstrap_se(stacked, stat, n_resamples, rng)
+    if sums.shape[0] > 1:
+        rng = noise_generator(stats.master_seed, 0, STREAM_BOOTSTRAP)
+        se = bootstrap_se(sums, lambda rows: fit_loglog(lags, moments_of(rows))[0] / p, rng)
     else:
         se = 0.0                    # one path: no path-resampling spread
     return HolderEstimate(direction=direction, p=p, lags=lags, moments=moments,
@@ -142,11 +107,9 @@ def holder_estimate(table, direction: str = "space", p: int = 4,
 
 @dataclass(frozen=True)
 class ExtinctionReport:
-    species: int
     times: np.ndarray
     mean_log_mass: np.ndarray
     log_mass_se: np.ndarray
-    eta: float
     r_bound: float                  # sup m - inf sigma^2 / 2
     slope: float
     slope_se: float
@@ -200,13 +163,12 @@ def extinction_report(stats: EnsembleStats, coeffs: CoefficientSet,
 
     slope = window_slope(log_mass)
     rng = noise_generator(stats.master_seed, 0, STREAM_BOOTSTRAP)
-    slope_se = bootstrap_se(log_mass, window_slope, DEFAULT_BOOTSTRAP_RESAMPLES, rng) \
-        if stats.n_paths > 1 else 0.0
+    slope_se = bootstrap_se(log_mass, window_slope, rng) if stats.n_paths > 1 else 0.0
 
     pointwise_ok = mean_log <= mean_log[0] + r_bound * times + 3.0 * se + 1e-12
     slope_ok = slope <= r_bound + 3.0 * slope_se
-    return ExtinctionReport(species=species, times=times, mean_log_mass=mean_log,
-                            log_mass_se=se, eta=eta, r_bound=r_bound,
+    return ExtinctionReport(times=times, mean_log_mass=mean_log,
+                            log_mass_se=se, r_bound=r_bound,
                             slope=slope, slope_se=slope_se,
                             slope_ok=bool(slope_ok), pointwise_ok=pointwise_ok,
                             degenerate=degenerate)
@@ -224,7 +186,6 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> float:
 @dataclass(frozen=True)
 class MildAuditRow:
     time_s: float
-    time_t: float
     eta: float
     m_eta: float
     drift_ratio: float
@@ -233,7 +194,6 @@ class MildAuditRow:
 @dataclass(frozen=True)
 class MildAuditReport:
     rows: tuple
-    sup_m: float
     limit_floor: float              # 1 - 1e-3
     drift_ceiling: float            # sup m + 1e-9
     monotone_ok: bool               # M_eta nondecreasing as eta decreases
@@ -241,8 +201,7 @@ class MildAuditReport:
     drift_ok: bool                  # drift ratio <= drift_ceiling everywhere
 
 
-def mild_log_functional_audit(snapshots, coeffs: CoefficientSet,
-                              etas=(1e-2, 1e-4, 1e-6)) -> MildAuditReport:
+def mild_log_functional_audit(snapshots, coeffs: CoefficientSet) -> MildAuditReport:
     """Quadratic-variation and drift inequalities of the log-mass expansion.
 
     For consecutive snapshot pairs (s, t) the audited quantity is
@@ -253,18 +212,15 @@ def mild_log_functional_audit(snapshots, coeffs: CoefficientSet,
     squared L2 norm of the semigroup-evolved field over the squared
     regularized mass.  Dropping all k >= 1 terms and letting eta -> 0 shows
     M_eta -> >= 1, with equality for constant fields; the values must be
-    nondecreasing as eta decreases and reach 1 - 1e-3 at the smallest eta.
+    nondecreasing as eta runs down MILD_AUDIT_ETAS and reach 1 - 1e-3 at
+    the smallest eta.
     The drift ratio integral of the reaction term over (eta + mass) stays
     below sup m for nonnegative states regardless of the competition terms.
     """
     if len(snapshots) < 2:
         raise ValueError("need at least two snapshots to audit")
-    etas = tuple(sorted(etas, reverse=True))
-    if any(e < 0 for e in etas):
-        raise ValueError("eta must be nonnegative")
-    sup_m = float(np.max(coeffs.m1))
     limit_floor = 1.0 - 1e-3
-    drift_ceiling = sup_m + 1e-9
+    drift_ceiling = float(np.max(coeffs.m1)) + 1e-9
 
     rows = []
     monotone_ok = True
@@ -275,19 +231,17 @@ def mild_log_functional_audit(snapshots, coeffs: CoefficientSet,
             raise ValueError("snapshots must be strictly time ordered")
         c = to_modes(a.u)
         mass = c[0]
-        if mass <= 0 and 0.0 in etas:
-            raise ValueError("zero mass snapshot audited with eta = 0")
         gap = b.time - a.time
         damp2 = np.exp(-2.0 * (np.arange(c.size) ** 2) * np.pi**2 * gap)
         num = float(np.sum(damp2 * c**2))
         reaction = a.u * (coeffs.m1 - coeffs.a1 * a.u - coeffs.b1 * a.v)
 
         prev = None
-        for eta in etas:
+        for eta in MILD_AUDIT_ETAS:
             m_eta = num / (eta + mass) ** 2
             drift_ratio = float(np.mean(reaction)) / (eta + mass)
-            rows.append(MildAuditRow(time_s=a.time, time_t=b.time, eta=eta,
-                                     m_eta=m_eta, drift_ratio=drift_ratio))
+            rows.append(MildAuditRow(time_s=a.time, eta=eta, m_eta=m_eta,
+                                     drift_ratio=drift_ratio))
             if prev is not None and m_eta < prev - 1e-12:
                 monotone_ok = False
             prev = m_eta
@@ -296,10 +250,9 @@ def mild_log_functional_audit(snapshots, coeffs: CoefficientSet,
         if prev < limit_floor:
             limit_ok = False
 
-    return MildAuditReport(rows=tuple(rows), sup_m=sup_m,
-                           limit_floor=limit_floor, drift_ceiling=drift_ceiling,
-                           monotone_ok=monotone_ok, limit_ok=limit_ok,
-                           drift_ok=drift_ok)
+    return MildAuditReport(rows=tuple(rows), limit_floor=limit_floor,
+                           drift_ceiling=drift_ceiling, monotone_ok=monotone_ok,
+                           limit_ok=limit_ok, drift_ok=drift_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +261,6 @@ def mild_log_functional_audit(snapshots, coeffs: CoefficientSet,
 
 @dataclass(frozen=True)
 class MomentBoundReport:
-    p: float
     times: np.ndarray
     moment_curve: np.ndarray        # E sup-norm^p per recorded time
     in_hypothesis: bool             # inf a1 > 0 and inf a2 > 0
@@ -341,7 +293,7 @@ def moment_bound_curve(stats: EnsembleStats, coeffs: CoefficientSet,
     tail_max = float(tail.max())
     earlier_max = float(earlier.max())
     flat_ok = tail_max <= 2.0 * earlier_max + 1e-300
-    return MomentBoundReport(p=p, times=stats.times, moment_curve=curve,
+    return MomentBoundReport(times=stats.times, moment_curve=curve,
                              in_hypothesis=in_hyp, tail_max=tail_max,
                              earlier_max=earlier_max, flat_ok=bool(flat_ok))
 

@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (check_increment_order, check_lag_coverage, check_moment_order,
-                       check_window_count, density_smoke_test,
+from .analysis import (MILD_AUDIT_ETAS, check_increment_order, check_lag_coverage,
+                       check_moment_order, check_window_count, density_smoke_test,
                        extinction_report, holder_estimate,
                        mild_log_functional_audit, moment_bound_curve,
                        stationarity_report, tail_window_mask)
@@ -360,7 +360,7 @@ def cmd_noise_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     ks_crit = None
     for name, f in audit_functions().items():
         rep = representation_equivalence_check(
-            f, name=name, n_steps=n_steps, n_cells=n_cells,
+            f, n_steps=n_steps, n_cells=n_cells,
             n_replications=n_replications, master_seed=cfg.noise.master_seed,
             alpha=alpha, variance_tolerance=variance_tol)
         rows.append((name, rep.target_variance, rep.walsh_variance,
@@ -398,8 +398,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
 
     if len(traj.snapshots) >= 2 and min(float(s.u.mean()) for s in traj.snapshots) > 0:
         rep = mild_log_functional_audit(traj.snapshots, coeffs)
-        eta_min = min(r.eta for r in rep.rows)
-        m_small = min(r.m_eta for r in rep.rows if r.eta == eta_min)
+        m_small = min(r.m_eta for r in rep.rows if r.eta == MILD_AUDIT_ETAS[-1])
         drift_worst = max(r.drift_ratio for r in rep.rows)
         verdicts += [
             Verdict("log-functional-quadratic-term", "log-mass-expansion",

@@ -83,14 +83,13 @@ def kernel_image_sum(t, x, y):
     return out if out.ndim else float(out)
 
 
-def kernel_eigen_series(t, x, y, n_modes: int | None = None):
-    """Neumann heat kernel via the cosine eigenfunction expansion."""
+def kernel_eigen_series(t, x, y):
+    """Neumann heat kernel via the cosine eigenfunction expansion, truncated
+    at modes_for_time(t)."""
     t = _check_time(t)
-    if n_modes is None:
-        n_modes = modes_for_time(t)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = np.arange(1, n_modes + 1)
+    n = np.arange(1, modes_for_time(t) + 1)
     decay = 2.0 * np.exp(-(n**2) * np.pi**2 * t)
     out = 1.0 + np.sum(decay * np.cos(n * np.pi * x[..., None]) * np.cos(n * np.pi * y[..., None]), axis=-1)
     return out if out.ndim else float(out)

@@ -82,16 +82,10 @@ class CoefficientSet:
         vals = {name: np.full(n, float(scalars.get(name, 0.0))) for name in COEFFICIENT_NAMES}
         return cls(**vals)
 
-    def sup_m(self, species: int) -> float:
-        return float((self.m1 if species == 0 else self.m2).max())
-
-    def inf_sigma_sq(self, species: int) -> float:
-        s = self.sigma1 if species == 0 else self.sigma2
-        return float((s**2).min())
-
     def extinction_rate_bound(self, species: int) -> float:
         """R = sup m - (1/2) inf sigma^2; negative R forces extinction."""
-        return self.sup_m(species) - 0.5 * self.inf_sigma_sq(species)
+        m, sigma = (self.m1, self.sigma1) if species == 0 else (self.m2, self.sigma2)
+        return float(m.max()) - 0.5 * float((sigma**2).min())
 
 
 @dataclass(frozen=True)
@@ -119,14 +113,9 @@ class Field:
         return self.u.size
 
     @classmethod
-    def from_expressions(cls, n: int, u0: str, v0: str, time: float = 0.0) -> "Field":
+    def from_expressions(cls, n: int, u0: str, v0: str) -> "Field":
         x = cell_centers(n)
-        return cls(expr.evaluate(u0, x), expr.evaluate(v0, x), time)
-
-
-def sup_norm(u: np.ndarray, v: np.ndarray) -> float:
-    """Sup over x of the euclidean norm |(u(x), v(x))|."""
-    return float(np.hypot(u, v).max())
+        return cls(expr.evaluate(u0, x), expr.evaluate(v0, x))
 
 
 def drift(u, v, coeffs: CoefficientSet):
@@ -159,6 +148,6 @@ def drift_lipschitz_bound(coeffs: CoefficientSet, radius: float) -> float:
 
 
 def default_truncation_radius(init: Field) -> float:
-    """n = 10 (1 + sup-norm of the initial state)."""
-    return 10.0 * (1.0 + sup_norm(init.u, init.v))
+    """n = 10 (1 + sup over x of |(u(x), v(x))| for the initial state)."""
+    return 10.0 * (1.0 + float(np.hypot(init.u, init.v).max()))
 

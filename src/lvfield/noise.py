@@ -60,23 +60,23 @@ def noise_generator(master_seed: int, path_index: int, species: int) -> np.rando
     return np.random.Generator(np.random.Philox(key=stream_key(master_seed, path_index, species)))
 
 
-def cell_average_coefficients(f_values: np.ndarray, n_modes: int) -> np.ndarray:
+def cell_average_coefficients(f_values: np.ndarray, n_coeffs: int) -> np.ndarray:
     """Cosine coefficients of the piecewise-constant extension of grid samples.
 
     <pc(f), e_k> = sum_j f_j int_{cell j} e_k, in closed form.  Unlike a DCT
     of the samples this carries no aliasing: modes beyond the grid decay like
-    1/k, so truncating at n_modes > n keeps the L2 norm (and hence the noise
-    variance) honest.  Acts on the last axis; returns (..., n_modes).
+    1/k, so truncating at n_coeffs > n keeps the L2 norm (and hence the noise
+    variance) honest.  Acts on the last axis; returns (..., n_coeffs).
     """
     f_values = np.asarray(f_values, dtype=float)
     n = f_values.shape[-1]
     h = 1.0 / n
-    k = np.arange(1, n_modes)
+    k = np.arange(1, n_coeffs)
     edges = np.arange(n + 1) * h
     # int_{jh}^{(j+1)h} sqrt(2) cos(k pi y) dy
     sin_table = np.sin(np.pi * np.outer(edges, k))
     cell_ints = np.sqrt(2.0) * (sin_table[1:] - sin_table[:-1]) / (np.pi * k)
-    out = np.empty(f_values.shape[:-1] + (n_modes,))
+    out = np.empty(f_values.shape[:-1] + (n_coeffs,))
     out[..., 0] = f_values.mean(axis=-1)
     out[..., 1:] = f_values @ cell_ints
     return out
@@ -106,8 +106,6 @@ class NoisePlan:
 class EquivalenceReport:
     """Distributional comparison of the two noise representations on one f."""
 
-    name: str
-    n_replications: int
     target_variance: float
     walsh_variance: float
     spectral_variance: float
@@ -127,8 +125,7 @@ class EquivalenceReport:
         return self.variance_error <= self.variance_tolerance and self.ks_stat < self.ks_crit
 
 
-def representation_equivalence_check(f, *, name: str = "f",
-                                     n_steps: int = 25, n_cells: int = 32,
+def representation_equivalence_check(f, *, n_steps: int = 25, n_cells: int = 32,
                                      n_replications: int = 10000,
                                      master_seed: int = 0,
                                      alpha: float = 0.01,
@@ -176,8 +173,6 @@ def representation_equivalence_check(f, *, name: str = "f",
         spec_samples[start:stop] = gen_s.standard_normal((stop - start, spec_flat.size)) @ spec_flat
 
     return EquivalenceReport(
-        name=name,
-        n_replications=n_replications,
         target_variance=target,
         walsh_variance=float(walsh_samples.var(ddof=1)),
         spectral_variance=float(spec_samples.var(ddof=1)),

@@ -119,17 +119,19 @@ class SolverConfig:
         x locations whose values enter the record series and the
         time-increment statistics.
     stats_after : float, optional
-        Accumulate increment statistics from this time on (None: disabled).
+        Accumulate increment statistics from this step time in [0, t_final]
+        on (None: disabled), both ends of each time increment included.
     space_lag_cells : tuple of int
         Cell separations for spatial increment statistics.
     time_lag_steps : tuple of int
         Step separations for temporal increment statistics at probe sites.
     space_anchor : float, optional
-        If set, spatial increments at lag l are the dyadic pairs
-        (anchor - 2l, anchor - l) and (anchor + l, anchor + 2l) instead of
-        pooled over all pairs.  For profiles with one distinguished feature
-        the lag-l modulus lives beside the feature; pairs through the
-        feature cell would measure its value, not the increment scaling.
+        If set, a point of [0, 1]: spatial increments at lag l are the
+        dyadic pairs (anchor - 2l, anchor - l) and (anchor + l, anchor + 2l)
+        instead of pooled over all pairs.  For profiles with one
+        distinguished feature the lag-l modulus lives beside the feature;
+        pairs through the feature cell would measure its value, not the
+        increment scaling.
     """
 
     scheme: str = "fd"
@@ -168,6 +170,14 @@ class SolverConfig:
         for x in self.probe_sites:
             if not 0.0 <= x <= 1.0:
                 raise FieldError("probe_sites", f"probe site {x} outside [0, 1]")
+        if self.space_anchor is not None and not 0.0 <= self.space_anchor <= 1.0:
+            raise FieldError("space_anchor", f"space anchor {self.space_anchor} outside [0, 1]")
+        if self.stats_after is not None:
+            start = np.round(self.stats_after / self.dt)
+            if not (0 <= start <= n_steps and abs(start * self.dt - self.stats_after)
+                    <= 1e-9 * max(1.0, self.t_final)):
+                raise FieldError("stats_after", f"stats_after = {self.stats_after} is not "
+                                 f"a step time in [0, t_final] with dt = {self.dt}")
         if any(l < 1 for l in self.space_lag_cells) or any(l >= self.grid_size for l in self.space_lag_cells):
             raise FieldError("space_lag_cells", "space lags must be in [1, grid_size)")
         if any(l < 1 for l in self.time_lag_steps):
@@ -444,11 +454,10 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
         time_p4=np.zeros((p, time_lags.size)),
         time_count=np.zeros(time_lags.size, dtype=np.int64))
 
-    do_stats = config.stats_after is not None
-    stats_start = round(config.stats_after / dt) if do_stats else n_steps + 1
-    anchor_idx = None
-    if config.space_anchor is not None:
-        anchor_idx = int(np.clip(round(config.space_anchor * n - 0.5), 0, n - 1))
+    # the first step whose state enters the increment statistics
+    stats_start = n_steps + 1 if config.stats_after is None else round(config.stats_after / dt)
+    anchor_idx = (None if config.space_anchor is None
+                  else min(round(config.space_anchor * n - 0.5), n - 1))
 
     ring_len = int(time_lags.max(initial=0)) + 1
     ring = np.empty((ring_len, p, n_sites)) if ring_len > 1 else None
@@ -467,7 +476,7 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
         stats.rough_u[:, row] = np.abs(np.diff(u, axis=1)).max(axis=1) / sqrt_h
         stats.site_u[:, row, :] = u[:, site_idx]
         stats.site_v[:, row, :] = v[:, site_idx]
-        if do_stats and state_step * dt >= config.stats_after - 1e-12 and space_lags.size:
+        if state_step >= stats_start and space_lags.size:
             for j, lag in enumerate(space_lags):
                 if anchor_idx is None:
                     d = u[:, lag:] - u[:, :-lag]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+BOOTSTRAP_RESAMPLES = 200
+
 
 def ks_statistic(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|.
@@ -49,9 +51,8 @@ def fit_loglog(lags, values) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def bootstrap_se(per_path: np.ndarray, statistic, n_resamples: int,
-                 rng: np.random.Generator) -> float:
-    """Standard error of a statistic under path resampling.
+def bootstrap_se(per_path: np.ndarray, statistic, rng: np.random.Generator) -> float:
+    """Standard error of a statistic under BOOTSTRAP_RESAMPLES path resamplings.
 
     per_path holds one row per independent path; statistic maps a resampled
     row subset (same shape family) to a scalar.
@@ -60,8 +61,8 @@ def bootstrap_se(per_path: np.ndarray, statistic, n_resamples: int,
     n = per_path.shape[0]
     if n < 2:
         raise ValueError("bootstrap needs at least 2 paths")
-    stats = np.empty(n_resamples)
-    for i in range(n_resamples):
+    stats = np.empty(BOOTSTRAP_RESAMPLES)
+    for i in range(BOOTSTRAP_RESAMPLES):
         idx = rng.integers(0, n, size=n)
         stats[i] = statistic(per_path[idx])
     return float(np.std(stats, ddof=1))

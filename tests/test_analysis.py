@@ -1,5 +1,7 @@
 """Estimator correctness on synthetic and small simulated inputs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.fft import fft, ifft
@@ -8,7 +10,6 @@ from scipy.stats import gaussian_kde
 from lvfield.grid import cell_centers
 from lvfield.analysis import (
     DensityReport,
-    IncrementTable,
     density_smoke_test,
     extinction_report,
     holder_estimate,
@@ -53,9 +54,15 @@ def fractional_increments(hurst: float, n: int, n_paths: int,
     return y[:, :n].real
 
 
+def increment_table(lags, p2, p4, count, master_seed: int = 0) -> SimpleNamespace:
+    """A stand-in for the space increment fields of an EnsembleStats."""
+    return SimpleNamespace(space_lags=lags, space_p2=p2, space_p4=p4,
+                           space_count=count, master_seed=master_seed)
+
+
 def increment_table_from_paths(paths: np.ndarray, lag_steps, step: float,
-                               master_seed: int = 0) -> IncrementTable:
-    """The increment table of raw sampled paths, shape (P, n_samples)."""
+                               master_seed: int = 0) -> SimpleNamespace:
+    """The space increment table of raw sampled paths, shape (P, n_samples)."""
     paths = np.atleast_2d(np.asarray(paths, dtype=float))
     lag_steps = np.asarray(lag_steps, dtype=np.int64)
     p2 = np.empty((paths.shape[0], lag_steps.size))
@@ -66,8 +73,7 @@ def increment_table_from_paths(paths: np.ndarray, lag_steps, step: float,
         p2[:, j] = np.sum(d**2, axis=1)
         p4[:, j] = np.sum(d**4, axis=1)
         count[j] = paths.shape[1] - lag
-    return IncrementTable(lags=lag_steps * step, p2=p2, p4=p4, count=count,
-                          master_seed=master_seed)
+    return increment_table(lag_steps * step, p2, p4, count, master_seed)
 
 
 def holder_selfcheck(hurst: float, seed: int):
@@ -77,7 +83,7 @@ def holder_selfcheck(hurst: float, seed: int):
     fgn = fractional_increments(hurst, per_path, 20, np.random.default_rng(seed))
     table = increment_table_from_paths(np.cumsum(fgn, axis=1), (1, 2, 4, 8, 16, 32, 64),
                                        step=1.0 / per_path, master_seed=seed)
-    return holder_estimate(table, direction="surrogate")
+    return holder_estimate(table)
 
 
 class TestFractionalSurrogate:
@@ -137,7 +143,7 @@ class TestHolderEstimateInterface:
         jitter = 1 + 0.01 * rng.standard_normal((n_paths, n_lags))
         p2 = moments2 * count * jitter
         p4 = moments4 * count * jitter
-        return IncrementTable(lags=lags, p2=p2, p4=p4, count=count)
+        return increment_table(lags, p2, p4, count)
 
     def test_exact_power_law(self):
         est = holder_estimate(self.make_table(), p=4)
@@ -152,15 +158,15 @@ class TestHolderEstimateInterface:
 
     def test_narrow_span_rejected(self):
         table = self.make_table()
-        narrow = IncrementTable(lags=np.linspace(1e-3, 2e-3, 6),
-                                p2=table.p2, p4=table.p4, count=table.count)
+        narrow = increment_table(np.linspace(1e-3, 2e-3, 6), table.space_p2,
+                                 table.space_p4, table.space_count)
         with pytest.raises(ValueError, match="decades"):
             holder_estimate(narrow)
 
     def test_degenerate_increments_rejected(self):
         table = self.make_table()
-        dead = IncrementTable(lags=table.lags, p2=np.zeros_like(table.p2),
-                              p4=np.zeros_like(table.p4), count=table.count)
+        dead = increment_table(table.space_lags, np.zeros_like(table.space_p2),
+                               np.zeros_like(table.space_p4), table.space_count)
         with pytest.raises(ValueError, match="degenerate"):
             holder_estimate(dead)
 
@@ -180,11 +186,15 @@ class TestHolderEstimateInterface:
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=1.0,
                            stats_after=1.0, space_lag_cells=lags)
         stats = run_ensemble(init, coeffs, sheet_plan(), cfg, n_paths=1)
-        est = holder_estimate(stats, direction="space", p=4, n_resamples=10)
+        est = holder_estimate(stats, direction="space", p=4)
         assert est.exponent >= 0.95
         assert est.r2 > 0.99
 
-    def test_from_ensemble_requires_stats(self):
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction must be"):
+            holder_estimate(self.make_table(), direction="surrogate")
+
+    def test_ensemble_without_statistics_rejected(self):
         n = 16
         init = Field(np.full(n, 0.5), np.zeros(n))
         coeffs = CoefficientSet.constant(n, sigma1=0.3)
@@ -272,9 +282,10 @@ class TestMildAudit:
         coeffs = CoefficientSet.constant(n, m1=0.5)
         snaps = [Field(np.full(n, 0.7), np.zeros(n), time=0.0),
                  Field(np.full(n, 0.7), np.zeros(n), time=0.1)]
-        report = mild_log_functional_audit(snaps, coeffs, etas=(1e-2, 1e-4, 0.0))
-        final = [r for r in report.rows if r.eta == 0.0]
-        assert final[0].m_eta == pytest.approx(1.0, abs=1e-12)
+        report = mild_log_functional_audit(snaps, coeffs)
+        # M_eta = (0.7 / (eta + 0.7))^2 exactly, for every eta
+        for row in report.rows:
+            assert row.m_eta == pytest.approx((0.7 / (row.eta + 0.7)) ** 2, rel=1e-12)
         assert report.monotone_ok and report.limit_ok and report.drift_ok
 
     def test_stochastic_snapshots_pass(self):
@@ -295,15 +306,7 @@ class TestMildAudit:
         snaps, coeffs = self.snapshots_from_run()
         report = mild_log_functional_audit(snaps, coeffs)
         for row in report.rows:
-            assert row.drift_ratio <= report.sup_m + 1e-9
-
-    def test_zero_mass_with_zero_eta_rejected(self):
-        n = 16
-        coeffs = CoefficientSet.constant(n, m1=0.5)
-        snaps = [Field(np.zeros(n), np.zeros(n), time=0.0),
-                 Field(np.zeros(n), np.zeros(n), time=0.1)]
-        with pytest.raises(ValueError, match="zero mass"):
-            mild_log_functional_audit(snaps, coeffs, etas=(1e-2, 0.0))
+            assert row.drift_ratio <= np.max(coeffs.m1) + 1e-9
 
     def test_unordered_snapshots_rejected(self):
         n = 16

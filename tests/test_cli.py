@@ -509,6 +509,25 @@ class TestExitCodes:
         runtime = json.loads((out / "runtime.json").read_text())
         assert runtime["status"] == "error" and message in runtime["error"]
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("stats_after", "0.0045", "stats_after = 0.0045 is not a step time in [0, t_final]"),
+        ("stats_after", "-0.003", "stats_after = -0.003 is not a step time in [0, t_final]"),
+        ("space_anchor", "1.5", "space anchor 1.5 outside [0, 1]"),
+    ])
+    def test_holder_statistics_key_outside_its_range_is_2(self, tmp_path, capsys, monkeypatch,
+                                                         key, value, message):
+        keys = {"space_lags": "1, 2, 3, 5, 8", "stats_after": "0.1", key: value}
+        text = BENCH.replace("[solver]\n", "[solver]\n" + "".join(
+            f"{k} = {v}\n" for k, v in keys.items()))
+        cfg = write(tmp_path, text)
+        monkeypatch.setattr(cli, "run_ensemble", None)
+        out = tmp_path / "h"
+        assert main(["holder", "--config", cfg, "--out", str(out)]) == 2
+        line = text.splitlines().index(f"{key} = {value}") + 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}:{line}: [solver] {message}")
+        assert not (out / "verdicts.csv").exists()
+
     @pytest.mark.parametrize("p", ["3", "1"])
     def test_holder_moment_order_refused_before_simulating(self, tmp_path, capsys, monkeypatch,
                                                            p):

@@ -176,6 +176,9 @@ class TestParseErrors:
         ("probe_sites", "0.5, 1.5", "probe site 1.5 outside"),
         ("space_lags", "1, 16", "space lags must be in"),
         ("time_lags", "0", "time lags must be"),
+        ("stats_after", "0.0045", "stats_after = 0.0045 is not a step time in [0, t_final]"),
+        ("stats_after", "1.5", "stats_after = 1.5 is not a step time in [0, t_final]"),
+        ("space_anchor", "-0.2", "space anchor -0.2 outside [0, 1]"),
     ])
     def test_solver_constructor_error_reports_key_line(self, key, value, message):
         msg = self.err(f"[model]\nn = 16\nu0 = 1.0\n[solver]\ndt = 1e-3\n{key} = {value}\n")

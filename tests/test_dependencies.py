@@ -1,4 +1,4 @@
-"""numpy is the package's only runtime dependency."""
+"""numpy is the package's only runtime dependency; the tests' imports are declared."""
 
 import ast
 import re
@@ -27,7 +27,20 @@ def test_package_imports_only_stdlib_and_numpy(path):
     assert sorted(set(_imported_roots(path)) - ALLOWED) == []
 
 
+def _names(requirements):
+    return [re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in requirements]
+
+
+PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+
 def test_declared_dependencies_are_numpy_only():
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    names = [re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in project["dependencies"]]
-    assert names == ["numpy"]
+    assert _names(PROJECT["dependencies"]) == ["numpy"]
+
+
+def test_test_imports_are_declared_in_the_test_extra():
+    # the test extra installs on top of the runtime dependencies
+    declared = set(_names(PROJECT["dependencies"]))
+    declared |= set(_names(PROJECT["optional-dependencies"]["test"]))
+    imported = {root for path in (ROOT / "tests").glob("*.py") for root in _imported_roots(path)}
+    assert sorted(imported - set(sys.stdlib_module_names) - {"lvfield"} - declared) == []

@@ -12,7 +12,6 @@ from lvfield.model import (
     default_truncation_radius,
     drift,
     drift_lipschitz_bound,
-    sup_norm,
     truncated_drift,
 )
 
@@ -58,8 +57,8 @@ class TestCoefficients:
     def test_extrema_with_profiles(self):
         c = CoefficientSet.from_expressions(64, m1="1 + 0.2*cos(3.141592653589793*x)",
                                             sigma1="0.5 + 0.1*x")
-        assert c.sup_m(0) == pytest.approx(1.2, abs=1e-3)
-        assert c.inf_sigma_sq(0) == pytest.approx(0.5**2, abs=2e-3)
+        # sup m = 1.2 at the left cell center, inf sigma^2 = 0.5^2 there too
+        assert c.extinction_rate_bound(0) == pytest.approx(1.2 - 0.5 * 0.5**2, abs=2e-3)
 
 
 class TestField:
@@ -160,15 +159,6 @@ class TestTruncatedDrift:
 
 
 class TestSupNormAndExit:
-    def test_pythagorean(self):
-        assert sup_norm(np.array([3.0]), np.array([4.0])) == pytest.approx(5.0)
-
-    @given(arrays(np.float64, (2, 8), elements=st.floats(-100, 100)))
-    @settings(max_examples=50, deadline=None)
-    def test_homogeneity(self, state):
-        s = sup_norm(state[0], state[1])
-        assert sup_norm(2 * state[0], 2 * state[1]) == pytest.approx(2 * s, rel=1e-12, abs=1e-12)
-
     def test_default_radius(self):
         f = Field(u=np.full(8, 3.0), v=np.full(8, 4.0))
         assert default_truncation_radius(f) == pytest.approx(60.0)

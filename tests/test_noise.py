@@ -82,8 +82,8 @@ class TestEquivalence:
     def test_three_functions_pass(self):
         lib = nz.audit_functions()
         for name in ("one", "cos_2pi_x", "traveling"):
-            r = nz.representation_equivalence_check(lib[name], name=name,
-                                                    n_replications=4000, master_seed=42)
+            r = nz.representation_equivalence_check(lib[name], n_replications=4000,
+                                                    master_seed=42)
             assert r.variance_error <= r.variance_tolerance, name
             assert r.ks_stat < r.ks_crit, name
             assert r.passed, name
@@ -97,7 +97,7 @@ class TestEquivalence:
     def test_every_audit_function_has_a_positive_target(self):
         # the variance verdict divides by the isometry target
         for name, f in nz.audit_functions().items():
-            r = nz.representation_equivalence_check(f, name=name, n_replications=100)
+            r = nz.representation_equivalence_check(f, n_replications=100)
             assert r.target_variance > 0.0, name
             assert np.isfinite(r.variance_error), name
 

@@ -15,7 +15,7 @@ import lvfield.solver as solver
 from lvfield.grid import cell_centers, cosine_basis, from_modes, to_modes
 from lvfield.kernel import semigroup_apply
 from lvfield.model import CoefficientSet, Field, drift, truncated_drift
-from lvfield.noise import SPECIES_U, SPECIES_V, NoisePlan
+from lvfield.noise import SPECIES_U, SPECIES_V, FieldError, NoisePlan
 from lvfield.solver import (
     EnsembleStats,
     SimulationBlowup,
@@ -94,6 +94,24 @@ class TestConfigValidation:
     def test_rejects_bad_space_lag(self):
         with pytest.raises(ValueError, match="space lag"):
             SolverConfig(grid_size=16, space_lag_cells=(16,))
+
+    # stats_after off the step grid (0.0045 would count spatial records from
+    # step 5 but time increments from step 4), before step 0 (a time lag
+    # would reach the unwritten ring rows) or after t_final; an anchor
+    # outside [0, 1] would be clipped silently to an edge cell
+    @pytest.mark.parametrize("field, value", [
+        ("stats_after", 0.0045), ("stats_after", -0.003), ("stats_after", 0.011),
+        ("space_anchor", 1.5), ("space_anchor", -0.2)])
+    def test_rejects_stats_start_off_grid_and_anchor_outside(self, field, value):
+        with pytest.raises(FieldError) as info:
+            SolverConfig(grid_size=16, dt=1e-3, t_final=0.01, **{field: value})
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("field, value", [
+        ("stats_after", 0.0), ("stats_after", 0.004), ("stats_after", 0.01),
+        ("space_anchor", 0.0), ("space_anchor", 1.0)])
+    def test_accepts_step_times_and_anchors_in_range(self, field, value):
+        SolverConfig(grid_size=16, dt=1e-3, t_final=0.01, **{field: value})
 
     def test_step_counts(self):
         cfg = SolverConfig(dt=1e-3, t_final=0.5, record_interval=1e-2)
@@ -960,7 +978,7 @@ def per_lag_statistics(states, cfg):
         anchor = int(np.clip(round(cfg.space_anchor * n - 0.5), 0, n - 1))
     for step, state in enumerate(states):
         u = state[0]
-        if step in record_steps and step * dt >= cfg.stats_after - 1e-12:
+        if step in record_steps and step >= stats_start:
             for j, lag in enumerate(space_lags):
                 if anchor is None:
                     pairs = [(u[:, lag:] - u[:, :-lag], n - lag)]
