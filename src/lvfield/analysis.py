@@ -27,6 +27,16 @@ MIN_LAG_DECADES = 0.45
 MIN_DENSITY_SAMPLES = 2000
 # The regularizations of the mild-Itô audit, largest first.
 MILD_AUDIT_ETAS = (1e-2, 1e-4, 1e-6)
+# The order p of the sup-norm moment E sup|z|^p of the moment bound and the
+# ensemble series; the moment tail may reach FLAT_TAIL_FACTOR times its
+# earlier maximum.
+SUPNORM_MOMENT_ORDER = 2.0
+FLAT_TAIL_FACTOR = 2.0
+# stationarity_report: windows after burn-in (even), the level of each
+# site's KS test and the share of sites that must pass it.
+STATIONARITY_WINDOWS = 4
+STATIONARITY_ALPHA = 0.05
+STATIONARITY_REQUIRED_FRACTION = 0.8
 
 
 # ---------------------------------------------------------------------------
@@ -262,92 +272,83 @@ def mild_log_functional_audit(snapshots, coeffs: CoefficientSet) -> MildAuditRep
 @dataclass(frozen=True)
 class MomentBoundReport:
     times: np.ndarray
-    moment_curve: np.ndarray        # E sup-norm^p per recorded time
-    in_hypothesis: bool             # inf a1 > 0 and inf a2 > 0
+    moment_curve: np.ndarray        # E sup-norm^SUPNORM_MOMENT_ORDER per recorded time
+    inf_a: float                    # min(inf a1, inf a2)
     tail_max: float
     earlier_max: float
-    flat_ok: bool                   # tail max within 2x of the earlier max
+    flat_ok: bool                   # tail max within FLAT_TAIL_FACTOR of the earlier max
+
+    @property
+    def in_hypothesis(self) -> bool:    # inf a1 > 0 and inf a2 > 0
+        return self.inf_a > 0
 
 
-def check_moment_order(p: float) -> None:
-    if p <= 0:
-        raise ValueError("p must be positive")
-
-
-def moment_bound_curve(stats: EnsembleStats, coeffs: CoefficientSet,
-                       p: float = 2.0) -> MomentBoundReport:
-    """E sup-norm^p over time with a no-growth verdict on the tail.
+def moment_bound_curve(stats: EnsembleStats, coeffs: CoefficientSet) -> MomentBoundReport:
+    """E sup-norm^p over time, p = SUPNORM_MOMENT_ORDER, with a no-growth
+    verdict on the tail.
 
     The verdict compares max over [T/2, T] against max over [T/4, T/2]; a
     bounded-in-time process keeps the ratio near 1, exponential growth
     fails it.  Scenarios with inf a_i = 0 are labeled out-of-hypothesis.
     """
-    check_moment_order(p)
-    curve = np.mean(stats.supnorm**p, axis=0)
+    curve = np.mean(stats.supnorm**SUPNORM_MOMENT_ORDER, axis=0)
     t_end = stats.times[-1]
     tail = curve[stats.times >= 0.5 * t_end]
     earlier = curve[(stats.times >= 0.25 * t_end) & (stats.times < 0.5 * t_end)]
     if tail.size == 0 or earlier.size == 0:
         raise ValueError("record grid too coarse for the flat-tail windows")
-    in_hyp = bool(np.min(coeffs.a1) > 0 and np.min(coeffs.a2) > 0)
     tail_max = float(tail.max())
     earlier_max = float(earlier.max())
-    flat_ok = tail_max <= 2.0 * earlier_max + 1e-300
+    flat_ok = tail_max <= FLAT_TAIL_FACTOR * earlier_max + 1e-300
     return MomentBoundReport(times=stats.times, moment_curve=curve,
-                             in_hypothesis=in_hyp, tail_max=tail_max,
-                             earlier_max=earlier_max, flat_ok=bool(flat_ok))
+                             inf_a=float(min(coeffs.a1.min(), coeffs.a2.min())),
+                             tail_max=tail_max, earlier_max=earlier_max,
+                             flat_ok=bool(flat_ok))
 
 
 @dataclass(frozen=True)
 class StationarityReport:
-    window_bounds: np.ndarray       # (n_windows, 2) time intervals
-    mass_window_means: np.ndarray   # (n_windows,)
+    window_bounds: np.ndarray       # (STATIONARITY_WINDOWS, 2) time intervals
+    mass_window_means: np.ndarray   # (STATIONARITY_WINDOWS,)
     supnorm_window_means: np.ndarray
     holder_proxy_window_means: np.ndarray
     site_x: np.ndarray
     site_ks: np.ndarray             # per-site early-vs-late KS statistic
     ks_critical_value: float
     fraction_ok: float
-    required_fraction: float
 
     @property
     def passed(self) -> bool:
-        return self.fraction_ok >= self.required_fraction
+        return self.fraction_ok >= STATIONARITY_REQUIRED_FRACTION
 
 
-def check_window_count(n_windows: int) -> None:
-    if n_windows < 2 or n_windows % 2:
-        raise ValueError("n_windows must be even and >= 2")
-
-
-def stationarity_report(stats: EnsembleStats, n_windows: int = 4,
-                        alpha: float = 0.05,
-                        required_fraction: float = 0.8) -> StationarityReport:
+def stationarity_report(stats: EnsembleStats) -> StationarityReport:
     """Window comparison of site marginals after burn-in.
 
     The first quarter of the horizon is discarded; the rest is split into
-    n_windows equal windows.  For each probed site, one sample per path is
-    taken at the midpoint of the early half and of the late half, and the
-    two samples are compared by a two-sample KS test at level alpha (paths
-    are the independent unit, so n = number of paths on each side).
+    STATIONARITY_WINDOWS equal windows.  For each probed site, one sample
+    per path is taken at the midpoint of the early half and of the late
+    half, and the two samples are compared by a two-sample KS test at level
+    STATIONARITY_ALPHA (paths are the independent unit, so n = number of
+    paths on each side).  The report passes when at least
+    STATIONARITY_REQUIRED_FRACTION of the sites do.
     """
-    check_window_count(n_windows)
     times = stats.times
     burn = 0.25 * times[-1]
     idx = np.nonzero(times >= burn)[0]
-    if idx.size < 2 * n_windows:
+    if idx.size < 2 * STATIONARITY_WINDOWS:
         raise ValueError(
-            f"only {idx.size} recorded times after burn-in for {n_windows} windows; "
+            f"only {idx.size} recorded times after burn-in for {STATIONARITY_WINDOWS} windows; "
             "lengthen the run or refine the record grid")
-    windows = np.array_split(idx, n_windows)
+    windows = np.array_split(idx, STATIONARITY_WINDOWS)
 
     bounds = np.array([[times[w[0]], times[w[-1]]] for w in windows])
     mass_means = np.array([stats.mass_u[:, w].mean() for w in windows])
     sup_means = np.array([stats.supnorm[:, w].mean() for w in windows])
     rough_means = np.array([stats.rough_u[:, w].mean() for w in windows])
 
-    early = np.concatenate(windows[: n_windows // 2])
-    late = np.concatenate(windows[n_windows // 2:])
+    early = np.concatenate(windows[: STATIONARITY_WINDOWS // 2])
+    late = np.concatenate(windows[STATIONARITY_WINDOWS // 2:])
     early_mid = early[early.size // 2]
     late_mid = late[late.size // 2]
 
@@ -356,15 +357,14 @@ def stationarity_report(stats: EnsembleStats, n_windows: int = 4,
     for j in range(n_sites):
         site_ks[j] = ks_statistic(stats.site_u[:, early_mid, j],
                                   stats.site_u[:, late_mid, j])
-    crit = ks_critical(alpha, stats.n_paths, stats.n_paths)
+    crit = ks_critical(STATIONARITY_ALPHA, stats.n_paths, stats.n_paths)
     fraction = float(np.mean(site_ks < crit))
     return StationarityReport(window_bounds=bounds,
                               mass_window_means=mass_means,
                               supnorm_window_means=sup_means,
                               holder_proxy_window_means=rough_means,
                               site_x=stats.site_x, site_ks=site_ks,
-                              ks_critical_value=crit, fraction_ok=fraction,
-                              required_fraction=required_fraction)
+                              ks_critical_value=crit, fraction_ok=fraction)
 
 
 # ---------------------------------------------------------------------------

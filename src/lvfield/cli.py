@@ -30,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (MILD_AUDIT_ETAS, check_increment_order, check_lag_coverage,
-                       check_moment_order, check_window_count, density_smoke_test,
-                       extinction_report, holder_estimate,
+from .analysis import (FLAT_TAIL_FACTOR, MILD_AUDIT_ETAS, STATIONARITY_REQUIRED_FRACTION,
+                       SUPNORM_MOMENT_ORDER, check_increment_order, check_lag_coverage,
+                       density_smoke_test, extinction_report, holder_estimate,
                        mild_log_functional_audit, moment_bound_curve,
                        stationarity_report, tail_window_mask)
 from .config import ConfigError, ExperimentConfig, load_config
@@ -44,7 +44,6 @@ from .kernel import (IncrementFunctional, gaussian_comparison_sweep,
 from .noise import (SPECIES_U, SPECIES_V, audit_functions,
                     representation_equivalence_check)
 from .solver import SimulationBlowup, Trajectory, run_ensemble, simulate_path
-from .statutil import ks_critical
 
 _ENV_OUT = "LVFIELD_OUT"
 
@@ -187,7 +186,7 @@ def _series_rows(stats):
                     if a.shape[0] > 1 else np.zeros(a.shape[1]))
     ln_u = np.log(_LOG_MASS_ETA + stats.mass_u)
     ln_v = np.log(_LOG_MASS_ETA + stats.mass_v)
-    sup_p = stats.supnorm**2.0                # the sup-norm moment of order p = 2
+    sup_p = stats.supnorm**SUPNORM_MOMENT_ORDER
     cols = (stats.times,
             mean(ln_u), se(ln_u), mean(ln_v), se(ln_v),
             mean(sup_p), se(sup_p),
@@ -286,18 +285,20 @@ _MODULUS_SWEEPS = (
 )
 
 
-def cmd_kernel_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
-    opts = cfg.extra("kernel_check")
-    cross_tol = opts.get_float("cross_tol", 1e-8)
-    mass_tol = opts.get_float("mass_tol", 1e-6)
-    ratio_limit = opts.get_float("ratio_limit", 10.0)
-    lattice = opts.get_int("lattice", 20)
-    n_sweep = opts.get_int("n_sweep", 7)
-    opts.reject_unknown()
+# kernel-check: the largest gap between the two kernel representations on a
+# KERNEL_LATTICE^3 lattice of (t, x, y), the largest mass defect, the points
+# of each modulus sweep and the largest spread of its ratios to the bound.
+KERNEL_CROSS_TOL = 1e-8
+KERNEL_MASS_TOL = 1e-6
+KERNEL_LATTICE = 20
+MODULUS_SWEEP_POINTS = 9
+MODULUS_RATIO_LIMIT = 10.0
 
+
+def cmd_kernel_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     rows = []
-    times = np.geomspace(0.01, 1.0, lattice)
-    x = cell_centers(lattice)
+    times = np.geomspace(0.01, 1.0, KERNEL_LATTICE)
+    x = cell_centers(KERNEL_LATTICE)
     cross = 0.0
     for t in times:
         a = kernel_image_sum(t, x[:, None], x[None, :])
@@ -319,8 +320,9 @@ def cmd_kernel_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter)
 
     verdicts = [
         Verdict("kernel-cross-representation", "dual-series-identity",
-                cross <= cross_tol, cross, cross_tol),
-        Verdict("kernel-mass-conservation", "unit-mass", mass <= mass_tol, mass, mass_tol),
+                cross <= KERNEL_CROSS_TOL, cross, KERNEL_CROSS_TOL),
+        Verdict("kernel-mass-conservation", "unit-mass",
+                mass <= KERNEL_MASS_TOL, mass, KERNEL_MASS_TOL),
         Verdict("kernel-gaussian-envelope", "gaussian-comparison",
                 0.0 < lo <= hi < np.inf, lo, 0.0),
         Verdict("semigroup-composition", "semigroup-identity",
@@ -328,7 +330,7 @@ def cmd_kernel_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter)
     ]
 
     for name, quantity, params, d_lo, d_hi in _MODULUS_SWEEPS:
-        ds = np.geomspace(d_lo, d_hi, n_sweep)
+        ds = np.geomspace(d_lo, d_hi, MODULUS_SWEEP_POINTS)
         ratios = []
         for d in ds:
             kw = params(float(d))
@@ -338,7 +340,7 @@ def cmd_kernel_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter)
             rows.append((f"{name}-ratio", float(d), value / shape))
         spread = max(ratios) / min(ratios)
         verdicts.append(Verdict(f"{name}-modulus", "increment-envelope",
-                                spread < ratio_limit, spread, ratio_limit))
+                                spread < MODULUS_RATIO_LIMIT, spread, MODULUS_RATIO_LIMIT))
 
     path = out_dir / "kernel_check.csv"
     write_csv(path, cfg, ("measure", "parameter", "value"), rows)
@@ -346,28 +348,17 @@ def cmd_kernel_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter)
 
 
 def cmd_noise_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
-    opts = cfg.extra("noise_check")
-    n_replications = opts.get_int("n_replications", 10000)
-    alpha = opts.get_float("alpha", 0.01)
-    n_steps = opts.get_int("n_steps", 25)
-    n_cells = opts.get_int("n_cells", 32)
-    variance_tol = opts.get_float("variance_tol", 0.05)
-    opts.reject_unknown()
-
     rows = []
     worst_ks = 0.0
     worst_var = 0.0
-    ks_crit = None
     for name, f in audit_functions().items():
-        rep = representation_equivalence_check(
-            f, n_steps=n_steps, n_cells=n_cells,
-            n_replications=n_replications, master_seed=cfg.noise.master_seed,
-            alpha=alpha, variance_tolerance=variance_tol)
+        rep = representation_equivalence_check(f, master_seed=cfg.noise.master_seed)
         rows.append((name, rep.target_variance, rep.walsh_variance,
                      rep.spectral_variance, rep.ks_stat, rep.ks_crit, rep.passed))
         worst_ks = max(worst_ks, rep.ks_stat)
         worst_var = max(worst_var, rep.variance_error)
-        ks_crit = rep.ks_crit
+    # the audits share one size, and so the last one's thresholds
+    ks_crit, variance_tol = rep.ks_crit, rep.variance_tolerance
 
     path = out_dir / "noise_check.csv"
     write_csv(path, cfg, ("function", "target_variance", "walsh_variance",
@@ -517,20 +508,9 @@ def cmd_extinction(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
 
 
 def cmd_invariant(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
-    opts = cfg.extra("invariant")
-    p = opts.get_float("p", 2.0)
-    n_windows = opts.get_int("n_windows", 4)
-    alpha = opts.get_float("alpha", 0.05)
-    required = opts.get_float("required_fraction", 0.8)
-    opts.reject_unknown()
-    opts.check("p", check_moment_order, p)
-    opts.check("n_windows", check_window_count, n_windows)
-    opts.check("alpha", ks_critical, alpha, cfg.n_paths, cfg.n_paths)
-
     stats, coeffs, _ = _ensemble(cfg, meter)
-    moment = moment_bound_curve(stats, coeffs, p=p)
-    stat = stationarity_report(stats, n_windows=n_windows, alpha=alpha,
-                               required_fraction=required)
+    moment = moment_bound_curve(stats, coeffs)
+    stat = stationarity_report(stats)
 
     curve = out_dir / "moment_curve.csv"
     write_csv(curve, cfg, ("time", "moment"),
@@ -547,29 +527,32 @@ def cmd_invariant(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
                for x, k in zip(stat.site_x, stat.site_ks)])
 
     ratio = moment.tail_max / max(moment.earlier_max, 1e-300)
-    inf_a = float(min(coeffs.a1.min(), coeffs.a2.min()))
     verdicts = [
         Verdict("moment-flat-tail", "uniform-moment-bound",
-                moment.flat_ok, ratio, 2.0),
+                moment.flat_ok, ratio, FLAT_TAIL_FACTOR),
         Verdict("self-regulation-positive", "uniform-moment-bound",
-                moment.in_hypothesis, inf_a, 0.0),
+                moment.in_hypothesis, moment.inf_a, 0.0),
         Verdict("stationarity-site-ks", "long-time-distribution",
-                stat.passed, stat.fraction_ok, required),
+                stat.passed, stat.fraction_ok, STATIONARITY_REQUIRED_FRACTION),
     ]
     return verdicts, [curve, windows, sites]
+
+
+# density tests the one-point law of this species at the probe site nearest
+# DENSITY_SITE
+DENSITY_SPECIES = SPECIES_U
+DENSITY_SITE = 0.5
 
 
 def cmd_density(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     opts = cfg.extra("density")
     at_time = opts.get_float("time", cfg.solver.t_final)
-    at_site = opts.get_float("site", 0.5)
-    species = _species_index(opts.get_choice("species", ("u", "v"), "u"))
     opts.reject_unknown()
 
     stats, _, _ = _ensemble(cfg, meter)
     ti = int(np.argmin(np.abs(stats.times - at_time)))
-    si = int(np.argmin(np.abs(stats.site_x - at_site)))
-    series = stats.site_u if species == SPECIES_U else stats.site_v
+    si = int(np.argmin(np.abs(stats.site_x - DENSITY_SITE)))
+    series = (stats.site_u, stats.site_v)[DENSITY_SPECIES]
     rep = density_smoke_test(series[:, ti, si])
 
     path = out_dir / "density.csv"

@@ -57,8 +57,7 @@ class ConfigError(Exception):
 
 # The sections a config may hold: the four it is built from, then the option
 # sections of the commands that read any.
-COMMAND_SECTIONS = ("kernel_check", "noise_check", "holder", "extinction",
-                    "invariant", "density")
+COMMAND_SECTIONS = ("holder", "extinction", "density")
 _SECTIONS = ("model", "solver", "noise", "run") + COMMAND_SECTIONS
 
 

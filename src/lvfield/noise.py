@@ -111,7 +111,7 @@ class EquivalenceReport:
     spectral_variance: float
     ks_stat: float
     ks_crit: float
-    variance_tolerance: float = 0.05
+    variance_tolerance: float
 
     @property
     def variance_error(self) -> float:

@@ -121,6 +121,8 @@ class SolverConfig:
     stats_after : float, optional
         Accumulate increment statistics from this step time in [0, t_final]
         on (None: disabled), both ends of each time increment included.
+        Every lag must then collect an increment: no time lag may be longer
+        than the steps after it, and no anchored space lag lose both pairs.
     space_lag_cells : tuple of int
         Cell separations for spatial increment statistics.
     time_lag_steps : tuple of int
@@ -172,16 +174,27 @@ class SolverConfig:
                 raise FieldError("probe_sites", f"probe site {x} outside [0, 1]")
         if self.space_anchor is not None and not 0.0 <= self.space_anchor <= 1.0:
             raise FieldError("space_anchor", f"space anchor {self.space_anchor} outside [0, 1]")
+        if any(l < 1 for l in self.space_lag_cells) or any(l >= self.grid_size for l in self.space_lag_cells):
+            raise FieldError("space_lag_cells", "space lags must be in [1, grid_size)")
+        if any(l < 1 for l in self.time_lag_steps):
+            raise FieldError("time_lag_steps", "time lags must be >= 1 step")
         if self.stats_after is not None:
             start = np.round(self.stats_after / self.dt)
             if not (0 <= start <= n_steps and abs(start * self.dt - self.stats_after)
                     <= 1e-9 * max(1.0, self.t_final)):
                 raise FieldError("stats_after", f"stats_after = {self.stats_after} is not "
                                  f"a step time in [0, t_final] with dt = {self.dt}")
-        if any(l < 1 for l in self.space_lag_cells) or any(l >= self.grid_size for l in self.space_lag_cells):
-            raise FieldError("space_lag_cells", "space lags must be in [1, grid_size)")
-        if any(l < 1 for l in self.time_lag_steps):
-            raise FieldError("time_lag_steps", "time lags must be >= 1 step")
+            # every lag must collect an increment in the statistics window
+            window = n_steps - int(start)
+            a = self.anchor_cell()
+            for lag in self.time_lag_steps:
+                if lag > window:
+                    raise FieldError("time_lag_steps", f"time lag {lag} is longer than the "
+                                     f"{window} steps from stats_after to t_final")
+            for lag in self.space_lag_cells:
+                if a is not None and a - 2 * lag < 0 and a + 2 * lag >= self.grid_size:
+                    raise FieldError("space_lag_cells", f"space lag {lag} has no dyadic pair "
+                                     f"inside the grid beside the anchor cell {a}")
 
     @property
     def n_steps(self) -> int:
@@ -193,6 +206,11 @@ class SolverConfig:
         interval = self.record_interval if self.record_interval is not None else self.t_final / 200
         steps = np.arange(0, self.n_steps + 1, max(1, round(interval / self.dt)))
         return steps if steps[-1] == self.n_steps else np.append(steps, self.n_steps)
+
+    def anchor_cell(self) -> int | None:
+        """The cell of space_anchor, or None when it is not set."""
+        return (None if self.space_anchor is None
+                else min(round(self.space_anchor * self.grid_size - 0.5), self.grid_size - 1))
 
     def site_indices(self) -> np.ndarray:
         n = self.grid_size
@@ -456,8 +474,7 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
 
     # the first step whose state enters the increment statistics
     stats_start = n_steps + 1 if config.stats_after is None else round(config.stats_after / dt)
-    anchor_idx = (None if config.space_anchor is None
-                  else min(round(config.space_anchor * n - 0.5), n - 1))
+    anchor_idx = config.anchor_cell()
 
     ring_len = int(time_lags.max(initial=0)) + 1
     ring = np.empty((ring_len, p, n_sites)) if ring_len > 1 else None

@@ -328,7 +328,7 @@ class TestMomentBound:
         coeffs = CoefficientSet.constant(n, m1=0.5, a1=1.0, a2=1.0, sigma1=0.5)
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=2.0)
         stats = run_ensemble(init, coeffs, sheet_plan(), cfg, n_paths=2)
-        report = moment_bound_curve(stats, coeffs, p=2)
+        report = moment_bound_curve(stats, coeffs)
         assert np.all(report.moment_curve == 0.0)
         assert report.flat_ok
         assert report.in_hypothesis
@@ -339,7 +339,7 @@ class TestMomentBound:
         coeffs = CoefficientSet.constant(n, m1=1.0, a1=1.0, a2=1.0)
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=20.0)
         stats = run_ensemble(init, coeffs, sheet_plan(), cfg, n_paths=1)
-        report = moment_bound_curve(stats, coeffs, p=2)
+        report = moment_bound_curve(stats, coeffs)
         assert report.flat_ok
         assert report.tail_max == pytest.approx(1.0, rel=1e-3)
 
@@ -352,7 +352,7 @@ class TestMomentBound:
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=12.0,
                            truncation_radius=1e6)
         stats = run_ensemble(init, coeffs, sheet_plan(9), cfg, n_paths=4)
-        report = moment_bound_curve(stats, coeffs, p=2)
+        report = moment_bound_curve(stats, coeffs)
         assert not report.in_hypothesis
         assert not report.flat_ok
 
@@ -392,11 +392,6 @@ class TestStationarity:
         stats = run_ensemble(init, coeffs, sheet_plan(), cfg, n_paths=2)
         with pytest.raises(ValueError, match="burn-in"):
             stationarity_report(stats)
-
-    def test_odd_window_count_rejected(self):
-        stats = None
-        with pytest.raises(ValueError, match="even"):
-            stationarity_report(stats, n_windows=3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: files, provenance headers, exit codes, determinism."""
 
+import functools
 import json
 import math
 import os
@@ -12,9 +13,9 @@ import pytest
 from scipy.linalg import expm
 
 import lvfield
-from lvfield import cli
+from lvfield import cli, noise
 from lvfield.cli import main
-from lvfield.config import parse_config_text
+from lvfield.config import COMMAND_SECTIONS, parse_config_text
 from lvfield.kernel import semigroup_apply
 from lvfield.solver import SimulationBlowup, run_ensemble, simulate_path
 
@@ -78,7 +79,6 @@ n_paths = 2000
 
 [density]
 time = 0.1
-site = 0.5
 """
 
 
@@ -107,6 +107,18 @@ master_seed = 5
 [run]
 n_paths = 40
 """
+
+
+def small_noise_check(monkeypatch):
+    """Shrink the noise-check audits to a size that runs in a second."""
+    monkeypatch.setattr(cli, "representation_equivalence_check", functools.partial(
+        noise.representation_equivalence_check, n_replications=500, n_steps=5, n_cells=8,
+        variance_tolerance=0.2))
+
+
+def small_kernel_check(monkeypatch, lattice, sweep_points):
+    monkeypatch.setattr(cli, "KERNEL_LATTICE", lattice)
+    monkeypatch.setattr(cli, "MODULUS_SWEEP_POINTS", sweep_points)
 
 
 def write(tmp_path, text, name="exp.ini"):
@@ -287,9 +299,9 @@ class TestRuntimeThroughput:
         inert = json.loads((tmp_path / "b" / "runtime.json").read_text())
         assert inert["path_steps"] == 0 and inert["recorded_floor"] is None
 
-    def test_commands_without_paths_report_zero(self, tmp_path):
-        cfg = write(tmp_path, BENCH + "\n[noise_check]\nn_replications = 500\n"
-                    "n_steps = 5\nn_cells = 8\nvariance_tol = 0.2\n")
+    def test_commands_without_paths_report_zero(self, tmp_path, monkeypatch):
+        small_noise_check(monkeypatch)
+        cfg = write(tmp_path, BENCH)
         main(["noise-check", "--config", cfg, "--out", str(tmp_path / "n")])
         runtime = json.loads((tmp_path / "n" / "runtime.json").read_text())
         assert runtime["path_steps"] == 0 and runtime["path_steps_per_s"] == 0.0
@@ -428,8 +440,8 @@ class TestExitCodes:
         assert f"error: {cfg}:5: [solver]" in err
         assert not out.exists()
 
-    # keys that no shipped scenario set, now constants; the [simulate] and
-    # [ensemble] sections held nothing else, so they are unknown sections
+    # keys that no shipped scenario set, or that every one set to the same
+    # value, now constants; a section left with no key is an unknown section
     @pytest.mark.parametrize("section, key, value", [
         ("simulate", "clip_tol", "1e-3"), ("simulate", "exit_tol", "0.01"),
         ("simulate", "mild_audit", "off"), ("simulate", "audit_species", "v"),
@@ -437,6 +449,15 @@ class TestExitCodes:
         ("ensemble", "p", "2.0"), ("holder", "resamples", "50"),
         ("extinction", "eta", "1e-9"), ("extinction", "resamples", "50"),
         ("density", "min_samples", "10"),
+        ("kernel_check", "cross_tol", "1e-8"), ("kernel_check", "mass_tol", "1e-6"),
+        ("kernel_check", "ratio_limit", "10.0"), ("kernel_check", "lattice", "20"),
+        ("kernel_check", "n_sweep", "9"),
+        ("noise_check", "n_replications", "10000"), ("noise_check", "alpha", "0.01"),
+        ("noise_check", "n_steps", "25"), ("noise_check", "n_cells", "32"),
+        ("noise_check", "variance_tol", "0.05"),
+        ("invariant", "p", "2.0"), ("invariant", "n_windows", "4"),
+        ("invariant", "alpha", "0.05"), ("invariant", "required_fraction", "0.8"),
+        ("density", "site", "0.5"), ("density", "species", "u"),
     ])
     def test_removed_key_fails_at_its_line(self, tmp_path, capsys, monkeypatch,
                                            section, key, value):
@@ -444,12 +465,14 @@ class TestExitCodes:
         cfg = write(tmp_path, text)
         monkeypatch.setattr(cli, "run_ensemble", None)
         monkeypatch.setattr(cli, "simulate_path", None)
+        monkeypatch.setattr(cli, "representation_equivalence_check", None)
+        monkeypatch.setattr(cli, "kernel_image_sum", None)
         out = tmp_path / "o"
         # each section is named after the command that read it
-        assert main([section, "--config", cfg, "--out", str(out)]) == 2
+        assert main([section.replace("_", "-"), "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         line = len(text.splitlines())
-        if section in ("simulate", "ensemble"):
+        if section not in COMMAND_SECTIONS:
             assert err == f"error: {cfg}:{line - 1}: unknown section [{section}]\n"
         else:
             assert err == f"error: {cfg}:{line}: [{section}] {key}: unknown key\n"
@@ -462,12 +485,12 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {cfg}:{line}: unknown section [densty]\n"
 
     def test_command_option_error_names_its_line(self, tmp_path, capsys, monkeypatch):
-        cfg = write(tmp_path, ATOM.replace("site = 0.5", "site = zzz"))
+        cfg = write(tmp_path, ATOM.replace("time = 0.1", "time = zzz"))
         monkeypatch.setattr(cli, "run_ensemble", None)
         assert main(["density", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
-        line = ATOM.splitlines().index("site = 0.5") + 1
+        line = ATOM.splitlines().index("time = 0.1") + 1
         assert capsys.readouterr().err == (
-            f"error: {cfg}:{line}: [density] site: invalid number 'zzz'\n")
+            f"error: {cfg}:{line}: [density] time: invalid number 'zzz'\n")
 
     @pytest.mark.parametrize("scheme, representation", [
         ("fd", "spectral"), ("spectral", "sheet")])
@@ -528,6 +551,28 @@ class TestExitCodes:
             f"error: {cfg}:{line}: [solver] {message}")
         assert not (out / "verdicts.csv").exists()
 
+    # the statistics window of BENCH with stats_after = 0.1 is 100 steps, and
+    # the anchor cell of 0.5 on 16 cells is 8
+    @pytest.mark.parametrize("keys, key, message", [
+        ({"time_lags": "1, 2, 4, 8, 150"}, "time_lags",
+         "time lag 150 is longer than the 100 steps from stats_after to t_final"),
+        ({"space_anchor": "0.5", "space_lags": "1, 2, 3, 5, 9"}, "space_lags",
+         "space lag 5 has no dyadic pair inside the grid beside the anchor cell 8"),
+    ], ids=["time-lag", "anchored-space-lag"])
+    def test_holder_lag_without_increments_refused_before_simulating(
+            self, tmp_path, capsys, monkeypatch, keys, key, message):
+        keys = {"stats_after": "0.1", **keys}
+        text = BENCH.replace("[solver]\n", "[solver]\n" + "".join(
+            f"{k} = {v}\n" for k, v in keys.items()))
+        cfg = write(tmp_path, text)
+        monkeypatch.setattr(cli, "run_ensemble", None)
+        out = tmp_path / "h"
+        assert main(["holder", "--config", cfg, "--out", str(out)]) == 2
+        line = text.splitlines().index(f"{key} = {keys[key]}") + 1
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: [solver] {message}\n"
+        # the config fails to load, so no output directory is made
+        assert not out.exists()
+
     @pytest.mark.parametrize("p", ["3", "1"])
     def test_holder_moment_order_refused_before_simulating(self, tmp_path, capsys, monkeypatch,
                                                            p):
@@ -541,25 +586,6 @@ class TestExitCodes:
         line = len(text.splitlines())
         assert capsys.readouterr().err == (
             f"error: {cfg}:{line}: [holder] p: moment order p must be 2 or 4\n")
-        assert not (out / "verdicts.csv").exists()
-        runtime = json.loads((out / "runtime.json").read_text())
-        assert runtime["status"] == "error" and runtime["path_steps"] == 0
-
-    @pytest.mark.parametrize("key, value, message", [
-        ("n_windows", "3", "n_windows must be even and >= 2"),
-        ("n_windows", "0", "n_windows must be even and >= 2"),
-        ("alpha", "1.5", "alpha must be in (0, 1), got 1.5"),
-        ("p", "0", "p must be positive"),
-    ], ids=["n_windows=3", "n_windows=0", "alpha=1.5", "p=0"])
-    def test_invariant_option_refused_before_simulating(self, tmp_path, capsys, monkeypatch,
-                                                        key, value, message):
-        text = BENCH + f"\n[invariant]\n{key} = {value}\n"
-        cfg = write(tmp_path, text)
-        monkeypatch.setattr(cli, "run_ensemble", None)
-        out = tmp_path / "i"
-        assert main(["invariant", "--config", cfg, "--out", str(out)]) == 2
-        line = len(text.splitlines())
-        assert capsys.readouterr().err == f"error: {cfg}:{line}: [invariant] {key}: {message}\n"
         assert not (out / "verdicts.csv").exists()
         runtime = json.loads((out / "runtime.json").read_text())
         assert runtime["status"] == "error" and runtime["path_steps"] == 0
@@ -614,9 +640,10 @@ class TestExitCodes:
         runtime = json.loads((out / "runtime.json").read_text())
         assert runtime["status"] == "error" and "step 3" in runtime["error"]
 
-    def test_failed_verdict_is_1(self, tmp_path, capsys):
-        cfg = write(tmp_path, BENCH + "\n[kernel_check]\ncross_tol = 0\n"
-                    "lattice = 4\nn_sweep = 3\n")
+    def test_failed_verdict_is_1(self, tmp_path, capsys, monkeypatch):
+        small_kernel_check(monkeypatch, lattice=4, sweep_points=3)
+        monkeypatch.setattr(cli, "KERNEL_CROSS_TOL", 0.0)
+        cfg = write(tmp_path, BENCH)
         out = tmp_path / "k"
         assert main(["kernel-check", "--config", cfg, "--out", str(out)]) == 1
         assert "[FAIL] kernel-cross-representation" in capsys.readouterr().out
@@ -637,8 +664,9 @@ class TestExitCodes:
 
 
 class TestSmallChecks:
-    def test_kernel_check_passes(self, tmp_path):
-        cfg = write(tmp_path, BENCH + "\n[kernel_check]\nlattice = 6\nn_sweep = 3\n")
+    def test_kernel_check_passes(self, tmp_path, monkeypatch):
+        small_kernel_check(monkeypatch, lattice=6, sweep_points=3)
+        cfg = write(tmp_path, BENCH)
         out = tmp_path / "k"
         assert main(["kernel-check", "--config", cfg, "--out", str(out)]) == 0
         _, columns, rows = read_csv(out / "kernel_check.csv")
@@ -647,9 +675,9 @@ class TestSmallChecks:
         assert "cross-representation-max-diff" in measures
         assert "space-increment-ratio" in measures
 
-    def test_noise_check_passes(self, tmp_path):
-        cfg = write(tmp_path, BENCH + "\n[noise_check]\nn_replications = 500\n"
-                    "n_steps = 5\nn_cells = 8\nvariance_tol = 0.2\n")
+    def test_noise_check_passes(self, tmp_path, monkeypatch):
+        small_noise_check(monkeypatch)
+        cfg = write(tmp_path, BENCH)
         out = tmp_path / "n"
         assert main(["noise-check", "--config", cfg, "--out", str(out)]) == 0
         _, columns, rows = read_csv(out / "noise_check.csv")

@@ -113,6 +113,29 @@ class TestConfigValidation:
     def test_accepts_step_times_and_anchors_in_range(self, field, value):
         SolverConfig(grid_size=16, dt=1e-3, t_final=0.01, **{field: value})
 
+    # statistics from step 5 of 10 on 16 cells, anchor cell 8: a time lag
+    # past the 5-step window, or a space lag whose dyadic pairs both leave
+    # the grid, would collect no increment and divide a zero sum by a zero
+    # count after the whole run
+    @pytest.mark.parametrize("field, lags", [
+        ("time_lag_steps", (1, 5, 6)), ("space_lag_cells", (1, 4, 5))])
+    def test_rejects_lag_that_collects_no_increment(self, field, lags):
+        with pytest.raises(FieldError) as info:
+            SolverConfig(grid_size=16, dt=1e-3, t_final=0.01, stats_after=0.005,
+                         space_anchor=0.5, **{field: lags})
+        assert info.value.field == field
+
+    def test_longest_accepted_lags_collect_increments(self):
+        cfg = SolverConfig(grid_size=16, dt=1e-3, t_final=0.01, stats_after=0.005,
+                           space_anchor=0.5, time_lag_steps=(1, 5), space_lag_cells=(1, 4))
+        assert cfg.anchor_cell() == 8
+        stats = run_ensemble(constant_field(16, 0.5, 0.5), CoefficientSet.constant(16),
+                             sheet_plan(), cfg, n_paths=2)
+        assert np.all(stats.time_count > 0) and np.all(stats.space_count > 0)
+        # without statistics no lag is checked against a window
+        SolverConfig(grid_size=16, dt=1e-3, t_final=0.01, space_anchor=0.5,
+                     time_lag_steps=(20,), space_lag_cells=(5,))
+
     def test_step_counts(self):
         cfg = SolverConfig(dt=1e-3, t_final=0.5, record_interval=1e-2)
         assert cfg.n_steps == 500
@@ -929,13 +952,13 @@ class TestIncrementRecording:
     @pytest.mark.parametrize("scheme", ["fd", "spectral"])
     def test_matches_per_lag_loop(self, monkeypatch, scheme, anchor):
         # 20 steps, statistics from step 12: lag 5 turns live at step 17
-        # and lag 9 never does; the lags are deliberately unsorted
+        # and lag 8 at the last step only; the lags are deliberately unsorted
         n, p = 16, 3
         init = constant_field(n, 0.5, 0.5)
         coeffs = CoefficientSet.constant(n, sigma1=0.3, sigma2=0.3)
         cfg = SolverConfig(scheme=scheme, grid_size=n, dt=1e-2, t_final=0.2,
                            record_interval=2e-2, stats_after=0.12,
-                           space_lag_cells=(4, 1, 2), time_lag_steps=(5, 1, 9, 3),
+                           space_lag_cells=(4, 1, 2), time_lag_steps=(5, 1, 8, 3),
                            space_anchor=anchor, probe_sites=(0.25, 0.5, 0.75))
         states = [np.stack([np.tile(init.u, (p, 1)), np.tile(init.v, (p, 1))])]
 
@@ -951,7 +974,7 @@ class TestIncrementRecording:
         ref = per_lag_statistics(states, cfg)
 
         assert np.array_equal(stats.time_count, ref["time_count"])
-        assert stats.time_count[2] == 0 and 0 < stats.time_count[0] < stats.time_count[1]
+        assert 0 < stats.time_count[2] < stats.time_count[0] < stats.time_count[1]
         assert np.array_equal(stats.space_count, ref["space_count"])
         for name in ("space_p2", "time_p2"):
             assert np.array_equal(getattr(stats, name), ref[name]), name
