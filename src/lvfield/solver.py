@@ -54,11 +54,19 @@ run_ensemble gives each worker one chunk, a single worker too: the block
 length, not the chunk, bounds the noise memory, and every chunk pays the
 per-step Python overhead once more.
 
-Noise is drawn in blocks of steps on one helper thread, one block ahead:
-while the loop steps block b from one buffer, the helper fills block b + 1
-into the other from the same per-path generators in the same order (numpy
-releases the GIL while it fills) and turns it into the noise field in place
-(for spectral noise one (S P, n) product with the cosine basis per step).
+Noise is drawn in blocks of steps, one block ahead, by the loop and one
+helper thread together.  A block's draw is one task per (live species,
+path) slab, which draws that path's normals for the block from its own
+generator; numpy releases the GIL while it fills, and a task takes the GIL
+back only once.  While the loop steps block b from one buffer, the helper
+claims the tasks of block b + 1 in the other; at the end of block b the
+loop claims the tasks left instead of waiting, then waits only for the ones
+the helper is running.  Block b + 1 starts only once block b is complete,
+so each stream is consumed in step order, whichever thread draws it.  The
+thread that completes a block's last task turns the block into the noise
+field in place: for spectral noise one (S P, n) product with the cosine
+basis per step (a per-path (steps, n) product would send one-step blocks
+through gemv, an ulp away), then the scale sigma sqrt(dt n).
 _BLOCK_BUDGET bounds each of the two buffers, the live species counted, so
 the draw memory of a run is at most 2 * _BLOCK_BUDGET doubles.  The increment
 statistics take fourth powers as (d^2)^2, never through libm pow, and
@@ -68,6 +76,7 @@ handle every due time lag of a step in one pass.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -120,9 +129,10 @@ class SolverConfig:
         time-increment statistics.
     stats_after : float, optional
         Accumulate increment statistics from this step time in [0, t_final]
-        on (None: disabled), both ends of each time increment included.
-        Every lag must then collect an increment: no time lag may be longer
-        than the steps after it, and no anchored space lag lose both pairs.
+        on (None: disabled, and then no lag may be set), both ends of each
+        time increment included.  Every lag must collect an increment: no
+        time lag may be longer than the steps after it, and no anchored space
+        lag lose both pairs.
     space_lag_cells : tuple of int
         Cell separations for spatial increment statistics.
     time_lag_steps : tuple of int
@@ -178,7 +188,12 @@ class SolverConfig:
             raise FieldError("space_lag_cells", "space lags must be in [1, grid_size)")
         if any(l < 1 for l in self.time_lag_steps):
             raise FieldError("time_lag_steps", "time lags must be >= 1 step")
-        if self.stats_after is not None:
+        if self.stats_after is None:
+            for field, kind in (("space_lag_cells", "space"), ("time_lag_steps", "time")):
+                if getattr(self, field):
+                    raise FieldError(field, f"{kind} lags collect no increment without "
+                                     "stats_after")
+        else:
             start = np.round(self.stats_after / self.dt)
             if not (0 <= start <= n_steps and abs(start * self.dt - self.stats_after)
                     <= 1e-9 * max(1.0, self.t_final)):
@@ -407,6 +422,24 @@ class EnsembleStats:
         return float(np.mean(self.exit_step >= 0))
 
 
+class _DrawBlock:
+    """The draw tasks of one noise block, numbered 0 .. n_tasks - 1: an
+    iterator both threads claim task numbers from (next() on it is atomic
+    under the GIL) and the count of tasks not yet completed."""
+
+    def __init__(self, buf: np.ndarray, count: int, n_tasks: int):
+        self.buf, self.count = buf, count
+        self.tasks = iter(range(n_tasks))
+        self.left = n_tasks
+        self.lock = threading.Lock()
+
+    def complete_one(self) -> bool:
+        """Counts one completed task; True for the last one."""
+        with self.lock:
+            self.left -= 1
+            return self.left == 0
+
+
 @dataclass
 class Trajectory:
     """A single path: snapshot fields plus its record series."""
@@ -537,11 +570,8 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
 
     observe(0)
 
-    # Each live species' row of a draw buffer comes from each path's stream
-    # of that species, consumed in step order.  Only the helper thread touches
-    # the generators, and it fills only the buffer the loop has finished.
-    # It also turns the normals into the noise field sigma dW in place, so
-    # the loop reads a finished field.
+    # One draw task per (live species, path) slab of a block, shared by the
+    # loop and the helper (see the module docstring).
     gens = [[plan.generator(int(idx), species) for idx in path_indices] for species in live]
     rows = len(live) * p
     block = max(1, min(n_steps, _BLOCK_BUDGET // max(1, rows * n)))
@@ -552,18 +582,20 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     sigma = np.stack([coeffs.sigma1, coeffs.sigma2])
     noise_scale = np.sqrt(dt * n) * sigma[list(live), None, None]
 
-    def draw(buf: np.ndarray, count: int) -> np.ndarray:
-        for species, species_gens in enumerate(gens):
-            for i, gen in enumerate(species_gens):
-                gen.standard_normal((count, n), out=buf[species, i, :count])
-        xi = buf[:, :, :count]
-        if basis is not None:
-            field = np.empty((rows, n))
-            for s in range(count):
-                np.matmul(xi[:, :, s].reshape(rows, n), basis, out=field)
-                xi[:, :, s] = field.reshape(-1, p, n)
-        xi *= noise_scale
-        return buf
+    def draw(blk: _DrawBlock) -> None:
+        # Runs the block's tasks until none is unclaimed.  The thread that
+        # completes the last one turns the block's normals into the field.
+        xi = blk.buf[:, :, :blk.count]
+        for task in blk.tasks:
+            species, i = divmod(task, p)
+            gens[species][i].standard_normal((blk.count, n), out=xi[species, i])
+            if blk.complete_one():
+                if basis is not None:
+                    field = np.empty((rows, n))
+                    for s in range(blk.count):
+                        np.matmul(xi[:, :, s].reshape(rows, n), basis, out=field)
+                        xi[:, :, s] = field.reshape(-1, p, n)
+                xi *= noise_scale
 
     # The state alternates between two work arrays; the one a step has just
     # left is scratch for U^2 + V^2 of the new state.
@@ -580,14 +612,19 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
 
     step = 0
     with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(draw, buffers[0], min(block, n_steps))
+        ahead = _DrawBlock(buffers[0], min(block, n_steps), rows)
+        pending = helper.submit(draw, ahead)
         while step < n_steps:
             s_block = min(block, n_steps - step)
-            noise = pending.result()
-            ahead = step + s_block
-            if ahead < n_steps:
-                pending = helper.submit(draw, buffers[1] if noise is buffers[0] else buffers[0],
-                                        min(block, n_steps - ahead))
+            # claim the tasks the helper has not, then wait for the ones it
+            # is running; result() re-raises an error of the helper's
+            draw(ahead)
+            pending.result()
+            noise = ahead.buf
+            if step + s_block < n_steps:
+                ahead = _DrawBlock(buffers[1] if noise is buffers[0] else buffers[0],
+                                   min(block, n_steps - step - s_block), rows)
+                pending = helper.submit(draw, ahead)
             for s in range(s_block):
                 step += 1
                 state, ratio = euler_step(state, noise[:, :, s], coeffs, dt, radius, operator,

@@ -552,18 +552,23 @@ class TestExitCodes:
         assert not (out / "verdicts.csv").exists()
 
     # the statistics window of BENCH with stats_after = 0.1 is 100 steps, and
-    # the anchor cell of 0.5 on 16 cells is 8
+    # the anchor cell of 0.5 on 16 cells is 8; stats_after None leaves the
+    # key out, so that no statistics are taken at all
     @pytest.mark.parametrize("keys, key, message", [
         ({"time_lags": "1, 2, 4, 8, 150"}, "time_lags",
          "time lag 150 is longer than the 100 steps from stats_after to t_final"),
         ({"space_anchor": "0.5", "space_lags": "1, 2, 3, 5, 9"}, "space_lags",
          "space lag 5 has no dyadic pair inside the grid beside the anchor cell 8"),
-    ], ids=["time-lag", "anchored-space-lag"])
+        ({"stats_after": None, "space_lags": "1, 2, 3, 5, 8"}, "space_lags",
+         "space lags collect no increment without stats_after"),
+        ({"stats_after": None, "time_lags": "1, 2, 3, 5, 8"}, "time_lags",
+         "time lags collect no increment without stats_after"),
+    ], ids=["time-lag", "anchored-space-lag", "space-lags-no-stats", "time-lags-no-stats"])
     def test_holder_lag_without_increments_refused_before_simulating(
             self, tmp_path, capsys, monkeypatch, keys, key, message):
         keys = {"stats_after": "0.1", **keys}
         text = BENCH.replace("[solver]\n", "[solver]\n" + "".join(
-            f"{k} = {v}\n" for k, v in keys.items()))
+            f"{k} = {v}\n" for k, v in keys.items() if v is not None))
         cfg = write(tmp_path, text)
         monkeypatch.setattr(cli, "run_ensemble", None)
         out = tmp_path / "h"

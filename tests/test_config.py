@@ -32,6 +32,7 @@ t_final = 0.5
 snapshot_times = 0.1, 0.5
 space_lags = 1, 2, 4
 time_lags = 1, 2
+stats_after = 0.2
 
 [noise]
 master_seed = 42

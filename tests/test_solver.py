@@ -2,6 +2,7 @@
 ensemble machinery, and the strong self-refinement rate."""
 
 import dataclasses
+import itertools
 import sys
 import threading
 import warnings
@@ -132,9 +133,12 @@ class TestConfigValidation:
         stats = run_ensemble(constant_field(16, 0.5, 0.5), CoefficientSet.constant(16),
                              sheet_plan(), cfg, n_paths=2)
         assert np.all(stats.time_count > 0) and np.all(stats.space_count > 0)
-        # without statistics no lag is checked against a window
-        SolverConfig(grid_size=16, dt=1e-3, t_final=0.01, space_anchor=0.5,
-                     time_lag_steps=(20,), space_lag_cells=(5,))
+        # without statistics no lag collects anything, so none is accepted
+        for field in ("time_lag_steps", "space_lag_cells"):
+            with pytest.raises(FieldError, match="lags collect no increment without stats_after") \
+                    as info:
+                SolverConfig(grid_size=16, dt=1e-3, t_final=0.01, **{field: (1,)})
+            assert info.value.field == field
 
     def test_step_counts(self):
         cfg = SolverConfig(dt=1e-3, t_final=0.5, record_interval=1e-2)
@@ -1083,11 +1087,84 @@ class TestDrawAhead:
         for name in EnsembleStats.PER_PATH_FIELDS:
             assert np.array_equal(getattr(other, name), getattr(ref, name)), name
 
+    def wrap_generators(self, monkeypatch, standard_normal):
+        # every stream's standard_normal(size, out) goes through
+        # standard_normal(gen, size, out)
+        original = NoisePlan.generator
+
+        class Wrapped:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, size, out=None):
+                return standard_normal(self.gen, size, out)
+
+        monkeypatch.setattr(NoisePlan, "generator",
+                            lambda plan, path, species: Wrapped(original(plan, path, species)))
+
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_loop_draws_the_tasks_the_helper_has_not_claimed(self, monkeypatch, scheme):
+        # the helper's first draw waits until the loop has drawn a slab of
+        # its own, so the run gets past it only if the loop claims draw tasks
+        ref = self.run(monkeypatch, scheme, 1, 7)
+        loop_drew, helper_waits = threading.Event(), []
+
+        def held(gen, size, out):
+            if threading.current_thread() is threading.main_thread():
+                gen.standard_normal(size, out=out)
+                loop_drew.set()
+                return out
+            if not helper_waits:
+                helper_waits.append(loop_drew.wait(timeout=5))
+            return gen.standard_normal(size, out=out)
+
+        self.wrap_generators(monkeypatch, held)
+        other = self.run(monkeypatch, scheme, 1, 7)
+        assert helper_waits == [True]
+        for name in EnsembleStats.PER_PATH_FIELDS:
+            assert np.array_equal(getattr(other, name), getattr(ref, name)), name
+
+    # 6 paths of both species in 7-step blocks over 50 steps: 12 draws per
+    # block, 96 in all; the k-th fails on whichever thread makes it
+    @pytest.mark.parametrize("k", [1, 12, 50, 96])
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_draw_error_is_raised_and_leaves_no_thread(self, monkeypatch, scheme, k):
+        calls = itertools.count(1)
+
+        def failing(gen, size, out):
+            if next(calls) == k:
+                raise RuntimeError(f"draw {k} failed")
+            return gen.standard_normal(size, out=out)
+
+        self.wrap_generators(monkeypatch, failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^draw {k} failed$"):
+            self.run(monkeypatch, scheme, 1, 7)
+        assert threading.active_count() == before
+
+    def test_helper_draw_error_is_raised_in_the_loop(self, monkeypatch):
+        # the loop's draws wait until the helper has failed its first one
+        helper_failed = threading.Event()
+
+        def failing(gen, size, out):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_failed.wait(timeout=5)
+            elif not helper_failed.is_set():
+                helper_failed.set()
+                raise RuntimeError("helper draw failed")
+            return gen.standard_normal(size, out=out)
+
+        self.wrap_generators(monkeypatch, failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^helper draw failed$"):
+            self.run(monkeypatch, "fd", 1, 7)
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("budget", [640, 700, 10**6])
     def test_draw_buffers_stay_within_budget(self, monkeypatch, budget):
         # 4 paths of 16 cells: 640 elements per buffer hold 5 steps of both
         # species, 700 still only 5, 10**6 the whole run in one block
-        bases, threads_seen = {}, set()
+        bases, slabs = {}, []
         original = NoisePlan.generator
 
         class Recording:
@@ -1096,7 +1173,7 @@ class TestDrawAhead:
 
             def standard_normal(self, size, out=None):
                 bases[id(out.base)] = out.base.size
-                threads_seen.add(threading.current_thread() is threading.main_thread())
+                slabs.append(size[0])
                 return self.gen.standard_normal(size, out=out)
 
         monkeypatch.setattr(NoisePlan, "generator",
@@ -1110,7 +1187,10 @@ class TestDrawAhead:
         assert stats.n_paths == 4
         assert sum(bases.values()) <= 2 * budget
         assert len(bases) == (1 if budget == 10**6 else 2)
-        assert threads_seen == {False}           # drawn on the helper thread only
+        # each block draws each of the 8 (species, path) slabs once, on
+        # whichever thread claims it: 10 blocks of 5 steps, or one of 50
+        block = 50 if budget == 10**6 else 5
+        assert slabs == [block] * (8 * (50 // block))
 
 
 # ---------------------------------------------------------------------------
