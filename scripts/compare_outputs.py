@@ -13,7 +13,8 @@ output file except runtime.json is compared byte for byte, and so are the
 exit statuses and stdout, with the output path masked.
 
 One line per difference; a differing file reports the largest relative
-change of its numeric cells.  The last line counts the runs and the
+change of its numeric cells, or "config_hash only" when nothing but the
+config hash in its headers differs.  The last line counts the runs and the
 differences.  Exit 0 when nothing differs, 1 otherwise, 2 on a usage error.
 """
 
@@ -51,6 +52,7 @@ COMMANDS = {
 CONFIG_GLOBS = ("configs/*.ini", "perfbench/configs/*.ini")
 IGNORED = "runtime.json"      # the one file outside the byte-identity contract
 OUT_MASK = "<out>"
+HASH_KEY = "config_hash"  # its value changes with any hashed parameter
 
 # Cells of CSV, JSON, NDJSON and `# key=value` lines; the separators are kept
 # so that two files with the same cells in other places still differ.
@@ -74,22 +76,31 @@ def run(tree: Path, config: str, threads: int, out: Path) -> tuple:
 
 def largest_change(old: bytes, new: bytes) -> str:
     """The largest relative change of the numeric cells of two files of the
-    same layout, or what else differs."""
+    same layout, or what else differs; "config_hash only" when the only cells
+    that differ are config_hash values."""
     a = _SPLIT.split(old.decode(errors="replace"))
     b = _SPLIT.split(new.decode(errors="replace"))
     if len(a) != len(b):
         return f"layout differs ({len(a)} -> {len(b)} tokens)"
-    worst, other = 0.0, 0
-    for x, y in zip(a, b):
+    worst, numeric, other, hashes = 0.0, 0, 0, 0
+    for i, (x, y) in enumerate(zip(a, b)):
         if x == y:
+            continue
+        # cells and separators alternate: a value's key is two tokens back
+        if i >= 2 and a[i - 2] == HASH_KEY:
+            hashes += 1
             continue
         try:
             fx, fy = float(x), float(y)
         except ValueError:
             other += 1
             continue
+        numeric += 1
         scale = max(abs(fx), abs(fy))
         worst = max(worst, abs(fx - fy) / scale if scale > 0 else float("inf"))
+    if hashes and not numeric and not other:
+        return f"{HASH_KEY} only"
+    other += hashes
     text = f"largest relative cell change {worst:.3g}"
     return text + (f", {other} non-numeric cells differ" if other else "")
 

@@ -71,7 +71,7 @@ def check_increment_order(p: int) -> None:
         raise ValueError("moment order p must be 2 or 4")
 
 
-def holder_estimate(stats, direction: str = "space", p: int = 4) -> HolderEstimate:
+def holder_estimate(stats, direction: str, p: int) -> HolderEstimate:
     """Regress ln E|increment|^p on ln lag; the exponent is slope / p.
 
     stats is an EnsembleStats, or any object with its master_seed and its
@@ -139,9 +139,8 @@ def tail_window_mask(times, tail_window: tuple) -> np.ndarray:
     return mask
 
 
-def extinction_report(stats: EnsembleStats, coeffs: CoefficientSet,
-                      species: int = SPECIES_U,
-                      tail_window: tuple = (5.0, None)) -> ExtinctionReport:
+def extinction_report(stats: EnsembleStats, coeffs: CoefficientSet, species: int,
+                      tail_window: tuple) -> ExtinctionReport:
     """Log-mass decay check: slope of E ln(eta + mass) against the rate bound.
 
     eta is 1e-12 times the initial mean mass (1e-300 when that is zero).

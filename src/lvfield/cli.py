@@ -9,8 +9,8 @@ runtime.json carries wall-clock information.
 
 Exit status: 0 when every verdict passes, 1 on a failed verdict, 2 on a
 config or usage error (command options an estimator would refuse among
-them, caught before anything is simulated), 3 on a runtime or estimator
-error (a simulation blowup, or an estimator refusing its input); exits 2
+them, caught before anything is simulated), 3 on a blowup, an estimator
+refusing its input or a crash (with its traceback on stderr); exits 2
 and 3 write no verdicts.csv.  Once the output directory exists,
 runtime.json records the outcome as its status: "ok", "checks-failed" or
 "error" (with the message).
@@ -24,6 +24,7 @@ import os
 import resource
 import sys
 import time
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -615,11 +616,15 @@ def main(argv=None) -> int:
         out_dir = Path(args.out or os.environ.get(_ENV_OUT) or cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         verdicts, files = args.func(cfg, out_dir, meter)
-    except (ConfigError, SimulationBlowup, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except Exception as e:
+        message = str(e)
+        if not isinstance(e, (ConfigError, SimulationBlowup, ValueError)):
+            traceback.print_exc()       # a crash; BaseException is not caught
+            message = f"{type(e).__name__}: {e}"
+        print(f"error: {message}", file=sys.stderr)
         if out_dir is not None and out_dir.is_dir():
             write_runtime(out_dir, args.command, cfg, time.perf_counter() - started, meter,
-                          [], status="error", error=str(e))
+                          [], status="error", error=message)
         return 2 if isinstance(e, ConfigError) else 3
 
     files.append(write_verdicts(out_dir, cfg, verdicts))

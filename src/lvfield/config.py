@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import COEFFICIENT_NAMES, CoefficientSet, Field
-from .noise import SEED_LIMIT, FieldError, NoisePlan
+from .noise import FieldError, NoisePlan
 from .solver import SolverConfig
 
 
@@ -198,6 +198,12 @@ class ExperimentConfig:
     threads: int
     extras: dict = field(default_factory=dict)  # section -> {key: (value, line)}
 
+    def __post_init__(self):
+        if self.n_paths < 1:
+            raise FieldError("n_paths", f"n_paths must be >= 1, got {self.n_paths}")
+        if self.threads < 0:
+            raise FieldError("threads", f"threads must be >= 0, got {self.threads}")
+
     # -- derived objects ---------------------------------------------------
 
     def coefficient_set(self) -> CoefficientSet:
@@ -219,19 +225,18 @@ class ExperimentConfig:
         return SectionView(section, self.extras.get(section, {}), self.path)
 
     def with_overrides(self, seed=None, n_paths=None, threads=None) -> "ExperimentConfig":
-        if seed is not None and not 0 <= seed < SEED_LIMIT:
-            raise ConfigError(f"--seed must be in [0, 2^63), got {seed}")
-        if n_paths is not None and n_paths < 1:
-            raise ConfigError(f"--paths must be >= 1, got {n_paths}")
-        if threads is not None and threads < 0:
-            raise ConfigError(f"--threads must be >= 0, got {threads}")
+        """The config with the flag values that are not None; a refused value
+        names its flag."""
         out = self
-        if seed is not None:
-            out = replace(out, noise=replace(out.noise, master_seed=int(seed)))
-        if n_paths is not None:
-            out = replace(out, n_paths=int(n_paths))
-        if threads is not None:
-            out = replace(out, threads=int(threads))
+        try:
+            if seed is not None:
+                out = replace(out, noise=replace(out.noise, master_seed=int(seed)))
+            if n_paths is not None:
+                out = replace(out, n_paths=int(n_paths))
+            if threads is not None:
+                out = replace(out, threads=int(threads))
+        except FieldError as e:
+            raise ConfigError(f"{_FLAGS[e.field]}: {e}") from None
         return out
 
     # -- provenance --------------------------------------------------------
@@ -258,17 +263,32 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
+# The command-line flag of each field with_overrides sets.
+_FLAGS = {"master_seed": "--seed", "n_paths": "--paths", "threads": "--threads"}
+
 # [solver] keys named differently from the SolverConfig field they set.
 _SOLVER_KEYS = {"space_lag_cells": "space_lags", "time_lag_steps": "time_lags"}
 
+# The SectionView reader of each field annotation of SolverConfig and NoisePlan.
+_READERS = {"str": SectionView.get_str, "int": SectionView.get_int,
+            "float": SectionView.get_float, "float | None": SectionView.get_float,
+            "tuple[float, ...]": SectionView.get_float_list,
+            "tuple[int, ...]": SectionView.get_int_list}
 
-def _construct(cls, section: str, path: str, line_of, **kwargs):
+
+def _read_fields(cls, key_of) -> dict:
+    """{field: value} of every field of cls, read by the reader of its
+    annotation at key_of(field) = (view, key), the field's default when unset."""
+    return {f.name: _READERS[f.type](*key_of(f.name), f.default) for f in fields(cls)}
+
+
+def _construct(cls, section: str, path: str, key_of, /, **kwargs):
     """cls(**kwargs); a ValueError becomes a ConfigError at the line of the
-    failing field's key (line_of maps a field name to it)."""
+    failing field's key (key_of maps a field name to (view, key))."""
     try:
         return cls(**kwargs)
     except ValueError as e:
-        line = line_of(e.field) if isinstance(e, FieldError) else None
+        line = SectionView.line(*key_of(e.field)) if isinstance(e, FieldError) else None
         raise ConfigError(f"[{section}] {e}", path, line) from e
 
 
@@ -276,9 +296,6 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
     sections = _read_sections(text, path)
 
     model = SectionView("model", sections.get("model", {}), path)
-    n = model.get_int("n", 64)
-    if n < 2:
-        model._fail("n", f"grid size must be >= 2, got {n}")
     coefficients = {}
     for key in COEFFICIENT_NAMES:
         value = model.get_str(key, None)
@@ -286,83 +303,62 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
             coefficients[key] = value
     u0 = model.get_str("u0", ...)
     v0 = model.get_str("v0", "0")
-    model.reject_unknown()
 
+    # [model] n sets grid_size; every other SolverConfig field is its own
+    # [solver] key, or the one _SOLVER_KEYS names.
     solver = SectionView("solver", sections.get("solver", {}), path)
-    scheme = solver.get_choice("scheme", ("fd", "spectral"), "fd")
-    solver_params = dict(
-        scheme=scheme, grid_size=n,
-        dt=solver.get_float("dt", 1e-3),
-        t_final=solver.get_float("t_final", 1.0),
-        snapshot_times=solver.get_float_list("snapshot_times"),
-        record_interval=solver.get_float("record_interval", None),
-        truncation_radius=solver.get_float("truncation_radius", None),
-        probe_sites=solver.get_float_list("probe_sites", SolverConfig.probe_sites),
-        stats_after=solver.get_float("stats_after", None),
-        space_lag_cells=solver.get_int_list("space_lags"),
-        time_lag_steps=solver.get_int_list("time_lags"),
-        space_anchor=solver.get_float("space_anchor", None))
-    solver.reject_unknown()
 
+    def solver_key(field_name):
+        if field_name == "grid_size":
+            return model, "n"
+        return solver, _SOLVER_KEYS.get(field_name, field_name)
+
+    solver_params = _read_fields(SolverConfig, solver_key)
+    model.reject_unknown()
+    solver.reject_unknown()
+    sconf = _construct(SolverConfig, "solver", path, solver_key, **solver_params)
+
+    # The scheme picks the noise field; representation, optional and not
+    # hashed, may only name it.
     noise = SectionView("noise", sections.get("noise", {}), path)
-    matching = "sheet" if scheme == "fd" else "spectral"
-    representation = noise.get_choice("representation", ("sheet", "spectral"), matching)
-    if representation != matching:
+    representation = noise.get_choice("representation", ("sheet", "spectral"))
+    if representation not in (None, "sheet" if sconf.scheme == "fd" else "spectral"):
         noise._fail("representation",
-                    f"{representation} noise does not drive the {scheme} scheme")
-    master_seed = noise.get_int("master_seed", 0)
-    if not 0 <= master_seed < SEED_LIMIT:
-        noise._fail("master_seed", f"must be in [0, 2^63), got {master_seed}")
+                    f"{representation} noise does not drive the {sconf.scheme} scheme")
+    noise_key = lambda name: (noise, name)
+    plan = _construct(NoisePlan, "noise", path, noise_key, **_read_fields(NoisePlan, noise_key))
     noise.reject_unknown()
 
     run = SectionView("run", sections.get("run", {}), path)
-    n_paths = run.get_int("n_paths", 1)
-    if n_paths < 1:
-        run._fail("n_paths", f"must be >= 1, got {n_paths}")
-    output_dir = run.get_str("output_dir", "out")
-    name = run.get_str("name", Path(path).stem)
-    threads = run.get_int("threads", 1)
-    if threads < 0:
-        run._fail("threads", f"must be >= 0, got {threads}")
+    run_params = dict(n_paths=run.get_int("n_paths", 1),
+                      output_dir=run.get_str("output_dir", "out"),
+                      name=run.get_str("name", Path(path).stem),
+                      threads=run.get_int("threads", 1))
     run.reject_unknown()
 
     extras = {s: data for s, data in sections.items() if s in COMMAND_SECTIONS}
-
-    def solver_line(field_name):
-        if field_name == "grid_size":
-            return model.line("n")
-        return solver.line(_SOLVER_KEYS.get(field_name, field_name))
-
-    cfg = ExperimentConfig(
-        path=path, coefficients=coefficients, u0=u0, v0=v0,
-        solver=_construct(SolverConfig, "solver", path, solver_line, **solver_params),
-        noise=_construct(NoisePlan, "noise", path, noise.line,
-                         representation=representation, master_seed=master_seed),
-        n_paths=n_paths, output_dir=output_dir, name=name, threads=threads,
-        extras=extras)
+    cfg = _construct(ExperimentConfig, "run", path, lambda name: (run, name),
+                     path=path, coefficients=coefficients, u0=u0, v0=v0,
+                     solver=sconf, noise=plan, extras=extras, **run_params)
 
     # early validation of the model so errors point at the config
-    _validate_model(cfg, sections, path)
+    _validate_model(cfg, model)
     return cfg
 
 
-def _validate_model(cfg: ExperimentConfig, sections: dict, path: str):
+def _validate_model(cfg: ExperimentConfig, model: SectionView):
     from .expr import ExprError, parse
-
-    def line_of(key):
-        entry = sections.get("model", {}).get(key)
-        return entry[1] if entry else None
 
     for key, src in {**cfg.coefficients, "u0": cfg.u0, "v0": cfg.v0}.items():
         try:
             parse(src)
         except ExprError as e:
-            raise ConfigError(f"[model] {key}: {e}", path, line_of(key)) from e
+            model._fail(key, str(e))
     try:
         cfg.coefficient_set()
         cfg.initial_field()
     except ValueError as e:
-        raise ConfigError(f"[model] {e}", path) from e
+        raise ConfigError(f"[model] {e}", cfg.path) from e
 
 
 def load_config(path) -> ExperimentConfig:

@@ -8,6 +8,9 @@ Two discretizations of the same cylindrical Wiener process drive everything:
             basis e_0 = 1, e_k = sqrt(2) cos(k pi x), with independent scalar
             Brownian motions beta_k.
 
+The solver's scheme picks one: sheet noise drives fd, spectral noise drives
+spectral.  NoisePlan holds only the master seed.
+
 Stream discipline: every (master_seed, path_index, species) triple owns one
 Philox counter stream keyed by a hash of the triple, and a path's draws are
 consumed in step order as a single logical sequence.  Results are therefore
@@ -39,7 +42,7 @@ SEED_LIMIT = 2**63
 
 
 class FieldError(ValueError):
-    """A NoisePlan or SolverConfig check that failed; .field names the field."""
+    """A dataclass field check that failed; .field names the field."""
 
     def __init__(self, field: str, message: str):
         super().__init__(message)
@@ -84,19 +87,14 @@ def cell_average_coefficients(f_values: np.ndarray, n_coeffs: int) -> np.ndarray
 
 @dataclass(frozen=True)
 class NoisePlan:
-    """How a simulation draws its noise.
+    """The master seed of a simulation's noise streams."""
 
-    representation "sheet" feeds the finite-difference scheme; "spectral"
-    feeds the spectral scheme.  Both draw white noise.
-    """
-
-    representation: str = "sheet"
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.representation not in ("sheet", "spectral"):
-            raise FieldError("representation",
-                             f"unknown noise representation {self.representation!r}")
+        if not 0 <= self.master_seed < SEED_LIMIT:
+            raise FieldError("master_seed",
+                             f"master_seed must be in [0, 2^63), got {self.master_seed}")
 
     def generator(self, path_index: int, species: int) -> np.random.Generator:
         return noise_generator(self.master_seed, path_index, species)

@@ -17,7 +17,8 @@ grid in the growth-factor form
 whose competition term B drops with one live species, and multiplied by
 D = E^T diag(multiplier) E / n, E the cosine basis.  The cosine modes
 diagonalize both diffusion operators, so the two schemes differ only in that
-per-mode multiplier and in the noise field sigma dW:
+per-mode multiplier and in the noise field sigma dW, which the scheme alone
+picks (the NoisePlan supplies only the master seed of the streams):
 
   fd        semi-implicit Euler: the resolvent 1 / (1 + 4 dt n^2 sin^2(k pi/2n))
             of the mirrored-ghost Laplacian (exact discrete mass conservation
@@ -150,13 +151,13 @@ class SolverConfig:
     dt: float = 1e-3
     t_final: float = 1.0
     grid_size: int = 64
-    snapshot_times: tuple = ()
+    snapshot_times: tuple[float, ...] = ()
     record_interval: float | None = None
     truncation_radius: float | None = None
-    probe_sites: tuple = (0.125, 0.375, 0.5, 0.625, 0.875)
+    probe_sites: tuple[float, ...] = (0.125, 0.375, 0.5, 0.625, 0.875)
     stats_after: float | None = None
-    space_lag_cells: tuple = ()
-    time_lag_steps: tuple = ()
+    space_lag_cells: tuple[int, ...] = ()
+    time_lag_steps: tuple[int, ...] = ()
     space_anchor: float | None = None
 
     def __post_init__(self):
@@ -167,7 +168,7 @@ class SolverConfig:
         if self.t_final < self.dt:
             raise FieldError("t_final", "t_final must be at least one step")
         if self.grid_size < 2:
-            raise FieldError("grid_size", "grid_size must be >= 2")
+            raise FieldError("grid_size", f"grid_size must be >= 2, got {self.grid_size}")
         n_steps = round(self.t_final / self.dt)
         if abs(n_steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise FieldError("t_final",
@@ -314,7 +315,7 @@ def euler_step(state: np.ndarray, noise: np.ndarray, coeffs: CoefficientSet, dt:
     mode normals) for spectral.  The step assembles its right-hand side in
     it, so it is spent afterwards.  operator is diffusion_operator(scheme,
     n, dt) and terms is growth_terms(coeffs, dt, species), computed when not
-    given.  The new state is written into out (allocated when not given),
+    given, or those terms broadcast to the state's shape.  The new state is written into out (allocated when not given),
     which must be C-contiguous and must not overlap state or noise.
 
     Every cell takes the growth-factor form of u + dt f(u, v) + sigma u dW,
@@ -452,10 +453,6 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                config: SolverConfig, path_indices,
                keep_snapshots: bool = False) -> tuple[EnsembleStats, list]:
     radius = validate_run(config, coeffs, init)
-    if plan.representation == "sheet" and config.scheme != "fd":
-        raise ValueError("sheet noise drives the fd scheme; use a spectral plan for the spectral scheme")
-    if plan.representation == "spectral" and config.scheme != "spectral":
-        raise ValueError("spectral noise drives the spectral scheme")
 
     path_indices = np.asarray(path_indices, dtype=np.int64)
     p = path_indices.size
@@ -598,9 +595,11 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                 xi *= noise_scale
 
     # The state alternates between two work arrays; the one a step has just
-    # left is scratch for U^2 + V^2 of the new state.
+    # left is scratch for U^2 + V^2 of the new state.  The growth terms at
+    # the state's shape spare the step a broadcast; the bits are the same.
     work = (state, np.empty_like(state))
-    terms = growth_terms(coeffs, dt, live)
+    terms = tuple(np.broadcast_to(t, state.shape).copy()
+                  for t in growth_terms(coeffs, dt, live))
 
     # The projection is skipped only below radius^2 by more than the rounding
     # of U^2 + V^2: then hypot(U, V) <= radius in every cell, where the

@@ -241,7 +241,7 @@ def test_deterministic_oracles():
     cfg = SolverConfig(scheme="spectral", grid_size=64, dt=1e-3, t_final=0.05,
                        snapshot_times=(0.05,))
     final = simulate_path(init, CoefficientSet.constant(64),
-                          NoisePlan(master_seed=0, representation="spectral"),
+                          NoisePlan(master_seed=0),
                           cfg).snapshots[-1]
     err_sp = float(np.max(np.abs(final.u - semigroup_apply(init.u, 0.05))))
     check("heat-oracle-spectral", err_sp < 1e-12, f"max error {err_sp:.2e} (tol 1e-12)")

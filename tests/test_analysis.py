@@ -22,10 +22,6 @@ from lvfield.noise import NoisePlan
 from lvfield.solver import SolverConfig, run_ensemble, simulate_path
 
 
-def sheet_plan(seed=0):
-    return NoisePlan(representation="sheet", master_seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # Fractional surrogates and the Hölder estimator
 # ---------------------------------------------------------------------------
@@ -83,7 +79,7 @@ def holder_selfcheck(hurst: float, seed: int):
     fgn = fractional_increments(hurst, per_path, 20, np.random.default_rng(seed))
     table = increment_table_from_paths(np.cumsum(fgn, axis=1), (1, 2, 4, 8, 16, 32, 64),
                                        step=1.0 / per_path, master_seed=seed)
-    return holder_estimate(table)
+    return holder_estimate(table, "space", 4)
 
 
 class TestFractionalSurrogate:
@@ -146,33 +142,33 @@ class TestHolderEstimateInterface:
         return increment_table(lags, p2, p4, count)
 
     def test_exact_power_law(self):
-        est = holder_estimate(self.make_table(), p=4)
+        est = holder_estimate(self.make_table(), "space", 4)
         assert est.exponent == pytest.approx(0.5, abs=0.01)
         assert est.log_log_slope == pytest.approx(2.0, abs=0.05)
-        est2 = holder_estimate(self.make_table(), p=2)
+        est2 = holder_estimate(self.make_table(), "space", 2)
         assert est2.exponent == pytest.approx(0.5, abs=0.01)
 
     def test_too_few_lags_rejected(self):
         with pytest.raises(ValueError, match="lags"):
-            holder_estimate(self.make_table(n_lags=4))
+            holder_estimate(self.make_table(n_lags=4), "space", 4)
 
     def test_narrow_span_rejected(self):
         table = self.make_table()
         narrow = increment_table(np.linspace(1e-3, 2e-3, 6), table.space_p2,
                                  table.space_p4, table.space_count)
         with pytest.raises(ValueError, match="decades"):
-            holder_estimate(narrow)
+            holder_estimate(narrow, "space", 4)
 
     def test_degenerate_increments_rejected(self):
         table = self.make_table()
         dead = increment_table(table.space_lags, np.zeros_like(table.space_p2),
                                np.zeros_like(table.space_p4), table.space_count)
         with pytest.raises(ValueError, match="degenerate"):
-            holder_estimate(dead)
+            holder_estimate(dead, "space", 4)
 
     def test_bad_moment_order_rejected(self):
         with pytest.raises(ValueError, match="p must"):
-            holder_estimate(self.make_table(), p=3)
+            holder_estimate(self.make_table(), "space", 3)
 
     def test_smooth_deterministic_field_saturates(self):
         # sigma = 0 with a smooth profile: increments scale like the lag
@@ -185,23 +181,23 @@ class TestHolderEstimateInterface:
             np.round(2.0 ** np.arange(1, 8, 0.5))))
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=1.0,
                            stats_after=1.0, space_lag_cells=lags)
-        stats = run_ensemble(init, coeffs, sheet_plan(), cfg, n_paths=1)
+        stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=1)
         est = holder_estimate(stats, direction="space", p=4)
         assert est.exponent >= 0.95
         assert est.r2 > 0.99
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError, match="direction must be"):
-            holder_estimate(self.make_table(), direction="surrogate")
+            holder_estimate(self.make_table(), "surrogate", 4)
 
     def test_ensemble_without_statistics_rejected(self):
         n = 16
         init = Field(np.full(n, 0.5), np.zeros(n))
         coeffs = CoefficientSet.constant(n, sigma1=0.3)
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=0.1)
-        stats = run_ensemble(init, coeffs, sheet_plan(), cfg, n_paths=2)
+        stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=2)
         with pytest.raises(ValueError, match="no space increment"):
-            holder_estimate(stats, direction="space")
+            holder_estimate(stats, "space", 4)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +212,7 @@ class TestExtinction:
         coeffs = CoefficientSet.constant(n, m1=m1, a1=a1, sigma1=sigma1)
         cfg = SolverConfig(grid_size=n, dt=2e-3, t_final=t_final,
                            record_interval=0.1)
-        return run_ensemble(init, coeffs, sheet_plan(seed), cfg, n_paths), coeffs
+        return run_ensemble(init, coeffs, NoisePlan(master_seed=seed), cfg, n_paths), coeffs
 
     def test_supercritical_noise_extinguishes(self):
         stats, coeffs = self.run_scenario(sigma1=1.0)
@@ -244,19 +240,19 @@ class TestExtinction:
         init = Field(np.zeros(n), np.zeros(n))
         coeffs = CoefficientSet.constant(n, m1=0.3, a1=1.0, sigma1=1.0)
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=2.0)
-        stats = run_ensemble(init, coeffs, sheet_plan(), cfg, n_paths=2)
-        report = extinction_report(stats, coeffs, tail_window=(1.0, None))
+        stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=2)
+        report = extinction_report(stats, coeffs, species=0, tail_window=(1.0, None))
         assert report.degenerate
 
     def test_window_must_contain_times(self):
         stats, coeffs = self.run_scenario(sigma1=1.0, t_final=1.0, n_paths=2)
         with pytest.raises(ValueError, match="window"):
-            extinction_report(stats, coeffs, tail_window=(5.0, None))
+            extinction_report(stats, coeffs, species=0, tail_window=(5.0, None))
 
     def test_report_is_deterministic(self):
         stats, coeffs = self.run_scenario(sigma1=1.0, n_paths=20)
-        r1 = extinction_report(stats, coeffs, tail_window=(2.0, None))
-        r2 = extinction_report(stats, coeffs, tail_window=(2.0, None))
+        r1 = extinction_report(stats, coeffs, species=0, tail_window=(2.0, None))
+        r2 = extinction_report(stats, coeffs, species=0, tail_window=(2.0, None))
         assert r1.slope == r2.slope
         assert r1.slope_se == r2.slope_se
 
@@ -275,7 +271,7 @@ class TestMildAudit:
                                          sigma2=0.3)
         cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=times[-1],
                            snapshot_times=times)
-        return simulate_path(init, coeffs, sheet_plan(4), cfg).snapshots, coeffs
+        return simulate_path(init, coeffs, NoisePlan(master_seed=4), cfg).snapshots, coeffs
 
     def test_constant_field_limit_is_exact(self):
         n = 32
@@ -327,7 +323,7 @@ class TestMomentBound:
         init = Field(np.zeros(n), np.zeros(n))
         coeffs = CoefficientSet.constant(n, m1=0.5, a1=1.0, a2=1.0, sigma1=0.5)
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=2.0)
-        stats = run_ensemble(init, coeffs, sheet_plan(), cfg, n_paths=2)
+        stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=2)
         report = moment_bound_curve(stats, coeffs)
         assert np.all(report.moment_curve == 0.0)
         assert report.flat_ok
@@ -338,7 +334,7 @@ class TestMomentBound:
         init = Field(np.full(n, 0.1), np.zeros(n))
         coeffs = CoefficientSet.constant(n, m1=1.0, a1=1.0, a2=1.0)
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=20.0)
-        stats = run_ensemble(init, coeffs, sheet_plan(), cfg, n_paths=1)
+        stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=1)
         report = moment_bound_curve(stats, coeffs)
         assert report.flat_ok
         assert report.tail_max == pytest.approx(1.0, rel=1e-3)
@@ -351,7 +347,7 @@ class TestMomentBound:
         coeffs = CoefficientSet.constant(n, m1=0.4, sigma1=0.1)
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=12.0,
                            truncation_radius=1e6)
-        stats = run_ensemble(init, coeffs, sheet_plan(9), cfg, n_paths=4)
+        stats = run_ensemble(init, coeffs, NoisePlan(master_seed=9), cfg, n_paths=4)
         report = moment_bound_curve(stats, coeffs)
         assert not report.in_hypothesis
         assert not report.flat_ok
@@ -365,7 +361,7 @@ class TestStationarity:
         coeffs = CoefficientSet.constant(n, m1=0.5, a1=1.0, a2=1.0)
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=8.0,
                            record_interval=0.1)
-        stats = run_ensemble(init, coeffs, sheet_plan(), cfg, n_paths=3)
+        stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=3)
         report = stationarity_report(stats)
         assert np.ptp(report.mass_window_means) < 1e-12
         assert np.all(report.site_ks == 0.0)
@@ -379,7 +375,7 @@ class TestStationarity:
                                          m2=0.8, a2=1.0, b2=0.2, sigma2=0.4)
         cfg = SolverConfig(grid_size=n, dt=2e-3, t_final=16.0,
                            record_interval=0.1)
-        stats = run_ensemble(init, coeffs, sheet_plan(23), cfg, n_paths=80)
+        stats = run_ensemble(init, coeffs, NoisePlan(master_seed=23), cfg, n_paths=80)
         report = stationarity_report(stats)
         assert report.passed, f"site KS {report.site_ks} vs {report.ks_critical_value}"
 
@@ -389,7 +385,7 @@ class TestStationarity:
         coeffs = CoefficientSet.constant(n, a1=1.0, a2=1.0)
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=0.1,
                            record_interval=5e-2)
-        stats = run_ensemble(init, coeffs, sheet_plan(), cfg, n_paths=2)
+        stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=2)
         with pytest.raises(ValueError, match="burn-in"):
             stationarity_report(stats)
 

@@ -422,7 +422,8 @@ class TestExitCodes:
         cfg = write(tmp_path, BENCH)
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg, "--out", str(out), flag, value]) == 2
-        assert f"{flag} must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and "must be" in err
         assert not (out / "verdicts.csv").exists()
 
     def test_malformed_config_reports_line(self, tmp_path, capsys):
@@ -644,6 +645,19 @@ class TestExitCodes:
         assert not (out / "verdicts.csv").exists()
         runtime = json.loads((out / "runtime.json").read_text())
         assert runtime["status"] == "error" and "step 3" in runtime["error"]
+
+    def test_crash_is_3_and_not_a_failed_check(self, tmp_path, capsys, monkeypatch):
+        def crash(cfg, out_dir, meter):
+            raise RuntimeError("unexpected")
+        monkeypatch.setitem(cli.COMMANDS, "simulate", (crash, "crashes"))
+        cfg = write(tmp_path, BENCH)
+        out = tmp_path / "c"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and err.endswith("error: RuntimeError: unexpected\n")
+        assert not (out / "verdicts.csv").exists()
+        runtime = json.loads((out / "runtime.json").read_text())
+        assert runtime["status"] == "error" and runtime["error"] == "RuntimeError: unexpected"
 
     def test_failed_verdict_is_1(self, tmp_path, capsys, monkeypatch):
         small_kernel_check(monkeypatch, lattice=4, sweep_points=3)

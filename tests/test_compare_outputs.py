@@ -105,3 +105,18 @@ def test_every_shipped_config_has_the_acceptance_command(study):
     shipped = {f"configs/{row.config}": row.command for row in catalogue}
     assert {c: study.COMMANDS[c] for c in shipped} == shipped
     assert set(study.configs_of(ROOT)) == set(study.COMMANDS)
+
+
+def test_hash_only_difference_is_named(study, tmp_path, capsys):
+    # the run name is hashed but changes no output cell
+    old = tree(tmp_path / "old")
+    new = tree(tmp_path / "new", logistic=LOGISTIC + "\n[run]\nname = renamed\n",
+               ensemble=ENSEMBLE + "name = renamed\n")
+    assert study.main([old, new, "--work", str(tmp_path / "w")]) == 1
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    assert {line.split(": ", 1)[1] for line in lines} == {
+        "ensemble.csv config_hash only", "ensemble_summary.csv config_hash only",
+        "verdicts.csv config_hash only", "snapshots.ndjson config_hash only"}
+    # a changed number beside the hash is still reported as a change
+    assert study.largest_change(b"# config_hash=aa\n1.0\n", b"# config_hash=bb\n2.0\n") == (
+        "largest relative cell change 0.5, 1 non-numeric cells differ")

@@ -7,7 +7,7 @@ import pytest
 
 from lvfield.config import ConfigError, load_config, parse_config_text
 from lvfield.model import COEFFICIENT_NAMES
-from lvfield.noise import NoisePlan
+from lvfield.noise import FieldError, NoisePlan
 from lvfield.solver import SolverConfig
 
 GOOD = """\
@@ -64,14 +64,18 @@ class TestParseSuccess:
     def test_defaults(self):
         cfg = parse("[model]\nu0 = 1.0\n")
         assert cfg.solver == SolverConfig(grid_size=64)
-        assert cfg.noise == NoisePlan(representation="sheet", master_seed=0)
+        assert cfg.noise == NoisePlan(master_seed=0)
         assert cfg.v0 == "0"
         assert cfg.n_paths == 1
         assert cfg.threads == 1
 
-    def test_spectral_scheme_defaults_spectral_noise(self):
-        cfg = parse("[model]\nu0 = 1.0\n[solver]\nscheme = spectral\n")
-        assert cfg.noise.representation == "spectral"
+    @pytest.mark.parametrize("scheme, representation", [
+        ("fd", "sheet"), ("spectral", "spectral")])
+    def test_matching_representation_is_the_same_experiment(self, scheme, representation):
+        text = f"[model]\nu0 = 1.0\n[solver]\nscheme = {scheme}\n[noise]\nmaster_seed = 3\n"
+        named = parse(text + f"representation = {representation}\n")
+        assert named == parse(text)
+        assert named.config_hash == parse(text).config_hash
 
     def test_name_defaults_to_file_stem(self):
         cfg = parse("[model]\nu0 = 1.0\n", path="configs/extinction.ini")
@@ -99,7 +103,6 @@ class TestParseSuccess:
         assert np.all(init.u > 0)
         assert cfg.noise_plan() is cfg.noise
         assert cfg.solver_config() is cfg.solver
-        assert cfg.noise.representation == "sheet"
         assert cfg.solver.n_steps == 500
 
 
@@ -154,7 +157,11 @@ class TestParseErrors:
 
     def test_bad_scheme(self):
         msg = self.err("[model]\nu0 = 1.0\n[solver]\nscheme = dg\n")
-        assert "must be one of" in msg
+        assert msg == "cfg.ini:4: [solver] unknown scheme 'dg'"
+
+    def test_unknown_representation(self):
+        msg = self.err("[model]\nu0 = 1.0\n[noise]\nrepresentation = colored\n")
+        assert msg.startswith("cfg.ini:4: [noise] representation: must be one of")
 
     @pytest.mark.parametrize("section,key,value", [
         ("solver", "n_modes", "8"), ("noise", "n_modes", "8"),
@@ -198,18 +205,21 @@ class TestParseErrors:
         assert self.err("[model]\nu0 = 1.0\n") == "cfg.ini: [noise] refused"
 
     def test_tiny_grid_rejected(self):
+        # [model] n sets SolverConfig.grid_size, whose check fails at n's line
         msg = self.err("[model]\nn = 1\nu0 = 1.0\n")
-        assert "grid size" in msg
+        assert msg == "cfg.ini:2: [solver] grid_size must be >= 2, got 1"
 
-    def test_zero_paths_rejected(self):
-        msg = self.err("[model]\nu0 = 1.0\n[run]\nn_paths = 0\n")
-        assert "n_paths" in msg
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_paths", "0", "n_paths must be >= 1, got 0"),
+        ("threads", "-1", "threads must be >= 0, got -1")])
+    def test_run_range_rejected_at_its_line(self, key, value, message):
+        msg = self.err(f"[model]\nu0 = 1.0\n[run]\nname = r\n{key} = {value}\n")
+        assert msg == f"cfg.ini:5: [run] {message}"
 
     @pytest.mark.parametrize("seed", [-1, 2**63])
     def test_seed_outside_63_bits_rejected(self, seed):
         msg = self.err(f"[model]\nu0 = 1.0\n[noise]\nmaster_seed = {seed}\n")
-        assert "cfg.ini:4" in msg
-        assert "master_seed" in msg
+        assert msg == f"cfg.ini:4: [noise] master_seed must be in [0, 2^63), got {seed}"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError) as info:
@@ -272,7 +282,7 @@ class TestHashing:
             snapshot_times=(0.2,), record_interval=0.01, truncation_radius=5.0,
             probe_sites=(0.5,), stats_after=0.1, space_lag_cells=(1, 3),
             time_lag_steps=(3,), space_anchor=0.5),
-            "noise": dict(representation="spectral", master_seed=43)}
+            "noise": dict(master_seed=43)}
         for section, values in changed.items():
             held = getattr(cfg, section)
             assert set(values) == {f.name for f in fields(held)}
@@ -289,11 +299,21 @@ class TestOverrides:
         assert cfg.n_paths == 3
         assert cfg.threads == 2
 
-    @pytest.mark.parametrize("override", [
-        dict(seed=-1), dict(seed=2**63), dict(n_paths=0), dict(threads=-1)])
-    def test_out_of_range_override_rejected(self, override):
-        with pytest.raises(ConfigError, match="must be"):
+    @pytest.mark.parametrize("override, message", [
+        (dict(seed=-1), "--seed: master_seed must be in [0, 2^63), got -1"),
+        (dict(seed=2**63), "--seed: master_seed must be in [0, 2^63), got 9223372036854775808"),
+        (dict(n_paths=0), "--paths: n_paths must be >= 1, got 0"),
+        (dict(threads=-1), "--threads: threads must be >= 0, got -1")])
+    def test_out_of_range_override_names_its_flag(self, override, message):
+        with pytest.raises(ConfigError) as info:
             parse(GOOD).with_overrides(**override)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("change", [dict(n_paths=0), dict(threads=-1)])
+    def test_replace_checks_the_run_ranges(self, change):
+        with pytest.raises(FieldError) as info:
+            replace(parse(GOOD), **change)
+        assert info.value.field in change
 
     def test_largest_seed_accepted(self):
         assert parse(GOOD).with_overrides(seed=2**63 - 1).noise.master_seed == 2**63 - 1

@@ -1,5 +1,7 @@
 """Noise streams, the two representations, and their equivalence audit."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -33,6 +35,20 @@ class TestStreams:
         assert nz.stream_key(1, 2, 3) != nz.stream_key(3, 2, 1)
         assert nz.stream_key(42, 3, 1) == 176311650875966678917410365821711094694
         assert nz.stream_key(2**63 - 1, 0, 1) == 266153989985945142665600864830053539567
+
+
+class TestNoisePlan:
+    def test_plan_is_the_master_seed(self):
+        plan = nz.NoisePlan(master_seed=2**63 - 1)
+        assert [f.name for f in fields(plan)] == ["master_seed"]
+        assert np.array_equal(plan.generator(3, nz.SPECIES_V).standard_normal(8),
+                              nz.noise_generator(2**63 - 1, 3, nz.SPECIES_V).standard_normal(8))
+
+    @pytest.mark.parametrize("seed", [-1, 2**63])
+    def test_seed_outside_63_bits_refused(self, seed):
+        with pytest.raises(nz.FieldError) as info:
+            nz.NoisePlan(master_seed=seed)
+        assert info.value.field == "master_seed"
 
 
 class TestIntegrals:

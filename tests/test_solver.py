@@ -35,14 +35,6 @@ def constant_field(n, u0, v0):
     return Field(np.full(n, float(u0)), np.full(n, float(v0)))
 
 
-def sheet_plan(seed=0):
-    return NoisePlan(representation="sheet", master_seed=seed)
-
-
-def spectral_plan(seed=0):
-    return NoisePlan(representation="spectral", master_seed=seed)
-
-
 # The references below transform with scipy's fast DCT, a route independent
 # of the dense cosine products the library uses.
 
@@ -131,7 +123,7 @@ class TestConfigValidation:
                            space_anchor=0.5, time_lag_steps=(1, 5), space_lag_cells=(1, 4))
         assert cfg.anchor_cell() == 8
         stats = run_ensemble(constant_field(16, 0.5, 0.5), CoefficientSet.constant(16),
-                             sheet_plan(), cfg, n_paths=2)
+                             NoisePlan(master_seed=0), cfg, n_paths=2)
         assert np.all(stats.time_count > 0) and np.all(stats.space_count > 0)
         # without statistics no lag collects anything, so none is accepted
         for field in ("time_lag_steps", "space_lag_cells"):
@@ -162,13 +154,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="grid"):
             validate_run(cfg, coeffs, init)
 
-    def test_plan_scheme_mismatch_rejected(self):
-        coeffs = CoefficientSet.constant(16)
-        init = constant_field(16, 0.5, 0.5)
-        cfg = SolverConfig(scheme="spectral", grid_size=16, dt=1e-3, t_final=0.01)
-        with pytest.raises(ValueError, match="spectral"):
-            run_ensemble(init, coeffs, sheet_plan(), cfg, n_paths=1)
-
 
 # ---------------------------------------------------------------------------
 # Deterministic oracles
@@ -181,7 +166,7 @@ class TestZeroField:
         coeffs = CoefficientSet.constant(n, m1=0.5, a1=1.0, sigma1=0.8,
                                          m2=0.3, a2=1.0, sigma2=0.6)
         init = constant_field(n, 0.0, 0.0)
-        plan = sheet_plan(7) if scheme == "fd" else spectral_plan(7)
+        plan = NoisePlan(master_seed=7)
         cfg = SolverConfig(scheme=scheme, grid_size=n, dt=1e-2, t_final=0.5,
                            snapshot_times=(0.5,))
         traj = simulate_path(init, coeffs, plan, cfg)
@@ -208,7 +193,7 @@ class TestLogisticOracle:
         n = 16
         coeffs = CoefficientSet.constant(n, m1=self.M, a1=self.A)
         init = constant_field(n, self.U0, 0.0)
-        plan = sheet_plan() if scheme == "fd" else spectral_plan()
+        plan = NoisePlan(master_seed=0)
         cfg = SolverConfig(scheme=scheme, grid_size=n, dt=dt, t_final=self.T,
                            snapshot_times=(self.T,))
         traj = simulate_path(init, coeffs, plan, cfg)
@@ -235,7 +220,7 @@ class TestHeatFlowOracle:
         x = cell_centers(n)
         init = Field(u0(x), v0(x))
         coeffs = CoefficientSet.constant(n)
-        plan = sheet_plan() if scheme == "fd" else spectral_plan()
+        plan = NoisePlan(master_seed=0)
         cfg = SolverConfig(scheme=scheme, grid_size=n, dt=dt, t_final=t_final,
                            snapshot_times=(t_final,))
         traj = simulate_path(init, coeffs, plan, cfg)
@@ -267,7 +252,7 @@ class TestHeatFlowOracle:
         init = Field(1.0 + 0.8 * np.cos(np.pi * x) + 0.1 * np.cos(4 * np.pi * x),
                      np.full(n, 0.7))
         coeffs = CoefficientSet.constant(n)
-        plan = sheet_plan() if scheme == "fd" else spectral_plan()
+        plan = NoisePlan(master_seed=0)
         cfg = SolverConfig(scheme=scheme, grid_size=n, dt=1e-3, t_final=0.2)
         stats = run_ensemble(init, coeffs, plan, cfg, n_paths=1)
         drift = np.abs(stats.mass_u[0] - stats.mass_u[0, 0])
@@ -343,8 +328,8 @@ class TestCrossSchemeDeterministic:
                               snapshot_times=(1.0,))
         cfg_sp = SolverConfig(scheme="spectral", grid_size=n, dt=1e-4, t_final=1.0,
                               snapshot_times=(1.0,))
-        out_fd = simulate_path(init, coeffs, sheet_plan(), cfg_fd).snapshots[-1]
-        out_sp = simulate_path(init, coeffs, spectral_plan(), cfg_sp).snapshots[-1]
+        out_fd = simulate_path(init, coeffs, NoisePlan(master_seed=0), cfg_fd).snapshots[-1]
+        out_sp = simulate_path(init, coeffs, NoisePlan(master_seed=0), cfg_sp).snapshots[-1]
         assert np.max(np.abs(out_fd.u - out_sp.u)) < 1e-3
         assert np.max(np.abs(out_fd.v - out_sp.v)) < 1e-3
 
@@ -357,7 +342,7 @@ def small_run(n_paths=10, chunk_size=None, threads=1, seed=11, scheme="fd"):
     n = 32
     init = constant_field(n, 0.5, 0.4)
     coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4)
-    plan = sheet_plan(seed) if scheme == "fd" else spectral_plan(seed)
+    plan = NoisePlan(master_seed=seed)
     cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-3, t_final=0.1,
                        record_interval=2e-2)
     return run_ensemble(init, coeffs, plan, cfg, n_paths=n_paths,
@@ -425,7 +410,7 @@ class TestDeterminism:
         init = constant_field(n, 0.5, v0)
         coeffs = CoefficientSet.constant(n, m1=0.2, a1=0.3, b1=0.1, sigma1=0.5,
                                          m2=0.1, a2=0.2, b2=0.2, sigma2=0.4)
-        plan = sheet_plan(17) if scheme == "fd" else spectral_plan(17)
+        plan = NoisePlan(master_seed=17)
         cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-5, t_final=4e-4,
                            record_interval=1e-4)
         rows = set()
@@ -447,7 +432,7 @@ class TestDeterminism:
         x = cell_centers(n)
         init = Field(0.5 + 0.2 * np.cos(np.pi * x), np.full(n, 0.4))
         coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4)
-        plan = sheet_plan(23) if scheme == "fd" else spectral_plan(23)
+        plan = NoisePlan(master_seed=23)
         cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-3, t_final=0.1,
                            record_interval=2e-2)
         ensemble = run_ensemble(init, coeffs, plan, cfg, n_paths=5, path_offset=3)
@@ -467,7 +452,7 @@ class TestDeterminism:
         init = constant_field(n, 0.5, 0.0)
         coeffs = CoefficientSet.constant(n, m1=0.2)
         cfg = SolverConfig(grid_size=n, dt=2e-3, t_final=0.1)
-        stats = run_ensemble(init, coeffs, sheet_plan(3), cfg, n_paths=6)
+        stats = run_ensemble(init, coeffs, NoisePlan(master_seed=3), cfg, n_paths=6)
         assert np.ptp(stats.mass_u[:, -1]) == 0.0
         assert np.ptp(stats.supnorm[:, -1]) == 0.0
 
@@ -506,7 +491,7 @@ class TestEnsembleStats:
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=0.1, record_interval=2e-2,
                            stats_after=0.0, space_lag_cells=(1, 2, 3), time_lag_steps=(1, 2))
         coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4)
-        stats = run_ensemble(constant_field(n, 0.5, 0.4), coeffs, sheet_plan(), cfg, n_paths=p)
+        stats = run_ensemble(constant_field(n, 0.5, 0.4), coeffs, NoisePlan(master_seed=0), cfg, n_paths=p)
         arrays = {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)
                   if isinstance(getattr(stats, f.name), np.ndarray)}
         assert p not in {d for a in arrays.values() for d in a.shape[1:]}
@@ -520,7 +505,7 @@ class TestEnsembleStats:
         coeffs = CoefficientSet.constant(n, m1=3.0)
         cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=1.0,
                            truncation_radius=6.0)
-        stats = run_ensemble(init, coeffs, sheet_plan(), cfg, n_paths=2)
+        stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=2)
         assert stats.exit_fraction() == 1.0
         # deterministic growth e^{3t} from 5 crosses 6 near t = ln(1.2)/3
         t_exit = stats.exit_step[0] * cfg.dt
@@ -534,7 +519,7 @@ class TestEnsembleStats:
         init = constant_field(n, 1.0, 0.5)
         coeffs = CoefficientSet.constant(n, m1=2.0, sigma1=1.0, m2=0.5, sigma2=0.5)
         cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=1.0, truncation_radius=3.0)
-        runs = [run_ensemble(init, coeffs, sheet_plan(5), cfg, n_paths=8,
+        runs = [run_ensemble(init, coeffs, NoisePlan(master_seed=5), cfg, n_paths=8,
                              chunk_size=chunk, threads=threads)
                 for chunk, threads in ((None, 1), (3, 1), (1, 1), (None, 2), (3, 2))]
         steps = runs[0].exit_step
@@ -580,7 +565,7 @@ class TestClamp:
         init = constant_field(n, 0.05, 0.0)
         coeffs = CoefficientSet.constant(n, sigma1=2.0)
         cfg = SolverConfig(grid_size=n, dt=5e-3, t_final=0.5)
-        stats = run_ensemble(init, coeffs, sheet_plan(21), cfg, n_paths=8)
+        stats = run_ensemble(init, coeffs, NoisePlan(master_seed=21), cfg, n_paths=8)
         assert np.any(stats.clip_events > 0)
         assert np.all(stats.clip_max_ratio >= 0.0)
         assert np.all(stats.mass_u >= 0.0)
@@ -663,7 +648,7 @@ class TestTruncation:
         n = 16
         cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=0.1, truncation_radius=6.0)
         stats = run_ensemble(constant_field(n, 5.0, 0.0), CoefficientSet.constant(n, m1=3.0),
-                             sheet_plan(), cfg, n_paths=2)
+                             NoisePlan(master_seed=0), cfg, n_paths=2)
         exit_step = int(stats.exit_step[0])
         assert 50 < exit_step < 70
         assert len(calls) == cfg.n_steps
@@ -736,7 +721,7 @@ class TestFusedStep:
         monkeypatch.setattr(solver, "_BLOCK_BUDGET", 2 * p * n * 4)
         coeffs = CoefficientSet.from_expressions(n, m1="0.2", sigma1="0.5 + x",
                                                  m2="0.1", sigma2="0.4")
-        plan = sheet_plan(9) if scheme == "fd" else spectral_plan(9)
+        plan = NoisePlan(master_seed=9)
         fields = []
 
         def recording_step(state, noise, *args, **kwargs):
@@ -794,7 +779,7 @@ class TestLiveSpecies:
         values = dict(m1=0.3, a1=0.4, b1=0.2, sigma1=0.5, m2=0.2, a2=0.3, b2=0.1, sigma2=0.4)
         values.update(coefficients)
         coeffs = CoefficientSet.constant(n, **values)
-        plan = sheet_plan(seed) if scheme == "fd" else spectral_plan(seed)
+        plan = NoisePlan(master_seed=seed)
         cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-3, t_final=0.1,
                            record_interval=1e-2, truncation_radius=0.7, stats_after=0.05,
                            space_lag_cells=(1, 2), time_lag_steps=(1, 3))
@@ -875,7 +860,7 @@ class TestBlowup:
             with pytest.raises(SimulationBlowup,
                                match=r"at step 7 \(t = 0\.007\) on path 11$"):
                 run_ensemble(constant_field(n, 0.5, 0.5), CoefficientSet.constant(n, m1=1.0),
-                             sheet_plan(), cfg, n_paths=3, path_offset=10)
+                             NoisePlan(master_seed=0), cfg, n_paths=3, path_offset=10)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
@@ -897,7 +882,7 @@ class TestBlowup:
         before = threading.active_count()
         with pytest.raises(SimulationBlowup, match=r"at step 7 \(t = 0\.007\) on path 1$"):
             run_ensemble(constant_field(n, 0.5, 0.5), CoefficientSet.constant(n, m1=1.0),
-                         sheet_plan(), cfg, n_paths=p)
+                         NoisePlan(master_seed=0), cfg, n_paths=p)
         assert threading.active_count() == before
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -907,7 +892,7 @@ class TestBlowup:
         n = 8
         cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=0.01)
         stats = run_ensemble(constant_field(n, 0.5, 0.5), CoefficientSet.constant(n, m1=1.0),
-                             sheet_plan(), cfg, n_paths=3)
+                             NoisePlan(master_seed=0), cfg, n_paths=3)
         assert list(stats.exit_step) == [-1, 4, -1]
         assert np.all(np.isfinite(stats.mass_u))
 
@@ -922,7 +907,7 @@ class TestIncrementRecording:
                            space_lag_cells=(1, 4), time_lag_steps=(1, 3),
                            space_anchor=anchor,
                            probe_sites=(0.25, 0.75))
-        return run_ensemble(init, coeffs, sheet_plan(5), cfg, n_paths=3)
+        return run_ensemble(init, coeffs, NoisePlan(master_seed=5), cfg, n_paths=3)
 
     def test_pooled_space_counts(self):
         stats = self.make_stats()
@@ -972,7 +957,7 @@ class TestIncrementRecording:
             return result
 
         monkeypatch.setattr(solver, "euler_step", recording_step)
-        plan = sheet_plan(5) if scheme == "fd" else spectral_plan(5)
+        plan = NoisePlan(master_seed=5)
         stats = run_ensemble(init, coeffs, plan, cfg, n_paths=p)
         assert len(states) == cfg.n_steps + 1
         ref = per_lag_statistics(states, cfg)
@@ -1039,7 +1024,7 @@ class TestDrawAhead:
         monkeypatch.setattr(solver, "_BLOCK_BUDGET", live * (p // threads) * n * block)
         init = constant_field(n, 0.5, v0)
         coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4)
-        plan = sheet_plan(8) if scheme == "fd" else spectral_plan(8)
+        plan = NoisePlan(master_seed=8)
         cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-3, t_final=self.N_STEPS * 2e-3,
                            record_interval=1e-2, stats_after=0.05,
                            space_lag_cells=(1, 3), time_lag_steps=(2, 7))
@@ -1183,7 +1168,7 @@ class TestDrawAhead:
         cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=0.05)
         stats = run_ensemble(constant_field(n, 0.5, 0.4),
                              CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4),
-                             sheet_plan(11), cfg, n_paths=4)
+                             NoisePlan(master_seed=11), cfg, n_paths=4)
         assert stats.n_paths == 4
         assert sum(bases.values()) <= 2 * budget
         assert len(bases) == (1 if budget == 10**6 else 2)
@@ -1252,8 +1237,8 @@ class TestCrossSchemeStochastic:
         coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.5)
         cfg_fd = SolverConfig(scheme="fd", grid_size=n, dt=1e-3, t_final=0.5)
         cfg_sp = SolverConfig(scheme="spectral", grid_size=n, dt=1e-3, t_final=0.5)
-        stats_fd = run_ensemble(init, coeffs, sheet_plan(31), cfg_fd, n_paths)
-        stats_sp = run_ensemble(init, coeffs, spectral_plan(32), cfg_sp, n_paths)
+        stats_fd = run_ensemble(init, coeffs, NoisePlan(master_seed=31), cfg_fd, n_paths)
+        stats_sp = run_ensemble(init, coeffs, NoisePlan(master_seed=32), cfg_sp, n_paths)
         d = ks_statistic(stats_fd.mass_u[:, -1], stats_sp.mass_u[:, -1])
         crit = ks_critical(0.01, n_paths, n_paths)
         assert d < crit, f"KS {d:.4f} >= {crit:.4f}"
