@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (FLAT_TAIL_FACTOR, MILD_AUDIT_ETAS, STATIONARITY_REQUIRED_FRACTION,
-                       SUPNORM_MOMENT_ORDER, check_increment_order, check_lag_coverage,
+                       SUPNORM_MOMENT_ORDER, check_lag_coverage,
                        density_smoke_test, extinction_report, holder_estimate,
                        mild_log_functional_audit, moment_bound_curve,
                        stationarity_report, tail_window_mask)
@@ -173,8 +173,8 @@ def _build(cfg: ExperimentConfig):
 
 def _ensemble(cfg: ExperimentConfig, meter: EnsembleMeter):
     init, coeffs, plan, sconf = _build(cfg)
-    stats = meter.run(run_ensemble, init, coeffs, plan, sconf, cfg.n_paths,
-                      threads=cfg.threads)
+    stats = meter.run(run_ensemble, init, coeffs, plan, sconf, cfg.run.n_paths,
+                      threads=cfg.run.threads)
     return stats, coeffs, init
 
 
@@ -422,18 +422,9 @@ def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
 
 
 def cmd_holder(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
-    opts = cfg.extra("holder")
-    p = opts.get_int("p", 4)
-    band_space = opts.get_float_list("band_space", (0.40, 0.55))
-    band_time = opts.get_float_list("band_time", (0.18, 0.30))
-    opts.reject_unknown()
-    opts.check("p", check_increment_order, p)
-
     # Refuse lag sets the estimator would refuse before paying for the
-    # ensemble; the lags are built as the solver records them.
-    sconf = cfg.solver
-    lag_sets = (("space_lags", np.asarray(sconf.space_lag_cells) / sconf.grid_size),
-                ("time_lags", np.asarray(sconf.time_lag_steps) * sconf.dt))
+    # ensemble; the lags are the ones the solver records.
+    lag_sets = tuple(zip(("space_lags", "time_lags"), cfg.solver.recorded_lags()))
     if not any(lags.size for _, lags in lag_sets):
         raise ConfigError("holder needs space_lags or time_lags in [solver]",
                           cfg.path)
@@ -442,14 +433,15 @@ def cmd_holder(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
             try:
                 check_lag_coverage(lags)
             except ValueError as e:
-                raise ConfigError(f"[solver] {key}: {e}", cfg.path) from None
+                raise cfg.error("solver", key, str(e)) from None
 
     stats, _, _ = _ensemble(cfg, meter)
+    opts = cfg.holder
     estimates = []
     if stats.space_lags.size:
-        estimates.append((holder_estimate(stats, "space", p), band_space))
+        estimates.append((holder_estimate(stats, "space", opts.p), opts.band_space))
     if stats.time_lags.size:
-        estimates.append((holder_estimate(stats, "time", p), band_time))
+        estimates.append((holder_estimate(stats, "time", opts.p), opts.band_time))
 
     rows, moment_rows, verdicts = [], [], []
     for est, band in estimates:
@@ -476,20 +468,20 @@ def cmd_holder(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
 
 
 def cmd_extinction(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
-    opts = cfg.extra("extinction")
-    species = _species_index(opts.get_choice("species", ("u", "v"), "u"))
-    w_lo = opts.get_float("window_start", 5.0)
-    w_hi = opts.get_float("window_end", None)
-    opts.reject_unknown()
+    opts = cfg.extinction
+    window = (opts.window_start, opts.window_end)
     # refuse a window the report would refuse before paying for the
     # ensemble; a window set only by its end is that key's fault
-    key = "window_end" if w_hi is not None and opts.line("window_start") is None \
-        else "window_start"
-    opts.check(key, tail_window_mask, cfg.solver.record_steps() * cfg.solver.dt,
-               (w_lo, w_hi))
+    key = ("window_end" if opts.window_end is not None
+           and ("extinction", "window_start") not in cfg.lines else "window_start")
+    try:
+        tail_window_mask(cfg.solver.record_steps() * cfg.solver.dt, window)
+    except ValueError as e:
+        raise cfg.error("extinction", key, str(e)) from None
 
     stats, coeffs, _ = _ensemble(cfg, meter)
-    rep = extinction_report(stats, coeffs, species=species, tail_window=(w_lo, w_hi))
+    rep = extinction_report(stats, coeffs, species=_species_index(opts.species),
+                            tail_window=window)
 
     bound = rep.mean_log_mass[0] + rep.r_bound * rep.times
     rows = list(zip(rep.times, rep.mean_log_mass, rep.log_mass_se, bound,
@@ -546,9 +538,10 @@ DENSITY_SITE = 0.5
 
 
 def cmd_density(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
-    opts = cfg.extra("density")
-    at_time = opts.get_float("time", cfg.solver.t_final)
-    opts.reject_unknown()
+    t_final = cfg.solver.t_final
+    at_time = t_final if cfg.density.time is None else cfg.density.time
+    if not 0.0 <= at_time <= t_final:
+        raise cfg.error("density", "time", f"time {at_time} outside the run [0, {t_final}]")
 
     stats, _, _ = _ensemble(cfg, meter)
     ti = int(np.argmin(np.abs(stats.times - at_time)))
@@ -613,7 +606,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config).with_overrides(
             seed=args.seed, n_paths=args.paths, threads=args.threads)
-        out_dir = Path(args.out or os.environ.get(_ENV_OUT) or cfg.output_dir)
+        out_dir = Path(args.out or os.environ.get(_ENV_OUT) or cfg.run.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         verdicts, files = args.func(cfg, out_dir, meter)
     except Exception as e:

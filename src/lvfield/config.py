@@ -19,24 +19,30 @@ Example::
     [run]
     n_paths = 100
 
-Besides those four, a config may hold only the option sections of the
-commands in COMMAND_SECTIONS.  Full-line comments start with '#' or ';'.
-Coefficients and initial data are arithmetic expressions in x (see expr
-module); plain numbers are valid expressions.  Every parse or validation
-failure reports the file and line it came from.  The canonical dump of the
-effective configuration (after any command-line overrides) is hashed into
-output file headers, so outputs are traceable to the exact parameters that
-produced them.
+Besides those four, a config may hold [holder], [extinction] and [density],
+the options of the commands that take any.  Each section is one frozen
+dataclass of SECTIONS: a field is set by the key of its name (or the one
+_KEYS names), defaults to the field's default, is range-checked by the
+dataclass for every command, and is hashed unless _UNHASHED names it.
+[noise] representation is the one key that sets no field.  Full-line
+comments start with '#' or ';'.  Coefficients and initial data are
+arithmetic expressions in x (see expr module); plain numbers are valid
+expressions.  Every parse or validation failure reports the file and line
+it came from.  The canonical dump of the effective configuration (after any
+command-line overrides) is hashed into output file headers, so outputs are
+traceable to the exact parameters that produced them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
-import numpy as np
-
+from .analysis import check_increment_order
+from .expr import ExprError, parse
 from .model import COEFFICIENT_NAMES, CoefficientSet, Field
 from .noise import FieldError, NoisePlan
 from .solver import SolverConfig
@@ -55,29 +61,23 @@ class ConfigError(Exception):
         super().__init__(f"{where} {message}".strip())
 
 
-# The sections a config may hold: the four it is built from, then the option
-# sections of the commands that read any.
-COMMAND_SECTIONS = ("holder", "extinction", "density")
-_SECTIONS = ("model", "solver", "noise", "run") + COMMAND_SECTIONS
-
-
-def _read_sections(text: str, path: str) -> dict:
-    """Sections as {name: {key: (raw_value, line_number)}}."""
-    sections: dict = {}
+def _read_sections(text: str, path: str) -> tuple[dict, dict]:
+    """({(section, key): raw value}, {(section, key): line number})."""
+    raw, lines, sections = {}, {}, set()
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, text_line in enumerate(text.splitlines(), start=1):
+        line = text_line.strip()
         if not line or line.startswith(("#", ";")):
             continue
         if line.startswith("["):
             if not line.endswith("]") or len(line) < 3:
                 raise ConfigError(f"malformed section header {line!r}", path, lineno)
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                raise ConfigError(f"unknown section [{name}]", path, lineno)
-            if name in sections:
-                raise ConfigError(f"duplicate section [{name}]", path, lineno)
-            current = sections.setdefault(name, {})
+            current = line[1:-1].strip()
+            if current not in SECTIONS:
+                raise ConfigError(f"unknown section [{current}]", path, lineno)
+            if current in sections:
+                raise ConfigError(f"duplicate section [{current}]", path, lineno)
+            sections.add(current)
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {line!r}", path, lineno)
@@ -85,118 +85,78 @@ def _read_sections(text: str, path: str) -> dict:
             raise ConfigError("key outside any [section]", path, lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if not key:
             raise ConfigError("empty key", path, lineno)
-        if key in current:
+        if (current, key) in raw:
             raise ConfigError(f"duplicate key {key!r}", path, lineno)
-        current[key] = (value, lineno)
-    return sections
+        raw[current, key] = value.strip()
+        lines[current, key] = lineno
+    return raw, lines
 
 
-class SectionView:
-    """Typed access to one parsed section with line-precise errors."""
+def _key_error(path: str, lines: dict, section: str, key: str, message: str) -> ConfigError:
+    return ConfigError(f"[{section}] {key}: {message}", path, lines.get((section, key)))
 
-    def __init__(self, name: str, data: dict, path: str):
-        self.name = name
-        self._data = dict(data)
-        self._path = path
-        self._seen = set()
 
-    def _raw(self, key):
-        self._seen.add(key)
-        return self._data.get(key)
+def _read_value(raw: dict, error, key: tuple, annotation: str, default):
+    """The value of key = (section, name), popped from raw and parsed as the
+    field annotation says; default when the file does not set it, which must
+    then not be MISSING."""
+    if key not in raw:
+        if default is MISSING:
+            raise error(*key, "required key missing")
+        return default
+    text = raw.pop(key)
+    convert, noun = _PARSERS[annotation]
+    try:
+        value = (tuple(convert(v) for v in text.split(",") if v.strip())
+                 if annotation.startswith("tuple") else convert(text))
+    except ValueError:
+        raise error(*key, f"invalid {noun} {text!r}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise error(*key, f"must be finite, got {text!r}")
+    return value
 
-    def line(self, key):
-        """Line number of key, or None when the file does not set it."""
-        entry = self._data.get(key)
-        return entry[1] if entry else None
 
-    def _fail(self, key, message):
-        raise ConfigError(f"[{self.name}] {key}: {message}", self._path, self.line(key))
+# The converter of each field annotation, and what a value it refuses is not.
+_PARSERS = {"str": (str, "string"), "int": (int, "integer"),
+            "float": (float, "number"), "float | None": (float, "number"),
+            "tuple[float, ...]": (float, "number list"),
+            "tuple[int, ...]": (int, "integer list")}
 
-    def get_str(self, key, default=None):
-        entry = self._raw(key)
-        if entry is None:
-            if default is ...:
-                self._fail(key, "required key missing")
-            return default
-        return entry[0]
 
-    def get_choice(self, key, choices, default=None):
-        value = self.get_str(key, default)
-        if value is not None and value not in choices:
-            self._fail(key, f"must be one of {sorted(choices)}, got {value!r}")
-        return value
+@dataclass(frozen=True, kw_only=True)
+class ModelSpec:
+    """[model]: the coefficient profiles and the initial data, expressions in
+    x; u0 is required, everything else defaults to 0."""
 
-    def get_float(self, key, default=None):
-        value = self.get_str(key, default)
-        if value is None or isinstance(value, float):
-            return value
-        try:
-            out = float(value)
-        except ValueError:
-            self._fail(key, f"invalid number {value!r}")
-        if not np.isfinite(out):
-            self._fail(key, f"must be finite, got {value!r}")
-        return out
+    m1: str = "0"
+    a1: str = "0"
+    b1: str = "0"
+    sigma1: str = "0"
+    m2: str = "0"
+    a2: str = "0"
+    b2: str = "0"
+    sigma2: str = "0"
+    u0: str
+    v0: str = "0"
 
-    def get_int(self, key, default=None):
-        value = self.get_str(key, default)
-        if value is None or isinstance(value, int):
-            return value
-        try:
-            return int(value)
-        except ValueError:
-            self._fail(key, f"invalid integer {value!r}")
-
-    def get_float_list(self, key, default=()):
-        value = self.get_str(key, None)
-        if value is None:
-            return tuple(default)
-        try:
-            return tuple(float(v) for v in value.split(",") if v.strip())
-        except ValueError:
-            self._fail(key, f"invalid number list {value!r}")
-
-    def get_int_list(self, key, default=()):
-        value = self.get_str(key, None)
-        if value is None:
-            return tuple(default)
-        try:
-            return tuple(int(v) for v in value.split(",") if v.strip())
-        except ValueError:
-            self._fail(key, f"invalid integer list {value!r}")
-
-    def check(self, key, validate, *args):
-        """validate(*args); a ValueError it raises fails at the key's line."""
-        try:
-            validate(*args)
-        except ValueError as e:
-            self._fail(key, str(e))
-
-    def reject_unknown(self):
-        unknown = set(self._data) - self._seen
-        if unknown:
-            key = sorted(unknown)[0]
-            self._fail(key, "unknown key")
+    def __post_init__(self):
+        for f in fields(self):
+            try:
+                parse(getattr(self, f.name))
+            except ExprError as e:
+                raise FieldError(f.name, f"{f.name}: {e}") from None
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated experiment parameters plus raw per-command extras."""
+class RunConfig:
+    """[run]: the number of paths, where the outputs go and how many worker
+    processes simulate them (0: all cores)."""
 
-    path: str
-    coefficients: dict                  # name -> expression string
-    u0: str
-    v0: str
-    solver: SolverConfig
-    noise: NoisePlan
-    n_paths: int
-    output_dir: str
-    name: str
-    threads: int
-    extras: dict = field(default_factory=dict)  # section -> {key: (value, line)}
+    n_paths: int = 1
+    output_dir: str = "out"
+    threads: int = 1
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -204,13 +164,91 @@ class ExperimentConfig:
         if self.threads < 0:
             raise FieldError("threads", f"threads must be >= 0, got {self.threads}")
 
+
+@dataclass(frozen=True)
+class HolderOptions:
+    """[holder]: the increment moment order and the bands the space and the
+    time exponent must fall in."""
+
+    p: int = 4
+    band_space: tuple[float, ...] = (0.40, 0.55)
+    band_time: tuple[float, ...] = (0.18, 0.30)
+
+    def __post_init__(self):
+        try:
+            check_increment_order(self.p)
+        except ValueError as e:
+            raise FieldError("p", f"p: {e}") from None
+        for name in ("band_space", "band_time"):
+            band = getattr(self, name)
+            if len(band) != 2 or not band[0] <= band[1]:
+                raise FieldError(name, f"{name}: must be two values lo <= hi, got {band}")
+
+
+@dataclass(frozen=True)
+class ExtinctionOptions:
+    """[extinction]: the species whose log mass must decay, and the tail
+    window of the slope fit (window_end None: the end of the run)."""
+
+    species: str = "u"
+    window_start: float = 5.0
+    window_end: float | None = None
+
+    def __post_init__(self):
+        if self.species not in ("u", "v"):
+            raise FieldError("species",
+                             f"species: must be one of ['u', 'v'], got {self.species!r}")
+
+
+@dataclass(frozen=True)
+class DensityOptions:
+    """[density]: the time of the one-point law (None: t_final)."""
+
+    time: float | None = None
+
+
+# Every section a config may hold, and the dataclass its keys set.
+SECTIONS = {"model": ModelSpec, "solver": SolverConfig, "noise": NoisePlan, "run": RunConfig,
+            "holder": HolderOptions, "extinction": ExtinctionOptions,
+            "density": DensityOptions}
+
+# The fields set by a key other than [section] field_name.
+_KEYS = {("solver", "grid_size"): ("model", "n"),
+         ("solver", "space_lag_cells"): ("solver", "space_lags"),
+         ("solver", "time_lag_steps"): ("solver", "time_lags")}
+
+# The fields that never change results, left out of the hash.
+_UNHASHED = {("run", "output_dir"), ("run", "threads")}
+
+
+def _key(section: str, name: str) -> tuple:
+    """(section, key) of the config key that sets field name of section."""
+    return _KEYS.get((section, name), (section, name))
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment: the dataclass of every section, and the line of every
+    key the file sets, (section, key) -> line."""
+
+    path: str
+    model: ModelSpec
+    solver: SolverConfig
+    noise: NoisePlan
+    run: RunConfig
+    holder: HolderOptions
+    extinction: ExtinctionOptions
+    density: DensityOptions
+    lines: dict = field(default_factory=dict, compare=False)
+
     # -- derived objects ---------------------------------------------------
 
     def coefficient_set(self) -> CoefficientSet:
-        return CoefficientSet.from_expressions(self.solver.grid_size, **self.coefficients)
+        sources = {name: getattr(self.model, name) for name in COEFFICIENT_NAMES}
+        return CoefficientSet.from_expressions(self.solver.grid_size, **sources)
 
     def initial_field(self) -> Field:
-        return Field.from_expressions(self.solver.grid_size, u0=self.u0, v0=self.v0)
+        return Field.from_expressions(self.solver.grid_size, u0=self.model.u0, v0=self.model.v0)
 
     # The CLI reads .noise and .solver; perfbench/probe.py times these two.
     def noise_plan(self) -> NoisePlan:
@@ -219,10 +257,9 @@ class ExperimentConfig:
     def solver_config(self) -> SolverConfig:
         return self.solver
 
-    def extra(self, section: str) -> "SectionView":
-        if section not in COMMAND_SECTIONS:
-            raise KeyError(f"no command section [{section}]")
-        return SectionView(section, self.extras.get(section, {}), self.path)
+    def error(self, section: str, key: str, message: str) -> ConfigError:
+        """A ConfigError about [section] key, at its line when the file sets it."""
+        return _key_error(self.path, self.lines, section, key, message)
 
     def with_overrides(self, seed=None, n_paths=None, threads=None) -> "ExperimentConfig":
         """The config with the flag values that are not None; a refused value
@@ -232,9 +269,9 @@ class ExperimentConfig:
             if seed is not None:
                 out = replace(out, noise=replace(out.noise, master_seed=int(seed)))
             if n_paths is not None:
-                out = replace(out, n_paths=int(n_paths))
+                out = replace(out, run=replace(out.run, n_paths=int(n_paths)))
             if threads is not None:
-                out = replace(out, threads=int(threads))
+                out = replace(out, run=replace(out.run, threads=int(threads)))
         except FieldError as e:
             raise ConfigError(f"{_FLAGS[e.field]}: {e}") from None
         return out
@@ -242,21 +279,12 @@ class ExperimentConfig:
     # -- provenance --------------------------------------------------------
 
     def canonical_text(self) -> str:
-        """Deterministic dump of every effective parameter, for hashing.
-
-        output_dir and threads are left out: they never change results.
-        """
-        rows = {"model.u0": self.u0, "model.v0": self.v0,
-                "run.n_paths": self.n_paths, "run.name": self.name}
-        for section, params in (("solver", self.solver), ("noise", self.noise)):
-            for f in fields(params):
-                rows[f"{section}.{f.name}"] = repr(getattr(params, f.name))
-        for name, expr_src in self.coefficients.items():
-            rows[f"model.{name}"] = expr_src
-        for section, data in self.extras.items():
-            for key, (value, _) in data.items():
-                rows[f"{section}.{key}"] = value
-        return "\n".join(f"{k}={rows[k]}" for k in sorted(rows)) + "\n"
+        """Deterministic dump of every effective parameter, for hashing: one
+        row per field of every section, but those in _UNHASHED."""
+        rows = [f"{section}.{f.name}={getattr(params, f.name)!r}"
+                for section in SECTIONS for params in (getattr(self, section),)
+                for f in fields(params) if (section, f.name) not in _UNHASHED]
+        return "\n".join(sorted(rows)) + "\n"
 
     @property
     def config_hash(self) -> str:
@@ -266,99 +294,44 @@ class ExperimentConfig:
 # The command-line flag of each field with_overrides sets.
 _FLAGS = {"master_seed": "--seed", "n_paths": "--paths", "threads": "--threads"}
 
-# [solver] keys named differently from the SolverConfig field they set.
-_SOLVER_KEYS = {"space_lag_cells": "space_lags", "time_lag_steps": "time_lags"}
 
-# The SectionView reader of each field annotation of SolverConfig and NoisePlan.
-_READERS = {"str": SectionView.get_str, "int": SectionView.get_int,
-            "float": SectionView.get_float, "float | None": SectionView.get_float,
-            "tuple[float, ...]": SectionView.get_float_list,
-            "tuple[int, ...]": SectionView.get_int_list}
-
-
-def _read_fields(cls, key_of) -> dict:
-    """{field: value} of every field of cls, read by the reader of its
-    annotation at key_of(field) = (view, key), the field's default when unset."""
-    return {f.name: _READERS[f.type](*key_of(f.name), f.default) for f in fields(cls)}
-
-
-def _construct(cls, section: str, path: str, key_of, /, **kwargs):
-    """cls(**kwargs); a ValueError becomes a ConfigError at the line of the
-    failing field's key (key_of maps a field name to (view, key))."""
+def _construct(section: str, kwargs: dict, lines: dict, path: str):
+    """The section's dataclass of kwargs; a ValueError becomes a ConfigError
+    at the line of the failing field's key."""
     try:
-        return cls(**kwargs)
+        return SECTIONS[section](**kwargs)
     except ValueError as e:
-        line = SectionView.line(*key_of(e.field)) if isinstance(e, FieldError) else None
+        line = lines.get(_key(section, e.field)) if isinstance(e, FieldError) else None
         raise ConfigError(f"[{section}] {e}", path, line) from e
 
 
 def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
-    sections = _read_sections(text, path)
-
-    model = SectionView("model", sections.get("model", {}), path)
-    coefficients = {}
-    for key in COEFFICIENT_NAMES:
-        value = model.get_str(key, None)
-        if value is not None:
-            coefficients[key] = value
-    u0 = model.get_str("u0", ...)
-    v0 = model.get_str("v0", "0")
-
-    # [model] n sets grid_size; every other SolverConfig field is its own
-    # [solver] key, or the one _SOLVER_KEYS names.
-    solver = SectionView("solver", sections.get("solver", {}), path)
-
-    def solver_key(field_name):
-        if field_name == "grid_size":
-            return model, "n"
-        return solver, _SOLVER_KEYS.get(field_name, field_name)
-
-    solver_params = _read_fields(SolverConfig, solver_key)
-    model.reject_unknown()
-    solver.reject_unknown()
-    sconf = _construct(SolverConfig, "solver", path, solver_key, **solver_params)
-
+    raw, lines = _read_sections(text, path)
+    error = partial(_key_error, path, lines)
+    params = {section: {f.name: _read_value(raw, error, _key(section, f.name), f.type, f.default)
+                        for f in fields(cls)}
+              for section, cls in SECTIONS.items()}
     # The scheme picks the noise field; representation, optional and not
     # hashed, may only name it.
-    noise = SectionView("noise", sections.get("noise", {}), path)
-    representation = noise.get_choice("representation", ("sheet", "spectral"))
-    if representation not in (None, "sheet" if sconf.scheme == "fd" else "spectral"):
-        noise._fail("representation",
-                    f"{representation} noise does not drive the {sconf.scheme} scheme")
-    noise_key = lambda name: (noise, name)
-    plan = _construct(NoisePlan, "noise", path, noise_key, **_read_fields(NoisePlan, noise_key))
-    noise.reject_unknown()
+    representation = raw.pop(("noise", "representation"), None)
+    if raw:
+        raise error(*next(iter(raw)), "unknown key")
+    cfg = ExperimentConfig(path=path, lines=lines, **{
+        section: _construct(section, kwargs, lines, path) for section, kwargs in params.items()})
 
-    run = SectionView("run", sections.get("run", {}), path)
-    run_params = dict(n_paths=run.get_int("n_paths", 1),
-                      output_dir=run.get_str("output_dir", "out"),
-                      name=run.get_str("name", Path(path).stem),
-                      threads=run.get_int("threads", 1))
-    run.reject_unknown()
-
-    extras = {s: data for s, data in sections.items() if s in COMMAND_SECTIONS}
-    cfg = _construct(ExperimentConfig, "run", path, lambda name: (run, name),
-                     path=path, coefficients=coefficients, u0=u0, v0=v0,
-                     solver=sconf, noise=plan, extras=extras, **run_params)
-
-    # early validation of the model so errors point at the config
-    _validate_model(cfg, model)
-    return cfg
-
-
-def _validate_model(cfg: ExperimentConfig, model: SectionView):
-    from .expr import ExprError, parse
-
-    for key, src in {**cfg.coefficients, "u0": cfg.u0, "v0": cfg.v0}.items():
-        try:
-            parse(src)
-        except ExprError as e:
-            model._fail(key, str(e))
+    if representation not in (None, "sheet", "spectral"):
+        raise cfg.error("noise", "representation",
+                        f"must be one of ['sheet', 'spectral'], got {representation!r}")
+    if representation not in (None, "sheet" if cfg.solver.scheme == "fd" else "spectral"):
+        raise cfg.error("noise", "representation",
+                        f"{representation} noise does not drive the {cfg.solver.scheme} scheme")
+    # the profiles on the grid: nonnegative initial data and rates
     try:
         cfg.coefficient_set()
         cfg.initial_field()
     except ValueError as e:
-        raise ConfigError(f"[model] {e}", cfg.path) from e
+        raise ConfigError(f"[model] {e}", path) from e
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

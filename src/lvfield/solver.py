@@ -228,6 +228,12 @@ class SolverConfig:
         return (None if self.space_anchor is None
                 else min(round(self.space_anchor * self.grid_size - 0.5), self.grid_size - 1))
 
+    def recorded_lags(self) -> tuple[np.ndarray, np.ndarray]:
+        """The space lags as distances and the time lags as durations, as
+        the increment statistics record them."""
+        return (np.asarray(self.space_lag_cells, dtype=np.int64) / self.grid_size,
+                np.asarray(self.time_lag_steps, dtype=np.int64) * self.dt)
+
     def site_indices(self) -> np.ndarray:
         n = self.grid_size
         return np.clip(np.round(np.asarray(self.probe_sites) * n - 0.5).astype(int), 0, n - 1)
@@ -484,6 +490,7 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     n_sites = site_idx.size
     space_lags = np.asarray(config.space_lag_cells, dtype=np.int64)
     time_lags = np.asarray(config.time_lag_steps, dtype=np.int64)
+    space_lag_x, time_lag_t = config.recorded_lags()
 
     # The statistics this run returns, filled in place as it steps.
     stats = EnsembleStats(
@@ -495,10 +502,10 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
         site_u=np.empty((p, n_rec, n_sites)), site_v=np.empty((p, n_rec, n_sites)),
         exit_step=np.full(p, -1, dtype=np.int64), clip_max_ratio=np.zeros(p),
         clip_events=np.zeros(p, dtype=np.int64),
-        space_lags=space_lags / n, space_p2=np.zeros((p, space_lags.size)),
+        space_lags=space_lag_x, space_p2=np.zeros((p, space_lags.size)),
         space_p4=np.zeros((p, space_lags.size)),
         space_count=np.zeros(space_lags.size, dtype=np.int64),
-        time_lags=time_lags * dt, time_p2=np.zeros((p, time_lags.size)),
+        time_lags=time_lag_t, time_p2=np.zeros((p, time_lags.size)),
         time_p4=np.zeros((p, time_lags.size)),
         time_count=np.zeros(time_lags.size, dtype=np.int64))
 

@@ -15,7 +15,7 @@ from scipy.linalg import expm
 import lvfield
 from lvfield import cli, noise
 from lvfield.cli import main
-from lvfield.config import COMMAND_SECTIONS, parse_config_text
+from lvfield.config import SECTIONS, parse_config_text
 from lvfield.kernel import semigroup_apply
 from lvfield.solver import SimulationBlowup, run_ensemble, simulate_path
 
@@ -325,7 +325,7 @@ class TestLinearMeanField:
         econf = parse_config_text(text)
         sconf = econf.solver
         stats = run_ensemble(econf.initial_field(), econf.coefficient_set(),
-                             econf.noise_plan(), sconf, econf.n_paths)
+                             econf.noise_plan(), sconf, econf.run.n_paths)
         n = sconf.grid_size
         lap = n * n * (np.diag(np.full(n - 1, 1.0), -1) + np.diag(np.full(n - 1, 1.0), 1)
                        - 2.0 * np.eye(n))
@@ -473,7 +473,7 @@ class TestExitCodes:
         assert main([section.replace("_", "-"), "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         line = len(text.splitlines())
-        if section not in COMMAND_SECTIONS:
+        if section not in SECTIONS:
             assert err == f"error: {cfg}:{line - 1}: unknown section [{section}]\n"
         else:
             assert err == f"error: {cfg}:{line}: [{section}] {key}: unknown key\n"
@@ -519,16 +519,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("lags, message", [
         ("space_lags = 1, 2", "space_lags: need at least 5 lags, got 2"),
-        ("space_lags = 4, 5, 6, 7, 8", "space_lags: lags span 0.30 decades"),
-        ("space_lags = 1, 2, 3, 5, 8\ntime_lags = 1, 2", "time_lags: need at least 5 lags"),
+        ("space_lags = 4, 5, 6, 7, 8", "space_lags: lags span 0.30 decades, need 0.45"),
+        ("space_lags = 1, 2, 3, 5, 8\ntime_lags = 1, 2", "time_lags: need at least 5 lags, got 2"),
     ])
     def test_holder_with_too_few_lags_is_2(self, tmp_path, capsys, monkeypatch, lags, message):
-        cfg = write(tmp_path, BENCH.replace("[solver]\n", f"[solver]\n{lags}\nstats_after = 0.1\n"))
-        # refused before the ensemble runs
+        text = BENCH.replace("[solver]\n", f"[solver]\n{lags}\nstats_after = 0.1\n")
+        cfg = write(tmp_path, text)
+        # refused before the ensemble runs, at the line of the key
         monkeypatch.setattr(cli, "run_ensemble", None)
         out = tmp_path / "h"
         assert main(["holder", "--config", cfg, "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        key = message.split(":")[0]
+        line = [line.split(" =")[0] for line in text.splitlines()].index(key) + 1
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: [solver] {message}\n"
         assert not (out / "verdicts.csv").exists()
         runtime = json.loads((out / "runtime.json").read_text())
         assert runtime["status"] == "error" and message in runtime["error"]
@@ -579,19 +582,58 @@ class TestExitCodes:
         # the config fails to load, so no output directory is made
         assert not out.exists()
 
-    @pytest.mark.parametrize("p", ["3", "1"])
-    def test_holder_moment_order_refused_before_simulating(self, tmp_path, capsys, monkeypatch,
-                                                           p):
+    # a bad option fails as the config loads, for every command, before the
+    # output directory exists
+    @pytest.mark.parametrize("command, option, message", [
+        ("holder", "p = 3", "p: moment order p must be 2 or 4"),
+        ("holder", "p = 1", "p: moment order p must be 2 or 4"),
+        ("holder", "band_space = 0.4", "band_space: must be two values lo <= hi, got (0.4,)"),
+        ("holder", "band_time = 0.3, 0.18",
+         "band_time: must be two values lo <= hi, got (0.3, 0.18)"),
+        ("simulate", "band_space = 0.4, 0.5, 0.6",
+         "band_space: must be two values lo <= hi, got (0.4, 0.5, 0.6)"),
+    ])
+    def test_holder_option_refused_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                     command, option, message):
         text = (BENCH.replace("[solver]\n", "[solver]\nspace_lags = 1, 2, 3, 5, 8\n"
                               "stats_after = 0.1\n")
-                + f"\n[holder]\np = {p}\n")
+                + f"\n[holder]\n{option}\n")
         cfg = write(tmp_path, text)
         monkeypatch.setattr(cli, "run_ensemble", None)
+        monkeypatch.setattr(cli, "simulate_path", None)
         out = tmp_path / "h"
-        assert main(["holder", "--config", cfg, "--out", str(out)]) == 2
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
         line = len(text.splitlines())
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: [holder] {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, message", [
+        ("species = w", "species: must be one of ['u', 'v'], got 'w'"),
+        ("window_end = never", "window_end: invalid number 'never'"),
+    ])
+    def test_extinction_option_refused_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                         option, message):
+        text = BENCH + f"\n[extinction]\n{option}\n"
+        cfg = write(tmp_path, text)
+        monkeypatch.setattr(cli, "run_ensemble", None)
+        out = tmp_path / "x"
+        assert main(["extinction", "--config", cfg, "--out", str(out)]) == 2
+        line = len(text.splitlines())
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: [extinction] {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("time", ["100", "-0.01", "0.10001"])
+    def test_density_time_outside_the_run_refused_before_simulating(
+            self, tmp_path, capsys, monkeypatch, time):
+        text = ATOM.replace("time = 0.1", f"time = {time}")
+        cfg = write(tmp_path, text)
+        monkeypatch.setattr(cli, "run_ensemble", None)
+        out = tmp_path / "d"
+        assert main(["density", "--config", cfg, "--out", str(out)]) == 2
+        line = text.splitlines().index(f"time = {time}") + 1
         assert capsys.readouterr().err == (
-            f"error: {cfg}:{line}: [holder] p: moment order p must be 2 or 4\n")
+            f"error: {cfg}:{line}: [density] time: time {float(time)} outside the run "
+            "[0, 0.1]\n")
         assert not (out / "verdicts.csv").exists()
         runtime = json.loads((out / "runtime.json").read_text())
         assert runtime["status"] == "error" and runtime["path_steps"] == 0

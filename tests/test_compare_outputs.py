@@ -108,10 +108,10 @@ def test_every_shipped_config_has_the_acceptance_command(study):
 
 
 def test_hash_only_difference_is_named(study, tmp_path, capsys):
-    # the run name is hashed but changes no output cell
+    # a [holder] band is hashed but changes nothing simulate or ensemble write
+    band = "\n[holder]\nband_time = 0.2, 0.3\n"
     old = tree(tmp_path / "old")
-    new = tree(tmp_path / "new", logistic=LOGISTIC + "\n[run]\nname = renamed\n",
-               ensemble=ENSEMBLE + "name = renamed\n")
+    new = tree(tmp_path / "new", logistic=LOGISTIC + band, ensemble=ENSEMBLE + band)
     assert study.main([old, new, "--work", str(tmp_path / "w")]) == 1
     lines = capsys.readouterr().out.splitlines()[:-1]
     assert {line.split(": ", 1)[1] for line in lines} == {

@@ -1,14 +1,22 @@
 """Config parsing, validation, and provenance hashing."""
 
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lvfield.config import ConfigError, load_config, parse_config_text
+from lvfield.config import (SECTIONS, ConfigError, DensityOptions, ExtinctionOptions,
+                            HolderOptions, RunConfig, load_config, parse_config_text)
 from lvfield.model import COEFFICIENT_NAMES
 from lvfield.noise import FieldError, NoisePlan
 from lvfield.solver import SolverConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The fields that never change results, and are left out of the hash.
+UNHASHED = {"run.output_dir", "run.threads"}
 
 GOOD = """\
 # benchmark-ish scenario
@@ -40,7 +48,6 @@ master_seed = 42
 [run]
 n_paths = 8
 output_dir = out/bench
-name = bench
 """
 
 
@@ -57,17 +64,17 @@ class TestParseSuccess:
         assert cfg.solver.snapshot_times == (0.1, 0.5)
         assert cfg.solver.space_lag_cells == (1, 2, 4)
         assert cfg.noise.master_seed == 42
-        assert cfg.n_paths == 8
-        assert cfg.name == "bench"
-        assert cfg.coefficients["b1"] == "0.3"
+        assert cfg.run == RunConfig(n_paths=8, output_dir="out/bench")
+        assert cfg.model.b1 == "0.3"
 
     def test_defaults(self):
         cfg = parse("[model]\nu0 = 1.0\n")
         assert cfg.solver == SolverConfig(grid_size=64)
         assert cfg.noise == NoisePlan(master_seed=0)
-        assert cfg.v0 == "0"
-        assert cfg.n_paths == 1
-        assert cfg.threads == 1
+        assert cfg.model.v0 == cfg.model.m2 == "0"
+        assert cfg.run == RunConfig(n_paths=1, output_dir="out", threads=1)
+        assert (cfg.holder, cfg.extinction, cfg.density) == (
+            HolderOptions(), ExtinctionOptions(), DensityOptions())
 
     @pytest.mark.parametrize("scheme, representation", [
         ("fd", "sheet"), ("spectral", "spectral")])
@@ -77,23 +84,16 @@ class TestParseSuccess:
         assert named == parse(text)
         assert named.config_hash == parse(text).config_hash
 
-    def test_name_defaults_to_file_stem(self):
-        cfg = parse("[model]\nu0 = 1.0\n", path="configs/extinction.ini")
-        assert cfg.name == "extinction"
-
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse("; header\n\n[model]\n# noise\nu0 = 2.0\n")
-        assert cfg.u0 == "2.0"
+        assert cfg.model.u0 == "2.0"
 
-    def test_extras_survive(self):
-        cfg = parse(GOOD + "\n[holder]\np = 4\nband_space = 0.40, 0.55\n")
-        view = cfg.extra("holder")
-        assert view.get_int("p") == 4
-        assert view.get_float_list("band_space") == (0.40, 0.55)
-
-    def test_extra_refuses_a_section_no_command_reads(self):
-        with pytest.raises(KeyError, match="simulate"):
-            parse(GOOD).extra("simulate")
+    def test_command_options_read(self):
+        cfg = parse(GOOD + "\n[holder]\np = 2\nband_space = 0.3, 0.6\n"
+                    "[extinction]\nspecies = v\nwindow_end = 0.4\n[density]\ntime = 0.25\n")
+        assert cfg.holder == HolderOptions(p=2, band_space=(0.3, 0.6))
+        assert cfg.extinction == ExtinctionOptions(species="v", window_end=0.4)
+        assert cfg.density == DensityOptions(time=0.25)
 
     def test_derived_objects_build(self):
         cfg = parse(GOOD)
@@ -213,8 +213,23 @@ class TestParseErrors:
         ("n_paths", "0", "n_paths must be >= 1, got 0"),
         ("threads", "-1", "threads must be >= 0, got -1")])
     def test_run_range_rejected_at_its_line(self, key, value, message):
-        msg = self.err(f"[model]\nu0 = 1.0\n[run]\nname = r\n{key} = {value}\n")
+        msg = self.err(f"[model]\nu0 = 1.0\n[run]\noutput_dir = r\n{key} = {value}\n")
         assert msg == f"cfg.ini:5: [run] {message}"
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("holder", "p", "3", "moment order p must be 2 or 4"),
+        ("holder", "band_space", "0.4", "must be two values lo <= hi, got (0.4,)"),
+        ("holder", "band_time", "0.3, 0.2", "must be two values lo <= hi, got (0.3, 0.2)"),
+        ("holder", "band_time", "0.1, 0.2, 0.3",
+         "must be two values lo <= hi, got (0.1, 0.2, 0.3)"),
+        ("holder", "band_space", "0.4, x", "invalid number list '0.4, x'"),
+        ("extinction", "species", "w", "must be one of ['u', 'v'], got 'w'"),
+        ("extinction", "window_end", "soon", "invalid number 'soon'"),
+        ("density", "time", "inf", "must be finite, got 'inf'"),
+    ])
+    def test_command_option_refused_at_its_line(self, section, key, value, message):
+        msg = self.err(f"[model]\nu0 = 1.0\n[{section}]\n{key} = {value}\n")
+        assert msg == f"cfg.ini:4: [{section}] {key}: {message}"
 
     @pytest.mark.parametrize("seed", [-1, 2**63])
     def test_seed_outside_63_bits_rejected(self, seed):
@@ -253,8 +268,9 @@ class TestHashing:
 
     def test_hash_ignores_output_dir_and_threads(self):
         cfg = parse(GOOD)
-        moved = replace(cfg, output_dir="elsewhere").with_overrides(threads=4)
-        assert moved.output_dir == "elsewhere"
+        moved = replace(cfg, run=replace(cfg.run, output_dir="elsewhere")).with_overrides(
+            threads=4)
+        assert moved.run.output_dir == "elsewhere"
         assert moved.config_hash == cfg.config_hash
 
     def test_hash_sees_extras(self):
@@ -268,36 +284,57 @@ class TestHashing:
             assert any(line.startswith(f"model.{key}=") for line in lines)
         assert "noise.master_seed=42" in lines
 
-    def test_canonical_text_has_one_row_per_solver_and_noise_field(self):
-        lines = parse(GOOD).canonical_text().splitlines()
-        for section, cls in (("solver", SolverConfig), ("noise", NoisePlan)):
-            keys = sorted(line.split("=", 1)[0] for line in lines
-                          if line.startswith(f"{section}."))
-            assert keys == sorted(f"{section}.{f.name}" for f in fields(cls))
+    def test_canonical_text_has_one_row_per_hashed_field(self):
+        keys = [line.split("=", 1)[0] for line in parse(GOOD).canonical_text().splitlines()]
+        assert sorted(keys) == sorted(
+            f"{section}.{f.name}" for section, cls in SECTIONS.items() for f in fields(cls)
+            if f"{section}.{f.name}" not in UNHASHED)
 
-    def test_hash_sees_every_solver_and_noise_field(self):
+    def test_hash_sees_every_hashed_field(self):
         cfg = parse(GOOD)
         changed = {"solver": dict(
             scheme="spectral", dt=5e-4, t_final=1.0, grid_size=16,
             snapshot_times=(0.2,), record_interval=0.01, truncation_radius=5.0,
             probe_sites=(0.5,), stats_after=0.1, space_lag_cells=(1, 3),
             time_lag_steps=(3,), space_anchor=0.5),
-            "noise": dict(master_seed=43)}
+            "noise": dict(master_seed=43),
+            "model": {**{name: "0.7" for name in COEFFICIENT_NAMES}, "u0": "0.6", "v0": "0.1"},
+            "run": dict(n_paths=9),
+            "holder": dict(p=2, band_space=(0.3, 0.6), band_time=(0.2, 0.4)),
+            "extinction": dict(species="v", window_start=0.1, window_end=0.4),
+            "density": dict(time=0.3)}
+        assert set(changed) == set(SECTIONS)
         for section, values in changed.items():
             held = getattr(cfg, section)
-            assert set(values) == {f.name for f in fields(held)}
+            assert set(values) == {f.name for f in fields(held)
+                                   if f"{section}.{f.name}" not in UNHASHED}
             for name, value in values.items():
                 assert getattr(held, name) != value
                 other = replace(cfg, **{section: replace(held, **{name: value})})
                 assert other.config_hash != cfg.config_hash, f"{section}.{name}"
+
+    @pytest.mark.parametrize("written, other", [
+        ("[holder]\nband_space = 0.40, 0.55\n", "[holder]\nband_space = 0.4,0.55\n"),
+        ("[holder]\nband_time = 0.18, 0.30\n", ""),
+        ("[extinction]\nwindow_start = 5\n", "[extinction]\nwindow_start = 5.0\n"),
+    ])
+    def test_equal_values_written_differently_hash_alike(self, written, other):
+        assert parse(GOOD + written).config_hash == parse(GOOD + other).config_hash
+
+    def test_omitted_coefficient_hashes_as_zero(self):
+        assert (parse(GOOD.replace("m2 = 0.8", "m2 = 0")).config_hash
+                == parse(GOOD.replace("m2 = 0.8\n", "")).config_hash)
+
+    def test_hash_ignores_the_file_name(self):
+        assert parse(GOOD, "a.ini").config_hash == parse(GOOD, "b/c.ini").config_hash
 
 
 class TestOverrides:
     def test_override_fields(self):
         cfg = parse(GOOD).with_overrides(seed=9, n_paths=3, threads=2)
         assert cfg.noise.master_seed == 9
-        assert cfg.n_paths == 3
-        assert cfg.threads == 2
+        assert cfg.run.n_paths == 3
+        assert cfg.run.threads == 2
 
     @pytest.mark.parametrize("override, message", [
         (dict(seed=-1), "--seed: master_seed must be in [0, 2^63), got -1"),
@@ -312,7 +349,7 @@ class TestOverrides:
     @pytest.mark.parametrize("change", [dict(n_paths=0), dict(threads=-1)])
     def test_replace_checks_the_run_ranges(self, change):
         with pytest.raises(FieldError) as info:
-            replace(parse(GOOD), **change)
+            replace(parse(GOOD).run, **change)
         assert info.value.field in change
 
     def test_largest_seed_accepted(self):
@@ -321,3 +358,27 @@ class TestOverrides:
     def test_none_overrides_are_identity(self):
         cfg = parse(GOOD)
         assert cfg.with_overrides() == cfg
+
+
+def readme_config_keys():
+    """(section, key) of every `key = default` in the first indented block
+    of the README's Configs section."""
+    configs = (ROOT / "README.md").read_text().split("\n## Configs\n", 1)[1]
+    block = re.search(r"^((?: {4}.*\n)+)", configs, re.M).group(1)
+    keys, section = set(), None
+    for line in block.splitlines():
+        header = re.match(r"\s*\[(\w+)\]", line)
+        section = header.group(1) if header else section
+        keys |= {(section, key) for key in re.findall(r"([a-z]\w*) =", line)}
+    return keys
+
+
+def test_readme_lists_every_config_key():
+    # every field is the key of its name but these three; representation is
+    # the one key that sets no field
+    renamed = {("solver", "grid_size"): ("model", "n"),
+               ("solver", "space_lag_cells"): ("solver", "space_lags"),
+               ("solver", "time_lag_steps"): ("solver", "time_lags")}
+    accepted = {renamed.get((section, f.name), (section, f.name))
+                for section, cls in SECTIONS.items() for f in fields(cls)}
+    assert readme_config_keys() == accepted | {("noise", "representation")}
