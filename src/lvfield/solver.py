@@ -55,7 +55,7 @@ run_ensemble gives each worker one chunk, a single worker too: the block
 length, not the chunk, bounds the noise memory, and every chunk pays the
 per-step Python overhead once more.
 
-Noise is drawn in blocks of steps, one block ahead, by the loop and one
+Normals are drawn in blocks of steps, one block ahead, by the loop and one
 helper thread together.  A block's draw is one task per (live species,
 path) slab, which draws that path's normals for the block from its own
 generator; numpy releases the GIL while it fills, and a task takes the GIL
@@ -64,20 +64,20 @@ claims the tasks of block b + 1 in the other; at the end of block b the
 loop claims the tasks left instead of waiting, then waits only for the ones
 the helper is running.  Block b + 1 starts only once block b is complete,
 so each stream is consumed in step order, whichever thread draws it.  The
-thread that completes a block's last task turns the block into the noise
-field in place: for spectral noise one (S P, n) product with the cosine
-basis per step (a per-path (steps, n) product would send one-step blocks
-through gemv, an ulp away), then the scale sigma sqrt(dt n).
-_BLOCK_BUDGET bounds each of the two buffers, the live species counted, so
-the draw memory of a run is at most 2 * _BLOCK_BUDGET doubles.  The increment
-statistics take fourth powers as (d^2)^2, never through libm pow, and
-handle every due time lag of a step in one pass.
+draw only draws: before each step the loop builds that step's noise field
+from the block's normals into one contiguous (S, P, n) array, for spectral
+noise by one (S P, n) product with the cosine basis (a per-path (steps, n)
+product would send one-step blocks through gemv, an ulp away), then by the
+scale sigma sqrt(dt n).  _BLOCK_BUDGET bounds each of the two buffers, the
+live species counted, so the draw memory of a run is at most
+2 * _BLOCK_BUDGET doubles.  The increment statistics take fourth powers as
+(d^2)^2, never through libm pow, and handle every due time lag of a step in
+one pass.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -321,8 +321,9 @@ def euler_step(state: np.ndarray, noise: np.ndarray, coeffs: CoefficientSet, dt:
     mode normals) for spectral.  The step assembles its right-hand side in
     it, so it is spent afterwards.  operator is diffusion_operator(scheme,
     n, dt) and terms is growth_terms(coeffs, dt, species), computed when not
-    given, or those terms broadcast to the state's shape.  The new state is written into out (allocated when not given),
-    which must be C-contiguous and must not overlap state or noise.
+    given, or those terms broadcast to the state's shape.  The new state is
+    written into out (allocated when not given), which must be C-contiguous
+    and must not overlap state or noise.
 
     Every cell takes the growth-factor form of u + dt f(u, v) + sigma u dW,
 
@@ -430,21 +431,14 @@ class EnsembleStats:
 
 
 class _DrawBlock:
-    """The draw tasks of one noise block, numbered 0 .. n_tasks - 1: an
+    """The draw tasks of one block of normals, numbered 0 .. n_tasks - 1: an
     iterator both threads claim task numbers from (next() on it is atomic
-    under the GIL) and the count of tasks not yet completed."""
+    under the GIL).  The block is complete once no task is left unclaimed
+    and every thread that claimed one has returned."""
 
     def __init__(self, buf: np.ndarray, count: int, n_tasks: int):
         self.buf, self.count = buf, count
         self.tasks = iter(range(n_tasks))
-        self.left = n_tasks
-        self.lock = threading.Lock()
-
-    def complete_one(self) -> bool:
-        """Counts one completed task; True for the last one."""
-        with self.lock:
-            self.left -= 1
-            return self.left == 0
 
 
 @dataclass
@@ -580,26 +574,20 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     rows = len(live) * p
     block = max(1, min(n_steps, _BLOCK_BUDGET // max(1, rows * n)))
     buffers = [np.empty((len(live), p, block, n)) for _ in range(2)]
-    # spectral noise: from_modes(sqrt(dt) xi) = sqrt(dt n) xi @ (E / sqrt(n)),
-    # one (S P, n) product per step as in the step itself
+    # The loop builds each step's field sigma dW from the block's normals xi
+    # into `field`: spectral noise first takes from_modes(sqrt(dt) xi) =
+    # sqrt(dt n) xi @ (E / sqrt(n)), one (S P, n) product as in the step
+    # itself; both schemes then scale by noise_scale = sigma sqrt(dt n).
     basis = cosine_basis(n) / np.sqrt(n) if config.scheme == "spectral" else None
     sigma = np.stack([coeffs.sigma1, coeffs.sigma2])
-    noise_scale = np.sqrt(dt * n) * sigma[list(live), None, None]
+    noise_scale = np.sqrt(dt * n) * sigma[list(live), None]
+    field = np.empty(state.shape)
 
     def draw(blk: _DrawBlock) -> None:
-        # Runs the block's tasks until none is unclaimed.  The thread that
-        # completes the last one turns the block's normals into the field.
-        xi = blk.buf[:, :, :blk.count]
+        # Draws the block's normals, task by task, until none is unclaimed.
         for task in blk.tasks:
             species, i = divmod(task, p)
-            gens[species][i].standard_normal((blk.count, n), out=xi[species, i])
-            if blk.complete_one():
-                if basis is not None:
-                    field = np.empty((rows, n))
-                    for s in range(blk.count):
-                        np.matmul(xi[:, :, s].reshape(rows, n), basis, out=field)
-                        xi[:, :, s] = field.reshape(-1, p, n)
-                xi *= noise_scale
+            gens[species][i].standard_normal((blk.count, n), out=blk.buf[species, i, :blk.count])
 
     # The state alternates between two work arrays; the one a step has just
     # left is scratch for U^2 + V^2 of the new state.  The growth terms at
@@ -623,17 +611,23 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
         while step < n_steps:
             s_block = min(block, n_steps - step)
             # claim the tasks the helper has not, then wait for the ones it
-            # is running; result() re-raises an error of the helper's
+            # is running, after which the block's normals are all drawn;
+            # result() re-raises an error of the helper's
             draw(ahead)
             pending.result()
-            noise = ahead.buf
+            xi = ahead.buf
             if step + s_block < n_steps:
-                ahead = _DrawBlock(buffers[1] if noise is buffers[0] else buffers[0],
+                ahead = _DrawBlock(buffers[1] if xi is buffers[0] else buffers[0],
                                    min(block, n_steps - step - s_block), rows)
                 pending = helper.submit(draw, ahead)
             for s in range(s_block):
                 step += 1
-                state, ratio = euler_step(state, noise[:, :, s], coeffs, dt, radius, operator,
+                if basis is None:
+                    np.multiply(xi[:, :, s], noise_scale, out=field)
+                else:
+                    np.matmul(xi[:, :, s].reshape(rows, n), basis, out=field.reshape(rows, n))
+                    field *= noise_scale
+                state, ratio = euler_step(state, field, coeffs, dt, radius, operator,
                                           out=work[step % 2], inside=r2_top < inside_sq,
                                           terms=terms, species=live)
                 r2 = np.multiply(state, state, out=work[(step + 1) % 2])

@@ -57,6 +57,22 @@ def noise_field(scheme, xi, coeffs, dt):
     return sigma * dw
 
 
+def wrap_generators(monkeypatch, standard_normal):
+    """Routes every stream's standard_normal(size, out) through
+    standard_normal(gen, size, out)."""
+    original = NoisePlan.generator
+
+    class Wrapped:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, size, out=None):
+            return standard_normal(self.gen, size, out)
+
+    monkeypatch.setattr(NoisePlan, "generator",
+                        lambda plan, path, species: Wrapped(original(plan, path, species)))
+
+
 def textbook_step(state, xi, coeffs, dt, radius, scheme):
     """from_modes(to_modes(u + dt f_n + sigma u dW) * multiplier), unclamped."""
     f = np.stack(truncated_drift(state[0], state[1], coeffs, radius))
@@ -698,23 +714,37 @@ class TestFusedStep:
 
     @pytest.mark.parametrize("scheme", ["fd", "spectral"])
     def test_loop_state_shares_no_memory_with_input_or_draw_buffer(self, monkeypatch, scheme):
-        seen = []
+        # 3 paths of 32 cells in 7-step blocks: each step gets a C-contiguous
+        # (S, P, n) field apart from the state and from both draw buffers
+        buffers, seen = {}, []
+
+        def recording(gen, size, out):
+            buffers[id(out.base)] = out.base
+            return gen.standard_normal(size, out=out)
 
         def checking_step(state, noise, *args, **kwargs):
+            assert noise.shape == state.shape == (2, 3, 32)
+            assert noise.flags.c_contiguous
+            assert not np.shares_memory(noise, state)
             result = euler_step(state, noise, *args, **kwargs)
-            seen.append((np.shares_memory(result[0], state),
-                         np.shares_memory(result[0], noise.base)))
+            assert not np.shares_memory(result[0], state)
+            assert not np.shares_memory(result[0], noise)
+            seen.append((noise, result[0]))
             return result
 
+        wrap_generators(monkeypatch, recording)
+        monkeypatch.setattr(solver, "_BLOCK_BUDGET", 2 * 3 * 32 * 7)
         monkeypatch.setattr(solver, "euler_step", checking_step)
         stats = small_run(n_paths=3, scheme=scheme)
         assert len(seen) == round(0.1 / 2e-3)
-        assert not any(shared for pair in seen for shared in pair)
+        assert len(buffers) == 2
+        assert not any(np.shares_memory(arr, buf)
+                       for pair in seen for arr in pair for buf in buffers.values())
         monkeypatch.undo()
         assert np.array_equal(stats.mass_u, small_run(n_paths=3, scheme=scheme).mass_u)
 
     @pytest.mark.parametrize("scheme", ["fd", "spectral"])
-    def test_draw_thread_builds_the_noise_field(self, monkeypatch, scheme):
+    def test_loop_builds_the_noise_field(self, monkeypatch, scheme):
         # 3 paths of 16 cells in 4-step blocks over 10 steps: sigma dW from
         # each path's own streams, step by step, across block boundaries
         n, p, dt, n_steps = 16, 3, 1e-3, 10
@@ -735,9 +765,13 @@ class TestFusedStep:
         xi = np.stack([[plan.generator(5 + i, species).standard_normal((n_steps, n))
                         for i in range(p)] for species in (0, 1)])
         assert len(fields) == n_steps
+        sigma = np.stack([coeffs.sigma1, coeffs.sigma2])[:, None]
         for s, got in enumerate(fields):
-            want = noise_field(scheme, xi[:, :, s], coeffs, dt)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), s
+            if scheme == "fd":
+                assert np.array_equal(got, xi[:, :, s] * (np.sqrt(dt * n) * sigma)), s
+            else:
+                want = noise_field(scheme, xi[:, :, s], coeffs, dt)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), s
 
 
 class TestLiveSpecies:
@@ -1037,18 +1071,12 @@ class TestDrawAhead:
         ref = self.run(monkeypatch, scheme, 1, self.N_STEPS, n, v0)
         assert np.all(ref.time_count > 0) and np.all(ref.space_count > 0)
         drawn = []
-        original = NoisePlan.generator
 
-        class Recording:
-            def __init__(self, gen):
-                self.gen = gen
+        def recording(gen, size, out):
+            drawn.append(size[0])
+            return gen.standard_normal(size, out=out)
 
-            def standard_normal(self, size, out=None):
-                drawn.append(size[0])
-                return self.gen.standard_normal(size, out=out)
-
-        monkeypatch.setattr(NoisePlan, "generator",
-                            lambda plan, path, species: Recording(original(plan, path, species)))
+        wrap_generators(monkeypatch, recording)
         for threads in (1, 2):
             for block in (1, 7, self.N_STEPS):
                 drawn.clear()
@@ -1059,33 +1087,19 @@ class TestDrawAhead:
                     assert np.array_equal(getattr(other, name), getattr(ref, name)), \
                         (name, threads, block)
 
-    def test_fast_thread_switching_does_not_change_results(self, monkeypatch):
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_fast_thread_switching_does_not_change_results(self, monkeypatch, scheme):
         # hand the interpreter between the loop and the helper as often as
         # it will go: a buffer read before its draw finished would show
-        ref = self.run(monkeypatch, "fd", 1, self.N_STEPS)
+        ref = self.run(monkeypatch, scheme, 1, self.N_STEPS)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            other = self.run(monkeypatch, "fd", 1, 1)
+            other = self.run(monkeypatch, scheme, 1, 1)
         finally:
             sys.setswitchinterval(interval)
         for name in EnsembleStats.PER_PATH_FIELDS:
             assert np.array_equal(getattr(other, name), getattr(ref, name)), name
-
-    def wrap_generators(self, monkeypatch, standard_normal):
-        # every stream's standard_normal(size, out) goes through
-        # standard_normal(gen, size, out)
-        original = NoisePlan.generator
-
-        class Wrapped:
-            def __init__(self, gen):
-                self.gen = gen
-
-            def standard_normal(self, size, out=None):
-                return standard_normal(self.gen, size, out)
-
-        monkeypatch.setattr(NoisePlan, "generator",
-                            lambda plan, path, species: Wrapped(original(plan, path, species)))
 
     @pytest.mark.parametrize("scheme", ["fd", "spectral"])
     def test_loop_draws_the_tasks_the_helper_has_not_claimed(self, monkeypatch, scheme):
@@ -1103,7 +1117,7 @@ class TestDrawAhead:
                 helper_waits.append(loop_drew.wait(timeout=5))
             return gen.standard_normal(size, out=out)
 
-        self.wrap_generators(monkeypatch, held)
+        wrap_generators(monkeypatch, held)
         other = self.run(monkeypatch, scheme, 1, 7)
         assert helper_waits == [True]
         for name in EnsembleStats.PER_PATH_FIELDS:
@@ -1121,7 +1135,7 @@ class TestDrawAhead:
                 raise RuntimeError(f"draw {k} failed")
             return gen.standard_normal(size, out=out)
 
-        self.wrap_generators(monkeypatch, failing)
+        wrap_generators(monkeypatch, failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"^draw {k} failed$"):
             self.run(monkeypatch, scheme, 1, 7)
@@ -1139,7 +1153,7 @@ class TestDrawAhead:
                 raise RuntimeError("helper draw failed")
             return gen.standard_normal(size, out=out)
 
-        self.wrap_generators(monkeypatch, failing)
+        wrap_generators(monkeypatch, failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="^helper draw failed$"):
             self.run(monkeypatch, "fd", 1, 7)
@@ -1150,19 +1164,13 @@ class TestDrawAhead:
         # 4 paths of 16 cells: 640 elements per buffer hold 5 steps of both
         # species, 700 still only 5, 10**6 the whole run in one block
         bases, slabs = {}, []
-        original = NoisePlan.generator
 
-        class Recording:
-            def __init__(self, gen):
-                self.gen = gen
+        def recording(gen, size, out):
+            bases[id(out.base)] = out.base.size
+            slabs.append(size[0])
+            return gen.standard_normal(size, out=out)
 
-            def standard_normal(self, size, out=None):
-                bases[id(out.base)] = out.base.size
-                slabs.append(size[0])
-                return self.gen.standard_normal(size, out=out)
-
-        monkeypatch.setattr(NoisePlan, "generator",
-                            lambda plan, path, species: Recording(original(plan, path, species)))
+        wrap_generators(monkeypatch, recording)
         monkeypatch.setattr(solver, "_BLOCK_BUDGET", budget)
         n = 16
         cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=0.05)
