@@ -539,7 +539,7 @@ DENSITY_SITE = 0.5
 
 def cmd_density(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     t_final = cfg.solver.t_final
-    at_time = t_final if cfg.density.time is None else cfg.density.time
+    at_time = cfg.density.at_time(t_final)
     if not 0.0 <= at_time <= t_final:
         raise cfg.error("density", "time", f"time {at_time} outside the run [0, {t_final}]")
 

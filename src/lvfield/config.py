@@ -206,6 +206,10 @@ class DensityOptions:
 
     time: float | None = None
 
+    def at_time(self, t_final: float) -> float:
+        """time, t_final when it is not set."""
+        return t_final if self.time is None else self.time
+
 
 # Every section a config may hold, and the dataclass its keys set.
 SECTIONS = {"model": ModelSpec, "solver": SolverConfig, "noise": NoisePlan, "run": RunConfig,
@@ -219,6 +223,18 @@ _KEYS = {("solver", "grid_size"): ("model", "n"),
 
 # The fields that never change results, left out of the hash.
 _UNHASHED = {("run", "output_dir"), ("run", "threads")}
+
+# The fields whose None default stands for a value the run derives from the
+# rest of the config, hashed as that value: writing it out keeps the hash.
+_DERIVED = {
+    ("solver", "record_interval"): lambda cfg: cfg.solver.record_every,
+    ("solver", "truncation_radius"): lambda cfg: cfg.solver.radius(cfg.initial_field()),
+    # None leaves the window open: it ends at the last recorded time
+    ("extinction", "window_end"): lambda cfg: (
+        cfg.solver.n_steps * cfg.solver.dt if cfg.extinction.window_end is None
+        else cfg.extinction.window_end),
+    ("density", "time"): lambda cfg: cfg.density.at_time(cfg.solver.t_final),
+}
 
 
 def _key(section: str, name: str) -> tuple:
@@ -280,11 +296,13 @@ class ExperimentConfig:
 
     def canonical_text(self) -> str:
         """Deterministic dump of every effective parameter, for hashing: one
-        row per field of every section, but those in _UNHASHED."""
-        rows = [f"{section}.{f.name}={getattr(params, f.name)!r}"
-                for section in SECTIONS for params in (getattr(self, section),)
-                for f in fields(params) if (section, f.name) not in _UNHASHED]
-        return "\n".join(sorted(rows)) + "\n"
+        row per field of every section, but those in _UNHASHED, with the
+        value the run uses for each field of _DERIVED."""
+        values = {(section, f.name): getattr(params, f.name)
+                  for section in SECTIONS for params in (getattr(self, section),)
+                  for f in fields(params) if (section, f.name) not in _UNHASHED}
+        values.update((key, derive(self)) for key, derive in _DERIVED.items())
+        return "\n".join(sorted(f"{s}.{k}={v!r}" for (s, k), v in values.items())) + "\n"
 
     @property
     def config_hash(self) -> str:

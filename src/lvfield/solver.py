@@ -38,11 +38,11 @@ product into one of two work arrays that alternate.  A cell outside the
 truncation ball takes u + dt f_n(u, v) + u sigma dW with the projected drift
 instead; that is decided per cell, so a path's numbers never depend on its
 chunk-mates.  The step clamps negative cells to zero and accounts the
-clipped mass.  Every path owns its own noise streams, so a path's results
-do not depend on its chunk or on the thread count wherever the gemm rows do
-not depend on how many rows the product has.  With numpy 2.4.6 and OpenBLAS
-0.3.31 that holds at n = 8, 16, 63, 64, 127, 128, 200 and 256 but not at
-n = 100, 129, 500 or 513, where chunks of other sizes move results by an ulp.
+clipped mass.  Every path owns its own noise streams, and run_ensemble
+cuts the paths into chunks that depend on the path count alone, so the
+thread count never changes a result.  A path's results do not depend on
+the chunk size either wherever the gemm rows do not depend on how many rows
+the product has.
 
 The step loop pays only for work that can change the state.  It computes
 |z|^2 = U^2 + V^2 once per step into the work array the step has left; the
@@ -51,9 +51,11 @@ it is not finite), the exit probe (the per-path max is taken only once it
 reaches radius^2) and the next step's truncation, whose per-cell check is
 skipped while every cell is inside the ball.  One min reduction skips the
 clamp, and the loop's clip bookkeeping, when every cell is positive.
-run_ensemble gives each worker one chunk, a single worker too: the block
-length, not the chunk, bounds the noise memory, and every chunk pays the
-per-step Python overhead once more.
+run_ensemble cuts the paths into chunks of CHUNK_PATHS, the last one
+shorter, whatever the thread count: at 64 paths and n = 128 the step's
+state-sized arrays fit together in a 2 MB L2 cache, and smaller chunks pay
+the per-step Python overhead more often.  The threads only pick how many
+processes run the chunks; one chunk runs in the calling process.
 
 Normals are drawn in blocks of steps, one block ahead, by the loop and one
 helper thread together.  A block's draw is one task per (live species,
@@ -101,7 +103,10 @@ STABILITY_LIMIT = 0.5
 
 # Elements per noise draw buffer (two buffers per run, the live species in
 # each); bounds memory, never changes results.
-_BLOCK_BUDGET = 2_000_000
+_BLOCK_BUDGET = 1_000_000
+
+# Paths per chunk of an ensemble, the last chunk holding the remainder.
+CHUNK_PATHS = 64
 
 
 class SimulationBlowup(RuntimeError):
@@ -216,11 +221,21 @@ class SolverConfig:
     def n_steps(self) -> int:
         return round(self.t_final / self.dt)
 
+    @property
+    def record_every(self) -> float:
+        """record_interval, t_final / 200 when it is not set."""
+        return self.record_interval if self.record_interval is not None else self.t_final / 200
+
+    def radius(self, init: Field) -> float:
+        """truncation_radius, default_truncation_radius(init) when it is not set."""
+        if self.truncation_radius is not None:
+            return self.truncation_radius
+        return default_truncation_radius(init)
+
     def record_steps(self) -> np.ndarray:
         """Steps after which the record series are taken: one every
-        record_interval from step 0, and always the last step."""
-        interval = self.record_interval if self.record_interval is not None else self.t_final / 200
-        steps = np.arange(0, self.n_steps + 1, max(1, round(interval / self.dt)))
+        record_every from step 0, and always the last step."""
+        steps = np.arange(0, self.n_steps + 1, max(1, round(self.record_every / self.dt)))
         return steps if steps[-1] == self.n_steps else np.append(steps, self.n_steps)
 
     def anchor_cell(self) -> int | None:
@@ -247,9 +262,7 @@ def validate_run(config: SolverConfig, coeffs: CoefficientSet, init: Field) -> f
     if coeffs.n != config.grid_size or init.n != config.grid_size:
         raise ValueError(
             f"grid mismatch: config {config.grid_size}, coefficients {coeffs.n}, init {init.n}")
-    radius = config.truncation_radius
-    if radius is None:
-        radius = default_truncation_radius(init)
+    radius = config.radius(init)
     lip = drift_lipschitz_bound(coeffs, radius)
     if config.dt * lip > STABILITY_LIMIT:
         raise ValueError(
@@ -673,10 +686,13 @@ def run_ensemble(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                  threads: int = 1, chunk_size: int | None = None) -> EnsembleStats:
     """Advance n_paths independent paths and collect their statistics.
 
-    The paths are cut into one chunk per worker by default; threads > 1
-    runs the chunks on that many processes, threads = 0 uses the CPU
-    count.  Chunking changes results only where the gemm rows depend on the
-    row count (see the module docstring).
+    The paths are cut into chunks of chunk_size (CHUNK_PATHS by default),
+    the last one holding the remainder, so the plan depends on n_paths
+    alone.  The chunks run on min(threads, number of chunks) processes,
+    threads = 0 using the CPU count; a single chunk, or threads = 1, runs in
+    the calling process.  The thread count never changes results; the chunk
+    size only where the gemm rows depend on the row count (see the module
+    docstring).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -684,7 +700,7 @@ def run_ensemble(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
         threads = os.cpu_count() or 1
     indices = np.arange(path_offset, path_offset + n_paths)
     if chunk_size is None:
-        chunk_size = -(-n_paths // threads)
+        chunk_size = CHUNK_PATHS
     chunks = [indices[i:i + chunk_size] for i in range(0, n_paths, chunk_size)]
 
     if threads == 1 or len(chunks) == 1:

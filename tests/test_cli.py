@@ -246,6 +246,15 @@ class TestDeterminism:
                      "--threads", "2"]) == 0
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
+    def test_holder_rough_thread_count_invariant(self, tmp_path):
+        # n = 513, where the gemm rows depend on the row count: 70 paths are
+        # chunks of 64 and 6 paths under either thread count
+        cfg = str(CONFIG_DIR / "holder_rough.ini")
+        for threads in ("1", "2"):
+            assert main(["holder", "--config", cfg, "--paths", "70", "--threads", threads,
+                         "--out", str(tmp_path / threads)]) == 0
+        assert tree_bytes(tmp_path / "1") == tree_bytes(tmp_path / "2")
+
     def test_seed_override_changes_bytes_and_hash(self, tmp_path):
         cfg = write(tmp_path, BENCH)
         main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")])

@@ -321,6 +321,16 @@ class TestHashing:
     def test_equal_values_written_differently_hash_alike(self, written, other):
         assert parse(GOOD + written).config_hash == parse(GOOD + other).config_hash
 
+    # each derived default written out: record_interval t_final / 200,
+    # truncation_radius 10 (1 + sup |init|), window_end the last recorded
+    # time, time t_final
+    @pytest.mark.parametrize("written", [
+        "record_interval = 0.005\n", "truncation_radius = 20\n",
+        "[extinction]\nwindow_end = 1.0\n", "[density]\ntime = 1.0\n"])
+    def test_derived_default_written_out_hashes_alike(self, written):
+        base = "[model]\nn = 8\nu0 = 1.0\n[solver]\nt_final = 1.0\n"
+        assert parse(base + written).config_hash == parse(base).config_hash
+
     def test_omitted_coefficient_hashes_as_zero(self):
         assert (parse(GOOD.replace("m2 = 0.8", "m2 = 0")).config_hash
                 == parse(GOOD.replace("m2 = 0.8\n", "")).config_hash)

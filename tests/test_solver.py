@@ -390,12 +390,7 @@ class TestDeterminism:
         assert np.array_equal(a.site_u, b.site_u)
 
     @pytest.mark.parametrize("scheme", ["fd", "spectral"])
-    def test_default_pool_runs_one_chunk_per_worker(self, scheme, monkeypatch):
-        a = small_run(threads=1, scheme=scheme)
-        b = small_run(threads=2, scheme=scheme)
-        for name in EnsembleStats.PER_PATH_FIELDS:
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
-
+    def test_default_plan_cuts_fixed_chunks_whatever_the_threads(self, scheme, monkeypatch):
         class InlinePool:
             def __init__(self, max_workers):
                 jobs.append(max_workers)
@@ -413,9 +408,15 @@ class TestDeterminism:
 
         jobs = []
         monkeypatch.setattr(solver, "ProcessPoolExecutor", InlinePool)
-        c = small_run(threads=2, scheme=scheme)
-        assert jobs == [2, 5, 5]          # two workers, one chunk of 5 paths each
-        assert np.array_equal(a.mass_u, c.mass_u)
+        for n_paths, pooled in ((130, [2, 64, 64, 2]), (10, [])):
+            jobs.clear()
+            a = small_run(n_paths=n_paths, threads=1, scheme=scheme)
+            assert jobs == []             # one process runs every chunk
+            b = small_run(n_paths=n_paths, threads=2, scheme=scheme)
+            # two workers for chunks of 64, 64 and 2 paths; one chunk starts no pool
+            assert jobs == pooled
+            for name in EnsembleStats.PER_PATH_FIELDS:
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (n_paths, name)
 
     @pytest.mark.parametrize("n, v0", [(128, 0.4), (64, 0.0), (128, 0.0)])
     @pytest.mark.parametrize("scheme", ["fd", "spectral"])
@@ -1050,12 +1051,12 @@ class TestDrawAhead:
     N_STEPS = 50
 
     def run(self, monkeypatch, scheme, threads, block, n=16, v0=0.4):
-        # 6 paths of n cells (n noise modes under either scheme); the budget
-        # gives each worker's chunk of 6 / threads paths `block` steps of
-        # its live species, V only when v0 is not zero
+        # 6 paths of n cells (n noise modes under either scheme), one chunk
+        # on any thread count; the budget gives it `block` steps of its live
+        # species, V only when v0 is not zero
         p = 6
         live = 1 if v0 == 0.0 else 2
-        monkeypatch.setattr(solver, "_BLOCK_BUDGET", live * (p // threads) * n * block)
+        monkeypatch.setattr(solver, "_BLOCK_BUDGET", live * p * n * block)
         init = constant_field(n, 0.5, v0)
         coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4)
         plan = NoisePlan(master_seed=8)
@@ -1081,8 +1082,7 @@ class TestDrawAhead:
             for block in (1, 7, self.N_STEPS):
                 drawn.clear()
                 other = self.run(monkeypatch, scheme, threads, block, n, v0)
-                if threads == 1:                # the draws of a pool stay in its workers
-                    assert max(drawn) == block
+                assert max(drawn) == block
                 for name in EnsembleStats.PER_PATH_FIELDS:
                     assert np.array_equal(getattr(other, name), getattr(ref, name)), \
                         (name, threads, block)
