@@ -1,8 +1,10 @@
-"""Estimators and verifiers over simulation output.
+"""Estimators and verifiers over simulation output, and the verdicts they decide.
 
 Each report is a deterministic function of the ensemble data and its own
 parameters: bootstrap streams are derived from the ensemble's master seed,
 so repeated analysis of the same data reproduces byte-identical numbers.
+Each check of a paper property is decided here, next to its statistic:
+the estimator returns its Verdicts, which the CLI writes to verdicts.csv.
 
 Contents: Hölder exponent regression on the ensemble's increment moments, the
 log-mass extinction report, the mild-Itô log-functional audit, the p-th
@@ -37,6 +39,15 @@ FLAT_TAIL_FACTOR = 2.0
 STATIONARITY_WINDOWS = 4
 STATIONARITY_ALPHA = 0.05
 STATIONARITY_REQUIRED_FRACTION = 0.8
+
+
+@dataclass(frozen=True)
+class Verdict:
+    check_name: str
+    theorem_ref: str
+    passed: bool
+    statistic: float
+    threshold: float
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +131,9 @@ class ExtinctionReport:
     times: np.ndarray
     mean_log_mass: np.ndarray
     log_mass_se: np.ndarray
-    r_bound: float                  # sup m - inf sigma^2 / 2
-    slope: float
-    slope_se: float
-    slope_ok: bool
+    bound_line: np.ndarray          # initial mean log mass + rate bound * t
     pointwise_ok: np.ndarray        # per recorded time
-    degenerate: bool
+    verdicts: tuple                 # log-mass-decay-slope, -pointwise-bound
 
 
 def tail_window_mask(times, tail_window: tuple) -> np.ndarray:
@@ -145,17 +153,20 @@ def extinction_report(stats: EnsembleStats, coeffs: CoefficientSet, species: int
 
     eta is 1e-12 times the initial mean mass (1e-300 when that is zero).
 
-    The per-species rate bound is sup m - inf sigma^2 / 2 taken from the
-    coefficient extrema.  The slope over the tail window must not exceed it
-    by more than 3 bootstrap standard errors, and the per-time inequality
-    mean log mass <= initial log mass + bound * t must hold within 3
-    pointwise standard errors at every recorded time.
+    The per-species rate bound R is sup m - inf sigma^2 / 2 taken from the
+    coefficient extrema.  The slope verdict passes when the slope over the
+    tail window exceeds R by at most 3 bootstrap standard errors; its
+    threshold is R.  The pointwise rule mean log mass <= bound_line + 3 se
+    (bound_line = initial mean log mass + R t) is applied with a 1e-12 slack
+    at every recorded time; its verdict passes when the rule holds at all of
+    them and reports the largest margin mean log mass - bound_line - 3 se
+    against a threshold of 0.0.  A zero initial mass fails both verdicts.
     """
     mass = stats.mass_u if species == SPECIES_U else stats.mass_v
     times = stats.times
     initial_mass = float(mass[:, 0].mean())
-    degenerate = initial_mass <= 0.0
-    eta = 1e-12 * initial_mass if initial_mass > 0 else 1e-300
+    live = initial_mass > 0
+    eta = 1e-12 * initial_mass if live else 1e-300
 
     log_mass = np.log(eta + mass)
     mean_log = log_mass.mean(axis=0)
@@ -174,13 +185,18 @@ def extinction_report(stats: EnsembleStats, coeffs: CoefficientSet, species: int
     rng = noise_generator(stats.master_seed, 0, STREAM_BOOTSTRAP)
     slope_se = bootstrap_se(log_mass, window_slope, rng) if stats.n_paths > 1 else 0.0
 
-    pointwise_ok = mean_log <= mean_log[0] + r_bound * times + 3.0 * se + 1e-12
-    slope_ok = slope <= r_bound + 3.0 * slope_se
-    return ExtinctionReport(times=times, mean_log_mass=mean_log,
-                            log_mass_se=se, r_bound=r_bound,
-                            slope=slope, slope_se=slope_se,
-                            slope_ok=bool(slope_ok), pointwise_ok=pointwise_ok,
-                            degenerate=degenerate)
+    bound = mean_log[0] + r_bound * times
+    pointwise_ok = mean_log <= bound + 3.0 * se + 1e-12
+    margin = float(np.max(mean_log - bound - 3.0 * se))
+    verdicts = (
+        Verdict("log-mass-decay-slope", "log-mass-decay",
+                bool(slope <= r_bound + 3.0 * slope_se) and live, slope, r_bound),
+        Verdict("log-mass-pointwise-bound", "log-mass-decay",
+                bool(np.all(pointwise_ok)) and live, margin, 0.0),
+    )
+    return ExtinctionReport(times=times, mean_log_mass=mean_log, log_mass_se=se,
+                            bound_line=bound, pointwise_ok=pointwise_ok,
+                            verdicts=verdicts)
 
 
 def fit_line(x: np.ndarray, y: np.ndarray) -> float:
@@ -192,25 +208,7 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> float:
 # Mild-Itô log-functional audit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MildAuditRow:
-    time_s: float
-    eta: float
-    m_eta: float
-    drift_ratio: float
-
-
-@dataclass(frozen=True)
-class MildAuditReport:
-    rows: tuple
-    limit_floor: float              # 1 - 1e-3
-    drift_ceiling: float            # sup m + 1e-9
-    monotone_ok: bool               # M_eta nondecreasing as eta decreases
-    limit_ok: bool                  # M_eta >= limit_floor at the smallest eta
-    drift_ok: bool                  # drift ratio <= drift_ceiling everywhere
-
-
-def mild_log_functional_audit(snapshots, coeffs: CoefficientSet) -> MildAuditReport:
+def mild_log_functional_audit(snapshots, coeffs: CoefficientSet) -> tuple:
     """Quadratic-variation and drift inequalities of the log-mass expansion.
 
     For consecutive snapshot pairs (s, t) the audited quantity is
@@ -225,16 +223,18 @@ def mild_log_functional_audit(snapshots, coeffs: CoefficientSet) -> MildAuditRep
     the smallest eta.
     The drift ratio integral of the reaction term over (eta + mass) stays
     below sup m for nonnegative states regardless of the competition terms.
+
+    Returns the two verdicts: the smallest M_eta at the smallest eta
+    against 1 - 1e-3 (failed too by a decrease of M_eta as eta runs down),
+    and the largest drift ratio against sup m + 1e-9.
     """
     if len(snapshots) < 2:
         raise ValueError("need at least two snapshots to audit")
     limit_floor = 1.0 - 1e-3
     drift_ceiling = float(np.max(coeffs.m1)) + 1e-9
 
-    rows = []
+    limits, drifts = [], []
     monotone_ok = True
-    limit_ok = True
-    drift_ok = True
     for a, b in zip(snapshots[:-1], snapshots[1:]):
         if b.time <= a.time:
             raise ValueError("snapshots must be strictly time ordered")
@@ -245,23 +245,16 @@ def mild_log_functional_audit(snapshots, coeffs: CoefficientSet) -> MildAuditRep
         num = float(np.sum(damp2 * c**2))
         reaction = a.u * (coeffs.m1 - coeffs.a1 * a.u - coeffs.b1 * a.v)
 
-        prev = None
-        for eta in MILD_AUDIT_ETAS:
-            m_eta = num / (eta + mass) ** 2
-            drift_ratio = float(np.mean(reaction)) / (eta + mass)
-            rows.append(MildAuditRow(time_s=a.time, eta=eta, m_eta=m_eta,
-                                     drift_ratio=drift_ratio))
-            if prev is not None and m_eta < prev - 1e-12:
-                monotone_ok = False
-            prev = m_eta
-            if drift_ratio > drift_ceiling:
-                drift_ok = False
-        if prev < limit_floor:
-            limit_ok = False
+        m_etas = [num / (eta + mass) ** 2 for eta in MILD_AUDIT_ETAS]
+        monotone_ok &= not any(m < prev - 1e-12 for prev, m in zip(m_etas, m_etas[1:]))
+        limits.append(m_etas[-1])
+        drifts += [float(np.mean(reaction)) / (eta + mass) for eta in MILD_AUDIT_ETAS]
 
-    return MildAuditReport(rows=tuple(rows), limit_floor=limit_floor,
-                           drift_ceiling=drift_ceiling, monotone_ok=monotone_ok,
-                           limit_ok=limit_ok, drift_ok=drift_ok)
+    m_small, drift_worst = min(limits), max(drifts)
+    return (Verdict("log-functional-quadratic-term", "log-mass-expansion",
+                    monotone_ok and m_small >= limit_floor, m_small, limit_floor),
+            Verdict("log-functional-drift-term", "drift-domination",
+                    drift_worst <= drift_ceiling, drift_worst, drift_ceiling))
 
 
 # ---------------------------------------------------------------------------
@@ -272,23 +265,19 @@ def mild_log_functional_audit(snapshots, coeffs: CoefficientSet) -> MildAuditRep
 class MomentBoundReport:
     times: np.ndarray
     moment_curve: np.ndarray        # E sup-norm^SUPNORM_MOMENT_ORDER per recorded time
-    inf_a: float                    # min(inf a1, inf a2)
-    tail_max: float
-    earlier_max: float
-    flat_ok: bool                   # tail max within FLAT_TAIL_FACTOR of the earlier max
-
-    @property
-    def in_hypothesis(self) -> bool:    # inf a1 > 0 and inf a2 > 0
-        return self.inf_a > 0
+    verdicts: tuple                 # moment-flat-tail, self-regulation-positive
 
 
 def moment_bound_curve(stats: EnsembleStats, coeffs: CoefficientSet) -> MomentBoundReport:
     """E sup-norm^p over time, p = SUPNORM_MOMENT_ORDER, with a no-growth
     verdict on the tail.
 
-    The verdict compares max over [T/2, T] against max over [T/4, T/2]; a
-    bounded-in-time process keeps the ratio near 1, exponential growth
-    fails it.  Scenarios with inf a_i = 0 are labeled out-of-hypothesis.
+    The flat-tail verdict compares max over [T/2, T] against max over
+    [T/4, T/2]: the tail max may reach FLAT_TAIL_FACTOR times the earlier
+    max.  A bounded-in-time process keeps the ratio near 1, exponential
+    growth fails it.  The self-regulation verdict fails scenarios outside
+    the hypothesis inf a1 > 0 and inf a2 > 0; its statistic is
+    min(inf a1, inf a2).
     """
     curve = np.mean(stats.supnorm**SUPNORM_MOMENT_ORDER, axis=0)
     t_end = stats.times[-1]
@@ -298,11 +287,14 @@ def moment_bound_curve(stats: EnsembleStats, coeffs: CoefficientSet) -> MomentBo
         raise ValueError("record grid too coarse for the flat-tail windows")
     tail_max = float(tail.max())
     earlier_max = float(earlier.max())
-    flat_ok = tail_max <= FLAT_TAIL_FACTOR * earlier_max + 1e-300
-    return MomentBoundReport(times=stats.times, moment_curve=curve,
-                             inf_a=float(min(coeffs.a1.min(), coeffs.a2.min())),
-                             tail_max=tail_max, earlier_max=earlier_max,
-                             flat_ok=bool(flat_ok))
+    inf_a = float(min(coeffs.a1.min(), coeffs.a2.min()))
+    verdicts = (
+        Verdict("moment-flat-tail", "uniform-moment-bound",
+                bool(tail_max <= FLAT_TAIL_FACTOR * earlier_max + 1e-300),
+                tail_max / max(earlier_max, 1e-300), FLAT_TAIL_FACTOR),
+        Verdict("self-regulation-positive", "uniform-moment-bound", inf_a > 0, inf_a, 0.0),
+    )
+    return MomentBoundReport(times=stats.times, moment_curve=curve, verdicts=verdicts)
 
 
 @dataclass(frozen=True)
@@ -314,11 +306,7 @@ class StationarityReport:
     site_x: np.ndarray
     site_ks: np.ndarray             # per-site early-vs-late KS statistic
     ks_critical_value: float
-    fraction_ok: float
-
-    @property
-    def passed(self) -> bool:
-        return self.fraction_ok >= STATIONARITY_REQUIRED_FRACTION
+    verdicts: tuple                 # stationarity-site-ks
 
 
 def stationarity_report(stats: EnsembleStats) -> StationarityReport:
@@ -329,7 +317,7 @@ def stationarity_report(stats: EnsembleStats) -> StationarityReport:
     per path is taken at the midpoint of the early half and of the late
     half, and the two samples are compared by a two-sample KS test at level
     STATIONARITY_ALPHA (paths are the independent unit, so n = number of
-    paths on each side).  The report passes when at least
+    paths on each side).  Its verdict passes when at least
     STATIONARITY_REQUIRED_FRACTION of the sites do.
     """
     times = stats.times
@@ -358,12 +346,15 @@ def stationarity_report(stats: EnsembleStats) -> StationarityReport:
                                   stats.site_u[:, late_mid, j])
     crit = ks_critical(STATIONARITY_ALPHA, stats.n_paths, stats.n_paths)
     fraction = float(np.mean(site_ks < crit))
+    verdict = Verdict("stationarity-site-ks", "long-time-distribution",
+                      fraction >= STATIONARITY_REQUIRED_FRACTION, fraction,
+                      STATIONARITY_REQUIRED_FRACTION)
     return StationarityReport(window_bounds=bounds,
                               mass_window_means=mass_means,
                               supnorm_window_means=sup_means,
                               holder_proxy_window_means=rough_means,
                               site_x=stats.site_x, site_ks=site_ks,
-                              ks_critical_value=crit, fraction_ok=fraction)
+                              ks_critical_value=crit, verdicts=(verdict,))
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +370,7 @@ class DensityReport:
     kde_bandwidth: float
     kde_grid: np.ndarray
     kde_density: np.ndarray
-
-    @property
-    def atom_free(self) -> bool:
-        return self.max_cdf_jump < self.jump_threshold
+    verdicts: tuple                 # one-point-atomless
 
 
 def density_smoke_test(samples) -> DensityReport:
@@ -390,7 +378,7 @@ def density_smoke_test(samples) -> DensityReport:
 
     Exact zeros (the absorbing state) are tallied separately; among the
     positive samples, any repeated value creates an empirical-CDF jump of
-    its multiplicity over n, and the test demands the largest jump stay
+    its multiplicity over n, and the verdict demands the largest jump stay
     below 3/sqrt(n).  For plotting, a Gaussian KDE of the positive samples
     is attached on 256 points spanning them, with Silverman's bandwidth
     std * (3n/4)^(-1/5).
@@ -421,8 +409,10 @@ def density_smoke_test(samples) -> DensityReport:
         bandwidth = 0.0
         grid = np.empty(0)
         density = np.empty(0)
+    max_jump, threshold = float(max_jump), 3.0 / np.sqrt(n)
+    verdict = Verdict("one-point-atomless", "one-point-continuity",
+                      max_jump < threshold, max_jump, threshold)
     return DensityReport(n_samples=n, zero_fraction=zero_fraction,
-                         max_cdf_jump=float(max_jump),
-                         jump_threshold=3.0 / np.sqrt(n),
+                         max_cdf_jump=max_jump, jump_threshold=threshold,
                          kde_bandwidth=bandwidth, kde_grid=grid,
-                         kde_density=density)
+                         kde_density=density, verdicts=(verdict,))

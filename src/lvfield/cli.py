@@ -31,8 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (FLAT_TAIL_FACTOR, MILD_AUDIT_ETAS, STATIONARITY_REQUIRED_FRACTION,
-                       SUPNORM_MOMENT_ORDER, check_lag_coverage,
+from .analysis import (SUPNORM_MOMENT_ORDER, Verdict, check_lag_coverage,
                        density_smoke_test, extinction_report, holder_estimate,
                        mild_log_functional_audit, moment_bound_curve,
                        stationarity_report, tail_window_mask)
@@ -47,15 +46,6 @@ from .noise import (SPECIES_U, SPECIES_V, audit_functions,
 from .solver import SimulationBlowup, Trajectory, run_ensemble, simulate_path
 
 _ENV_OUT = "LVFIELD_OUT"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    check_name: str
-    theorem_ref: str
-    passed: bool
-    statistic: float
-    threshold: float
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +379,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
                           floor >= 0.0, floor, 0.0)
 
     if len(traj.snapshots) >= 2 and min(float(s.u.mean()) for s in traj.snapshots) > 0:
-        rep = mild_log_functional_audit(traj.snapshots, coeffs)
-        m_small = min(r.m_eta for r in rep.rows if r.eta == MILD_AUDIT_ETAS[-1])
-        drift_worst = max(r.drift_ratio for r in rep.rows)
-        verdicts += [
-            Verdict("log-functional-quadratic-term", "log-mass-expansion",
-                    rep.monotone_ok and rep.limit_ok, m_small, rep.limit_floor),
-            Verdict("log-functional-drift-term", "drift-domination",
-                    rep.drift_ok, drift_worst, rep.drift_ceiling),
-        ]
+        verdicts += mild_log_functional_audit(traj.snapshots, coeffs)
     if (not coeffs.sigma1.any() and not coeffs.sigma2.any() and not init.v.any()
             and all(_uniform(a) for a in (coeffs.m1, coeffs.a1, init.u))):
         verdicts.append(_logistic_verdict(traj.stats, coeffs.m1[0], coeffs.a1[0], init.u[0]))
@@ -482,22 +464,11 @@ def cmd_extinction(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     stats, coeffs, _ = _ensemble(cfg, meter)
     rep = extinction_report(stats, coeffs, species=_species_index(opts.species),
                             tail_window=window)
-
-    bound = rep.mean_log_mass[0] + rep.r_bound * rep.times
-    rows = list(zip(rep.times, rep.mean_log_mass, rep.log_mass_se, bound,
-                    rep.pointwise_ok))
     path = out_dir / "extinction.csv"
     write_csv(path, cfg, ("time", "mean_log_mass", "se", "bound_line", "pointwise_ok"),
-              rows)
-
-    margin = float(np.max(rep.mean_log_mass - bound - 3.0 * rep.log_mass_se))
-    verdicts = [
-        Verdict("log-mass-decay-slope", "log-mass-decay",
-                rep.slope_ok and not rep.degenerate, rep.slope, rep.r_bound),
-        Verdict("log-mass-pointwise-bound", "log-mass-decay",
-                bool(np.all(rep.pointwise_ok)) and not rep.degenerate, margin, 0.0),
-    ]
-    return verdicts, [path]
+              zip(rep.times, rep.mean_log_mass, rep.log_mass_se, rep.bound_line,
+                  rep.pointwise_ok))
+    return rep.verdicts, [path]
 
 
 def cmd_invariant(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
@@ -518,17 +489,7 @@ def cmd_invariant(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     write_csv(sites, cfg, ("site_x", "ks_stat", "ks_crit", "ok"),
               [(x, k, stat.ks_critical_value, k < stat.ks_critical_value)
                for x, k in zip(stat.site_x, stat.site_ks)])
-
-    ratio = moment.tail_max / max(moment.earlier_max, 1e-300)
-    verdicts = [
-        Verdict("moment-flat-tail", "uniform-moment-bound",
-                moment.flat_ok, ratio, FLAT_TAIL_FACTOR),
-        Verdict("self-regulation-positive", "uniform-moment-bound",
-                moment.in_hypothesis, moment.inf_a, 0.0),
-        Verdict("stationarity-site-ks", "long-time-distribution",
-                stat.passed, stat.fraction_ok, STATIONARITY_REQUIRED_FRACTION),
-    ]
-    return verdicts, [curve, windows, sites]
+    return moment.verdicts + stat.verdicts, [curve, windows, sites]
 
 
 # density tests the one-point law of this species at the probe site nearest
@@ -559,9 +520,7 @@ def cmd_density(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
               [(float(stats.times[ti]), float(stats.site_x[si]), rep.n_samples,
                 rep.zero_fraction, rep.max_cdf_jump, rep.jump_threshold,
                 rep.kde_bandwidth)])
-    verdicts = [Verdict("one-point-atomless", "one-point-continuity",
-                        rep.atom_free, rep.max_cdf_jump, rep.jump_threshold)]
-    return verdicts, [path, summary]
+    return rep.verdicts, [path, summary]
 
 
 COMMANDS = {

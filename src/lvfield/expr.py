@@ -69,7 +69,6 @@ def _tokenize(src: str):
 class Expr:
     """A parsed profile expression; call it on an ndarray of x values."""
 
-    source: str
     _ast: tuple
 
     def __call__(self, x) -> np.ndarray:
@@ -198,7 +197,7 @@ def parse(src: str) -> Expr:
     """Parse a profile expression; raises ExprError with a column on failure."""
     if not src.strip():
         raise ExprError("empty expression", 0)
-    return Expr(src, _Parser(_tokenize(src)).parse())
+    return Expr(_Parser(_tokenize(src)).parse())
 
 
 def evaluate(src: str, x) -> np.ndarray:

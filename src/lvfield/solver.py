@@ -222,9 +222,11 @@ class SolverConfig:
         return round(self.t_final / self.dt)
 
     @property
-    def record_every(self) -> float:
-        """record_interval, t_final / 200 when it is not set."""
-        return self.record_interval if self.record_interval is not None else self.t_final / 200
+    def record_stride(self) -> int:
+        """Steps between records: record_interval, t_final / 200 when it is
+        not set, rounded to whole steps and at least one."""
+        every = self.record_interval if self.record_interval is not None else self.t_final / 200
+        return max(1, round(every / self.dt))
 
     def radius(self, init: Field) -> float:
         """truncation_radius, default_truncation_radius(init) when it is not set."""
@@ -234,8 +236,8 @@ class SolverConfig:
 
     def record_steps(self) -> np.ndarray:
         """Steps after which the record series are taken: one every
-        record_every from step 0, and always the last step."""
-        steps = np.arange(0, self.n_steps + 1, max(1, round(self.record_every / self.dt)))
+        record_stride from step 0, and always the last step."""
+        steps = np.arange(0, self.n_steps + 1, self.record_stride)
         return steps if steps[-1] == self.n_steps else np.append(steps, self.n_steps)
 
     def anchor_cell(self) -> int | None:

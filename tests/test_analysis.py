@@ -218,11 +218,14 @@ class TestExtinction:
         stats, coeffs = self.run_scenario(sigma1=1.0)
         report = extinction_report(stats, coeffs, species=0,
                                    tail_window=(2.0, None))
-        assert report.r_bound == pytest.approx(-0.2)
-        assert report.slope <= report.r_bound + 3 * report.slope_se
-        assert report.slope_ok
+        slope, pointwise = report.verdicts
+        assert slope.check_name == "log-mass-decay-slope"
+        assert slope.threshold == pytest.approx(-0.2)
+        assert slope.passed
         assert np.all(report.pointwise_ok)
-        assert not report.degenerate
+        assert pointwise.check_name == "log-mass-pointwise-bound"
+        assert pointwise.passed and pointwise.statistic <= 0.0
+        assert pointwise.threshold == 0.0
 
     def test_deterministic_logistic_is_silent(self):
         # sigma = 0: R = +0.3, mass settles at the carrying capacity and the
@@ -231,18 +234,25 @@ class TestExtinction:
         stats, coeffs = self.run_scenario(sigma1=0.0, n_paths=2, t_final=16.0)
         report = extinction_report(stats, coeffs, species=0,
                                    tail_window=(10.0, None))
-        assert report.r_bound == pytest.approx(0.3)
-        assert abs(report.slope) < 0.02
-        assert report.slope_ok    # slope 0 <= 0.3 trivially
+        slope = report.verdicts[0]
+        assert slope.threshold == pytest.approx(0.3)
+        assert abs(slope.statistic) < 0.02
+        assert slope.passed    # slope 0 <= 0.3 trivially
 
-    def test_zero_init_flags_degenerate(self):
+    def test_zero_init_fails_both_verdicts(self):
+        # R = +0.3 and the log mass stays flat at ln 1e-300, inside both
+        # rules; a zero initial mass fails both verdicts anyway
         n = 16
         init = Field(np.zeros(n), np.zeros(n))
-        coeffs = CoefficientSet.constant(n, m1=0.3, a1=1.0, sigma1=1.0)
+        coeffs = CoefficientSet.constant(n, m1=0.3, a1=1.0)
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=2.0)
         stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=2)
         report = extinction_report(stats, coeffs, species=0, tail_window=(1.0, None))
-        assert report.degenerate
+        assert np.all(report.pointwise_ok)
+        slope, pointwise = report.verdicts
+        assert slope.statistic == pytest.approx(0.0, abs=1e-12)
+        assert pointwise.statistic == 0.0
+        assert not slope.passed and not pointwise.passed
 
     def test_window_must_contain_times(self):
         stats, coeffs = self.run_scenario(sigma1=1.0, t_final=1.0, n_paths=2)
@@ -253,13 +263,37 @@ class TestExtinction:
         stats, coeffs = self.run_scenario(sigma1=1.0, n_paths=20)
         r1 = extinction_report(stats, coeffs, species=0, tail_window=(2.0, None))
         r2 = extinction_report(stats, coeffs, species=0, tail_window=(2.0, None))
-        assert r1.slope == r2.slope
-        assert r1.slope_se == r2.slope_se
+        assert r1.verdicts == r2.verdicts
+        assert np.array_equal(r1.bound_line, r2.bound_line)
+
+    # mass e^{rate t} on both paths against R = 0.3: the slope is the rate,
+    # the standard errors vanish and the pointwise margin is
+    # max_t (rate - R) t
+    @pytest.mark.parametrize("rate, passed", [(0.2, True), (0.4, False)])
+    def test_rate_on_each_side_of_the_bound(self, rate, passed):
+        times = np.linspace(0.0, 4.0, 41)
+        mass = np.tile(np.exp(rate * times), (2, 1))
+        stats = SimpleNamespace(times=times, mass_u=mass, n_paths=2, master_seed=0)
+        coeffs = CoefficientSet.constant(4, m1=0.3)
+        report = extinction_report(stats, coeffs, species=0, tail_window=(2.0, None))
+        slope, pointwise = report.verdicts
+        assert slope.passed == passed and pointwise.passed == passed
+        assert slope.statistic == pytest.approx(rate, abs=1e-9)
+        assert slope.threshold == 0.3
+        assert pointwise.statistic == pytest.approx(max(rate - 0.3, 0.0) * 4.0, abs=1e-9)
+        assert pointwise.threshold == 0.0
+        np.testing.assert_allclose(report.bound_line, 0.3 * times, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
 # Mild-Itô audit
 # ---------------------------------------------------------------------------
+
+def constant_snapshots(n: int, u: float) -> list:
+    """Two snapshots of a constant U field and no V; SimpleNamespace lets
+    u be negative, which Field refuses."""
+    return [SimpleNamespace(u=np.full(n, u), v=np.zeros(n), time=t) for t in (0.0, 0.1)]
+
 
 class TestMildAudit:
     def snapshots_from_run(self, sigma1=0.5, n=64, count=6):
@@ -274,35 +308,55 @@ class TestMildAudit:
         return simulate_path(init, coeffs, NoisePlan(master_seed=4), cfg).snapshots, coeffs
 
     def test_constant_field_limit_is_exact(self):
-        n = 32
-        coeffs = CoefficientSet.constant(n, m1=0.5)
-        snaps = [Field(np.full(n, 0.7), np.zeros(n), time=0.0),
-                 Field(np.full(n, 0.7), np.zeros(n), time=0.1)]
-        report = mild_log_functional_audit(snaps, coeffs)
-        # M_eta = (0.7 / (eta + 0.7))^2 exactly, for every eta
-        for row in report.rows:
-            assert row.m_eta == pytest.approx((0.7 / (row.eta + 0.7)) ** 2, rel=1e-12)
-        assert report.monotone_ok and report.limit_ok and report.drift_ok
+        coeffs = CoefficientSet.constant(32, m1=0.5)
+        quadratic, drift = mild_log_functional_audit(constant_snapshots(32, 0.7), coeffs)
+        # M_eta = (0.7 / (eta + 0.7))^2 exactly, here at the smallest eta
+        assert quadratic.statistic == pytest.approx((0.7 / (1e-6 + 0.7)) ** 2, rel=1e-12)
+        assert drift.statistic == pytest.approx(0.35 / (1e-6 + 0.7), rel=1e-12)
+        assert quadratic.passed and drift.passed
 
     def test_stochastic_snapshots_pass(self):
         snaps, coeffs = self.snapshots_from_run()
-        report = mild_log_functional_audit(snaps, coeffs)
-        assert report.monotone_ok
-        assert report.limit_ok
-        assert report.drift_ok
-        assert report.limit_floor == 1.0 - 1e-3
-        # monotone toward the limit: larger eta gives smaller M
-        by_pair = {}
-        for row in report.rows:
-            by_pair.setdefault(row.time_s, []).append(row.m_eta)
-        for vals in by_pair.values():
-            assert vals == sorted(vals)
+        quadratic, drift = mild_log_functional_audit(snaps, coeffs)
+        assert quadratic.check_name == "log-functional-quadratic-term"
+        assert quadratic.theorem_ref == "log-mass-expansion"
+        assert quadratic.passed
+        assert quadratic.threshold == 1.0 - 1e-3
+        assert quadratic.statistic >= quadratic.threshold
+        assert drift.check_name == "log-functional-drift-term"
+        assert drift.passed
 
     def test_drift_ratio_bounded_by_sup_m(self):
         snaps, coeffs = self.snapshots_from_run()
-        report = mild_log_functional_audit(snaps, coeffs)
-        for row in report.rows:
-            assert row.drift_ratio <= np.max(coeffs.m1) + 1e-9
+        drift = mild_log_functional_audit(snaps, coeffs)[1]
+        assert drift.threshold == np.max(coeffs.m1) + 1e-9
+        assert drift.statistic <= drift.threshold
+
+    def test_decrease_toward_the_limit_fails(self):
+        # a negative mass c_0 = -0.5: M_eta = (0.5 / (eta - 0.5))^2 falls
+        # toward 1 as eta runs down, so only the monotone rule is broken
+        coeffs = CoefficientSet.constant(16, m1=0.5)
+        quadratic = mild_log_functional_audit(constant_snapshots(16, -0.5), coeffs)[0]
+        assert quadratic.statistic >= quadratic.threshold
+        assert not quadratic.passed
+
+    def test_limit_below_the_floor_fails(self):
+        # mass 1e-6 against eta 1e-6: M = (1/2)^2 at the smallest eta
+        coeffs = CoefficientSet.constant(16, m1=0.5)
+        quadratic = mild_log_functional_audit(constant_snapshots(16, 1e-6), coeffs)[0]
+        assert not quadratic.passed
+        assert quadratic.statistic == pytest.approx(0.25, rel=1e-9)
+        assert quadratic.threshold == 1.0 - 1e-3
+
+    def test_drift_above_sup_m_fails(self):
+        # a negative self-regulation a1 = -1 (which CoefficientSet refuses)
+        # lifts the reaction above m u: 0.7 (0.5 + 0.7) / 0.7 = 1.2 against
+        # sup m = 0.5
+        coeffs = SimpleNamespace(m1=np.full(16, 0.5), a1=np.full(16, -1.0), b1=np.zeros(16))
+        drift = mild_log_functional_audit(constant_snapshots(16, 0.7), coeffs)[1]
+        assert not drift.passed
+        assert drift.statistic == pytest.approx(1.2, rel=1e-5)
+        assert drift.threshold == 0.5 + 1e-9
 
     def test_unordered_snapshots_rejected(self):
         n = 16
@@ -326,8 +380,11 @@ class TestMomentBound:
         stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=2)
         report = moment_bound_curve(stats, coeffs)
         assert np.all(report.moment_curve == 0.0)
-        assert report.flat_ok
-        assert report.in_hypothesis
+        flat, regulated = report.verdicts
+        assert flat.check_name == "moment-flat-tail"
+        assert flat.passed and flat.statistic == 0.0
+        assert regulated.check_name == "self-regulation-positive"
+        assert regulated.passed and regulated.statistic == 1.0
 
     def test_logistic_settles_at_carrying_capacity(self):
         n = 16
@@ -336,12 +393,14 @@ class TestMomentBound:
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=20.0)
         stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=1)
         report = moment_bound_curve(stats, coeffs)
-        assert report.flat_ok
-        assert report.tail_max == pytest.approx(1.0, rel=1e-3)
+        flat = report.verdicts[0]
+        assert flat.passed
+        assert report.moment_curve[report.times >= 10.0].max() == pytest.approx(1.0, rel=1e-3)
+        assert flat.statistic == pytest.approx(1.0, rel=1e-2)
 
     def test_uncontrolled_growth_fails(self):
         # a = 0, m > 0: mean grows like e^{mt}; the flat-tail check must
-        # fail and the report must carry the out-of-hypothesis label.
+        # fail and so must the self-regulation hypothesis.
         n = 16
         init = Field(np.full(n, 0.5), np.zeros(n))
         coeffs = CoefficientSet.constant(n, m1=0.4, sigma1=0.1)
@@ -349,8 +408,32 @@ class TestMomentBound:
                            truncation_radius=1e6)
         stats = run_ensemble(init, coeffs, NoisePlan(master_seed=9), cfg, n_paths=4)
         report = moment_bound_curve(stats, coeffs)
-        assert not report.in_hypothesis
-        assert not report.flat_ok
+        flat, regulated = report.verdicts
+        assert not regulated.passed
+        assert regulated.statistic == 0.0
+        assert not flat.passed
+        assert flat.statistic > flat.threshold
+
+    # E sup^2 = 1 before T/2 and `factor` from T/2 on, against FLAT_TAIL_FACTOR 2
+    @pytest.mark.parametrize("factor, passed", [(1.9, True), (2.1, False)])
+    def test_tail_on_each_side_of_the_factor(self, factor, passed):
+        times = np.linspace(0.0, 1.0, 21)
+        curve = np.where(times >= 0.5, factor, 1.0)
+        stats = SimpleNamespace(times=times, supnorm=np.tile(np.sqrt(curve), (2, 1)))
+        flat = moment_bound_curve(stats, CoefficientSet.constant(4, a1=1.0, a2=1.0)).verdicts[0]
+        assert flat.passed == passed
+        assert flat.statistic == pytest.approx(factor, rel=1e-12)
+        assert flat.threshold == 2.0
+
+    @pytest.mark.parametrize("a2, passed", [(0.25, True), (0.0, False)])
+    def test_self_regulation_on_each_side_of_zero(self, a2, passed):
+        times = np.linspace(0.0, 1.0, 21)
+        stats = SimpleNamespace(times=times, supnorm=np.ones((2, times.size)))
+        regulated = moment_bound_curve(
+            stats, CoefficientSet.constant(4, a1=1.0, a2=a2)).verdicts[1]
+        assert regulated.passed == passed
+        assert regulated.statistic == a2
+        assert regulated.threshold == 0.0
 
 
 class TestStationarity:
@@ -365,8 +448,10 @@ class TestStationarity:
         report = stationarity_report(stats)
         assert np.ptp(report.mass_window_means) < 1e-12
         assert np.all(report.site_ks == 0.0)
-        assert report.fraction_ok == 1.0
-        assert report.passed
+        (verdict,) = report.verdicts
+        assert verdict.check_name == "stationarity-site-ks"
+        assert verdict.statistic == 1.0
+        assert verdict.passed
 
     def test_noisy_equilibrium_passes(self):
         n = 32
@@ -377,7 +462,26 @@ class TestStationarity:
                            record_interval=0.1)
         stats = run_ensemble(init, coeffs, NoisePlan(master_seed=23), cfg, n_paths=80)
         report = stationarity_report(stats)
-        assert report.passed, f"site KS {report.site_ks} vs {report.ks_critical_value}"
+        assert report.verdicts[0].passed, \
+            f"site KS {report.site_ks} vs {report.ks_critical_value}"
+
+    # 5 sites, of which `moved` shift by 10 after t = 0.7, between the early
+    # and the late sample: 4 of 5 still-stationary sites meet the required 0.8
+    @pytest.mark.parametrize("moved, passed", [(1, True), (2, False)])
+    def test_site_share_on_each_side_of_the_fraction(self, moved, passed):
+        times = np.linspace(0.0, 1.0, 41)
+        samples = np.random.default_rng(5).standard_normal((50, 1, 5))
+        site_u = np.repeat(samples, times.size, axis=1)
+        site_u[:, times > 0.7, :moved] += 10.0
+        zeros = np.zeros((50, times.size))
+        stats = SimpleNamespace(times=times, n_paths=50, site_x=np.linspace(0.1, 0.9, 5),
+                                site_u=site_u, mass_u=zeros, supnorm=zeros, rough_u=zeros)
+        report = stationarity_report(stats)
+        (verdict,) = report.verdicts
+        assert report.site_ks.tolist() == [1.0] * moved + [0.0] * (5 - moved)
+        assert verdict.passed == passed
+        assert verdict.statistic == (5 - moved) / 5
+        assert verdict.threshold == 0.8
 
     def test_too_short_run_rejected(self):
         n = 16
@@ -399,9 +503,12 @@ class TestDensity:
         rng = np.random.default_rng(31)
         samples = np.exp(0.4 * rng.standard_normal(4000) - 1.0)
         report = density_smoke_test(samples)
-        assert report.atom_free
+        (verdict,) = report.verdicts
+        assert verdict.check_name == "one-point-atomless"
+        assert verdict.passed
+        assert verdict.statistic == report.max_cdf_jump == pytest.approx(1 / 4000)
+        assert verdict.threshold == report.jump_threshold
         assert report.zero_fraction == 0.0
-        assert report.max_cdf_jump == pytest.approx(1 / 4000)
         assert report.kde_bandwidth > 0
         assert report.kde_grid.size == 256
 
@@ -418,7 +525,7 @@ class TestDensity:
 
     def test_constant_samples_report_atom(self):
         report = density_smoke_test(np.full(2500, 0.7))
-        assert not report.atom_free
+        assert not report.verdicts[0].passed
         assert report.max_cdf_jump == 1.0
 
     def test_zeros_tallied_separately(self):
@@ -427,8 +534,17 @@ class TestDensity:
         samples = np.concatenate([positive, np.zeros(1000)])
         report = density_smoke_test(samples)
         assert report.zero_fraction == pytest.approx(0.25)
-        assert report.atom_free        # zero atom is excluded by design
+        assert report.verdicts[0].passed        # zero atom is excluded by design
         assert report.max_cdf_jump == pytest.approx(1 / 4000)
+
+    # one value repeated k times among 2500 samples, against 3 / sqrt(2500) = 0.06
+    @pytest.mark.parametrize("k, passed", [(149, True), (151, False)])
+    def test_atom_on_each_side_of_the_jump_threshold(self, k, passed):
+        samples = np.concatenate([np.linspace(1.0, 2.0, 2500 - k), np.full(k, 5.0)])
+        (verdict,) = density_smoke_test(samples).verdicts
+        assert verdict.passed == passed
+        assert verdict.statistic == k / 2500
+        assert verdict.threshold == 3.0 / 50.0
 
     def test_underpowered_rejected(self):
         with pytest.raises(ValueError, match="samples"):

@@ -331,6 +331,13 @@ class TestHashing:
         base = "[model]\nn = 8\nu0 = 1.0\n[solver]\nt_final = 1.0\n"
         assert parse(base + written).config_hash == parse(base).config_hash
 
+    def test_record_interval_hashes_as_the_steps_it_records(self):
+        # t_final / 200 = 5e-4 is below dt = 1e-3: both record every step
+        base = "[model]\nn = 8\nu0 = 1.0\n[solver]\nt_final = 0.1\n"
+        written = parse(base + "record_interval = 0.001\n")
+        assert np.array_equal(written.solver.record_steps(), parse(base).solver.record_steps())
+        assert written.config_hash == parse(base).config_hash
+
     def test_omitted_coefficient_hashes_as_zero(self):
         assert (parse(GOOD.replace("m2 = 0.8", "m2 = 0")).config_hash
                 == parse(GOOD.replace("m2 = 0.8\n", "")).config_hash)

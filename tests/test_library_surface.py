@@ -1,4 +1,5 @@
-"""Every public library function and class has a caller outside the tests."""
+"""Every public library function and class, and every public field, method
+and property of a public class, has a reader outside the tests."""
 
 import ast
 import re
@@ -20,6 +21,23 @@ def _definitions():
                 yield path, node
 
 
+def _members():
+    """(path, class, name, member) of each public field (an annotated name),
+    method or property of a public class."""
+    for path, cls in _definitions():
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for member in cls.body:
+            if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                name = member.target.id
+            elif isinstance(member, ast.FunctionDef):
+                name = member.name
+            else:
+                continue
+            if not name.startswith("_"):
+                yield path, cls, name, member
+
+
 def _callers():
     # Package re-exports in __init__.py are no callers.
     sources = [p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")
@@ -29,16 +47,32 @@ def _callers():
 
 CALLERS = _callers()
 DEFINITIONS = list(_definitions())
+MEMBERS = list(_members())
+
+
+def _named_outside(pattern, path, node) -> bool:
+    """Whether pattern matches a line of src/, scripts/ or perfbench/ outside
+    node's own lines (its decorators included)."""
+    first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+    own = range(first - 1, node.end_lineno)
+    return any(pattern.search(line)
+               for source, lines in CALLERS.items()
+               for i, line in enumerate(lines)
+               if not (source == path and i in own))
 
 
 @pytest.mark.parametrize("path,node", DEFINITIONS,
                          ids=[f"{p.stem}.{n.name}" for p, n in DEFINITIONS])
 def test_named_outside_its_definition(path, node):
-    pattern = re.compile(rf"\b{node.name}\b")
-    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-    own = range(first - 1, node.end_lineno)
-    used = any(pattern.search(line)
-               for source, lines in CALLERS.items()
-               for i, line in enumerate(lines)
-               if not (source == path and i in own))
-    assert used, f"{path.name}:{node.lineno} {node.name} has no caller in src/, scripts/ or perfbench/"
+    assert _named_outside(re.compile(rf"\b{node.name}\b"), path, node), \
+        f"{path.name}:{node.lineno} {node.name} has no caller in src/, scripts/ or perfbench/"
+
+
+@pytest.mark.parametrize("path,cls,name,member", MEMBERS,
+                         ids=[f"{p.stem}.{c.name}.{n}" for p, c, n, _ in MEMBERS])
+def test_member_read_outside_its_definition(path, cls, name, member):
+    # a member is read as an attribute, .name, anywhere but its own lines;
+    # its class's other methods count
+    assert _named_outside(re.compile(rf"\.{name}\b"), path, member), \
+        (f"{path.name}:{member.lineno} {cls.name}.{name} is read nowhere in src/, "
+         "scripts/ or perfbench/")
