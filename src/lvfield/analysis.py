@@ -3,13 +3,17 @@
 Each report is a deterministic function of the ensemble data and its own
 parameters: bootstrap streams are derived from the ensemble's master seed,
 so repeated analysis of the same data reproduces byte-identical numbers.
-Each check of a paper property is decided here, next to its statistic:
-the estimator returns its Verdicts, which the CLI writes to verdicts.csv.
+Every check is decided here, next to its statistic: the estimator or
+audit returns its Verdicts, which the CLI writes to verdicts.csv.  The
+logistic and linear-mean checks state their hypotheses next to their rules
+and return no verdict outside them.
 
-Contents: Hölder exponent regression on the ensemble's increment moments, the
-log-mass extinction report, the mild-Itô log-functional audit, the p-th
-moment flat-tail check, the stationarity window report, and the one-point
-density smoke test.
+Contents: Hölder exponent regression on the ensemble's increment moments with
+its band verdicts, the log-mass extinction report, the mild-Itô
+log-functional audit, the p-th moment flat-tail check, the stationarity
+window report, the one-point density smoke test, the positivity verdicts,
+the logistic and linear-mean closed forms, the ensemble series, and the
+heat-kernel and noise-representation audits.
 """
 
 from __future__ import annotations
@@ -18,9 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import to_modes
+from .grid import cell_centers, from_modes, to_modes
+from .kernel import (IncrementFunctional, gaussian_comparison_sweep,
+                     increment_bound_shape, increment_functional,
+                     kernel_eigen_series, kernel_image_sum, kernel_mass_defect,
+                     semigroup_compose_defect)
 from .model import CoefficientSet
-from .noise import SPECIES_U, STREAM_BOOTSTRAP, noise_generator
+from .noise import (SPECIES_U, STREAM_BOOTSTRAP, audit_functions, noise_generator,
+                    representation_equivalence_check)
 from .solver import EnsembleStats
 from .statutil import bootstrap_se, fit_loglog, ks_critical, ks_statistic
 
@@ -56,8 +65,6 @@ class Verdict:
 
 @dataclass(frozen=True)
 class HolderEstimate:
-    direction: str
-    p: int
     lags: np.ndarray
     moments: np.ndarray             # E|increment|^p per lag
     log_log_slope: float            # slope of ln moment vs ln lag
@@ -65,6 +72,7 @@ class HolderEstimate:
     exponent: float                 # slope / p
     exponent_se: float
     confidence_band: tuple          # exponent +- 2 se
+    verdicts: tuple                 # {direction}-regularity-lower, -upper
 
 
 def check_lag_coverage(lags) -> None:
@@ -82,8 +90,11 @@ def check_increment_order(p: int) -> None:
         raise ValueError("moment order p must be 2 or 4")
 
 
-def holder_estimate(stats, direction: str, p: int) -> HolderEstimate:
+def holder_estimate(stats, direction: str, p: int, band: tuple) -> HolderEstimate:
     """Regress ln E|increment|^p on ln lag; the exponent is slope / p.
+
+    The two band verdicts pass when the exponent lies in band = (lo, hi),
+    edges included; their thresholds are lo and hi.
 
     stats is an EnsembleStats, or any object with its master_seed and its
     {direction}_lags, {direction}_p{p} and {direction}_count fields, for
@@ -116,10 +127,14 @@ def holder_estimate(stats, direction: str, p: int) -> HolderEstimate:
         se = bootstrap_se(sums, lambda rows: fit_loglog(lags, moments_of(rows))[0] / p, rng)
     else:
         se = 0.0                    # one path: no path-resampling spread
-    return HolderEstimate(direction=direction, p=p, lags=lags, moments=moments,
-                          log_log_slope=slope, r2=r2, exponent=exponent,
-                          exponent_se=se,
-                          confidence_band=(exponent - 2 * se, exponent + 2 * se))
+    lo, hi = band
+    ref = f"path-{direction}-regularity"
+    verdicts = (Verdict(f"{direction}-regularity-lower", ref, exponent >= lo, exponent, lo),
+                Verdict(f"{direction}-regularity-upper", ref, exponent <= hi, exponent, hi))
+    return HolderEstimate(lags=lags, moments=moments, log_log_slope=slope, r2=r2,
+                          exponent=exponent, exponent_se=se,
+                          confidence_band=(exponent - 2 * se, exponent + 2 * se),
+                          verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +193,8 @@ def extinction_report(stats: EnsembleStats, coeffs: CoefficientSet, species: int
     mask = tail_window_mask(times, tail_window)
     tw = times[mask]
 
-    def window_slope(rows):
-        return fit_line(tw, rows[:, mask].mean(axis=0))
+    def window_slope(rows):         # least-squares slope over the window
+        return float(np.polyfit(tw, rows[:, mask].mean(axis=0), 1)[0])
 
     slope = window_slope(log_mass)
     rng = noise_generator(stats.master_seed, 0, STREAM_BOOTSTRAP)
@@ -197,11 +212,6 @@ def extinction_report(stats: EnsembleStats, coeffs: CoefficientSet, species: int
     return ExtinctionReport(times=times, mean_log_mass=mean_log, log_mass_se=se,
                             bound_line=bound, pointwise_ok=pointwise_ok,
                             verdicts=verdicts)
-
-
-def fit_line(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of y on x."""
-    return float(np.polyfit(np.asarray(x, float), np.asarray(y, float), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -416,3 +426,197 @@ def density_smoke_test(samples) -> DensityReport:
                          max_cdf_jump=max_jump, jump_threshold=threshold,
                          kde_bandwidth=bandwidth, kde_grid=grid,
                          kde_density=density, verdicts=(verdict,))
+
+
+# ---------------------------------------------------------------------------
+# Positivity, the closed-form checks and the ensemble series
+# ---------------------------------------------------------------------------
+
+# tolerances of the positivity verdicts (the per-step clipped mass ratio, the
+# share of paths that leave the truncation ball) and of the logistic mass
+CLIP_TOL = 1e-3
+EXIT_TOL = 0.01
+_LOGISTIC_TOL = 5e-3
+
+
+def recorded_floor(stats, snapshots=()) -> float:
+    """Lowest recorded value: masses, probe-site series and snapshot fields."""
+    arrays = [stats.mass_u, stats.mass_v, stats.site_u, stats.site_v]
+    arrays += [a for snap in snapshots for a in (snap.u, snap.v)]
+    return min(float(a.min(initial=np.inf)) for a in arrays)
+
+
+def positivity_verdicts(stats, snapshots=None) -> tuple:
+    """The state stays nonnegative, the clamp clips at most CLIP_TOL of the
+    mass in a step and at most EXIT_TOL of the paths leave the truncation
+    ball.  Given snapshots, the nonnegativity verdict is of their fields."""
+    if snapshots is None:
+        name, floor = "recorded-state-nonnegative", recorded_floor(stats)
+    else:
+        name = "snapshot-state-nonnegative"
+        floor = min(float(a.min()) for snap in snapshots for a in (snap.u, snap.v))
+    clip = float(stats.clip_max_ratio.max()) if stats.n_paths else 0.0
+    exits = stats.exit_fraction()
+    return (Verdict(name, "positivity", floor >= 0.0, floor, 0.0),
+            Verdict("pre-clamp-clipped-mass", "positivity", clip <= CLIP_TOL, clip, CLIP_TOL),
+            Verdict("truncation-exit-fraction", "truncation-rarity",
+                    exits <= EXIT_TOL, exits, EXIT_TOL))
+
+
+def _uniform(a: np.ndarray) -> bool:
+    return bool(np.all(a == a[0]))
+
+
+def logistic_verdicts(stats, coeffs: CoefficientSet, init) -> tuple:
+    """Recorded mass of U against the logistic closed form.
+
+    With no noise, constant m, a and u0 and no V, every cell solves
+    du/dt = u (m - a u): u(t) = u0 e^{mt} / (1 + a u0 (e^{mt} - 1) / m).
+    Outside that hypothesis there is no verdict.
+    """
+    if (coeffs.sigma1.any() or coeffs.sigma2.any() or init.v.any()
+            or not all(_uniform(a) for a in (coeffs.m1, coeffs.a1, init.u))):
+        return ()
+    m, a, u0 = coeffs.m1[0], coeffs.a1[0], init.u[0]
+    t = stats.times
+    growth = np.expm1(m * t) / m if m else t
+    exact = u0 * np.exp(m * t) / (1.0 + a * u0 * growth)
+    err = float(np.max(np.abs(stats.mass_u[0] - exact)))
+    return (Verdict("logistic-closed-form", "deterministic-logistic",
+                    err < _LOGISTIC_TOL, err, _LOGISTIC_TOL),)
+
+
+def linear_mean_verdicts(sconf, stats, coeffs: CoefficientSet, init) -> tuple:
+    """Monte Carlo mean of U at the probe sites against exp(mt) exp(tL) u0.
+
+    With a1 = b1 = 0 and constant m the mean field solves the linear equation
+    d/dt E U = (L + m) E U, where L has the eigenvalues of the scheme's
+    Laplacian on the cosine modes.  The statistic is the worst deviation in
+    units of 3 standard errors at the recorded times nearest the snapshot
+    times (t_final when none are set).  A standard error needs noise, two
+    paths and a probe site; without them, or outside the hypothesis, there
+    is no verdict.
+    """
+    if (coeffs.a1.any() or coeffs.b1.any() or not _uniform(coeffs.m1)
+            or not coeffs.sigma1.any() or stats.n_paths < 2 or not stats.site_x.size):
+        return ()
+    m, n = coeffs.m1[0], sconf.grid_size
+    k = np.arange(n)
+    lam = (-4.0 * n * n * np.sin(k * np.pi / (2 * n)) ** 2 if sconf.scheme == "fd"
+           else -(k ** 2) * np.pi**2)
+    sites = sconf.site_indices()
+    devs = []
+    for t_check in sconf.snapshot_times or (sconf.t_final,):
+        r = int(np.argmin(np.abs(stats.times - t_check)))
+        t = stats.times[r]
+        target = np.exp(m * t) * from_modes(to_modes(init.u) * np.exp(lam * t))[sites]
+        sample = stats.site_u[:, r, :]
+        se = sample.std(axis=0, ddof=1) / np.sqrt(stats.n_paths)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            devs.append(np.abs(sample.mean(axis=0) - target) / (3.0 * se))
+    worst = float(np.max(devs))        # a NaN deviation fails the check
+    return (Verdict("linear-mean-field", "linear-mean-equation", worst <= 1.0, worst, 1.0),)
+
+
+# the ensemble series: E ln(LOG_MASS_ETA + mass) per species and
+# E sup-norm^SUPNORM_MOMENT_ORDER, each with its standard error
+LOG_MASS_ETA = 1e-12
+SERIES_COLUMNS = ("time", "mean_lnmass_u", "se_lnmass_u", "mean_lnmass_v",
+                  "se_lnmass_v", "mean_supnorm_p", "se_supnorm_p", "n_paths")
+
+
+def ensemble_series(stats) -> list:
+    """One row of SERIES_COLUMNS per recorded time."""
+    cols = [stats.times]
+    for a in (np.log(LOG_MASS_ETA + stats.mass_u), np.log(LOG_MASS_ETA + stats.mass_v),
+              stats.supnorm**SUPNORM_MOMENT_ORDER):
+        se = (a.std(axis=0, ddof=1) / np.sqrt(a.shape[0]) if a.shape[0] > 1
+              else np.zeros(a.shape[1]))
+        cols += [a.mean(axis=0), se]
+    return list(zip(*cols, np.full(stats.times.size, stats.n_paths)))
+
+
+# ---------------------------------------------------------------------------
+# Heat-kernel and noise-representation audits
+# ---------------------------------------------------------------------------
+
+# (name, functional, its arguments at distance d, d range) of each modulus sweep
+_MODULUS_SWEEPS = (
+    ("space-increment", IncrementFunctional.SPACE_INCREMENT,
+     lambda d: dict(t=0.01, x=0.5 - d / 2, y=0.5 + d / 2), 1e-3, 1e-1),
+    ("space-increment-time-integrated", IncrementFunctional.SPACE_INCREMENT_TIME_INTEGRATED,
+     lambda d: dict(t=0.5, x=0.5 - d / 2, y=0.5 + d / 2), 1e-2, 0.98),
+    ("square-tail", IncrementFunctional.SQUARE_TAIL,
+     lambda d: dict(s=0.5 - d, t=0.5, x=0.3), 1e-3, 1e-1),
+    ("time-increment-integrated", IncrementFunctional.TIME_INCREMENT_INTEGRATED,
+     lambda d: dict(s=0.5, t=0.5 + d, x=0.3), 1e-3, 1e-1),
+    ("time-increment-fixed", IncrementFunctional.TIME_INCREMENT_FIXED,
+     lambda d: dict(s=1e-3, t=1e-3 + d, x=0.3), 1e-3, 1e-1),
+)
+
+# kernel_audit: the largest gap between the two kernel representations on a
+# KERNEL_LATTICE^3 lattice of (t, x, y), the largest mass defect, the
+# semigroup composition defect, the points of each modulus sweep and the
+# largest spread of its ratios to the bound.
+KERNEL_CROSS_TOL = 1e-8
+KERNEL_MASS_TOL = 1e-6
+SEMIGROUP_TOL = 1e-10
+KERNEL_LATTICE = 20
+MODULUS_SWEEP_POINTS = 9
+MODULUS_RATIO_LIMIT = 10.0
+
+
+def kernel_audit() -> tuple:
+    """The heat kernel's identities and increment envelopes: (rows,
+    verdicts), rows of (measure, parameter, value)."""
+    x = cell_centers(KERNEL_LATTICE)
+    cross = max(float(np.max(np.abs(kernel_image_sum(t, x[:, None], x[None, :])
+                                    - kernel_eigen_series(t, x[:, None], x[None, :]))))
+                for t in np.geomspace(0.01, 1.0, KERNEL_LATTICE))
+    mass = max(kernel_mass_defect(t, x, n_quad=12000) for t in (1e-3, 1e-2, 1e-1, 1.0))
+    lo, hi = gaussian_comparison_sweep((1e-3, 1e-2, 1e-1))
+    u = 1.0 + np.cos(np.pi * cell_centers(256)) + 0.3 * np.cos(3 * np.pi * cell_centers(256))
+    compose = semigroup_compose_defect(u, 0.01, 0.05)
+    rows = [("cross-representation-max-diff", 0.0, cross), ("mass-defect-max", 0.0, mass),
+            ("gaussian-ratio-inf", 0.0, lo), ("gaussian-ratio-sup", 0.0, hi),
+            ("semigroup-compose-defect", 0.0, compose)]
+    verdicts = [
+        Verdict("kernel-cross-representation", "dual-series-identity",
+                cross <= KERNEL_CROSS_TOL, cross, KERNEL_CROSS_TOL),
+        Verdict("kernel-mass-conservation", "unit-mass",
+                mass <= KERNEL_MASS_TOL, mass, KERNEL_MASS_TOL),
+        Verdict("kernel-gaussian-envelope", "gaussian-comparison",
+                0.0 < lo <= hi < np.inf, lo, 0.0),
+        Verdict("semigroup-composition", "semigroup-identity",
+                compose <= SEMIGROUP_TOL, compose, SEMIGROUP_TOL),
+    ]
+    for name, quantity, params, d_lo, d_hi in _MODULUS_SWEEPS:
+        ds = [float(d) for d in np.geomspace(d_lo, d_hi, MODULUS_SWEEP_POINTS)]
+        ratios = [increment_functional(quantity, **params(d))
+                  / increment_bound_shape(quantity, **params(d)) for d in ds]
+        rows += [(f"{name}-ratio", d, r) for d, r in zip(ds, ratios)]
+        spread = max(ratios) / min(ratios)
+        verdicts.append(Verdict(f"{name}-modulus", "increment-envelope",
+                                spread < MODULUS_RATIO_LIMIT, spread, MODULUS_RATIO_LIMIT))
+    return rows, verdicts
+
+
+def noise_audit(master_seed: int) -> tuple:
+    """Both noise representations against each audit function: (rows,
+    verdicts), one row per function.  The verdicts take the worst KS
+    statistic and variance error against the KS critical value and variance
+    tolerance the audits share, which the last one carries."""
+    reps = {name: representation_equivalence_check(f, master_seed=master_seed)
+            for name, f in audit_functions().items()}
+    rows = [(name, r.target_variance, r.walsh_variance, r.spectral_variance,
+             r.ks_stat, r.ks_crit, r.passed) for name, r in reps.items()]
+    worst_ks = max(r.ks_stat for r in reps.values())
+    worst_var = max(r.variance_error for r in reps.values())
+    *_, last = reps.values()
+    ks_crit, variance_tol = last.ks_crit, last.variance_tolerance
+    return rows, [
+        Verdict("noise-representation-ks", "representation-equivalence",
+                worst_ks < ks_crit, worst_ks, ks_crit),
+        Verdict("noise-representation-variance", "integral-isometry",
+                worst_var <= variance_tol, worst_var, variance_tol),
+    ]

@@ -1,11 +1,13 @@
 """Command line driver: configured experiments in, CSV/NDJSON files out.
 
-Every subcommand reads one config file, runs its experiment, and writes its
-outputs plus a verdicts.csv (check_name, theorem_ref, pass, statistic,
-threshold) and a runtime.json sidecar into the output directory.  All data
-files embed the package version, the config hash, and the master seed, and
-are byte-identical across reruns, thread counts, and output locations; only
-runtime.json carries wall-clock information.
+Every subcommand reads one config file, checks its options, runs its
+experiment, and passes the output to the estimator or audit in analysis.py
+that decides its verdicts.  It writes its outputs plus a verdicts.csv
+(check_name, theorem_ref, pass, statistic, threshold) and a runtime.json
+sidecar into the output directory.  All data files embed the package
+version, the config hash, and the master seed, and are byte-identical
+across reruns, thread counts, and output locations; only runtime.json
+carries wall-clock information.
 
 Exit status: 0 when every verdict passes, 1 on a failed verdict, 2 on a
 config or usage error (command options an estimator would refuse among
@@ -31,18 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (SUPNORM_MOMENT_ORDER, Verdict, check_lag_coverage,
-                       density_smoke_test, extinction_report, holder_estimate,
-                       mild_log_functional_audit, moment_bound_curve,
-                       stationarity_report, tail_window_mask)
+from .analysis import (SERIES_COLUMNS, check_lag_coverage, density_smoke_test,
+                       ensemble_series, extinction_report, holder_estimate,
+                       kernel_audit, linear_mean_verdicts, logistic_verdicts,
+                       mild_log_functional_audit, moment_bound_curve, noise_audit,
+                       positivity_verdicts, recorded_floor, stationarity_report,
+                       tail_window_mask)
 from .config import ConfigError, ExperimentConfig, load_config
-from .grid import cell_centers, from_modes, to_modes
-from .kernel import (IncrementFunctional, gaussian_comparison_sweep,
-                     increment_bound_shape, increment_functional,
-                     kernel_eigen_series, kernel_image_sum, kernel_mass_defect,
-                     semigroup_compose_defect)
-from .noise import (SPECIES_U, SPECIES_V, audit_functions,
-                    representation_equivalence_check)
+from .noise import SPECIES_U, SPECIES_V
 from .solver import SimulationBlowup, Trajectory, run_ensemble, simulate_path
 
 _ENV_OUT = "LVFIELD_OUT"
@@ -122,13 +120,6 @@ def write_runtime(out_dir: Path, command: str, cfg: ExperimentConfig, seconds: f
 # Shared experiment plumbing
 # ---------------------------------------------------------------------------
 
-def _recorded_floor(stats, snapshots=()) -> float:
-    """Lowest recorded value: masses, probe-site series and snapshot fields."""
-    arrays = [stats.mass_u, stats.mass_v, stats.site_u, stats.site_v]
-    arrays += [a for snap in snapshots for a in (snap.u, snap.v)]
-    return min(float(a.min(initial=np.inf)) for a in arrays)
-
-
 @dataclass
 class EnsembleMeter:
     """What run_ensemble and simulate_path did, for runtime.json: the
@@ -153,7 +144,7 @@ class EnsembleMeter:
         self.exited_paths += int(np.count_nonzero(stats.exit_step >= 0))
         self.clip_steps += int(stats.clip_events.sum())
         self.clip_max_ratio = max(self.clip_max_ratio, float(stats.clip_max_ratio.max()))
-        self.recorded_floor = min(self.recorded_floor, _recorded_floor(stats, snapshots))
+        self.recorded_floor = min(self.recorded_floor, recorded_floor(stats, snapshots))
         return out
 
 
@@ -168,198 +159,22 @@ def _ensemble(cfg: ExperimentConfig, meter: EnsembleMeter):
     return stats, coeffs, init
 
 
-_LOG_MASS_ETA = 1e-12
-
-
-def _series_rows(stats):
-    mean = lambda a: a.mean(axis=0)
-    se = lambda a: (a.std(axis=0, ddof=1) / np.sqrt(a.shape[0])
-                    if a.shape[0] > 1 else np.zeros(a.shape[1]))
-    ln_u = np.log(_LOG_MASS_ETA + stats.mass_u)
-    ln_v = np.log(_LOG_MASS_ETA + stats.mass_v)
-    sup_p = stats.supnorm**SUPNORM_MOMENT_ORDER
-    cols = (stats.times,
-            mean(ln_u), se(ln_u), mean(ln_v), se(ln_v),
-            mean(sup_p), se(sup_p),
-            np.full(stats.times.size, stats.n_paths))
-    return list(zip(*cols))
-
-
-_SERIES_COLUMNS = ("time", "mean_lnmass_u", "se_lnmass_u", "mean_lnmass_v",
-                   "se_lnmass_v", "mean_supnorm_p", "se_supnorm_p", "n_paths")
-
-
-# positivity tolerances: the per-step clipped mass ratio and the share of
-# paths that leave the truncation ball
-CLIP_TOL = 1e-3
-EXIT_TOL = 0.01
-
-
-def _positivity_verdicts(stats):
-    floor = _recorded_floor(stats)
-    clip = float(stats.clip_max_ratio.max()) if stats.n_paths else 0.0
-    return [
-        Verdict("recorded-state-nonnegative", "positivity", floor >= 0.0, floor, 0.0),
-        Verdict("pre-clamp-clipped-mass", "positivity", clip <= CLIP_TOL, clip, CLIP_TOL),
-        Verdict("truncation-exit-fraction", "truncation-rarity",
-                stats.exit_fraction() <= EXIT_TOL, stats.exit_fraction(), EXIT_TOL),
-    ]
-
-
-def _species_index(label: str) -> int:
-    return SPECIES_U if label == "u" else SPECIES_V
-
-
-def _uniform(a: np.ndarray) -> bool:
-    return bool(np.all(a == a[0]))
-
-
-_LOGISTIC_TOL = 5e-3
-
-
-def _logistic_verdict(stats, m: float, a: float, u0: float) -> Verdict:
-    """Recorded mass of U against the logistic closed form.
-
-    With no noise, constant m, a and u0 and no V, every cell solves
-    du/dt = u (m - a u): u(t) = u0 e^{mt} / (1 + a u0 (e^{mt} - 1) / m).
-    """
-    t = stats.times
-    growth = np.expm1(m * t) / m if m else t
-    exact = u0 * np.exp(m * t) / (1.0 + a * u0 * growth)
-    err = float(np.max(np.abs(stats.mass_u[0] - exact)))
-    return Verdict("logistic-closed-form", "deterministic-logistic",
-                   err < _LOGISTIC_TOL, err, _LOGISTIC_TOL)
-
-
-def _linear_mean_verdict(sconf, stats, m: float, u0: np.ndarray) -> Verdict:
-    """Monte Carlo mean of U at the probe sites against exp(mt) exp(tL) u0.
-
-    With a1 = b1 = 0 and constant m the mean field solves the linear equation
-    d/dt E U = (L + m) E U, where L has the eigenvalues of the scheme's
-    Laplacian on the cosine modes.  The statistic is the worst deviation in
-    units of 3 standard errors at the recorded times nearest the snapshot
-    times (t_final when none are set).
-    """
-    n = sconf.grid_size
-    k = np.arange(n)
-    lam = (-4.0 * n * n * np.sin(k * np.pi / (2 * n)) ** 2 if sconf.scheme == "fd"
-           else -(k ** 2) * np.pi**2)
-    sites = sconf.site_indices()
-    devs = []
-    for t_check in sconf.snapshot_times or (sconf.t_final,):
-        r = int(np.argmin(np.abs(stats.times - t_check)))
-        t = stats.times[r]
-        target = np.exp(m * t) * from_modes(to_modes(u0) * np.exp(lam * t))[sites]
-        sample = stats.site_u[:, r, :]
-        se = sample.std(axis=0, ddof=1) / np.sqrt(stats.n_paths)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            devs.append(np.abs(sample.mean(axis=0) - target) / (3.0 * se))
-    worst = float(np.max(devs))        # a NaN deviation fails the check
-    return Verdict("linear-mean-field", "linear-mean-equation", worst <= 1.0, worst, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.  Each returns (verdicts, written files).
 # ---------------------------------------------------------------------------
 
-_MODULUS_SWEEPS = (
-    ("space-increment", IncrementFunctional.SPACE_INCREMENT,
-     lambda d: dict(t=0.01, x=0.5 - d / 2, y=0.5 + d / 2), 1e-3, 1e-1),
-    ("space-increment-time-integrated", IncrementFunctional.SPACE_INCREMENT_TIME_INTEGRATED,
-     lambda d: dict(t=0.5, x=0.5 - d / 2, y=0.5 + d / 2), 1e-2, 0.98),
-    ("square-tail", IncrementFunctional.SQUARE_TAIL,
-     lambda d: dict(s=0.5 - d, t=0.5, x=0.3), 1e-3, 1e-1),
-    ("time-increment-integrated", IncrementFunctional.TIME_INCREMENT_INTEGRATED,
-     lambda d: dict(s=0.5, t=0.5 + d, x=0.3), 1e-3, 1e-1),
-    ("time-increment-fixed", IncrementFunctional.TIME_INCREMENT_FIXED,
-     lambda d: dict(s=1e-3, t=1e-3 + d, x=0.3), 1e-3, 1e-1),
-)
-
-
-# kernel-check: the largest gap between the two kernel representations on a
-# KERNEL_LATTICE^3 lattice of (t, x, y), the largest mass defect, the points
-# of each modulus sweep and the largest spread of its ratios to the bound.
-KERNEL_CROSS_TOL = 1e-8
-KERNEL_MASS_TOL = 1e-6
-KERNEL_LATTICE = 20
-MODULUS_SWEEP_POINTS = 9
-MODULUS_RATIO_LIMIT = 10.0
-
-
 def cmd_kernel_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
-    rows = []
-    times = np.geomspace(0.01, 1.0, KERNEL_LATTICE)
-    x = cell_centers(KERNEL_LATTICE)
-    cross = 0.0
-    for t in times:
-        a = kernel_image_sum(t, x[:, None], x[None, :])
-        b = kernel_eigen_series(t, x[:, None], x[None, :])
-        cross = max(cross, float(np.max(np.abs(a - b))))
-    rows.append(("cross-representation-max-diff", 0.0, cross))
-
-    mass = max(kernel_mass_defect(t, x, n_quad=12000)
-               for t in (1e-3, 1e-2, 1e-1, 1.0))
-    rows.append(("mass-defect-max", 0.0, mass))
-
-    lo, hi = gaussian_comparison_sweep((1e-3, 1e-2, 1e-1))
-    rows.append(("gaussian-ratio-inf", 0.0, lo))
-    rows.append(("gaussian-ratio-sup", 0.0, hi))
-
-    u = 1.0 + np.cos(np.pi * cell_centers(256)) + 0.3 * np.cos(3 * np.pi * cell_centers(256))
-    compose = semigroup_compose_defect(u, 0.01, 0.05)
-    rows.append(("semigroup-compose-defect", 0.0, compose))
-
-    verdicts = [
-        Verdict("kernel-cross-representation", "dual-series-identity",
-                cross <= KERNEL_CROSS_TOL, cross, KERNEL_CROSS_TOL),
-        Verdict("kernel-mass-conservation", "unit-mass",
-                mass <= KERNEL_MASS_TOL, mass, KERNEL_MASS_TOL),
-        Verdict("kernel-gaussian-envelope", "gaussian-comparison",
-                0.0 < lo <= hi < np.inf, lo, 0.0),
-        Verdict("semigroup-composition", "semigroup-identity",
-                compose <= 1e-10, compose, 1e-10),
-    ]
-
-    for name, quantity, params, d_lo, d_hi in _MODULUS_SWEEPS:
-        ds = np.geomspace(d_lo, d_hi, MODULUS_SWEEP_POINTS)
-        ratios = []
-        for d in ds:
-            kw = params(float(d))
-            value = increment_functional(quantity, **kw)
-            shape = increment_bound_shape(quantity, **kw)
-            ratios.append(value / shape)
-            rows.append((f"{name}-ratio", float(d), value / shape))
-        spread = max(ratios) / min(ratios)
-        verdicts.append(Verdict(f"{name}-modulus", "increment-envelope",
-                                spread < MODULUS_RATIO_LIMIT, spread, MODULUS_RATIO_LIMIT))
-
+    rows, verdicts = kernel_audit()
     path = out_dir / "kernel_check.csv"
     write_csv(path, cfg, ("measure", "parameter", "value"), rows)
     return verdicts, [path]
 
 
 def cmd_noise_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
-    rows = []
-    worst_ks = 0.0
-    worst_var = 0.0
-    for name, f in audit_functions().items():
-        rep = representation_equivalence_check(f, master_seed=cfg.noise.master_seed)
-        rows.append((name, rep.target_variance, rep.walsh_variance,
-                     rep.spectral_variance, rep.ks_stat, rep.ks_crit, rep.passed))
-        worst_ks = max(worst_ks, rep.ks_stat)
-        worst_var = max(worst_var, rep.variance_error)
-    # the audits share one size, and so the last one's thresholds
-    ks_crit, variance_tol = rep.ks_crit, rep.variance_tolerance
-
+    rows, verdicts = noise_audit(cfg.noise.master_seed)
     path = out_dir / "noise_check.csv"
     write_csv(path, cfg, ("function", "target_variance", "walsh_variance",
                           "spectral_variance", "ks_stat", "ks_crit", "pass"), rows)
-    verdicts = [
-        Verdict("noise-representation-ks", "representation-equivalence",
-                worst_ks < ks_crit, worst_ks, ks_crit),
-        Verdict("noise-representation-variance", "integral-isometry",
-                worst_var <= variance_tol, worst_var, variance_tol),
-    ]
     return verdicts, [path]
 
 
@@ -372,34 +187,23 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     path = out_dir / "snapshots.ndjson"
     write_snapshots(path, cfg, traj.snapshots)
 
-    floor = min(float(s.u.min()) for s in traj.snapshots)
-    floor = min(floor, min(float(s.v.min()) for s in traj.snapshots))
-    verdicts = _positivity_verdicts(traj.stats)
-    verdicts[0] = Verdict("snapshot-state-nonnegative", "positivity",
-                          floor >= 0.0, floor, 0.0)
-
+    verdicts = positivity_verdicts(traj.stats, traj.snapshots)
+    # the audit needs two snapshots and a positive mass to take the log of
     if len(traj.snapshots) >= 2 and min(float(s.u.mean()) for s in traj.snapshots) > 0:
         verdicts += mild_log_functional_audit(traj.snapshots, coeffs)
-    if (not coeffs.sigma1.any() and not coeffs.sigma2.any() and not init.v.any()
-            and all(_uniform(a) for a in (coeffs.m1, coeffs.a1, init.u))):
-        verdicts.append(_logistic_verdict(traj.stats, coeffs.m1[0], coeffs.a1[0], init.u[0]))
-    return verdicts, [path]
+    return verdicts + logistic_verdicts(traj.stats, coeffs, init), [path]
 
 
 def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     stats, coeffs, init = _ensemble(cfg, meter)
     path = out_dir / "ensemble.csv"
-    write_csv(path, cfg, _SERIES_COLUMNS, _series_rows(stats))
+    write_csv(path, cfg, SERIES_COLUMNS, ensemble_series(stats))
     summary = out_dir / "ensemble_summary.csv"
     write_csv(summary, cfg,
               ("n_paths", "exit_fraction", "max_clip_ratio", "clip_steps"),
               [(stats.n_paths, stats.exit_fraction(),
                 float(stats.clip_max_ratio.max()), int(stats.clip_events.sum()))])
-    verdicts = _positivity_verdicts(stats)
-    # a standard error needs noise and two paths
-    if (not coeffs.a1.any() and not coeffs.b1.any() and _uniform(coeffs.m1)
-            and coeffs.sigma1.any() and stats.n_paths > 1 and stats.site_x.size):
-        verdicts.append(_linear_mean_verdict(cfg.solver, stats, coeffs.m1[0], init.u))
+    verdicts = positivity_verdicts(stats) + linear_mean_verdicts(cfg.solver, stats, coeffs, init)
     return verdicts, [path, summary]
 
 
@@ -419,26 +223,17 @@ def cmd_holder(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
 
     stats, _, _ = _ensemble(cfg, meter)
     opts = cfg.holder
-    estimates = []
-    if stats.space_lags.size:
-        estimates.append((holder_estimate(stats, "space", opts.p), opts.band_space))
-    if stats.time_lags.size:
-        estimates.append((holder_estimate(stats, "time", opts.p), opts.band_time))
-
     rows, moment_rows, verdicts = [], [], []
-    for est, band in estimates:
-        lo, hi = band
-        rows.append((est.direction, est.p, est.lags.size, est.exponent,
+    for direction, lags, band in (("space", stats.space_lags, opts.band_space),
+                                  ("time", stats.time_lags, opts.band_time)):
+        if not lags.size:
+            continue
+        est = holder_estimate(stats, direction, opts.p, band)
+        rows.append((direction, opts.p, est.lags.size, est.exponent,
                      est.exponent_se, est.confidence_band[0],
-                     est.confidence_band[1], est.log_log_slope, est.r2, lo, hi))
-        for lag, moment in zip(est.lags, est.moments):
-            moment_rows.append((est.direction, lag, moment))
-        verdicts.append(Verdict(f"{est.direction}-regularity-lower",
-                                f"path-{est.direction}-regularity",
-                                est.exponent >= lo, est.exponent, lo))
-        verdicts.append(Verdict(f"{est.direction}-regularity-upper",
-                                f"path-{est.direction}-regularity",
-                                est.exponent <= hi, est.exponent, hi))
+                     est.confidence_band[1], est.log_log_slope, est.r2, *band))
+        moment_rows += [(direction, lag, moment) for lag, moment in zip(est.lags, est.moments)]
+        verdicts += est.verdicts
 
     path = out_dir / "holder.csv"
     write_csv(path, cfg, ("direction", "p", "n_lags", "exponent", "exponent_se",
@@ -462,8 +257,8 @@ def cmd_extinction(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
         raise cfg.error("extinction", key, str(e)) from None
 
     stats, coeffs, _ = _ensemble(cfg, meter)
-    rep = extinction_report(stats, coeffs, species=_species_index(opts.species),
-                            tail_window=window)
+    species = SPECIES_U if opts.species == "u" else SPECIES_V
+    rep = extinction_report(stats, coeffs, species=species, tail_window=window)
     path = out_dir / "extinction.csv"
     write_csv(path, cfg, ("time", "mean_log_mass", "se", "bound_line", "pointwise_ok"),
               zip(rep.times, rep.mean_log_mass, rep.log_mass_se, rep.bound_line,

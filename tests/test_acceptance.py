@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from lvfield import cli
+from lvfield import analysis, cli
 from lvfield.config import load_config
 from lvfield.grid import cell_centers
 from lvfield.kernel import semigroup_apply
@@ -53,7 +53,7 @@ class Row(NamedTuple):
     budget: str | None        # key of BUDGETS; rows sharing a key share it
 
 
-_MODULI = {f"{name}-modulus": 10.0 for name, *_ in cli._MODULUS_SWEEPS}
+_MODULI = {f"{name}-modulus": 10.0 for name, *_ in analysis._MODULUS_SWEEPS}
 _INVARIANT = {"moment-flat-tail": 2.0, "self-regulation-positive": 0.0,
               "stationarity-site-ks": 0.8}
 _DENSITY = {"one-point-atomless": 3.0 / np.sqrt(2000)}

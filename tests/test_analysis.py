@@ -7,18 +7,24 @@ import pytest
 from scipy.fft import fft, ifft
 from scipy.stats import gaussian_kde
 
+from lvfield import analysis
 from lvfield.grid import cell_centers
 from lvfield.analysis import (
     DensityReport,
     density_smoke_test,
     extinction_report,
     holder_estimate,
+    kernel_audit,
+    linear_mean_verdicts,
+    logistic_verdicts,
     mild_log_functional_audit,
     moment_bound_curve,
+    noise_audit,
+    positivity_verdicts,
     stationarity_report,
 )
 from lvfield.model import CoefficientSet, Field
-from lvfield.noise import NoisePlan
+from lvfield.noise import EquivalenceReport, NoisePlan
 from lvfield.solver import SolverConfig, run_ensemble, simulate_path
 
 
@@ -72,6 +78,10 @@ def increment_table_from_paths(paths: np.ndarray, lag_steps, step: float,
     return increment_table(lag_steps * step, p2, p4, count, master_seed)
 
 
+# a band no exponent leaves, for tests of the estimate itself
+ANY_BAND = (-np.inf, np.inf)
+
+
 def holder_selfcheck(hurst: float, seed: int):
     """The field estimator's moment regression on fBm surrogate paths with a
     known exponent: 20 paths of 5,000 steps, 100k increments in all."""
@@ -79,7 +89,7 @@ def holder_selfcheck(hurst: float, seed: int):
     fgn = fractional_increments(hurst, per_path, 20, np.random.default_rng(seed))
     table = increment_table_from_paths(np.cumsum(fgn, axis=1), (1, 2, 4, 8, 16, 32, 64),
                                        step=1.0 / per_path, master_seed=seed)
-    return holder_estimate(table, "space", 4)
+    return holder_estimate(table, "space", 4, ANY_BAND)
 
 
 class TestFractionalSurrogate:
@@ -142,33 +152,33 @@ class TestHolderEstimateInterface:
         return increment_table(lags, p2, p4, count)
 
     def test_exact_power_law(self):
-        est = holder_estimate(self.make_table(), "space", 4)
+        est = holder_estimate(self.make_table(), "space", 4, ANY_BAND)
         assert est.exponent == pytest.approx(0.5, abs=0.01)
         assert est.log_log_slope == pytest.approx(2.0, abs=0.05)
-        est2 = holder_estimate(self.make_table(), "space", 2)
+        est2 = holder_estimate(self.make_table(), "space", 2, ANY_BAND)
         assert est2.exponent == pytest.approx(0.5, abs=0.01)
 
     def test_too_few_lags_rejected(self):
         with pytest.raises(ValueError, match="lags"):
-            holder_estimate(self.make_table(n_lags=4), "space", 4)
+            holder_estimate(self.make_table(n_lags=4), "space", 4, ANY_BAND)
 
     def test_narrow_span_rejected(self):
         table = self.make_table()
         narrow = increment_table(np.linspace(1e-3, 2e-3, 6), table.space_p2,
                                  table.space_p4, table.space_count)
         with pytest.raises(ValueError, match="decades"):
-            holder_estimate(narrow, "space", 4)
+            holder_estimate(narrow, "space", 4, ANY_BAND)
 
     def test_degenerate_increments_rejected(self):
         table = self.make_table()
         dead = increment_table(table.space_lags, np.zeros_like(table.space_p2),
                                np.zeros_like(table.space_p4), table.space_count)
         with pytest.raises(ValueError, match="degenerate"):
-            holder_estimate(dead, "space", 4)
+            holder_estimate(dead, "space", 4, ANY_BAND)
 
     def test_bad_moment_order_rejected(self):
         with pytest.raises(ValueError, match="p must"):
-            holder_estimate(self.make_table(), "space", 3)
+            holder_estimate(self.make_table(), "space", 3, ANY_BAND)
 
     def test_smooth_deterministic_field_saturates(self):
         # sigma = 0 with a smooth profile: increments scale like the lag
@@ -182,13 +192,31 @@ class TestHolderEstimateInterface:
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=1.0,
                            stats_after=1.0, space_lag_cells=lags)
         stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=1)
-        est = holder_estimate(stats, direction="space", p=4)
+        est = holder_estimate(stats, direction="space", p=4, band=ANY_BAND)
         assert est.exponent >= 0.95
         assert est.r2 > 0.99
 
+    @pytest.mark.parametrize("direction", ["space", "time"])
+    def test_band_edges_are_inclusive(self, direction):
+        table = self.make_table()
+        stats = SimpleNamespace(master_seed=0, **{
+            f"{direction}_{name}": getattr(table, f"space_{name}")
+            for name in ("lags", "p2", "p4", "count")})
+        e = holder_estimate(stats, direction, 4, ANY_BAND).exponent
+        lower, upper = holder_estimate(stats, direction, 4, (e, e)).verdicts
+        assert lower.check_name == f"{direction}-regularity-lower"
+        assert upper.check_name == f"{direction}-regularity-upper"
+        assert lower.theorem_ref == upper.theorem_ref == f"path-{direction}-regularity"
+        assert (lower.passed, lower.statistic, lower.threshold) == (True, e, e)
+        assert (upper.passed, upper.statistic, upper.threshold) == (True, e, e)
+        above, below = np.nextafter(e, np.inf), np.nextafter(e, -np.inf)
+        lower, upper = holder_estimate(stats, direction, 4, (above, below)).verdicts
+        assert (lower.passed, lower.statistic, lower.threshold) == (False, e, above)
+        assert (upper.passed, upper.statistic, upper.threshold) == (False, e, below)
+
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError, match="direction must be"):
-            holder_estimate(self.make_table(), "surrogate", 4)
+            holder_estimate(self.make_table(), "surrogate", 4, ANY_BAND)
 
     def test_ensemble_without_statistics_rejected(self):
         n = 16
@@ -197,7 +225,7 @@ class TestHolderEstimateInterface:
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=0.1)
         stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=2)
         with pytest.raises(ValueError, match="no space increment"):
-            holder_estimate(stats, "space", 4)
+            holder_estimate(stats, "space", 4, ANY_BAND)
 
 
 # ---------------------------------------------------------------------------
@@ -553,3 +581,152 @@ class TestDensity:
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             density_smoke_test(np.linspace(-1, 1, 3000))
+
+
+# ---------------------------------------------------------------------------
+# Positivity and the closed-form checks' hypotheses
+# ---------------------------------------------------------------------------
+
+def recorded(floor=1.0, clip=0.0, exits=0.0, n_paths=4):
+    """A stand-in for an EnsembleStats whose recorded values are all 1 but
+    one mass at floor, with one path clipping at clip."""
+    mass_u = np.ones((n_paths, 3))
+    mass_u[-1, -1] = floor
+    return SimpleNamespace(
+        mass_u=mass_u, mass_v=np.ones((n_paths, 3)),
+        site_u=np.ones((n_paths, 3, 2)), site_v=np.ones((n_paths, 3, 2)),
+        clip_max_ratio=np.append(np.zeros(n_paths - 1), clip), n_paths=n_paths,
+        exit_fraction=lambda: exits)
+
+
+def below(x):
+    return np.nextafter(x, -np.inf)
+
+
+def above(x):
+    return np.nextafter(x, np.inf)
+
+
+class TestPositivity:
+    @pytest.mark.parametrize("floor, passed", [(0.0, True), (below(0.0), False)])
+    def test_recorded_floor_on_each_side_of_zero(self, floor, passed):
+        verdict = positivity_verdicts(recorded(floor=floor))[0]
+        assert verdict.check_name == "recorded-state-nonnegative"
+        assert (verdict.passed, verdict.statistic, verdict.threshold) == (passed, floor, 0.0)
+
+    @pytest.mark.parametrize("floor, passed", [(0.0, True), (below(0.0), False)])
+    def test_snapshot_floor_on_each_side_of_zero(self, floor, passed):
+        # the snapshot verdict reads the snapshot fields alone
+        snapshots = [SimpleNamespace(u=np.ones(4), v=np.ones(4)),
+                     SimpleNamespace(u=np.ones(4), v=np.array([1.0, floor, 1.0, 1.0]))]
+        verdict = positivity_verdicts(recorded(floor=-1.0), snapshots)[0]
+        assert verdict.check_name == "snapshot-state-nonnegative"
+        assert (verdict.passed, verdict.statistic, verdict.threshold) == (passed, floor, 0.0)
+
+    @pytest.mark.parametrize("clip, passed", [(1e-3, True), (above(1e-3), False)])
+    def test_clipped_mass_on_each_side_of_its_tolerance(self, clip, passed):
+        verdict = positivity_verdicts(recorded(clip=clip))[1]
+        assert verdict.check_name == "pre-clamp-clipped-mass"
+        assert (verdict.passed, verdict.statistic, verdict.threshold) == (passed, clip, 1e-3)
+
+    @pytest.mark.parametrize("exits, passed", [(0.01, True), (above(0.01), False)])
+    def test_exit_fraction_on_each_side_of_its_tolerance(self, exits, passed):
+        verdict = positivity_verdicts(recorded(exits=exits))[2]
+        assert verdict.check_name == "truncation-exit-fraction"
+        assert (verdict.passed, verdict.statistic, verdict.threshold) == (passed, exits, 0.01)
+
+
+class TestHypotheses:
+    @pytest.mark.parametrize("coeffs, init", [
+        (dict(m1=1.0, a1=1.0, sigma1=0.1), dict(u=0.1, v=0.0)),
+        (dict(m1=1.0, a1=1.0, sigma2=0.1), dict(u=0.1, v=0.0)),
+        (dict(m1=1.0, a1=1.0), dict(u=0.1, v=0.1)),
+        (dict(m1=1.0, a1=1.0), dict(u=np.linspace(0.1, 0.2, 8), v=0.0)),
+    ])
+    def test_logistic_is_silent_outside_its_hypothesis(self, coeffs, init):
+        field = Field(*(np.broadcast_to(init[k], 8).astype(float) for k in ("u", "v")))
+        assert logistic_verdicts(None, CoefficientSet.constant(8, **coeffs), field) == ()
+
+    @pytest.mark.parametrize("coeffs, n_paths, n_sites", [
+        (dict(m1=0.2, a1=0.1, sigma1=0.5), 40, 2),
+        (dict(m1=0.2, b1=0.1, sigma1=0.5), 40, 2),
+        (dict(m1=0.2), 40, 2),
+        (dict(m1=0.2, sigma1=0.5), 1, 2),
+        (dict(m1=0.2, sigma1=0.5), 40, 0),
+    ])
+    def test_linear_mean_is_silent_outside_its_hypothesis(self, coeffs, n_paths, n_sites):
+        stats = SimpleNamespace(n_paths=n_paths, site_x=np.linspace(0.2, 0.8, n_sites))
+        field = Field(np.ones(8), np.zeros(8))
+        assert linear_mean_verdicts(None, stats, CoefficientSet.constant(8, **coeffs),
+                                    field) == ()
+
+
+# ---------------------------------------------------------------------------
+# Heat-kernel and noise-representation audits
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def stub_kernel(monkeypatch):
+    """kernel_audit over stand-in kernel functions that meet every rule."""
+    monkeypatch.setattr(analysis, "KERNEL_LATTICE", 3)
+    monkeypatch.setattr(analysis, "MODULUS_SWEEP_POINTS", 3)
+    for name in ("kernel_image_sum", "kernel_eigen_series"):
+        monkeypatch.setattr(analysis, name, lambda t, x, y: np.zeros(np.broadcast(x, y).shape))
+    monkeypatch.setattr(analysis, "kernel_mass_defect", lambda t, x, n_quad: 0.0)
+    monkeypatch.setattr(analysis, "gaussian_comparison_sweep", lambda times: (0.5, 2.0))
+    monkeypatch.setattr(analysis, "semigroup_compose_defect", lambda u, s, t: 0.0)
+    for name in ("increment_functional", "increment_bound_shape"):
+        monkeypatch.setattr(analysis, name, lambda quantity, **kw: 1.0)
+
+
+def verdict_named(verdicts, name):
+    (verdict,) = [v for v in verdicts if v.check_name == name]
+    return verdict
+
+
+class TestKernelAudit:
+    def test_stand_ins_pass_every_rule(self, stub_kernel):
+        rows, verdicts = kernel_audit()
+        assert all(v.passed for v in verdicts) and len(verdicts) == 9
+        assert len(rows) == 5 + 5 * 3
+
+    @pytest.mark.parametrize("defect, passed", [(1e-10, True), (above(1e-10), False)])
+    def test_semigroup_composition_at_its_tolerance(self, stub_kernel, monkeypatch,
+                                                    defect, passed):
+        monkeypatch.setattr(analysis, "semigroup_compose_defect", lambda u, s, t: defect)
+        v = verdict_named(kernel_audit()[1], "semigroup-composition")
+        assert (v.passed, v.statistic, v.threshold) == (passed, defect, 1e-10)
+
+    # the rule is 0 < lo <= hi < inf on the kernel's ratios to the Gaussian
+    @pytest.mark.parametrize("lo, hi, passed", [
+        (0.5, 2.0, True), (1.0, 1.0, True), (1e-300, 1e300, True),
+        (0.0, 2.0, False), (-0.5, 2.0, False), (2.0, 0.5, False), (0.5, np.inf, False),
+    ])
+    def test_gaussian_envelope_rule(self, stub_kernel, monkeypatch, lo, hi, passed):
+        monkeypatch.setattr(analysis, "gaussian_comparison_sweep", lambda times: (lo, hi))
+        v = verdict_named(kernel_audit()[1], "kernel-gaussian-envelope")
+        assert (v.passed, v.statistic, v.threshold) == (passed, lo, 0.0)
+
+
+class TestNoiseAudit:
+    @pytest.mark.parametrize("ks_crit, variance_tol, passed", [
+        (above(0.03), 0.25, (True, True)),
+        (0.03, below(0.25), (False, False)),
+    ])
+    def test_worst_audit_against_the_reports_thresholds(self, monkeypatch, ks_crit,
+                                                         variance_tol, passed):
+        # (KS statistic, Walsh variance) of each audit; the worst of each is
+        # 0.03 and |5 / 4 - 1| = 0.25, met by different functions
+        audits = iter([(0.01, 5.0), (0.03, 4.0)] + [(0.02, 4.0)] * 8)
+
+        def report(f, master_seed):
+            ks_stat, walsh = next(audits)
+            return EquivalenceReport(target_variance=4.0, walsh_variance=walsh,
+                                     spectral_variance=4.0, ks_stat=ks_stat,
+                                     ks_crit=ks_crit, variance_tolerance=variance_tol)
+        monkeypatch.setattr(analysis, "representation_equivalence_check", report)
+        rows, (ks_verdict, var_verdict) = noise_audit(master_seed=0)
+        assert len(rows) == 10
+        assert (ks_verdict.passed, var_verdict.passed) == passed
+        assert (ks_verdict.statistic, ks_verdict.threshold) == (0.03, ks_crit)
+        assert (var_verdict.statistic, var_verdict.threshold) == (0.25, variance_tol)

@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import expm
 
 import lvfield
-from lvfield import cli, noise
+from lvfield import analysis, cli, noise
 from lvfield.cli import main
 from lvfield.config import SECTIONS, parse_config_text
 from lvfield.kernel import semigroup_apply
@@ -111,14 +111,14 @@ n_paths = 40
 
 def small_noise_check(monkeypatch):
     """Shrink the noise-check audits to a size that runs in a second."""
-    monkeypatch.setattr(cli, "representation_equivalence_check", functools.partial(
+    monkeypatch.setattr(analysis, "representation_equivalence_check", functools.partial(
         noise.representation_equivalence_check, n_replications=500, n_steps=5, n_cells=8,
         variance_tolerance=0.2))
 
 
 def small_kernel_check(monkeypatch, lattice, sweep_points):
-    monkeypatch.setattr(cli, "KERNEL_LATTICE", lattice)
-    monkeypatch.setattr(cli, "MODULUS_SWEEP_POINTS", sweep_points)
+    monkeypatch.setattr(analysis, "KERNEL_LATTICE", lattice)
+    monkeypatch.setattr(analysis, "MODULUS_SWEEP_POINTS", sweep_points)
 
 
 def write(tmp_path, text, name="exp.ini"):
@@ -475,8 +475,8 @@ class TestExitCodes:
         cfg = write(tmp_path, text)
         monkeypatch.setattr(cli, "run_ensemble", None)
         monkeypatch.setattr(cli, "simulate_path", None)
-        monkeypatch.setattr(cli, "representation_equivalence_check", None)
-        monkeypatch.setattr(cli, "kernel_image_sum", None)
+        monkeypatch.setattr(analysis, "representation_equivalence_check", None)
+        monkeypatch.setattr(analysis, "kernel_image_sum", None)
         out = tmp_path / "o"
         # each section is named after the command that read it
         assert main([section.replace("_", "-"), "--config", cfg, "--out", str(out)]) == 2
@@ -712,7 +712,7 @@ class TestExitCodes:
 
     def test_failed_verdict_is_1(self, tmp_path, capsys, monkeypatch):
         small_kernel_check(monkeypatch, lattice=4, sweep_points=3)
-        monkeypatch.setattr(cli, "KERNEL_CROSS_TOL", 0.0)
+        monkeypatch.setattr(analysis, "KERNEL_CROSS_TOL", 0.0)
         cfg = write(tmp_path, BENCH)
         out = tmp_path / "k"
         assert main(["kernel-check", "--config", cfg, "--out", str(out)]) == 1

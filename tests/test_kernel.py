@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lvfield.kernel as kernel
-from lvfield import cli
+from lvfield import analysis
 from lvfield.grid import cell_centers, from_modes, to_modes
 from lvfield.kernel import (
     DEFAULT_N_QUAD,
@@ -282,8 +282,8 @@ class TestBoundShapes:
     (t-s)^2), so that sweep anchors s = 1e-3.
     """
 
-    @pytest.mark.parametrize("name, quantity, params, d_lo, d_hi", cli._MODULUS_SWEEPS,
-                             ids=[sweep[0] for sweep in cli._MODULUS_SWEEPS])
+    @pytest.mark.parametrize("name, quantity, params, d_lo, d_hi", analysis._MODULUS_SWEEPS,
+                             ids=[sweep[0] for sweep in analysis._MODULUS_SWEEPS])
     def test_tracks_modulus(self, name, quantity, params, d_lo, d_hi):
         r = np.array([increment_functional(quantity, **params(d))
                       / increment_bound_shape(quantity, **params(d))

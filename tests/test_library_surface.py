@@ -76,3 +76,11 @@ def test_member_read_outside_its_definition(path, cls, name, member):
     assert _named_outside(re.compile(rf"\.{name}\b"), path, member), \
         (f"{path.name}:{member.lineno} {cls.name}.{name} is read nowhere in src/, "
          "scripts/ or perfbench/")
+
+
+def test_verdicts_are_built_in_analysis_only():
+    # every check's rule, statistic and threshold lives in analysis.py
+    builders = [f"{path.name}:{i + 1}" for path in sorted(PACKAGE.glob("*.py"))
+                if path.name != "analysis.py"
+                for i, line in enumerate(path.read_text().splitlines()) if "Verdict(" in line]
+    assert not builders, f"Verdict built outside analysis.py at {', '.join(builders)}"
