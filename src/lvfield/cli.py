@@ -180,18 +180,14 @@ def cmd_noise_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     init, coeffs, plan, sconf = _build(cfg)
-    if not sconf.snapshot_times:
-        sconf = replace(sconf, snapshot_times=(sconf.t_final,))
+    sconf = replace(sconf, snapshot_times=sconf.snapshot_times or (sconf.t_final,))
     traj = meter.run(simulate_path, init, coeffs, plan, sconf, path_index=0)
 
     path = out_dir / "snapshots.ndjson"
     write_snapshots(path, cfg, traj.snapshots)
-
-    verdicts = positivity_verdicts(traj.stats, traj.snapshots)
-    # the audit needs two snapshots and a positive mass to take the log of
-    if len(traj.snapshots) >= 2 and min(float(s.u.mean()) for s in traj.snapshots) > 0:
-        verdicts += mild_log_functional_audit(traj.snapshots, coeffs)
-    return verdicts + logistic_verdicts(traj.stats, coeffs, init), [path]
+    return (positivity_verdicts(traj.stats, traj.snapshots)
+            + mild_log_functional_audit(traj.snapshots, coeffs)
+            + logistic_verdicts(traj.stats, coeffs, init)), [path]
 
 
 def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):

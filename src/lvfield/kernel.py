@@ -10,12 +10,14 @@ The image sum converges fast for small t, the eigen series for large t.  The
 discrete semigroup e^{t L} acts diagonally on the DCT-II modes of a grid
 function with multipliers exp(-k^2 pi^2 t).
 
-The increment functionals at the bottom are the squared-kernel integrals
-controlling space and time regularity of stochastic convolutions.  Each is a
-midpoint quadrature in the xi variable of the truncated eigen series; the
-time-integrated ones apply the composite midpoint rule in the substituted
-variable w = sqrt(gap), which removes the (gap)^(-1/2) endpoint singularity
-of the integrand.  For
+The five functions at the bottom (space_increment,
+space_increment_time_integrated, square_tail, time_increment_integrated,
+time_increment_fixed) are the squared-kernel integrals controlling space and
+time regularity of stochastic convolutions; each docstring names the modulus
+it is bounded by.  Each is a midpoint quadrature in the xi variable of the
+truncated eigen series; the time-integrated ones apply the composite
+midpoint rule in the substituted variable w = sqrt(gap), which removes the
+(gap)^(-1/2) endpoint singularity of the integrand.  For
 mode cap K < n_quad the midpoint cosine orthogonality
 
   (1/n_quad) sum_q cos(n pi xi_q) cos(m pi xi_q) = delta_nm / 2   (1 <= n, m < n_quad)
@@ -26,8 +28,6 @@ the literal grid sum to rounding and the tests check this.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 import numpy as np
 
@@ -155,18 +155,9 @@ def gaussian_comparison_sweep(times) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Squared-kernel increment functionals.
+# Squared-kernel increment functionals.  n_quad: xi midpoint cells, which cap
+# the eigen modes at n_quad - 1; n_time: midpoint cells of the time integral.
 # ---------------------------------------------------------------------------
-
-class IncrementFunctional(Enum):
-    """The five squared-kernel integrals controlling field regularity."""
-
-    SPACE_INCREMENT = "space_increment"
-    SPACE_INCREMENT_TIME_INTEGRATED = "space_increment_time_integrated"
-    SQUARE_TAIL = "square_tail"
-    TIME_INCREMENT_INTEGRATED = "time_increment_integrated"
-    TIME_INCREMENT_FIXED = "time_increment_fixed"
-
 
 def _diag_quadrature(const_coeff, cos_coeffs):
     # xi-midpoint quadrature of (const + sum_n c_n cos(n pi xi))^2 via
@@ -225,87 +216,46 @@ def _time_integral(integrand, length: float, n_time: int) -> float:
     return total * dw
 
 
-def increment_functional(quantity: IncrementFunctional, *, t: float,
-                         s: float | None = None, x: float = 0.5,
-                         y: float | None = None,
-                         n_quad: int | None = None,
-                         n_time: int = DEFAULT_N_TIME) -> float:
-    """Evaluate one of the squared-kernel increment integrals.
+def _check_gap(s: float, t: float) -> tuple:
+    s, t = float(s), _check_time(t)
+    if not 0.0 < s < t:
+        raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
+    return s, t
 
-    Parameters
-    ----------
-    quantity : IncrementFunctional
-        Which integral.
-    t, s : float
-        Times; s is required for the two-time quantities and must satisfy
-        0 < s < t.
-    x, y : float
-        Space points; y is required for the space-increment quantities.
-    n_quad : int, optional
-        Midpoint cells in xi, which also caps the eigen modes at n_quad - 1.
-        Defaults to DEFAULT_N_QUAD for the single-time quantities and
-        DEFAULT_N_QUAD_INTEGRATED for the time-integrated ones (their value
-        near the singular endpoint lives at fine xi scales).
-    n_time : int
-        Midpoint cells for the time integral (in the substituted variable).
 
-    Returns
-    -------
-    float
-    """
-    quantity = IncrementFunctional(quantity)
-    t = _check_time(t)
-    if n_quad is None:
-        n_quad = DEFAULT_N_QUAD if quantity in (
-            IncrementFunctional.SPACE_INCREMENT,
-            IncrementFunctional.TIME_INCREMENT_FIXED,
-        ) else DEFAULT_N_QUAD_INTEGRATED
-    if quantity in (IncrementFunctional.SPACE_INCREMENT,
-                    IncrementFunctional.SPACE_INCREMENT_TIME_INTEGRATED):
-        if y is None:
-            raise ValueError(f"{quantity.value} needs both x and y")
-    else:
-        if s is None:
-            raise ValueError(f"{quantity.value} needs both s and t")
-        s = float(s)
-        if not 0.0 < s < t:
-            raise ValueError(f"{quantity.value} needs 0 < s < t, got s={s}, t={t}")
+def space_increment(t: float, x: float, y: float, n_quad: int = DEFAULT_N_QUAD) -> float:
+    """int (G_t(x, xi) - G_t(y, xi))^2 dxi, bounded by |x-y|^2 / t^(3/2)."""
+    return float(_space_increment_integrand([_check_time(t)], x, y, n_quad)[0])
 
-    if quantity is IncrementFunctional.SPACE_INCREMENT:
-        return float(_space_increment_integrand([t], x, y, n_quad)[0])
 
-    if quantity is IncrementFunctional.SPACE_INCREMENT_TIME_INTEGRATED:
-        return _time_integral(
-            lambda u: _space_increment_integrand(u, x, y, n_quad),
-            t, n_time)
+def space_increment_time_integrated(t: float, x: float, y: float,
+                                    n_quad: int = DEFAULT_N_QUAD_INTEGRATED,
+                                    n_time: int = DEFAULT_N_TIME) -> float:
+    """int_0^t int (G_r(x, xi) - G_r(y, xi))^2 dxi dr, bounded by |x-y|."""
+    return _time_integral(lambda u: _space_increment_integrand(u, x, y, n_quad),
+                          _check_time(t), n_time)
 
-    if quantity is IncrementFunctional.SQUARE_TAIL:
-        # int_s^t int G_{t-r}^2 dxi dr, gap u = t - r in (0, t - s).
-        return _time_integral(
-            lambda u: _square_integrand(u, x, n_quad),
-            t - s, n_time)
 
-    if quantity is IncrementFunctional.TIME_INCREMENT_INTEGRATED:
-        # int_0^s int (G_{t-r} - G_{s-r})^2 dxi dr, gap u = s - r in (0, s).
-        return _time_integral(
-            lambda u: _time_increment_integrand(t - s + u, u, x, n_quad),
-            s, n_time)
+def square_tail(s: float, t: float, x: float, n_quad: int = DEFAULT_N_QUAD_INTEGRATED,
+                n_time: int = DEFAULT_N_TIME) -> float:
+    """int_s^t int G_{t-r}(x, xi)^2 dxi dr, bounded by (t-s)^(1/2)."""
+    s, t = _check_gap(s, t)
+    # gap u = t - r in (0, t - s)
+    return _time_integral(lambda u: _square_integrand(u, x, n_quad), t - s, n_time)
 
-    # TIME_INCREMENT_FIXED
+
+def time_increment_integrated(s: float, t: float, x: float,
+                              n_quad: int = DEFAULT_N_QUAD_INTEGRATED,
+                              n_time: int = DEFAULT_N_TIME) -> float:
+    """int_0^s int (G_{t-r}(x, xi) - G_{s-r}(x, xi))^2 dxi dr, bounded by
+    (t-s)^(1/2)."""
+    s, t = _check_gap(s, t)
+    # gap u = s - r in (0, s)
+    return _time_integral(lambda u: _time_increment_integrand(t - s + u, u, x, n_quad),
+                          s, n_time)
+
+
+def time_increment_fixed(s: float, t: float, x: float, n_quad: int = DEFAULT_N_QUAD) -> float:
+    """int (G_t(x, xi) - G_s(x, xi))^2 dxi, bounded by (t-s)^(1/2)."""
+    s, t = _check_gap(s, t)
     return float(_time_increment_integrand([t], [s], x, n_quad)[0])
-
-
-def increment_bound_shape(quantity: IncrementFunctional, *, t: float,
-                          s: float | None = None, x: float = 0.5,
-                          y: float | None = None) -> float:
-    """The modulus each functional is bounded by, up to constants.
-
-    space increment: |x-y|^2 / t^(3/2); its time integral: |x-y|; the three
-    time-gap quantities: |t-s|^(1/2).
-    """
-    quantity = IncrementFunctional(quantity)
-    if quantity is IncrementFunctional.SPACE_INCREMENT:
-        return abs(x - y) ** 2 / t**1.5
-    if quantity is IncrementFunctional.SPACE_INCREMENT_TIME_INTEGRATED:
-        return abs(x - y)
-    return np.sqrt(t - s)

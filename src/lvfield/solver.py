@@ -125,14 +125,15 @@ class SolverConfig:
     grid_size : int
         Number of cells.
     snapshot_times : tuple of float
-        Times at which full fields are kept (single-path runs).
+        Times at which full fields are kept (single-path runs), at most one
+        per step.
     record_interval : float, optional
         Spacing of the scalar record series; defaults to t_final / 200.
     truncation_radius : float, optional
         Drift truncation ball radius; defaults to 10 (1 + |init|_E).
     probe_sites : tuple of float
         x locations whose values enter the record series and the
-        time-increment statistics.
+        time-increment statistics; time lags need at least one.
     stats_after : float, optional
         Accumulate increment statistics from this step time in [0, t_final]
         on (None: disabled, and then no lag may be set), both ends of each
@@ -181,6 +182,9 @@ class SolverConfig:
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.t_final + 1e-12:
                 raise FieldError("snapshot_times", f"snapshot time {t} outside [0, t_final]")
+        if len({round(t / self.dt) for t in self.snapshot_times}) < len(self.snapshot_times):
+            raise FieldError("snapshot_times", f"two snapshot times land on one step of "
+                             f"dt = {self.dt}")
         if self.record_interval is not None and self.record_interval < self.dt:
             raise FieldError("record_interval", "record_interval must be >= dt")
         if self.truncation_radius is not None and self.truncation_radius <= 0:
@@ -194,6 +198,9 @@ class SolverConfig:
             raise FieldError("space_lag_cells", "space lags must be in [1, grid_size)")
         if any(l < 1 for l in self.time_lag_steps):
             raise FieldError("time_lag_steps", "time lags must be >= 1 step")
+        if self.time_lag_steps and not self.probe_sites:
+            raise FieldError("time_lag_steps", "time lags collect no increment without "
+                             "probe_sites")
         if self.stats_after is None:
             for field, kind in (("space_lag_cells", "space"), ("time_lag_steps", "time")):
                 if getattr(self, field):
@@ -489,10 +496,9 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     n_rec = record_steps.size
     record_lookup = {int(s): i for i, s in enumerate(record_steps)}
 
-    snapshot_steps = {}
-    if keep_snapshots:
-        for t_snap in config.snapshot_times:
-            snapshot_steps.setdefault(round(t_snap / dt), []).append(t_snap)
+    # at most one snapshot time per step (SolverConfig refuses two)
+    snapshot_steps = ({round(t / dt): t for t in config.snapshot_times}
+                      if keep_snapshots else {})
     snapshots = []
 
     site_idx = config.site_indices()
@@ -578,8 +584,8 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                 stats.time_count[due] += n_sites
         if step in record_lookup:
             record(u, v, step, record_lookup[step])
-        for t_snap in snapshot_steps.get(step, ()):
-            snapshots.append(Field(u[0].copy(), v[0].copy(), time=t_snap))
+        if step in snapshot_steps:
+            snapshots.append(Field(u[0].copy(), v[0].copy(), time=snapshot_steps[step]))
 
     observe(0)
 

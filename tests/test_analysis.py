@@ -360,13 +360,19 @@ class TestMildAudit:
         assert drift.threshold == np.max(coeffs.m1) + 1e-9
         assert drift.statistic <= drift.threshold
 
-    def test_decrease_toward_the_limit_fails(self):
-        # a negative mass c_0 = -0.5: M_eta = (0.5 / (eta - 0.5))^2 falls
-        # toward 1 as eta runs down, so only the monotone rule is broken
+    @pytest.mark.parametrize("u", [-0.5, 0.0])
+    def test_silent_without_a_positive_mass(self, u):
+        # the log of the mass is the audit's hypothesis: a mass <= 0 in any
+        # snapshot gives no verdict
         coeffs = CoefficientSet.constant(16, m1=0.5)
-        quadratic = mild_log_functional_audit(constant_snapshots(16, -0.5), coeffs)[0]
-        assert quadratic.statistic >= quadratic.threshold
-        assert not quadratic.passed
+        snaps = constant_snapshots(16, 0.7)
+        snaps[1].u[:] = u
+        assert mild_log_functional_audit(snaps, coeffs) == ()
+
+    def test_silent_with_fewer_than_two_snapshots(self):
+        coeffs = CoefficientSet.constant(16, m1=0.5)
+        for snaps in ([], constant_snapshots(16, 0.7)[:1]):
+            assert mild_log_functional_audit(snaps, coeffs) == ()
 
     def test_limit_below_the_floor_fails(self):
         # mass 1e-6 against eta 1e-6: M = (1/2)^2 at the smallest eta
@@ -675,8 +681,9 @@ def stub_kernel(monkeypatch):
     monkeypatch.setattr(analysis, "kernel_mass_defect", lambda t, x, n_quad: 0.0)
     monkeypatch.setattr(analysis, "gaussian_comparison_sweep", lambda times: (0.5, 2.0))
     monkeypatch.setattr(analysis, "semigroup_compose_defect", lambda u, s, t: 0.0)
-    for name in ("increment_functional", "increment_bound_shape"):
-        monkeypatch.setattr(analysis, name, lambda quantity, **kw: 1.0)
+    monkeypatch.setattr(analysis, "_MODULUS_SWEEPS", tuple(
+        (name, lambda **kw: 1.0, lambda **kw: 1.0, params, d_lo, d_hi)
+        for name, _, _, params, d_lo, d_hi in analysis._MODULUS_SWEEPS))
 
 
 def verdict_named(verdicts, name):

@@ -576,7 +576,10 @@ class TestExitCodes:
          "space lags collect no increment without stats_after"),
         ({"stats_after": None, "time_lags": "1, 2, 3, 5, 8"}, "time_lags",
          "time lags collect no increment without stats_after"),
-    ], ids=["time-lag", "anchored-space-lag", "space-lags-no-stats", "time-lags-no-stats"])
+        ({"probe_sites": "", "time_lags": "1, 2, 3, 5, 8"}, "time_lags",
+         "time lags collect no increment without probe_sites"),
+    ], ids=["time-lag", "anchored-space-lag", "space-lags-no-stats", "time-lags-no-stats",
+            "time-lags-no-probe-sites"])
     def test_holder_lag_without_increments_refused_before_simulating(
             self, tmp_path, capsys, monkeypatch, keys, key, message):
         keys = {"stats_after": "0.1", **keys}

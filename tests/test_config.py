@@ -179,6 +179,8 @@ class TestParseErrors:
     @pytest.mark.parametrize("key, value, message", [
         ("t_final", "0.0105", "t_final = 0.0105 is not a multiple of dt"),
         ("snapshot_times", "0.5, 2.0", "snapshot time 2.0 outside"),
+        ("snapshot_times", "0.05, 0.05", "two snapshot times land on one step of dt = 0.001"),
+        ("snapshot_times", "0.03, 0.05, 0.0502", "two snapshot times land on one step"),
         ("record_interval", "1e-4", "record_interval must be >= dt"),
         ("truncation_radius", "-1", "truncation_radius must be positive"),
         ("probe_sites", "0.5, 1.5", "probe site 1.5 outside"),

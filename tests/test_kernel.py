@@ -9,17 +9,19 @@ from lvfield import analysis
 from lvfield.grid import cell_centers, from_modes, to_modes
 from lvfield.kernel import (
     DEFAULT_N_QUAD,
-    IncrementFunctional,
     gaussian_comparison_sweep,
     heat_kernel,
-    increment_bound_shape,
-    increment_functional,
     kernel_eigen_series,
     kernel_image_sum,
     kernel_mass_defect,
     modes_for_time,
     semigroup_apply,
     semigroup_compose_defect,
+    space_increment,
+    space_increment_time_integrated,
+    square_tail,
+    time_increment_fixed,
+    time_increment_integrated,
 )
 
 # 50-digit evaluations of the eigen series, frozen as regression anchors.
@@ -47,37 +49,38 @@ def quadrature_literal(const_coeff, cos_coeffs, n_quad):
     return np.mean(field**2, axis=-1)
 
 
-def increment_functional_series(quantity: IncrementFunctional, *, t: float,
-                                s: float | None = None, x: float = 0.5,
-                                y: float | None = None,
+def increment_functional_series(functional, *, t: float, s: float | None = None,
+                                x: float = 0.5, y: float | None = None,
                                 n_modes: int = 200000) -> float:
-    """Closed-form eigen-sum value with exact time integration.
+    """Closed-form eigen-sum value of one of the five kernel functionals,
+    with exact time integration.
 
     Independent oracle route: the xi integral by Parseval and the time
-    integral in closed form per mode.  Differs from increment_functional by
-    its time-quadrature error only.
+    integral in closed form per mode.  Differs from the quadrature of the
+    functional by its time-quadrature error only.
     """
     n = np.arange(1, n_modes + 1)
     lam = n**2 * np.pi**2
 
-    if quantity is IncrementFunctional.SPACE_INCREMENT:
+    if functional is space_increment:
         w = (np.cos(n * np.pi * x) - np.cos(n * np.pi * y)) ** 2
         return float(np.sum(2.0 * np.exp(-2.0 * lam * t) * w))
 
-    if quantity is IncrementFunctional.SPACE_INCREMENT_TIME_INTEGRATED:
+    if functional is space_increment_time_integrated:
         w = (np.cos(n * np.pi * x) - np.cos(n * np.pi * y)) ** 2
         return float(np.sum(2.0 * w * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam)))
 
-    if quantity is IncrementFunctional.SQUARE_TAIL:
+    if functional is square_tail:
         w = np.cos(n * np.pi * x) ** 2
         tail = np.sum(2.0 * w * (1.0 - np.exp(-2.0 * lam * (t - s))) / (2.0 * lam))
         return float((t - s) + tail)
 
-    if quantity is IncrementFunctional.TIME_INCREMENT_INTEGRATED:
+    if functional is time_increment_integrated:
         w = np.cos(n * np.pi * x) ** 2
         jump = (1.0 - np.exp(-lam * (t - s))) ** 2
         return float(np.sum(2.0 * w * jump * (1.0 - np.exp(-2.0 * lam * s)) / (2.0 * lam)))
 
+    assert functional is time_increment_fixed
     w = np.cos(n * np.pi * x) ** 2
     jump = (1.0 - np.exp(-lam * (t - s))) ** 2
     return float(np.sum(2.0 * w * np.exp(-2.0 * lam * s) * jump))
@@ -200,69 +203,64 @@ _SMALL = dict(n_quad=512, n_time=256)
 class TestIncrementFunctionals:
     def test_frozen_space_increment(self):
         # 50-digit eigen-sum value at t = 0.01, x = 0.4, y = 0.6.
-        val = increment_functional(IncrementFunctional.SPACE_INCREMENT, t=0.01, x=0.4, y=0.6)
+        val = space_increment(t=0.01, x=0.4, y=0.6)
         assert val == pytest.approx(1.5710241874490759, rel=1e-12)
 
     def test_frozen_time_increment_fixed(self):
         # 50-digit eigen-sum value at s = 0.05, t = 0.1, x = 0.3.
-        val = increment_functional(IncrementFunctional.TIME_INCREMENT_FIXED, s=0.05, t=0.1, x=0.3)
+        val = time_increment_fixed(s=0.05, t=0.1, x=0.3)
         assert val == pytest.approx(0.04204894224551962, rel=1e-12)
 
     def test_coincident_points_vanish(self):
-        assert increment_functional(IncrementFunctional.SPACE_INCREMENT, t=0.05, x=0.3, y=0.3) == 0.0
+        assert space_increment(t=0.05, x=0.3, y=0.3) == 0.0
 
-    @pytest.mark.parametrize("quantity,kwargs", [
-        (IncrementFunctional.SPACE_INCREMENT, dict(t=0.02, x=0.35, y=0.6)),
-        (IncrementFunctional.SPACE_INCREMENT_TIME_INTEGRATED, dict(t=0.3, x=0.35, y=0.6)),
-        (IncrementFunctional.SQUARE_TAIL, dict(s=0.22, t=0.3, x=0.45)),
-        (IncrementFunctional.TIME_INCREMENT_INTEGRATED, dict(s=0.22, t=0.3, x=0.45)),
-        (IncrementFunctional.TIME_INCREMENT_FIXED, dict(s=0.22, t=0.3, x=0.45)),
+    @pytest.mark.parametrize("functional,kwargs,small", [
+        (space_increment, dict(t=0.02, x=0.35, y=0.6), dict(n_quad=512)),
+        (space_increment_time_integrated, dict(t=0.3, x=0.35, y=0.6), _SMALL),
+        (square_tail, dict(s=0.22, t=0.3, x=0.45), _SMALL),
+        (time_increment_integrated, dict(s=0.22, t=0.3, x=0.45), _SMALL),
+        (time_increment_fixed, dict(s=0.22, t=0.3, x=0.45), dict(n_quad=512)),
     ])
-    def test_diagonal_equals_literal_quadrature(self, quantity, kwargs, monkeypatch):
+    def test_diagonal_equals_literal_quadrature(self, functional, kwargs, small, monkeypatch):
         # The orthogonality shortcut must reproduce the literal midpoint sum.
-        a = increment_functional(quantity, **kwargs, **_SMALL)
+        a = functional(**kwargs, **small)
         monkeypatch.setattr(kernel, "_diag_quadrature", lambda const, coeffs: quadrature_literal(
             const, coeffs, _SMALL["n_quad"]))
-        b = increment_functional(quantity, **kwargs, **_SMALL)
+        b = functional(**kwargs, **small)
         assert a == pytest.approx(b, rel=1e-12)
 
-    @pytest.mark.parametrize("quantity,kwargs,rtol", [
-        (IncrementFunctional.SPACE_INCREMENT, dict(t=0.01, x=0.45, y=0.55), 1e-10),
-        (IncrementFunctional.SPACE_INCREMENT_TIME_INTEGRATED, dict(t=0.5, x=0.45, y=0.55), 1e-4),
-        (IncrementFunctional.SPACE_INCREMENT_TIME_INTEGRATED, dict(t=0.5, x=0.495, y=0.505), 1e-3),
-        (IncrementFunctional.SQUARE_TAIL, dict(s=0.4, t=0.5, x=0.3), 1e-4),
-        (IncrementFunctional.SQUARE_TAIL, dict(s=0.499, t=0.5, x=0.3), 1e-3),
-        (IncrementFunctional.TIME_INCREMENT_INTEGRATED, dict(s=0.5, t=0.6, x=0.3), 1e-4),
-        (IncrementFunctional.TIME_INCREMENT_INTEGRATED, dict(s=0.5, t=0.501, x=0.3), 1e-3),
-        (IncrementFunctional.TIME_INCREMENT_FIXED, dict(s=0.05, t=0.1, x=0.3), 1e-10),
+    @pytest.mark.parametrize("functional,kwargs,rtol", [
+        (space_increment, dict(t=0.01, x=0.45, y=0.55), 1e-10),
+        (space_increment_time_integrated, dict(t=0.5, x=0.45, y=0.55), 1e-4),
+        (space_increment_time_integrated, dict(t=0.5, x=0.495, y=0.505), 1e-3),
+        (square_tail, dict(s=0.4, t=0.5, x=0.3), 1e-4),
+        (square_tail, dict(s=0.499, t=0.5, x=0.3), 1e-3),
+        (time_increment_integrated, dict(s=0.5, t=0.6, x=0.3), 1e-4),
+        (time_increment_integrated, dict(s=0.5, t=0.501, x=0.3), 1e-3),
+        (time_increment_fixed, dict(s=0.05, t=0.1, x=0.3), 1e-10),
     ])
-    def test_quadrature_matches_closed_form(self, quantity, kwargs, rtol):
+    def test_quadrature_matches_closed_form(self, functional, kwargs, rtol):
         # Dual route: closed-form per-mode time integration.
-        a = increment_functional(quantity, **kwargs)
-        b = increment_functional_series(quantity, **kwargs)
+        a = functional(**kwargs)
+        b = increment_functional_series(functional, **kwargs)
         assert a == pytest.approx(b, rel=rtol)
 
     def test_time_increment_symmetry_in_gap(self):
         # The fixed-time increment depends on (s, t) only through both values,
         # not their order; the evaluator enforces s < t.
-        v1 = increment_functional(IncrementFunctional.TIME_INCREMENT_FIXED, s=0.04, t=0.09)
-        v2 = increment_functional_series(IncrementFunctional.TIME_INCREMENT_FIXED, s=0.04, t=0.09)
+        v1 = time_increment_fixed(s=0.04, t=0.09, x=0.5)
+        v2 = increment_functional_series(time_increment_fixed, s=0.04, t=0.09, x=0.5)
         assert v1 == pytest.approx(v2, rel=1e-10)
 
-    def test_invalid_time_ordering_rejected(self):
-        for quantity in (IncrementFunctional.SQUARE_TAIL,
-                         IncrementFunctional.TIME_INCREMENT_INTEGRATED,
-                         IncrementFunctional.TIME_INCREMENT_FIXED):
-            with pytest.raises(ValueError):
-                increment_functional(quantity, s=0.3, t=0.2)
-            with pytest.raises(ValueError):
-                increment_functional(quantity, s=0.3, t=0.3)
-            with pytest.raises(ValueError):
-                increment_functional(quantity, t=0.3)
-
-    def test_missing_second_point_rejected(self):
+    @pytest.mark.parametrize("functional", [square_tail, time_increment_integrated,
+                                            time_increment_fixed])
+    def test_invalid_time_ordering_rejected(self, functional):
         with pytest.raises(ValueError):
-            increment_functional(IncrementFunctional.SPACE_INCREMENT, t=0.1, x=0.3)
+            functional(s=0.3, t=0.2, x=0.5)
+        with pytest.raises(ValueError):
+            functional(s=0.3, t=0.3, x=0.5)
+        with pytest.raises(TypeError):
+            functional(t=0.3, x=0.5)
 
     def test_mode_rule_covers_tolerance(self):
         for t in (1e-4, 1e-2, 1.0):
@@ -282,10 +280,10 @@ class TestBoundShapes:
     (t-s)^2), so that sweep anchors s = 1e-3.
     """
 
-    @pytest.mark.parametrize("name, quantity, params, d_lo, d_hi", analysis._MODULUS_SWEEPS,
+    @pytest.mark.parametrize("name, functional, modulus, params, d_lo, d_hi",
+                             analysis._MODULUS_SWEEPS,
                              ids=[sweep[0] for sweep in analysis._MODULUS_SWEEPS])
-    def test_tracks_modulus(self, name, quantity, params, d_lo, d_hi):
-        r = np.array([increment_functional(quantity, **params(d))
-                      / increment_bound_shape(quantity, **params(d))
+    def test_tracks_modulus(self, name, functional, modulus, params, d_lo, d_hi):
+        r = np.array([functional(**params(d)) / modulus(**params(d))
                       for d in np.geomspace(d_lo, d_hi, 7)])
         assert r.max() / r.min() < 10.0
