@@ -19,8 +19,8 @@ Example::
     [run]
     n_paths = 100
 
-Besides those four, a config may hold [holder], [extinction] and [density],
-the options of the commands that take any.  Each section is one frozen
+Besides those four, a config may hold [holder] and [extinction], the
+options of the commands that take any.  Each section is one frozen
 dataclass of SECTIONS: a field is set by the key of its name (or the one
 _KEYS names), defaults to the field's default, is range-checked by the
 dataclass for every command, and is hashed unless _UNHASHED names it.
@@ -113,7 +113,8 @@ def _read_value(raw: dict, error, key: tuple, annotation: str, default):
                  if annotation.startswith("tuple") else convert(text))
     except ValueError:
         raise error(*key, f"invalid {noun} {text!r}") from None
-    if isinstance(value, float) and not math.isfinite(value):
+    values = value if isinstance(value, tuple) else (value,)
+    if convert is float and not all(map(math.isfinite, values)):
         raise error(*key, f"must be finite, got {text!r}")
     return value
 
@@ -200,21 +201,9 @@ class ExtinctionOptions:
                              f"species: must be one of ['u', 'v'], got {self.species!r}")
 
 
-@dataclass(frozen=True)
-class DensityOptions:
-    """[density]: the time of the one-point law (None: t_final)."""
-
-    time: float | None = None
-
-    def at_time(self, t_final: float) -> float:
-        """time, t_final when it is not set."""
-        return t_final if self.time is None else self.time
-
-
 # Every section a config may hold, and the dataclass its keys set.
 SECTIONS = {"model": ModelSpec, "solver": SolverConfig, "noise": NoisePlan, "run": RunConfig,
-            "holder": HolderOptions, "extinction": ExtinctionOptions,
-            "density": DensityOptions}
+            "holder": HolderOptions, "extinction": ExtinctionOptions}
 
 # The fields set by a key other than [section] field_name.
 _KEYS = {("solver", "grid_size"): ("model", "n"),
@@ -233,7 +222,6 @@ _DERIVED = {
     ("extinction", "window_end"): lambda cfg: (
         cfg.solver.n_steps * cfg.solver.dt if cfg.extinction.window_end is None
         else cfg.extinction.window_end),
-    ("density", "time"): lambda cfg: cfg.density.at_time(cfg.solver.t_final),
 }
 
 
@@ -254,7 +242,6 @@ class ExperimentConfig:
     run: RunConfig
     holder: HolderOptions
     extinction: ExtinctionOptions
-    density: DensityOptions
     lines: dict = field(default_factory=dict, compare=False)
 
     # -- derived objects ---------------------------------------------------

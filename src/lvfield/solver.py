@@ -125,8 +125,8 @@ class SolverConfig:
     grid_size : int
         Number of cells.
     snapshot_times : tuple of float
-        Times at which full fields are kept (single-path runs), at most one
-        per step.
+        Increasing times at which full fields are kept (single-path runs),
+        at most one per step.
     record_interval : float, optional
         Spacing of the scalar record series; defaults to t_final / 200.
     truncation_radius : float, optional
@@ -185,6 +185,8 @@ class SolverConfig:
         if len({round(t / self.dt) for t in self.snapshot_times}) < len(self.snapshot_times):
             raise FieldError("snapshot_times", f"two snapshot times land on one step of "
                              f"dt = {self.dt}")
+        if list(self.snapshot_times) != sorted(self.snapshot_times):
+            raise FieldError("snapshot_times", "snapshot times must be in increasing order")
         if self.record_interval is not None and self.record_interval < self.dt:
             raise FieldError("record_interval", "record_interval must be >= dt")
         if self.truncation_radius is not None and self.truncation_radius <= 0:

@@ -76,9 +76,6 @@ record_interval = 5e-2
 
 [run]
 n_paths = 2000
-
-[density]
-time = 0.1
 """
 
 
@@ -390,21 +387,6 @@ def test_benchmark_configs_keep_their_verdicts(tmp_path, command, config, names)
     assert [row[0] for row in read_csv(out / "verdicts.csv")[2]] == names
 
 
-class TestOutputResolution:
-    def test_env_var_used_without_flag(self, tmp_path, monkeypatch):
-        cfg = write(tmp_path, BENCH)
-        monkeypatch.setenv("LVFIELD_OUT", str(tmp_path / "env"))
-        assert main(["ensemble", "--config", cfg]) == 0
-        assert (tmp_path / "env" / "ensemble.csv").exists()
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        cfg = write(tmp_path, BENCH)
-        monkeypatch.setenv("LVFIELD_OUT", str(tmp_path / "env"))
-        assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "flag")]) == 0
-        assert (tmp_path / "flag" / "ensemble.csv").exists()
-        assert not (tmp_path / "env").exists()
-
-
 class TestEnsemble:
     def test_series_and_summary(self, tmp_path):
         cfg = write(tmp_path, BENCH)
@@ -468,6 +450,7 @@ class TestExitCodes:
         ("invariant", "p", "2.0"), ("invariant", "n_windows", "4"),
         ("invariant", "alpha", "0.05"), ("invariant", "required_fraction", "0.8"),
         ("density", "site", "0.5"), ("density", "species", "u"),
+        ("density", "time", "1.0"),
     ])
     def test_removed_key_fails_at_its_line(self, tmp_path, capsys, monkeypatch,
                                            section, key, value):
@@ -489,18 +472,19 @@ class TestExitCodes:
         assert not (out / "verdicts.csv").exists()
 
     def test_misspelled_section_fails_at_its_header(self, tmp_path, capsys):
-        cfg = write(tmp_path, ATOM.replace("[density]", "[densty]"))
+        cfg = write(tmp_path, ATOM.replace("[run]", "[rnu]"))
         assert main(["density", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
-        line = ATOM.splitlines().index("[density]") + 1
-        assert capsys.readouterr().err == f"error: {cfg}:{line}: unknown section [densty]\n"
+        line = ATOM.splitlines().index("[run]") + 1
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: unknown section [rnu]\n"
 
     def test_command_option_error_names_its_line(self, tmp_path, capsys, monkeypatch):
-        cfg = write(tmp_path, ATOM.replace("time = 0.1", "time = zzz"))
+        text = BENCH + "\n[holder]\np = zzz\n"
+        cfg = write(tmp_path, text)
         monkeypatch.setattr(cli, "run_ensemble", None)
-        assert main(["density", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
-        line = ATOM.splitlines().index("time = 0.1") + 1
+        assert main(["holder", "--config", cfg, "--out", str(tmp_path / "h")]) == 2
+        line = len(text.splitlines())
         assert capsys.readouterr().err == (
-            f"error: {cfg}:{line}: [density] time: invalid number 'zzz'\n")
+            f"error: {cfg}:{line}: [holder] p: invalid integer 'zzz'\n")
 
     @pytest.mark.parametrize("scheme, representation", [
         ("fd", "spectral"), ("spectral", "sheet")])
@@ -633,22 +617,6 @@ class TestExitCodes:
         line = len(text.splitlines())
         assert capsys.readouterr().err == f"error: {cfg}:{line}: [extinction] {message}\n"
         assert not out.exists()
-
-    @pytest.mark.parametrize("time", ["100", "-0.01", "0.10001"])
-    def test_density_time_outside_the_run_refused_before_simulating(
-            self, tmp_path, capsys, monkeypatch, time):
-        text = ATOM.replace("time = 0.1", f"time = {time}")
-        cfg = write(tmp_path, text)
-        monkeypatch.setattr(cli, "run_ensemble", None)
-        out = tmp_path / "d"
-        assert main(["density", "--config", cfg, "--out", str(out)]) == 2
-        line = text.splitlines().index(f"time = {time}") + 1
-        assert capsys.readouterr().err == (
-            f"error: {cfg}:{line}: [density] time: time {float(time)} outside the run "
-            "[0, 0.1]\n")
-        assert not (out / "verdicts.csv").exists()
-        runtime = json.loads((out / "runtime.json").read_text())
-        assert runtime["status"] == "error" and runtime["path_steps"] == 0
 
     # BENCH records every step of [0, 0.2]
     @pytest.mark.parametrize("options, key, window, covered", [

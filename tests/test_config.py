@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lvfield.config import (SECTIONS, ConfigError, DensityOptions, ExtinctionOptions,
-                            HolderOptions, RunConfig, load_config, parse_config_text)
+from lvfield.config import (SECTIONS, ConfigError, ExtinctionOptions, HolderOptions,
+                            RunConfig, load_config, parse_config_text)
 from lvfield.model import COEFFICIENT_NAMES
 from lvfield.noise import FieldError, NoisePlan
 from lvfield.solver import SolverConfig
@@ -73,8 +73,7 @@ class TestParseSuccess:
         assert cfg.noise == NoisePlan(master_seed=0)
         assert cfg.model.v0 == cfg.model.m2 == "0"
         assert cfg.run == RunConfig(n_paths=1, output_dir="out", threads=1)
-        assert (cfg.holder, cfg.extinction, cfg.density) == (
-            HolderOptions(), ExtinctionOptions(), DensityOptions())
+        assert (cfg.holder, cfg.extinction) == (HolderOptions(), ExtinctionOptions())
 
     @pytest.mark.parametrize("scheme, representation", [
         ("fd", "sheet"), ("spectral", "spectral")])
@@ -90,10 +89,9 @@ class TestParseSuccess:
 
     def test_command_options_read(self):
         cfg = parse(GOOD + "\n[holder]\np = 2\nband_space = 0.3, 0.6\n"
-                    "[extinction]\nspecies = v\nwindow_end = 0.4\n[density]\ntime = 0.25\n")
+                    "[extinction]\nspecies = v\nwindow_end = 0.4\n")
         assert cfg.holder == HolderOptions(p=2, band_space=(0.3, 0.6))
         assert cfg.extinction == ExtinctionOptions(species="v", window_end=0.4)
-        assert cfg.density == DensityOptions(time=0.25)
 
     def test_derived_objects_build(self):
         cfg = parse(GOOD)
@@ -181,6 +179,7 @@ class TestParseErrors:
         ("snapshot_times", "0.5, 2.0", "snapshot time 2.0 outside"),
         ("snapshot_times", "0.05, 0.05", "two snapshot times land on one step of dt = 0.001"),
         ("snapshot_times", "0.03, 0.05, 0.0502", "two snapshot times land on one step"),
+        ("snapshot_times", "0.5, 0.1", "snapshot times must be in increasing order"),
         ("record_interval", "1e-4", "record_interval must be >= dt"),
         ("truncation_radius", "-1", "truncation_radius must be positive"),
         ("probe_sites", "0.5, 1.5", "probe site 1.5 outside"),
@@ -227,7 +226,7 @@ class TestParseErrors:
         ("holder", "band_space", "0.4, x", "invalid number list '0.4, x'"),
         ("extinction", "species", "w", "must be one of ['u', 'v'], got 'w'"),
         ("extinction", "window_end", "soon", "invalid number 'soon'"),
-        ("density", "time", "inf", "must be finite, got 'inf'"),
+        ("holder", "band_space", "0.25, inf", "must be finite, got '0.25, inf'"),
     ])
     def test_command_option_refused_at_its_line(self, section, key, value, message):
         msg = self.err(f"[model]\nu0 = 1.0\n[{section}]\n{key} = {value}\n")
@@ -303,8 +302,7 @@ class TestHashing:
             "model": {**{name: "0.7" for name in COEFFICIENT_NAMES}, "u0": "0.6", "v0": "0.1"},
             "run": dict(n_paths=9),
             "holder": dict(p=2, band_space=(0.3, 0.6), band_time=(0.2, 0.4)),
-            "extinction": dict(species="v", window_start=0.1, window_end=0.4),
-            "density": dict(time=0.3)}
+            "extinction": dict(species="v", window_start=0.1, window_end=0.4)}
         assert set(changed) == set(SECTIONS)
         for section, values in changed.items():
             held = getattr(cfg, section)
@@ -325,10 +323,10 @@ class TestHashing:
 
     # each derived default written out: record_interval t_final / 200,
     # truncation_radius 10 (1 + sup |init|), window_end the last recorded
-    # time, time t_final
+    # time
     @pytest.mark.parametrize("written", [
         "record_interval = 0.005\n", "truncation_radius = 20\n",
-        "[extinction]\nwindow_end = 1.0\n", "[density]\ntime = 1.0\n"])
+        "[extinction]\nwindow_end = 1.0\n"])
     def test_derived_default_written_out_hashes_alike(self, written):
         base = "[model]\nn = 8\nu0 = 1.0\n[solver]\nt_final = 1.0\n"
         assert parse(base + written).config_hash == parse(base).config_hash

@@ -84,3 +84,12 @@ def test_verdicts_are_built_in_analysis_only():
                 if path.name != "analysis.py"
                 for i, line in enumerate(path.read_text().splitlines()) if "Verdict(" in line]
     assert not builders, f"Verdict built outside analysis.py at {', '.join(builders)}"
+
+
+def test_library_reads_no_environment_variable():
+    # every settable value is a config key or a flag; the BLAS thread defaults
+    # __init__.py writes with os.environ.setdefault read nothing
+    read = re.compile(r"\b(environ\.get|getenv|environ\[)")
+    readers = [f"{path.name}:{i + 1}" for path in sorted(PACKAGE.glob("*.py"))
+               for i, line in enumerate(path.read_text().splitlines()) if read.search(line)]
+    assert not readers, f"environment variable read at {', '.join(readers)}"
