@@ -40,7 +40,7 @@ from .analysis import (SERIES_COLUMNS, check_lag_coverage, density_smoke_test,
                        tail_window_mask)
 from .config import ConfigError, ExperimentConfig, load_config
 from .noise import SPECIES_U, SPECIES_V
-from .solver import SimulationBlowup, Trajectory, run_ensemble, simulate_path
+from .solver import SimulationBlowup, Trajectory, chunk_plan, run_ensemble, simulate_path
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +102,7 @@ def write_runtime(out_dir: Path, command: str, cfg: ExperimentConfig, seconds: f
                "status": status, "runtime_seconds": seconds,
                "path_steps": meter.path_steps,
                "path_steps_per_s": meter.path_steps / meter.seconds if meter.seconds else 0.0,
+               "chunks": meter.chunks, "workers": meter.workers,
                "recorded_floor": meter.recorded_floor if meter.paths else None,
                "clip_max_ratio": meter.clip_max_ratio,
                "clip_steps": meter.clip_steps,
@@ -121,10 +122,13 @@ def write_runtime(out_dir: Path, command: str, cfg: ExperimentConfig, seconds: f
 class EnsembleMeter:
     """What run_ensemble and simulate_path did, for runtime.json: the
     path-steps simulated and the seconds spent inside them (the throughput),
-    and the positivity counters of the paths they returned."""
+    the chunks they ran and the most processes that ran them, and the
+    positivity counters of the paths they returned."""
 
     path_steps: int = 0
     seconds: float = 0.0
+    chunks: int = 0
+    workers: int = 0
     paths: int = 0
     exited_paths: int = 0
     clip_steps: int = 0
@@ -137,6 +141,11 @@ class EnsembleMeter:
         self.seconds += time.perf_counter() - start
         stats, snapshots = (out.stats, out.snapshots) if isinstance(out, Trajectory) else (out, ())
         self.path_steps += stats.n_paths * config.n_steps
+        # simulate_path runs one path in the calling process, as a one-path
+        # run_ensemble would
+        chunks, workers = chunk_plan(stats.n_paths, kwargs.get("threads", 1))
+        self.chunks += len(chunks)
+        self.workers = max(self.workers, workers)
         self.paths += stats.n_paths
         self.exited_paths += int(np.count_nonzero(stats.exit_step >= 0))
         self.clip_steps += int(stats.clip_events.sum())

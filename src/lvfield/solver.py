@@ -44,13 +44,22 @@ thread count never changes a result.  A path's results do not depend on
 the chunk size either wherever the gemm rows do not depend on how many rows
 the product has.
 
-The step loop pays only for work that can change the state.  It computes
-|z|^2 = U^2 + V^2 once per step into the work array the step has left; the
-largest value is the finiteness check (a full isfinite scan runs only when
-it is not finite), the exit probe (the per-path max is taken only once it
-reaches radius^2) and the next step's truncation, whose per-cell check is
-skipped while every cell is inside the ball.  One min reduction skips the
-clamp, and the loop's clip bookkeeping, when every cell is positive.
+The step loop pays per step only for work that can change the state, and
+for copies.  It computes |z|^2 = U^2 + V^2 once per step into the work
+array the step has left; the largest value is the finiteness check (a full
+isfinite scan runs only when it is not finite), the exit probe (the
+per-path max is taken only once it reaches radius^2) and the next step's
+truncation, whose per-cell check is skipped while every cell is inside the
+ball.  One min reduction skips the clamp, and the loop's clip bookkeeping,
+when every cell is positive.  Beyond that a step only copies: the state
+into a preallocated buffer at each record step, U at the probe sites into
+a ring from the first step of the increment statistics on, and the
+snapshot fields.  The records (masses, sup-norm, roughness, probe-site
+values) and the space and time increment sums of those steps are taken at
+each block edge, and whenever the record buffer is full, in one vectorised
+pass over the steps since the last one.  Each per-path sum adds its
+increments in step order (np.add.accumulate from the running sum), so the
+sums carry the bits of one addition per step whatever the block layout.
 run_ensemble cuts the paths into chunks of CHUNK_PATHS, the last one
 shorter, whatever the thread count: at 64 paths and n = 128 the step's
 state-sized arrays fit together in a 2 MB L2 cache, and smaller chunks pay
@@ -73,12 +82,12 @@ product would send one-step blocks through gemv, an ulp away), then by the
 scale sigma sqrt(dt n).  _BLOCK_BUDGET bounds each of the two buffers, the
 live species counted, so the draw memory of a run is at most
 2 * _BLOCK_BUDGET doubles.  The increment statistics take fourth powers as
-(d^2)^2, never through libm pow, and handle every due time lag of a step in
-one pass.
+(d^2)^2, never through libm pow.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -104,6 +113,10 @@ STABILITY_LIMIT = 0.5
 # Elements per noise draw buffer (two buffers per run, the live species in
 # each); bounds memory, never changes results.
 _BLOCK_BUDGET = 1_000_000
+
+# States the step loop keeps for its records between two flushes (see the
+# module docstring); bounds memory, never changes results.
+_KEPT_STATES = 32
 
 # Paths per chunk of an ensemble, the last chunk holding the remainder.
 CHUNK_PATHS = 64
@@ -310,7 +323,7 @@ def _clamp(arr: np.ndarray) -> np.ndarray | None:
     # +0.0, so a state touching zero still passes through.  A NaN or -inf
     # cell is left for the caller's finiteness check: clamping -inf to 0
     # would hide a blowup.
-    lowest = arr.min()
+    lowest = np.minimum.reduce(arr, axis=None)
     if lowest > 0.0 or not lowest > -np.inf:
         return None
     clipped = np.abs(np.minimum(arr, 0.0).sum(axis=-1))
@@ -473,6 +486,13 @@ class Trajectory:
     stats: EnsembleStats
 
 
+def _add_in_order(total: np.ndarray, parts: np.ndarray) -> None:
+    # total += parts[0], then parts[1], ...: one rounding per addition in
+    # that order, the bits of one addition per step
+    parts[0] += total
+    total[...] = np.add.accumulate(parts, axis=0)[-1]
+
+
 def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                config: SolverConfig, path_indices,
                keep_snapshots: bool = False) -> tuple[EnsembleStats, list]:
@@ -491,12 +511,17 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     if len(live) * p < 2:
         live = SPECIES
     state = np.stack([np.tile(fields[k], (p, 1)) for k in live])
-    zero = np.zeros((p, n))
     operator = diffusion_operator(config.scheme, n, dt)
+
+    def species_fields(stack: np.ndarray) -> list:
+        # (U, V) views of a stack of the live species on its leading axis,
+        # the dead one read as zeros
+        by_species = dict(zip(live, stack))
+        zero = np.broadcast_to(0.0, stack.shape[1:])
+        return [by_species.get(k, zero) for k in SPECIES]
 
     record_steps = config.record_steps()
     n_rec = record_steps.size
-    record_lookup = {int(s): i for i, s in enumerate(record_steps)}
 
     # at most one snapshot time per step (SolverConfig refuses two)
     snapshot_steps = ({round(t / dt): t for t in config.snapshot_times}
@@ -529,67 +554,15 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     # the first step whose state enters the increment statistics
     stats_start = n_steps + 1 if config.stats_after is None else round(config.stats_after / dt)
     anchor_idx = config.anchor_cell()
-
-    ring_len = int(time_lags.max(initial=0)) + 1
-    ring = np.empty((ring_len, p, n_sites)) if ring_len > 1 else None
-
-    sqrt_h = np.sqrt(1.0 / n)
-
-    def species_fields() -> list:
-        # (U, V) of the current state
-        by_species = dict(zip(live, state))
-        return [by_species.get(k, zero) for k in SPECIES]
-
-    def record(u: np.ndarray, v: np.ndarray, state_step: int, row: int):
-        stats.mass_u[:, row] = u.mean(axis=1)
-        stats.mass_v[:, row] = v.mean(axis=1)
-        stats.supnorm[:, row] = np.hypot(u, v).max(axis=1)
-        stats.rough_u[:, row] = np.abs(np.diff(u, axis=1)).max(axis=1) / sqrt_h
-        stats.site_u[:, row, :] = u[:, site_idx]
-        stats.site_v[:, row, :] = v[:, site_idx]
-        if state_step >= stats_start and space_lags.size:
-            for j, lag in enumerate(space_lags):
-                if anchor_idx is None:
-                    d = u[:, lag:] - u[:, :-lag]
-                    d2 = d * d
-                    stats.space_p2[:, j] += np.sum(d2, axis=1)
-                    stats.space_p4[:, j] += np.sum(d2 * d2, axis=1)
-                    stats.space_count[j] += n - lag
-                else:
-                    # dyadic pairs just off the anchor; the anchor cell
-                    # itself never enters (its value relaxes on the heat
-                    # time scale and would swamp the ambient scaling)
-                    for lo, hi in ((anchor_idx - 2 * lag, anchor_idx - lag),
-                                   (anchor_idx + lag, anchor_idx + 2 * lag)):
-                        if 0 <= lo and hi < n:
-                            d = u[:, hi] - u[:, lo]
-                            d2 = d * d
-                            stats.space_p2[:, j] += d2
-                            stats.space_p4[:, j] += d2 * d2
-                            stats.space_count[j] += 1
-
-    def observe(step: int):
-        # The time-increment ring, the record and the snapshots of the state
-        # after `step` steps; step 0 is the initial state.
-        u, v = species_fields()
-        if ring is not None:
-            cur = ring[step % ring_len]
-            cur[...] = u[:, site_idx]
-            due = time_lags <= step - stats_start
-            if due.any():
-                # every due lag at once: (n_due, P, S) increments
-                d = cur - ring[(step - time_lags[due]) % ring_len]
-                d *= d
-                stats.time_p2[:, due] += d.sum(axis=2).T
-                d *= d
-                stats.time_p4[:, due] += d.sum(axis=2).T
-                stats.time_count[due] += n_sites
-        if step in record_lookup:
-            record(u, v, step, record_lookup[step])
-        if step in snapshot_steps:
-            snapshots.append(Field(u[0].copy(), v[0].copy(), time=snapshot_steps[step]))
-
-    observe(0)
+    if anchor_idx is None:
+        anchor_pairs = None
+    else:
+        # dyadic pairs just off the anchor; the anchor cell itself never
+        # enters (its value relaxes on the heat time scale and would swamp
+        # the ambient scaling)
+        anchor_pairs = [[(lo, hi) for lo, hi in ((anchor_idx - 2 * lag, anchor_idx - lag),
+                                                 (anchor_idx + lag, anchor_idx + 2 * lag))
+                         if 0 <= lo and hi < n] for lag in space_lags]
 
     # One draw task per (live species, path) slab of a block, shared by the
     # loop and the helper (see the module docstring).
@@ -612,10 +585,111 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
             species, i = divmod(task, p)
             gens[species][i].standard_normal((blk.count, n), out=blk.buf[species, i, :blk.count])
 
+    # What the loop keeps per step for flush(): the state at each record
+    # step, in `kept`, and U at the probe sites from stats_start on, in
+    # `ring`.  flush() runs at each block edge and whenever `kept` is full.
+    # A time increment ends at a step since the last flush and starts at
+    # most max_lag steps earlier, never before stats_start, so the ring
+    # holds every row a flush reads: the first flush covers steps 0 ..
+    # block, the later ones at most block steps.
+    kept = np.empty((len(live), min(math.ceil(block / config.record_stride), _KEPT_STATES),
+                     p, n))
+    kept_u, kept_v = species_fields(kept)
+    max_lag = int(time_lags.max(initial=0))
+    ring_len = max_lag + block
+    ring = np.empty((ring_len, p, n_sites)) if max_lag else None
+    ring_from = stats_start if max_lag else n_steps + 1
+    if max_lag:
+        # the differences of the time increments go to the noise field,
+        # free between steps, in pieces of as many ring rows as it holds
+        scratch = field.reshape(-1) if field.size >= p * n_sites else np.empty(p * n_sites)
+        piece = scratch.size // (p * n_sites)
+    next_records = iter(record_steps.tolist())
+    next_record = next(next_records)
+    sqrt_h = np.sqrt(1.0 / n)
+    n_kept = 0          # states in `kept`
+    n_filled = 0        # record rows filled
+    first_open = 0      # the first step not yet flushed
+
+    def flush(last: int) -> None:
+        # The records of the kept states and the time increments of steps
+        # first_open .. last, one vectorised pass; each per-path sum adds
+        # its increments in step order.
+        nonlocal n_kept, n_filled, first_open
+        if n_kept:
+            u, v = kept_u[:n_kept], kept_v[:n_kept]
+            filled = slice(n_filled, n_filled + n_kept)
+            stats.mass_u[:, filled] = u.mean(axis=2).T
+            stats.mass_v[:, filled] = v.mean(axis=2).T
+            stats.supnorm[:, filled] = np.hypot(u, v).max(axis=2).T
+            stats.rough_u[:, filled] = (np.abs(np.diff(u, axis=2)).max(axis=2) / sqrt_h).T
+            stats.site_u[:, filled] = u[:, :, site_idx].transpose(1, 0, 2)
+            stats.site_v[:, filled] = v[:, :, site_idx].transpose(1, 0, 2)
+            # the kept states that enter the increment statistics
+            u = u[record_steps[filled] >= stats_start]
+            for j, lag in enumerate(space_lags if len(u) else ()):
+                if anchor_pairs is None:
+                    d = u[:, :, lag:] - u[:, :, :-lag]
+                    d *= d
+                    p2, count = d.sum(axis=2), n - lag
+                    d *= d
+                    p4 = d.sum(axis=2)
+                else:
+                    # (record, pair) rows in that order
+                    d = np.stack([u[:, :, hi] - u[:, :, lo] for lo, hi in anchor_pairs[j]],
+                                 axis=1).reshape(-1, p)
+                    p2 = d * d
+                    p4, count = p2 * p2, len(anchor_pairs[j])
+                _add_in_order(stats.space_p2[:, j], p2)
+                _add_in_order(stats.space_p4[:, j], p4)
+                stats.space_count[j] += count * len(u)
+            n_filled += n_kept
+            n_kept = 0
+        for j, lag in enumerate(time_lags):
+            for now, before in lagged_rows(max(first_open, stats_start + lag), last, lag):
+                d = np.subtract(now, before, out=scratch[:now.size].reshape(now.shape))
+                d *= d
+                _add_in_order(stats.time_p2[:, j], d.sum(axis=2))
+                d *= d
+                _add_in_order(stats.time_p4[:, j], d.sum(axis=2))
+                stats.time_count[j] += len(d) * n_sites
+        first_open = last + 1
+
+    def lagged_rows(first: int, last: int, lag: int):
+        # The ring rows of steps t and t - lag for t = first .. last, as
+        # pairs of views in step order, none wrapping around the ring or
+        # longer than `piece` rows.
+        t = first
+        while t <= last:
+            stop = min(last, t + piece - 1, t + ring_len - 1 - t % ring_len,
+                       t + ring_len - 1 - (t - lag) % ring_len)
+            yield (ring[t % ring_len:stop % ring_len + 1],
+                   ring[(t - lag) % ring_len:(stop - lag) % ring_len + 1])
+            t = stop + 1
+
+    def keep(step: int) -> None:
+        # The copies of the state after `step` steps (step 0 is the initial
+        # state) that the block edge and the snapshots read; the state is
+        # work[step % 2].
+        nonlocal n_kept, next_record
+        u, v = work_fields[step % 2]
+        if step >= ring_from:
+            ring[step % ring_len] = u[:, site_idx]
+        if step == next_record:
+            kept[:, n_kept] = work[step % 2]
+            n_kept += 1
+            next_record = next(next_records, None)
+            if n_kept == kept.shape[1]:
+                flush(step)
+        if step in snapshot_steps:
+            snapshots.append(Field(u[0].copy(), v[0].copy(), time=snapshot_steps[step]))
+
     # The state alternates between two work arrays; the one a step has just
     # left is scratch for U^2 + V^2 of the new state.  The growth terms at
     # the state's shape spare the step a broadcast; the bits are the same.
     work = (state, np.empty_like(state))
+    work_fields = [species_fields(w) for w in work]
+    squares = [(w, w[0], w[1] if len(live) == 2 else None) for w in work]
     terms = tuple(np.broadcast_to(t, state.shape).copy()
                   for t in growth_terms(coeffs, dt, live))
 
@@ -624,8 +698,9 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     # projecting drift scales by exactly 1.
     radius_sq = radius * radius
     inside_sq = radius_sq * (1.0 - 4.0 * np.finfo(float).eps)
-    u, v = species_fields()
+    u, v = work_fields[0]
     r2_top = np.max(u * u + v * v)
+    keep(0)
 
     step = 0
     with ThreadPoolExecutor(max_workers=1) as helper:
@@ -653,12 +728,14 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                 state, ratio = euler_step(state, field, coeffs, dt, radius, operator,
                                           out=work[step % 2], inside=r2_top < inside_sq,
                                           terms=terms, species=live)
-                r2 = np.multiply(state, state, out=work[(step + 1) % 2])
-                r2 = r2[0] if len(live) == 1 else np.add(r2[0], r2[1], out=r2[0])
-                r2_top = r2.max()
+                sq, r2, r2_v = squares[(step + 1) % 2]
+                np.multiply(state, state, out=sq)
+                if r2_v is not None:
+                    np.add(r2, r2_v, out=r2)
+                r2_top = np.maximum.reduce(r2, axis=None)
                 # NaN and inf propagate into the max; a finite state whose
                 # U^2 + V^2 overflows is no blowup.
-                if not np.isfinite(r2_top) and not np.all(np.isfinite(state)):
+                if not math.isfinite(r2_top) and not np.all(np.isfinite(state)):
                     bad = int(np.argmax(~np.all(np.isfinite(state), axis=(0, 2))))
                     raise SimulationBlowup(
                         f"non-finite state at step {step} (t = {step * dt:.6g}) on path "
@@ -672,7 +749,8 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                     newly_out = (stats.exit_step < 0) & (r2.max(axis=1) >= radius_sq)
                     stats.exit_step[newly_out] = step
 
-                observe(step)
+                keep(step)
+            flush(step)
 
     return stats, snapshots
 
@@ -691,33 +769,42 @@ def _worker(args):
     return stats
 
 
+def chunk_plan(n_paths: int, threads: int = 1,
+               chunk_size: int | None = None) -> tuple[list, int]:
+    """How run_ensemble runs n_paths paths: the chunks, as ranges of path
+    numbers from 0, and the number of processes that run them.
+
+    The chunks hold chunk_size paths (CHUNK_PATHS by default), the last one
+    the remainder, so they depend on n_paths alone.  They run on
+    min(threads, number of chunks) processes, threads = 0 meaning the CPU
+    count; one process is the calling one.
+    """
+    if threads == 0:
+        threads = os.cpu_count() or 1
+    size = CHUNK_PATHS if chunk_size is None else chunk_size
+    chunks = [range(i, min(i + size, n_paths)) for i in range(0, n_paths, size)]
+    return chunks, min(threads, len(chunks))
+
+
 def run_ensemble(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                  config: SolverConfig, n_paths: int, path_offset: int = 0,
                  threads: int = 1, chunk_size: int | None = None) -> EnsembleStats:
     """Advance n_paths independent paths and collect their statistics.
 
-    The paths are cut into chunks of chunk_size (CHUNK_PATHS by default),
-    the last one holding the remainder, so the plan depends on n_paths
-    alone.  The chunks run on min(threads, number of chunks) processes,
-    threads = 0 using the CPU count; a single chunk, or threads = 1, runs in
-    the calling process.  The thread count never changes results; the chunk
-    size only where the gemm rows depend on the row count (see the module
-    docstring).
+    The paths run in the chunks of chunk_plan(n_paths, threads, chunk_size),
+    numbered from path_offset; a single process runs them in the calling
+    one.  The thread count never changes results; the chunk size only where
+    the gemm rows depend on the row count (see the module docstring).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    indices = np.arange(path_offset, path_offset + n_paths)
-    if chunk_size is None:
-        chunk_size = CHUNK_PATHS
-    chunks = [indices[i:i + chunk_size] for i in range(0, n_paths, chunk_size)]
-
-    if threads == 1 or len(chunks) == 1:
-        results = [_run_paths(init, coeffs, plan, config, c)[0] for c in chunks]
+    chunks, workers = chunk_plan(n_paths, threads, chunk_size)
+    jobs = [(init, coeffs, plan, config, np.arange(path_offset + c.start, path_offset + c.stop))
+            for c in chunks]
+    if workers == 1:
+        results = [_worker(job) for job in jobs]
     else:
-        jobs = [(init, coeffs, plan, config, c) for c in chunks]
-        with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, jobs))
 
     merged = results[0]

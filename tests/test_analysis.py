@@ -269,7 +269,8 @@ class TestExtinction:
 
     def test_zero_init_fails_both_verdicts(self):
         # R = +0.3 and the log mass stays flat at ln 1e-300, inside both
-        # rules; a zero initial mass fails both verdicts anyway
+        # rules (largest margin -0.3 t at the first record time, 0.01); a
+        # zero initial mass fails both verdicts anyway
         n = 16
         init = Field(np.zeros(n), np.zeros(n))
         coeffs = CoefficientSet.constant(n, m1=0.3, a1=1.0)
@@ -279,7 +280,7 @@ class TestExtinction:
         assert np.all(report.pointwise_ok)
         slope, pointwise = report.verdicts
         assert slope.statistic == pytest.approx(0.0, abs=1e-12)
-        assert pointwise.statistic == 0.0
+        assert pointwise.statistic == pytest.approx(-0.3 * 0.01, rel=1e-9)
         assert not slope.passed and not pointwise.passed
 
     def test_window_must_contain_times(self):
@@ -296,7 +297,7 @@ class TestExtinction:
 
     # mass e^{rate t} on both paths against R = 0.3: the slope is the rate,
     # the standard errors vanish and the pointwise margin is
-    # max_t (rate - R) t
+    # max_{t > 0} (rate - R) t, at the first record time 0.1 or the last 4.0
     @pytest.mark.parametrize("rate, passed", [(0.2, True), (0.4, False)])
     def test_rate_on_each_side_of_the_bound(self, rate, passed):
         times = np.linspace(0.0, 4.0, 41)
@@ -308,9 +309,22 @@ class TestExtinction:
         assert slope.passed == passed and pointwise.passed == passed
         assert slope.statistic == pytest.approx(rate, abs=1e-9)
         assert slope.threshold == 0.3
-        assert pointwise.statistic == pytest.approx(max(rate - 0.3, 0.0) * 4.0, abs=1e-9)
+        assert pointwise.statistic == pytest.approx(max((rate - 0.3) * t for t in (0.1, 4.0)),
+                                                    abs=1e-9)
         assert pointwise.threshold == 0.0
         np.testing.assert_allclose(report.bound_line, 0.3 * times, atol=1e-9)
+
+    def test_pointwise_statistic_skips_the_start(self):
+        # mass e^{-0.5 t} against R = 0.3: the margin -0.8 t is 0 at t = 0
+        # by construction, and largest over t > 0 at the first record time
+        times = np.linspace(0.0, 4.0, 41)
+        mass = np.tile(np.exp(-0.5 * times), (2, 1))
+        stats = SimpleNamespace(times=times, mass_u=mass, n_paths=2, master_seed=0)
+        report = extinction_report(stats, CoefficientSet.constant(4, m1=0.3), species=0,
+                                   tail_window=(2.0, None))
+        pointwise = report.verdicts[1]
+        assert pointwise.passed and np.all(report.pointwise_ok)
+        assert pointwise.statistic == pytest.approx(-0.08, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +582,19 @@ class TestDensity:
         samples = np.concatenate([positive, np.zeros(1000)])
         report = density_smoke_test(samples)
         assert report.zero_fraction == pytest.approx(0.25)
-        assert report.verdicts[0].passed        # zero atom is excluded by design
-        assert report.max_cdf_jump == pytest.approx(1 / 4000)
+        # the zero atom is a jump of the empirical CDF like any other
+        assert not report.verdicts[0].passed
+        assert report.max_cdf_jump == report.verdicts[0].statistic == 0.25
+
+    def test_zero_atom_among_distinct_positives_fails(self):
+        # 1,000 zeros and 1,000 distinct positive values: a jump of 1/2 at 0
+        samples = np.concatenate([np.zeros(1000), np.linspace(0.5, 1.5, 1000)])
+        report = density_smoke_test(samples)
+        (verdict,) = report.verdicts
+        assert report.zero_fraction == 0.5
+        assert not verdict.passed
+        assert verdict.statistic == 0.5
+        assert verdict.threshold == 3.0 / np.sqrt(2000)
 
     # one value repeated k times among 2500 samples, against 3 / sqrt(2500) = 0.06
     @pytest.mark.parametrize("k, passed", [(149, True), (151, False)])

@@ -282,6 +282,7 @@ class TestRuntimeThroughput:
         runtime = json.loads((tmp_path / "a" / "runtime.json").read_text())
         assert runtime["path_steps"] == path_steps
         assert 0 < runtime["path_steps_per_s"] < float("inf")
+        assert runtime["chunks"] == runtime["workers"] == 1
         assert runtime["peak_rss_mb"] > 1.0
         assert sorted(runtime["files"]) == sorted(tree_bytes(tmp_path / "a"))
 
@@ -314,6 +315,18 @@ class TestRuntimeThroughput:
         assert runtime["recorded_floor"] is None
         assert runtime["clip_max_ratio"] == runtime["exit_fraction"] == 0.0
         assert runtime["clip_steps"] == 0
+        assert runtime["chunks"] == runtime["workers"] == 0
+
+    @pytest.mark.parametrize("threads, workers", [(1, 1), (2, 2)])
+    def test_runtime_reports_the_chunk_plan(self, tmp_path, threads, workers):
+        # 65 paths make two chunks (64 and 1); two threads run them on two
+        # pool workers, one thread in the calling process
+        cfg = write(tmp_path, BENCH)
+        main(["ensemble", "--config", cfg, "--out", str(tmp_path / "a"), "--paths", "65",
+              "--threads", str(threads)])
+        runtime = json.loads((tmp_path / "a" / "runtime.json").read_text())
+        assert runtime["path_steps"] == 65 * 200
+        assert runtime["chunks"] == 2 and runtime["workers"] == workers
 
 
 class TestLinearMeanField:

@@ -1006,6 +1006,30 @@ class TestIncrementRecording:
             np.testing.assert_allclose(getattr(stats, name), ref[name], rtol=1e-14, atol=0)
 
 
+    def test_more_probe_sites_than_cells(self, monkeypatch):
+        # 5 probe sites on 4 cells of one live species: a row of probe-site
+        # increments is larger than the state
+        n, p = 4, 3
+        init = constant_field(n, 0.5, 0.0)
+        coeffs = CoefficientSet.constant(n, sigma1=0.3)
+        cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=0.2, stats_after=0.05,
+                           time_lag_steps=(1, 4), probe_sites=(0.1, 0.3, 0.5, 0.7, 0.9))
+        states = [np.tile(init.u, (1, p, 1))]
+
+        def recording_step(*args, **kwargs):
+            result = euler_step(*args, **kwargs)
+            states.append(result[0].copy())
+            return result
+
+        monkeypatch.setattr(solver, "euler_step", recording_step)
+        stats = run_ensemble(init, coeffs, NoisePlan(master_seed=5), cfg, n_paths=p)
+        assert states[-1].shape == (1, p, n)
+        ref = per_lag_statistics(states, cfg)
+        assert np.array_equal(stats.time_count, ref["time_count"])
+        assert np.array_equal(stats.time_p2, ref["time_p2"])
+        np.testing.assert_allclose(stats.time_p4, ref["time_p4"], rtol=1e-14, atol=0)
+
+
 def per_lag_statistics(states, cfg):
     """Increment sums one lag at a time, with d**2 and d**4, from the states
     of every step (states[s] is the (2, P, n) state after step s)."""
@@ -1050,27 +1074,33 @@ def per_lag_statistics(states, cfg):
 class TestDrawAhead:
     N_STEPS = 50
 
-    def run(self, monkeypatch, scheme, threads, block, n=16, v0=0.4):
-        # 6 paths of n cells (n noise modes under either scheme), one chunk
-        # on any thread count; the budget gives it `block` steps of its live
-        # species, V only when v0 is not zero
-        p = 6
-        live = 1 if v0 == 0.0 else 2
-        monkeypatch.setattr(solver, "_BLOCK_BUDGET", live * p * n * block)
+    def run(self, monkeypatch, scheme, threads, block, n=16, v0=0.4, anchor=None, paths=6):
+        # `paths` paths of n cells (n noise modes under either scheme), one
+        # chunk on any thread count; the budget gives it `block` steps of
+        # its live species, V only when v0 is not zero (both for one path).
+        # Records every 3rd step, from step 25 on the increment statistics;
+        # one path runs through simulate_path and keeps 4 snapshots
+        live = 1 if v0 == 0.0 and paths > 1 else 2
+        monkeypatch.setattr(solver, "_BLOCK_BUDGET", live * paths * n * block)
         init = constant_field(n, 0.5, v0)
         coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4)
         plan = NoisePlan(master_seed=8)
         cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-3, t_final=self.N_STEPS * 2e-3,
-                           record_interval=1e-2, stats_after=0.05,
-                           space_lag_cells=(1, 3), time_lag_steps=(2, 7))
-        return run_ensemble(init, coeffs, plan, cfg, n_paths=p, threads=threads)
+                           record_interval=6e-3, stats_after=0.05,
+                           space_lag_cells=(1, 3), time_lag_steps=(2, 7), space_anchor=anchor,
+                           snapshot_times=(0.0, 0.014, 0.06, 0.1))
+        if paths == 1:
+            return simulate_path(init, coeffs, plan, cfg)
+        return run_ensemble(init, coeffs, plan, cfg, n_paths=paths, threads=threads)
 
     @pytest.mark.parametrize("n, v0", [(16, 0.4), (64, 0.0), (128, 0.0)])
     @pytest.mark.parametrize("scheme", ["fd", "spectral"])
     def test_block_layout_does_not_change_results(self, monkeypatch, scheme, n, v0):
-        # one-step blocks, 7-step blocks (7 does not divide 50), one block
-        ref = self.run(monkeypatch, scheme, 1, self.N_STEPS, n, v0)
-        assert np.all(ref.time_count > 0) and np.all(ref.space_count > 0)
+        # one-step blocks, 7-step blocks, one block; the record stride 3
+        # divides neither 7 nor 50, and the records are flushed at each
+        # block edge or, with room for 2 kept states, also inside a block;
+        # pooled and anchored space lags; snapshots of a single path
+        kept_states = solver._KEPT_STATES
         drawn = []
 
         def recording(gen, size, out):
@@ -1078,14 +1108,29 @@ class TestDrawAhead:
             return gen.standard_normal(size, out=out)
 
         wrap_generators(monkeypatch, recording)
-        for threads in (1, 2):
-            for block in (1, 7, self.N_STEPS):
+        for anchor in (None, 0.5):
+            monkeypatch.setattr(solver, "_KEPT_STATES", kept_states)
+            ref = self.run(monkeypatch, scheme, 1, self.N_STEPS, n, v0, anchor)
+            ref_path = self.run(monkeypatch, scheme, 1, self.N_STEPS, n, v0, anchor, paths=1)
+            assert np.all(ref.time_count > 0) and np.all(ref.space_count > 0)
+            assert ref.times.size == 18 and len(ref_path.snapshots) == 4
+            for threads, block, kept in itertools.product((1, 2), (1, 7, self.N_STEPS),
+                                                          (2, kept_states)):
+                monkeypatch.setattr(solver, "_KEPT_STATES", kept)
                 drawn.clear()
-                other = self.run(monkeypatch, scheme, threads, block, n, v0)
+                other = self.run(monkeypatch, scheme, threads, block, n, v0, anchor)
                 assert max(drawn) == block
+                path = self.run(monkeypatch, scheme, threads, block, n, v0, anchor, paths=1)
+                where = (anchor, threads, block, kept)
                 for name in EnsembleStats.PER_PATH_FIELDS:
                     assert np.array_equal(getattr(other, name), getattr(ref, name)), \
-                        (name, threads, block)
+                        (name, *where)
+                    assert np.array_equal(getattr(path.stats, name),
+                                          getattr(ref_path.stats, name)), (name, *where)
+                for got, want in zip(path.snapshots, ref_path.snapshots, strict=True):
+                    assert got.time == want.time, where
+                    assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v), \
+                        (got.time, *where)
 
     @pytest.mark.parametrize("scheme", ["fd", "spectral"])
     def test_fast_thread_switching_does_not_change_results(self, monkeypatch, scheme):
