@@ -33,7 +33,7 @@ over a single row: BLAS takes a single row through gemv, one ulp away from
 the gemm rows, and a one-path chunk would stop matching a larger one, so a
 one-path run of one live species steps the zero species too.  Inside the
 ball the step allocates no (S, P, n) temporary: it assembles the
-right-hand side in the step's noise field, used as scratch, and writes the
+right-hand side in the step's noise field, which it spends, and writes the
 product into one of two work arrays that alternate.  A cell outside the
 truncation ball takes u + dt f_n(u, v) + u sigma dW with the projected drift
 instead; that is decided per cell, so a path's numbers never depend on its
@@ -56,10 +56,10 @@ into a preallocated buffer at each record step, U at the probe sites into
 a ring from the first step of the increment statistics on, and the
 snapshot fields.  The records (masses, sup-norm, roughness, probe-site
 values) and the space and time increment sums of those steps are taken at
-each block edge, and whenever the record buffer is full, in one vectorised
-pass over the steps since the last one.  Each per-path sum adds its
-increments in step order (np.add.accumulate from the running sum), so the
-sums carry the bits of one addition per step whatever the block layout.
+each block edge, in one vectorised pass over the block's steps.  Each
+per-path sum adds its increments in step order (np.add.accumulate from the
+running sum), so the sums carry the bits of one addition per step whatever
+the block layout.
 run_ensemble cuts the paths into chunks of CHUNK_PATHS, the last one
 shorter, whatever the thread count: at 64 paths and n = 128 the step's
 state-sized arrays fit together in a 2 MB L2 cache, and smaller chunks pay
@@ -81,8 +81,9 @@ noise by one (S P, n) product with the cosine basis (a per-path (steps, n)
 product would send one-step blocks through gemv, an ulp away), then by the
 scale sigma sqrt(dt n).  _BLOCK_BUDGET bounds each of the two buffers, the
 live species counted, so the draw memory of a run is at most
-2 * _BLOCK_BUDGET doubles.  The increment statistics take fourth powers as
-(d^2)^2, never through libm pow.
+2 * _BLOCK_BUDGET doubles; the block length bounds the records, probe-site
+ring and time increments kept for a block edge too.  The increment
+statistics take fourth powers as (d^2)^2, never through libm pow.
 """
 
 from __future__ import annotations
@@ -111,12 +112,9 @@ SPECIES = (SPECIES_U, SPECIES_V)
 STABILITY_LIMIT = 0.5
 
 # Elements per noise draw buffer (two buffers per run, the live species in
-# each); bounds memory, never changes results.
+# each); its block length bounds the step loop's memory (see the module
+# docstring), never its results.
 _BLOCK_BUDGET = 1_000_000
-
-# States the step loop keeps for its records between two flushes (see the
-# module docstring); bounds memory, never changes results.
-_KEPT_STATES = 32
 
 # Paths per chunk of an ensemble, the last chunk holding the remainder.
 CHUNK_PATHS = 64
@@ -585,25 +583,20 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
             species, i = divmod(task, p)
             gens[species][i].standard_normal((blk.count, n), out=blk.buf[species, i, :blk.count])
 
-    # What the loop keeps per step for flush(): the state at each record
-    # step, in `kept`, and U at the probe sites from stats_start on, in
-    # `ring`.  flush() runs at each block edge and whenever `kept` is full.
-    # A time increment ends at a step since the last flush and starts at
-    # most max_lag steps earlier, never before stats_start, so the ring
-    # holds every row a flush reads: the first flush covers steps 0 ..
-    # block, the later ones at most block steps.
-    kept = np.empty((len(live), min(math.ceil(block / config.record_stride), _KEPT_STATES),
-                     p, n))
+    # What the loop keeps for flush(), which runs at each block edge and
+    # covers steps 0 .. block first, at most block steps after: the state
+    # at each record step, in `kept` (the last step's record included), and
+    # U at the probe sites from stats_start on, in `ring`.  A time increment
+    # ends at a step since the last flush, step 1 or later, and starts at
+    # most max_lag steps earlier, never before stats_start: the ring holds
+    # every row a flush reads, and `diffs` its increments of one lag.
+    kept = np.empty((len(live), block // config.record_stride + 2, p, n))
     kept_u, kept_v = species_fields(kept)
     max_lag = int(time_lags.max(initial=0))
     ring_len = max_lag + block
     ring = np.empty((ring_len, p, n_sites)) if max_lag else None
+    diffs = np.empty((block, p, n_sites)) if max_lag else None
     ring_from = stats_start if max_lag else n_steps + 1
-    if max_lag:
-        # the differences of the time increments go to the noise field,
-        # free between steps, in pieces of as many ring rows as it holds
-        scratch = field.reshape(-1) if field.size >= p * n_sites else np.empty(p * n_sites)
-        piece = scratch.size // (p * n_sites)
     next_records = iter(record_steps.tolist())
     next_record = next(next_records)
     sqrt_h = np.sqrt(1.0 / n)
@@ -647,7 +640,7 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
             n_kept = 0
         for j, lag in enumerate(time_lags):
             for now, before in lagged_rows(max(first_open, stats_start + lag), last, lag):
-                d = np.subtract(now, before, out=scratch[:now.size].reshape(now.shape))
+                d = np.subtract(now, before, out=diffs[:len(now)])
                 d *= d
                 _add_in_order(stats.time_p2[:, j], d.sum(axis=2))
                 d *= d
@@ -657,11 +650,10 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
 
     def lagged_rows(first: int, last: int, lag: int):
         # The ring rows of steps t and t - lag for t = first .. last, as
-        # pairs of views in step order, none wrapping around the ring or
-        # longer than `piece` rows.
+        # pairs of views in step order, none wrapping around the ring.
         t = first
         while t <= last:
-            stop = min(last, t + piece - 1, t + ring_len - 1 - t % ring_len,
+            stop = min(last, t + ring_len - 1 - t % ring_len,
                        t + ring_len - 1 - (t - lag) % ring_len)
             yield (ring[t % ring_len:stop % ring_len + 1],
                    ring[(t - lag) % ring_len:(stop - lag) % ring_len + 1])
@@ -679,13 +671,11 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
             kept[:, n_kept] = work[step % 2]
             n_kept += 1
             next_record = next(next_records, None)
-            if n_kept == kept.shape[1]:
-                flush(step)
         if step in snapshot_steps:
             snapshots.append(Field(u[0].copy(), v[0].copy(), time=snapshot_steps[step]))
 
     # The state alternates between two work arrays; the one a step has just
-    # left is scratch for U^2 + V^2 of the new state.  The growth terms at
+    # left takes U^2 + V^2 of the new state.  The growth terms at
     # the state's shape spare the step a broadcast; the bits are the same.
     work = (state, np.empty_like(state))
     work_fields = [species_fields(w) for w in work]

@@ -10,6 +10,8 @@ from scipy.stats import gaussian_kde
 from lvfield import analysis
 from lvfield.grid import cell_centers
 from lvfield.analysis import (
+    NOISE_KS_ALPHA,
+    NOISE_VARIANCE_TOL,
     DensityReport,
     density_smoke_test,
     extinction_report,
@@ -26,6 +28,7 @@ from lvfield.analysis import (
 from lvfield.model import CoefficientSet, Field
 from lvfield.noise import EquivalenceReport, NoisePlan
 from lvfield.solver import SolverConfig, run_ensemble, simulate_path
+from lvfield.statutil import ks_critical
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +402,9 @@ class TestMildAudit:
     def test_drift_above_sup_m_fails(self):
         # a negative self-regulation a1 = -1 (which CoefficientSet refuses)
         # lifts the reaction above m u: 0.7 (0.5 + 0.7) / 0.7 = 1.2 against
-        # sup m = 0.5
-        coeffs = SimpleNamespace(m1=np.full(16, 0.5), a1=np.full(16, -1.0), b1=np.zeros(16))
+        # sup m = 0.5; V's coefficients only feed model.drift's second term
+        coeffs = SimpleNamespace(m1=np.full(16, 0.5), a1=np.full(16, -1.0), b1=np.zeros(16),
+                                 m2=np.zeros(16), a2=np.zeros(16), b2=np.zeros(16))
         drift = mild_log_functional_audit(constant_snapshots(16, 0.7), coeffs)[1]
         assert not drift.passed
         assert drift.statistic == pytest.approx(1.2, rel=1e-5)
@@ -740,25 +744,36 @@ class TestKernelAudit:
         assert (v.passed, v.statistic, v.threshold) == (passed, lo, 0.0)
 
 
+# The KS critical value of the noise audit at 500 replications per sample.
+NOISE_CRIT_500 = ks_critical(NOISE_KS_ALPHA, 500, 500)
+
+
 class TestNoiseAudit:
-    @pytest.mark.parametrize("ks_crit, variance_tol, passed", [
-        (above(0.03), 0.25, (True, True)),
-        (0.03, below(0.25), (False, False)),
-    ])
-    def test_worst_audit_against_the_reports_thresholds(self, monkeypatch, ks_crit,
-                                                         variance_tol, passed):
-        # (KS statistic, Walsh variance) of each audit; the worst of each is
-        # 0.03 and |5 / 4 - 1| = 0.25, met by different functions
-        audits = iter([(0.01, 5.0), (0.03, 4.0)] + [(0.02, 4.0)] * 8)
+    # a Walsh variance over a unit target whose error is just below, and
+    # one whose error is just above, the variance tolerance
+    @pytest.mark.parametrize("worst_ks, worst_walsh, passed", [
+        (below(NOISE_CRIT_500), np.nextafter(1.0 + NOISE_VARIANCE_TOL, 0.0), (True, True)),
+        (NOISE_CRIT_500, np.nextafter(1.0 + NOISE_VARIANCE_TOL, 2.0), (False, False)),
+    ], ids=["pass", "fail"])
+    def test_worst_audit_against_the_audit_thresholds(self, monkeypatch, worst_ks,
+                                                       worst_walsh, passed):
+        # (KS statistic, Walsh variance) of each audit over a unit target,
+        # 500 replications each; the worst of each is met by a different
+        # function.  The thresholds are noise_audit's own, the KS one at the
+        # reports' replication count, and so is each row's pass bit.
+        audits = iter([(0.01, worst_walsh), (worst_ks, 1.0)] + [(0.02, 1.0)] * 8)
 
         def report(f, master_seed):
             ks_stat, walsh = next(audits)
-            return EquivalenceReport(target_variance=4.0, walsh_variance=walsh,
-                                     spectral_variance=4.0, ks_stat=ks_stat,
-                                     ks_crit=ks_crit, variance_tolerance=variance_tol)
+            return EquivalenceReport(target_variance=1.0, walsh_variance=walsh,
+                                     spectral_variance=1.0, ks_stat=ks_stat,
+                                     n_replications=500)
         monkeypatch.setattr(analysis, "representation_equivalence_check", report)
         rows, (ks_verdict, var_verdict) = noise_audit(master_seed=0)
         assert len(rows) == 10
         assert (ks_verdict.passed, var_verdict.passed) == passed
-        assert (ks_verdict.statistic, ks_verdict.threshold) == (0.03, ks_crit)
-        assert (var_verdict.statistic, var_verdict.threshold) == (0.25, variance_tol)
+        assert (ks_verdict.statistic, ks_verdict.threshold) == (worst_ks, NOISE_CRIT_500)
+        assert (var_verdict.statistic, var_verdict.threshold) == \
+            (worst_walsh - 1.0, NOISE_VARIANCE_TOL)
+        assert [row[5] for row in rows] == [NOISE_CRIT_500] * 10
+        assert [row[6] for row in rows] == [passed[1], passed[0]] + [True] * 8

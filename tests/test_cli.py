@@ -107,10 +107,11 @@ n_paths = 40
 
 
 def small_noise_check(monkeypatch):
-    """Shrink the noise-check audits to a size that runs in a second."""
+    """Shrink the noise-check audits to a size that runs in a second, with
+    the variance tolerance that size needs."""
     monkeypatch.setattr(analysis, "representation_equivalence_check", functools.partial(
-        noise.representation_equivalence_check, n_replications=500, n_steps=5, n_cells=8,
-        variance_tolerance=0.2))
+        noise.representation_equivalence_check, n_replications=500, n_steps=5, n_cells=8))
+    monkeypatch.setattr(analysis, "NOISE_VARIANCE_TOL", 0.2)
 
 
 def small_kernel_check(monkeypatch, lattice, sweep_points):

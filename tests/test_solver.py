@@ -1074,19 +1074,21 @@ def per_lag_statistics(states, cfg):
 class TestDrawAhead:
     N_STEPS = 50
 
-    def run(self, monkeypatch, scheme, threads, block, n=16, v0=0.4, anchor=None, paths=6):
+    def run(self, monkeypatch, scheme, threads, block, n=16, v0=0.4, anchor=None, paths=6,
+            stride=3):
         # `paths` paths of n cells (n noise modes under either scheme), one
         # chunk on any thread count; the budget gives it `block` steps of
         # its live species, V only when v0 is not zero (both for one path).
-        # Records every 3rd step, from step 25 on the increment statistics;
-        # one path runs through simulate_path and keeps 4 snapshots
+        # Records every `stride`-th step, from step 25 on the increment
+        # statistics; one path runs through simulate_path and keeps 4
+        # snapshots
         live = 1 if v0 == 0.0 and paths > 1 else 2
         monkeypatch.setattr(solver, "_BLOCK_BUDGET", live * paths * n * block)
         init = constant_field(n, 0.5, v0)
         coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4)
         plan = NoisePlan(master_seed=8)
         cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-3, t_final=self.N_STEPS * 2e-3,
-                           record_interval=6e-3, stats_after=0.05,
+                           record_interval=stride * 2e-3, stats_after=0.05,
                            space_lag_cells=(1, 3), time_lag_steps=(2, 7), space_anchor=anchor,
                            snapshot_times=(0.0, 0.014, 0.06, 0.1))
         if paths == 1:
@@ -1097,10 +1099,10 @@ class TestDrawAhead:
     @pytest.mark.parametrize("scheme", ["fd", "spectral"])
     def test_block_layout_does_not_change_results(self, monkeypatch, scheme, n, v0):
         # one-step blocks, 7-step blocks, one block; the record stride 3
-        # divides neither 7 nor 50, and the records are flushed at each
-        # block edge or, with room for 2 kept states, also inside a block;
-        # pooled and anchored space lags; snapshots of a single path
-        kept_states = solver._KEPT_STATES
+        # divides neither 7 nor 50, and in one block its 18 records fill
+        # all 50 // 3 + 2 kept states; at stride 1 a block edge flushes the
+        # most states, block + 1 in the first block; pooled and anchored
+        # space lags; snapshots of a single path
         drawn = []
 
         def recording(gen, size, out):
@@ -1108,20 +1110,20 @@ class TestDrawAhead:
             return gen.standard_normal(size, out=out)
 
         wrap_generators(monkeypatch, recording)
-        for anchor in (None, 0.5):
-            monkeypatch.setattr(solver, "_KEPT_STATES", kept_states)
-            ref = self.run(monkeypatch, scheme, 1, self.N_STEPS, n, v0, anchor)
-            ref_path = self.run(monkeypatch, scheme, 1, self.N_STEPS, n, v0, anchor, paths=1)
+        for anchor, stride in itertools.product((None, 0.5), (3, 1)):
+            ref = self.run(monkeypatch, scheme, 1, self.N_STEPS, n, v0, anchor, stride=stride)
+            ref_path = self.run(monkeypatch, scheme, 1, self.N_STEPS, n, v0, anchor, paths=1,
+                                stride=stride)
             assert np.all(ref.time_count > 0) and np.all(ref.space_count > 0)
-            assert ref.times.size == 18 and len(ref_path.snapshots) == 4
-            for threads, block, kept in itertools.product((1, 2), (1, 7, self.N_STEPS),
-                                                          (2, kept_states)):
-                monkeypatch.setattr(solver, "_KEPT_STATES", kept)
+            assert ref.times.size == {3: 18, 1: 51}[stride] and len(ref_path.snapshots) == 4
+            for threads, block in itertools.product((1, 2), (1, 7, self.N_STEPS)):
                 drawn.clear()
-                other = self.run(monkeypatch, scheme, threads, block, n, v0, anchor)
+                other = self.run(monkeypatch, scheme, threads, block, n, v0, anchor,
+                                 stride=stride)
                 assert max(drawn) == block
-                path = self.run(monkeypatch, scheme, threads, block, n, v0, anchor, paths=1)
-                where = (anchor, threads, block, kept)
+                path = self.run(monkeypatch, scheme, threads, block, n, v0, anchor, paths=1,
+                                stride=stride)
+                where = (anchor, stride, threads, block)
                 for name in EnsembleStats.PER_PATH_FIELDS:
                     assert np.array_equal(getattr(other, name), getattr(ref, name)), \
                         (name, *where)
