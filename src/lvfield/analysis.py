@@ -279,6 +279,17 @@ class MomentBoundReport:
     verdicts: tuple                 # moment-flat-tail, self-regulation-positive
 
 
+def flat_tail_windows(times) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the recorded times in [T/2, T] and in [T/4, T/2), T the
+    last one; refuses a record grid that leaves either window empty."""
+    t_end = times[-1]
+    tail = times >= 0.5 * t_end
+    earlier = (times >= 0.25 * t_end) & (times < 0.5 * t_end)
+    if not tail.any() or not earlier.any():
+        raise ValueError("record grid too coarse for the flat-tail windows")
+    return tail, earlier
+
+
 def moment_bound_curve(stats: EnsembleStats, coeffs: CoefficientSet) -> MomentBoundReport:
     """E sup-norm^p over time, p = SUPNORM_MOMENT_ORDER, with a no-growth
     verdict on the tail.
@@ -291,13 +302,9 @@ def moment_bound_curve(stats: EnsembleStats, coeffs: CoefficientSet) -> MomentBo
     min(inf a1, inf a2).
     """
     curve = np.mean(stats.supnorm**SUPNORM_MOMENT_ORDER, axis=0)
-    t_end = stats.times[-1]
-    tail = curve[stats.times >= 0.5 * t_end]
-    earlier = curve[(stats.times >= 0.25 * t_end) & (stats.times < 0.5 * t_end)]
-    if tail.size == 0 or earlier.size == 0:
-        raise ValueError("record grid too coarse for the flat-tail windows")
-    tail_max = float(tail.max())
-    earlier_max = float(earlier.max())
+    tail, earlier = flat_tail_windows(stats.times)
+    tail_max = float(curve[tail].max())
+    earlier_max = float(curve[earlier].max())
     inf_a = float(min(coeffs.a1.min(), coeffs.a2.min()))
     verdicts = (
         Verdict("moment-flat-tail", "uniform-moment-bound",
@@ -320,6 +327,28 @@ class StationarityReport:
     verdicts: tuple                 # stationarity-site-ks
 
 
+def stationarity_windows(times) -> list:
+    """The STATIONARITY_WINDOWS windows of record indices after the burn-in,
+    the first quarter of the horizon; refuses fewer than two recorded times
+    per window."""
+    idx = np.nonzero(times >= 0.25 * times[-1])[0]
+    if idx.size < 2 * STATIONARITY_WINDOWS:
+        raise ValueError(
+            f"only {idx.size} recorded times after burn-in for {STATIONARITY_WINDOWS} windows; "
+            "lengthen the run or refine the record grid")
+    return np.array_split(idx, STATIONARITY_WINDOWS)
+
+
+def stationarity_critical_value(n_paths: int) -> float:
+    """The site KS critical value at n_paths samples a side; refuses a path
+    count at which it is 1 or more, since no KS statistic exceeds 1."""
+    crit = ks_critical(STATIONARITY_ALPHA, n_paths, n_paths)
+    if crit >= 1.0:
+        raise ValueError(f"the site KS critical value at {n_paths} paths is {crit:.4g}, "
+                         "which no KS statistic exceeds; stationarity needs more paths")
+    return crit
+
+
 def stationarity_report(stats: EnsembleStats) -> StationarityReport:
     """Window comparison of site marginals after burn-in.
 
@@ -329,16 +358,15 @@ def stationarity_report(stats: EnsembleStats) -> StationarityReport:
     half, and the two samples are compared by a two-sample KS test at level
     STATIONARITY_ALPHA (paths are the independent unit, so n = number of
     paths on each side).  Its verdict passes when at least
-    STATIONARITY_REQUIRED_FRACTION of the sites do.
+    STATIONARITY_REQUIRED_FRACTION of the sites do.  An ensemble without
+    probe sites, or with too few paths for any statistic to exceed the
+    critical value, is refused.
     """
     times = stats.times
-    burn = 0.25 * times[-1]
-    idx = np.nonzero(times >= burn)[0]
-    if idx.size < 2 * STATIONARITY_WINDOWS:
-        raise ValueError(
-            f"only {idx.size} recorded times after burn-in for {STATIONARITY_WINDOWS} windows; "
-            "lengthen the run or refine the record grid")
-    windows = np.array_split(idx, STATIONARITY_WINDOWS)
+    windows = stationarity_windows(times)
+    if not stats.site_x.size:
+        raise ValueError("stationarity needs at least one probe site")
+    crit = stationarity_critical_value(stats.n_paths)
 
     bounds = np.array([[times[w[0]], times[w[-1]]] for w in windows])
     mass_means = np.array([stats.mass_u[:, w].mean() for w in windows])
@@ -355,7 +383,6 @@ def stationarity_report(stats: EnsembleStats) -> StationarityReport:
     for j in range(n_sites):
         site_ks[j] = ks_statistic(stats.site_u[:, early_mid, j],
                                   stats.site_u[:, late_mid, j])
-    crit = ks_critical(STATIONARITY_ALPHA, stats.n_paths, stats.n_paths)
     fraction = float(np.mean(site_ks < crit))
     verdict = Verdict("stationarity-site-ks", "long-time-distribution",
                       fraction >= STATIONARITY_REQUIRED_FRACTION, fraction,
@@ -384,6 +411,11 @@ class DensityReport:
     verdicts: tuple                 # one-point-atomless
 
 
+def check_density_samples(n: int) -> None:
+    if n < MIN_DENSITY_SAMPLES:
+        raise ValueError(f"density test needs >= {MIN_DENSITY_SAMPLES} samples, got {n}")
+
+
 def density_smoke_test(samples) -> DensityReport:
     """Continuity check of a one-point marginal from path samples.
 
@@ -399,8 +431,7 @@ def density_smoke_test(samples) -> DensityReport:
     """
     samples = np.asarray(samples, dtype=float).ravel()
     n = samples.size
-    if n < MIN_DENSITY_SAMPLES:
-        raise ValueError(f"density test needs >= {MIN_DENSITY_SAMPLES} samples, got {n}")
+    check_density_samples(n)
     if np.any(~np.isfinite(samples)) or np.any(samples < 0):
         raise ValueError("samples must be finite and nonnegative")
     zero_fraction = float(np.mean(samples == 0.0))

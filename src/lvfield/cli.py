@@ -10,10 +10,15 @@ across reruns, thread counts, and output locations; only runtime.json
 carries wall-clock information.
 
 Exit status: 0 when every verdict passes, 1 on a failed verdict, 2 on a
-config or usage error (command options an estimator would refuse among
-them, caught before anything is simulated), 3 on a blowup, an estimator
-refusing its input or a crash (with its traceback on stderr); exits 2
-and 3 write no verdicts.csv.  Once the output directory exists,
+config or usage error, 3 on a blowup, an estimator refusing its input or
+a crash (with its traceback on stderr); exits 2 and 3 write no
+verdicts.csv.  Exit 2 covers what a command's estimators would refuse,
+caught before anything is simulated: holder lags too few or too narrow,
+an extinction tail window with fewer than 3 record times, invariant and
+density without a probe site, an invariant record grid too coarse for the
+flat-tail or stationarity windows, and a path count (--paths or [run]
+n_paths) below density's sample minimum or too small for the invariant
+site KS test to fail.  Once the output directory exists,
 runtime.json records the outcome as its status: "ok", "checks-failed" or
 "error" (with the message).
 """
@@ -32,12 +37,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (SERIES_COLUMNS, check_lag_coverage, density_smoke_test,
-                       ensemble_series, extinction_report, holder_estimate,
-                       kernel_audit, linear_mean_verdicts, logistic_verdicts,
-                       mild_log_functional_audit, moment_bound_curve, noise_audit,
-                       positivity_verdicts, recorded_floor, stationarity_report,
-                       tail_window_mask)
+from .analysis import (SERIES_COLUMNS, check_density_samples, check_lag_coverage,
+                       density_smoke_test, ensemble_series, extinction_report,
+                       flat_tail_windows, holder_estimate, kernel_audit,
+                       linear_mean_verdicts, logistic_verdicts, mild_log_functional_audit,
+                       moment_bound_curve, noise_audit, positivity_verdicts, recorded_floor,
+                       stationarity_critical_value, stationarity_report,
+                       stationarity_windows, tail_window_mask)
 from .config import ConfigError, ExperimentConfig, load_config
 from .noise import SPECIES_U, SPECIES_V
 from .solver import SimulationBlowup, Trajectory, chunk_plan, run_ensemble, simulate_path
@@ -268,7 +274,28 @@ def cmd_extinction(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     return rep.verdicts, [path]
 
 
+def _refuse_paths(cfg: ExperimentConfig, check) -> None:
+    """check(n_paths), a refusal raised as the error of the path count."""
+    try:
+        check(cfg.run.n_paths)
+    except ValueError as e:
+        raise ConfigError(f"--paths / [run] n_paths: {e}", cfg.path) from None
+
+
 def cmd_invariant(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
+    # refuse what the estimators would refuse before paying for the
+    # ensemble: no probe site, a record grid too coarse for their windows,
+    # too few paths for the site KS test
+    if not cfg.solver.probe_sites:
+        raise cfg.error("solver", "probe_sites", "invariant needs at least one probe site")
+    times = cfg.solver.record_steps() * cfg.solver.dt
+    try:
+        flat_tail_windows(times)
+        stationarity_windows(times)
+    except ValueError as e:
+        raise cfg.error("solver", "record_interval", str(e)) from None
+    _refuse_paths(cfg, stationarity_critical_value)
+
     stats, coeffs, _ = _ensemble(cfg, meter)
     moment = moment_bound_curve(stats, coeffs)
     stat = stationarity_report(stats)
@@ -295,6 +322,11 @@ DENSITY_SITE = 0.5
 
 
 def cmd_density(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
+    # refuse what the estimator would refuse before paying for the ensemble
+    if not cfg.solver.probe_sites:
+        raise cfg.error("solver", "probe_sites", "density needs at least one probe site")
+    _refuse_paths(cfg, check_density_samples)
+
     stats, _, _ = _ensemble(cfg, meter)
     si = int(np.argmin(np.abs(stats.site_x - DENSITY_SITE)))
     rep = density_smoke_test(stats.site_u[:, -1, si])

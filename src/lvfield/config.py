@@ -217,7 +217,6 @@ _UNHASHED = {("run", "output_dir"), ("run", "threads")}
 # rest of the config, hashed as that value: writing it out keeps the hash.
 _DERIVED = {
     ("solver", "record_interval"): lambda cfg: cfg.solver.record_stride * cfg.solver.dt,
-    ("solver", "truncation_radius"): lambda cfg: cfg.solver.radius(cfg.initial_field()),
     # None leaves the window open: it ends at the last recorded time
     ("extinction", "window_end"): lambda cfg: (
         cfg.solver.n_steps * cfg.solver.dt if cfg.extinction.window_end is None

@@ -140,8 +140,6 @@ class SolverConfig:
         at most one per step.
     record_interval : float, optional
         Spacing of the scalar record series; defaults to t_final / 200.
-    truncation_radius : float, optional
-        Drift truncation ball radius; defaults to 10 (1 + |init|_E).
     probe_sites : tuple of float
         x locations whose values enter the record series and the
         time-increment statistics; time lags need at least one.
@@ -170,7 +168,6 @@ class SolverConfig:
     grid_size: int = 64
     snapshot_times: tuple[float, ...] = ()
     record_interval: float | None = None
-    truncation_radius: float | None = None
     probe_sites: tuple[float, ...] = (0.125, 0.375, 0.5, 0.625, 0.875)
     stats_after: float | None = None
     space_lag_cells: tuple[int, ...] = ()
@@ -200,8 +197,6 @@ class SolverConfig:
             raise FieldError("snapshot_times", "snapshot times must be in increasing order")
         if self.record_interval is not None and self.record_interval < self.dt:
             raise FieldError("record_interval", "record_interval must be >= dt")
-        if self.truncation_radius is not None and self.truncation_radius <= 0:
-            raise FieldError("truncation_radius", "truncation_radius must be positive")
         for x in self.probe_sites:
             if not 0.0 <= x <= 1.0:
                 raise FieldError("probe_sites", f"probe site {x} outside [0, 1]")
@@ -248,12 +243,6 @@ class SolverConfig:
         every = self.record_interval if self.record_interval is not None else self.t_final / 200
         return max(1, round(every / self.dt))
 
-    def radius(self, init: Field) -> float:
-        """truncation_radius, default_truncation_radius(init) when it is not set."""
-        if self.truncation_radius is not None:
-            return self.truncation_radius
-        return default_truncation_radius(init)
-
     def record_steps(self) -> np.ndarray:
         """Steps after which the record series are taken: one every
         record_stride from step 0, and always the last step."""
@@ -279,17 +268,17 @@ class SolverConfig:
 def validate_run(config: SolverConfig, coeffs: CoefficientSet, init: Field) -> float:
     """Check grid agreement and the dt-Lipschitz stability bound.
 
-    Returns the effective truncation radius.
+    Returns the truncation radius, default_truncation_radius(init).
     """
     if coeffs.n != config.grid_size or init.n != config.grid_size:
         raise ValueError(
             f"grid mismatch: config {config.grid_size}, coefficients {coeffs.n}, init {init.n}")
-    radius = config.radius(init)
+    radius = default_truncation_radius(init)
     lip = drift_lipschitz_bound(coeffs, radius)
     if config.dt * lip > STABILITY_LIMIT:
         raise ValueError(
             f"dt * drift Lipschitz bound = {config.dt * lip:.3g} exceeds {STABILITY_LIMIT}; "
-            f"reduce dt below {STABILITY_LIMIT / lip:.3g} or the truncation radius {radius:.3g}")
+            f"reduce dt below {STABILITY_LIMIT / lip:.3g} (truncation radius {radius:.3g})")
     return radius
 
 
@@ -407,16 +396,12 @@ def euler_step(state: np.ndarray, noise: np.ndarray, coeffs: CoefficientSet, dt:
 class EnsembleStats:
     """Per-path summary series and increment statistics of an ensemble.
 
-    All per-path arrays have the path axis first; merging ensembles is
-    concatenation along it, so chunked and threaded runs reproduce the
-    single-chunk result exactly.
+    All per-path arrays have the path axis first, in path order; merge
+    joins the chunks of one run by concatenation along it, so chunked and
+    threaded runs reproduce the single-chunk result exactly.
     """
 
     master_seed: int
-    scheme: str
-    dt: float
-    grid_size: int
-    path_indices: np.ndarray        # (P,)
     times: np.ndarray               # (R,) record times
     mass_u: np.ndarray              # (P, R)
     mass_v: np.ndarray              # (P, R)
@@ -438,28 +423,21 @@ class EnsembleStats:
     time_count: np.ndarray          # (K,) increments summed per path
 
     # The fields with the path axis first; merge concatenates exactly these.
-    PER_PATH_FIELDS = ("path_indices", "mass_u", "mass_v", "supnorm", "rough_u",
-                       "site_u", "site_v", "exit_step", "clip_max_ratio", "clip_events",
+    PER_PATH_FIELDS = ("mass_u", "mass_v", "supnorm", "rough_u", "site_u", "site_v",
+                       "exit_step", "clip_max_ratio", "clip_events",
                        "space_p2", "space_p4", "time_p2", "time_p4")
 
     @property
     def n_paths(self) -> int:
-        return self.path_indices.size
+        return self.mass_u.shape[0]
 
-    def merge(self, other: "EnsembleStats") -> "EnsembleStats":
-        if (self.master_seed, self.scheme, self.dt, self.grid_size) != \
-           (other.master_seed, other.scheme, other.dt, other.grid_size):
-            raise ValueError("cannot merge ensembles with different run parameters")
-        if not np.array_equal(self.times, other.times):
-            raise ValueError("cannot merge ensembles with different record times")
-        if np.intersect1d(self.path_indices, other.path_indices).size:
-            raise ValueError("cannot merge ensembles with overlapping path indices")
-        if not (np.array_equal(self.space_count, other.space_count)
-                and np.array_equal(self.time_count, other.time_count)):
-            raise ValueError("cannot merge ensembles with different statistics plans")
-        return replace(self, **{
-            name: np.concatenate([getattr(self, name), getattr(other, name)], axis=0)
-            for name in self.PER_PATH_FIELDS})
+    @classmethod
+    def merge(cls, parts: list) -> "EnsembleStats":
+        """The ensemble of parts, the chunks of one run in path order: their
+        per-path fields concatenated, every other field the first chunk's."""
+        return replace(parts[0], **{
+            name: np.concatenate([getattr(part, name) for part in parts], axis=0)
+            for name in cls.PER_PATH_FIELDS})
 
     def exit_fraction(self) -> float:
         return float(np.mean(self.exit_step >= 0))
@@ -534,8 +512,7 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
 
     # The statistics this run returns, filled in place as it steps.
     stats = EnsembleStats(
-        master_seed=plan.master_seed, scheme=config.scheme, dt=dt, grid_size=n,
-        path_indices=path_indices, times=record_steps * dt,
+        master_seed=plan.master_seed, times=record_steps * dt,
         mass_u=np.empty((p, n_rec)), mass_v=np.empty((p, n_rec)),
         supnorm=np.empty((p, n_rec)), rough_u=np.empty((p, n_rec)),
         site_x=(site_idx + 0.5) / n,
@@ -783,8 +760,9 @@ def run_ensemble(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
 
     The paths run in the chunks of chunk_plan(n_paths, threads, chunk_size),
     numbered from path_offset; a single process runs them in the calling
-    one.  The thread count never changes results; the chunk size only where
-    the gemm rows depend on the row count (see the module docstring).
+    one.  Two or more chunks are joined by one EnsembleStats.merge.  The
+    thread count never changes results; the chunk size only where the gemm
+    rows depend on the row count (see the module docstring).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -797,7 +775,4 @@ def run_ensemble(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, jobs))
 
-    merged = results[0]
-    for stats in results[1:]:
-        merged = merged.merge(stats)
-    return merged
+    return results[0] if len(results) == 1 else EnsembleStats.merge(results)

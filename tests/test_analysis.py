@@ -456,8 +456,7 @@ class TestMomentBound:
         n = 16
         init = Field(np.full(n, 0.5), np.zeros(n))
         coeffs = CoefficientSet.constant(n, m1=0.4, sigma1=0.1)
-        cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=12.0,
-                           truncation_radius=1e6)
+        cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=12.0)
         stats = run_ensemble(init, coeffs, NoisePlan(master_seed=9), cfg, n_paths=4)
         report = moment_bound_curve(stats, coeffs)
         flat, regulated = report.verdicts
@@ -496,7 +495,7 @@ class TestStationarity:
         coeffs = CoefficientSet.constant(n, m1=0.5, a1=1.0, a2=1.0)
         cfg = SolverConfig(grid_size=n, dt=1e-2, t_final=8.0,
                            record_interval=0.1)
-        stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=3)
+        stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=4)
         report = stationarity_report(stats)
         assert np.ptp(report.mass_window_means) < 1e-12
         assert np.all(report.site_ks == 0.0)
@@ -534,6 +533,35 @@ class TestStationarity:
         assert verdict.passed == passed
         assert verdict.statistic == (5 - moved) / 5
         assert verdict.threshold == 0.8
+
+    @staticmethod
+    def constant_sites(n_paths, n_sites):
+        times = np.linspace(0.0, 1.0, 41)
+        zeros = np.zeros((n_paths, times.size))
+        return SimpleNamespace(times=times, n_paths=n_paths,
+                               site_x=np.linspace(0.1, 0.9, n_sites),
+                               site_u=np.zeros((n_paths, times.size, n_sites)),
+                               mass_u=zeros, supnorm=zeros, rough_u=zeros)
+
+    def test_refuses_a_critical_value_no_statistic_exceeds(self):
+        # a KS statistic is at most 1: at a critical value of 1 or more no
+        # site can fail, so the report refuses the ensemble (3 paths: 1.109,
+        # 4 paths: 0.960)
+        refused = []
+        for n_paths in range(1, 7):
+            stats = self.constant_sites(n_paths, 5)
+            crit = ks_critical(analysis.STATIONARITY_ALPHA, n_paths, n_paths)
+            if crit >= 1.0:
+                refused.append(n_paths)
+                with pytest.raises(ValueError, match=f"critical value at {n_paths} paths is "):
+                    stationarity_report(stats)
+            else:
+                assert stationarity_report(stats).ks_critical_value == crit
+        assert refused == [1, 2, 3]
+
+    def test_refuses_no_probe_site(self):
+        with pytest.raises(ValueError, match="needs at least one probe site"):
+            stationarity_report(self.constant_sites(50, 0))
 
     def test_too_short_run_rejected(self):
         n = 16

@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import expm
 
 import lvfield
-from lvfield import analysis, cli, noise
+from lvfield import analysis, cli, noise, solver
 from lvfield.cli import main
 from lvfield.config import SECTIONS, parse_config_text
 from lvfield.kernel import semigroup_apply
@@ -79,9 +79,9 @@ n_paths = 2000
 """
 
 
-# Clips and leaves the truncation ball on some paths.
-STRESS = BENCH.replace("sigma1 = 0.5", "sigma1 = 6.0").replace(
-    "[solver]\n", "[solver]\ntruncation_radius = 1.0\n")
+# Clips, and leaves a truncation ball of radius 1 (set by the test) on
+# some paths.
+STRESS = BENCH.replace("sigma1 = 0.5", "sigma1 = 6.0")
 
 LINEAR = """\
 [model]
@@ -278,6 +278,8 @@ class TestRuntimeThroughput:
             return returned[-1]
 
         monkeypatch.setattr(cli, simulator, keep)
+        if text is STRESS:
+            monkeypatch.setattr(solver, "default_truncation_radius", lambda init: 1.0)
         cfg = write(tmp_path, text)
         rc = main([command, "--config", cfg, "--out", str(tmp_path / "a")])
         runtime = json.loads((tmp_path / "a" / "runtime.json").read_text())
@@ -657,18 +659,61 @@ class TestExitCodes:
         assert runtime["status"] == "error" and runtime["path_steps"] == 0
 
     def test_estimator_refusal_is_3(self, tmp_path, capsys):
-        # 10 paths are too few samples for the density test, which refuses them
-        out = tmp_path / "d"
-        assert main(["density", "--config", str(CONFIG_DIR / "density_control.ini"),
-                     "--paths", "10", "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "needs >= 2000 samples, got 10" in err
+        # U is identically zero, so every space increment of U is zero and
+        # the Hölder estimator refuses the simulated table
+        cfg = write(tmp_path, BENCH.replace("u0 = 0.5", "u0 = 0").replace(
+            "[solver]\n", "[solver]\nspace_lags = 1, 2, 3, 5, 8\nstats_after = 0.1\n"))
+        out = tmp_path / "h"
+        assert main(["holder", "--config", cfg, "--out", str(out)]) == 3
+        message = "degenerate increment table: zero moments at some lag"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "verdicts.csv").exists()
         runtime = json.loads((out / "runtime.json").read_text())
-        assert runtime["command"] == "density"
-        assert runtime["status"] == "error"
-        assert "needs >= 2000 samples, got 10" in runtime["error"]
+        assert runtime["command"] == "holder"
+        assert runtime["status"] == "error" and runtime["error"] == message
+        assert runtime["path_steps"] == 4 * 200
         assert runtime["files"] == []
+
+    # what the density and invariant estimators would refuse; invariant_control
+    # with t_final 2 records 0, 0.5, ..., 2, so 4 times after the burn-in
+    @pytest.mark.parametrize("command, config, edits, flags, key, message", [
+        ("density", "density_control.ini",
+         {"record_interval = 5e-2": "record_interval = 5e-2\nprobe_sites ="}, [],
+         "probe_sites", "density needs at least one probe site"),
+        ("density", "density_control.ini", {}, ["--paths", "10"], None,
+         "density test needs >= 2000 samples, got 10"),
+        ("invariant", "invariant_control.ini",
+         {"record_interval = 0.25": "record_interval = 0.25\nprobe_sites ="}, [],
+         "probe_sites", "invariant needs at least one probe site"),
+        ("invariant", "invariant_control.ini",
+         {"t_final = 12.0": "t_final = 2", "record_interval = 0.25": "record_interval = 0.5"},
+         ["--paths", "8"], "record_interval",
+         "only 4 recorded times after burn-in for 4 windows; "
+         "lengthen the run or refine the record grid"),
+        ("invariant", "invariant_control.ini", {}, ["--paths", "3"], None,
+         "the site KS critical value at 3 paths is 1.109, which no KS statistic exceeds; "
+         "stationarity needs more paths"),
+    ], ids=["density-no-site", "density-few-paths", "invariant-no-site",
+            "invariant-coarse-records", "invariant-few-paths"])
+    def test_estimator_input_refused_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                       command, config, edits, flags, key,
+                                                       message):
+        text = (CONFIG_DIR / config).read_text()
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = write(tmp_path, text)
+        monkeypatch.setattr(cli, "run_ensemble", None)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+        if key is None:
+            where = f"{cfg}: --paths / [run] n_paths"
+        else:
+            line = [line.split(" =")[0] for line in text.splitlines()].index(key) + 1
+            where = f"{cfg}:{line}: [solver] {key}"
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+        assert not (out / "verdicts.csv").exists()
+        runtime = json.loads((out / "runtime.json").read_text())
+        assert runtime["status"] == "error" and runtime["path_steps"] == 0
 
     def test_blowup_is_3(self, tmp_path, capsys, monkeypatch):
         def blow_up(*args, **kwargs):

@@ -161,9 +161,11 @@ class TestParseErrors:
         msg = self.err("[model]\nu0 = 1.0\n[noise]\nrepresentation = colored\n")
         assert msg.startswith("cfg.ini:4: [noise] representation: must be one of")
 
+    # the colored-noise keys, and the truncation radius, fixed at its default
     @pytest.mark.parametrize("section,key,value", [
         ("solver", "n_modes", "8"), ("noise", "n_modes", "8"),
-        ("noise", "weights", "power:1.5"), ("noise", "summability_class", "3")])
+        ("noise", "weights", "power:1.5"), ("noise", "summability_class", "3"),
+        ("solver", "truncation_radius", "20")])
     def test_removed_colored_noise_key_is_unknown(self, section, key, value):
         msg = self.err(f"[model]\nu0 = 1.0\n[{section}]\n{key} = {value}\n")
         assert msg.startswith("cfg.ini:4:")
@@ -181,7 +183,6 @@ class TestParseErrors:
         ("snapshot_times", "0.03, 0.05, 0.0502", "two snapshot times land on one step"),
         ("snapshot_times", "0.5, 0.1", "snapshot times must be in increasing order"),
         ("record_interval", "1e-4", "record_interval must be >= dt"),
-        ("truncation_radius", "-1", "truncation_radius must be positive"),
         ("probe_sites", "0.5, 1.5", "probe site 1.5 outside"),
         ("space_lags", "1, 16", "space lags must be in"),
         ("time_lags", "0", "time lags must be"),
@@ -295,7 +296,7 @@ class TestHashing:
         cfg = parse(GOOD)
         changed = {"solver": dict(
             scheme="spectral", dt=5e-4, t_final=1.0, grid_size=16,
-            snapshot_times=(0.2,), record_interval=0.01, truncation_radius=5.0,
+            snapshot_times=(0.2,), record_interval=0.01,
             probe_sites=(0.5,), stats_after=0.1, space_lag_cells=(1, 3),
             time_lag_steps=(3,), space_anchor=0.5),
             "noise": dict(master_seed=43),
@@ -322,11 +323,9 @@ class TestHashing:
         assert parse(GOOD + written).config_hash == parse(GOOD + other).config_hash
 
     # each derived default written out: record_interval t_final / 200,
-    # truncation_radius 10 (1 + sup |init|), window_end the last recorded
-    # time
+    # window_end the last recorded time
     @pytest.mark.parametrize("written", [
-        "record_interval = 0.005\n", "truncation_radius = 20\n",
-        "[extinction]\nwindow_end = 1.0\n"])
+        "record_interval = 0.005\n", "[extinction]\nwindow_end = 1.0\n"])
     def test_derived_default_written_out_hashes_alike(self, written):
         base = "[model]\nn = 8\nu0 = 1.0\n[solver]\nt_final = 1.0\n"
         assert parse(base + written).config_hash == parse(base).config_hash

@@ -73,6 +73,12 @@ def wrap_generators(monkeypatch, standard_normal):
                         lambda plan, path, species: Wrapped(original(plan, path, species)))
 
 
+def fix_radius(monkeypatch, radius):
+    """Sets the truncation radius of every run, the default_truncation_radius
+    of validate_run, to radius."""
+    monkeypatch.setattr(solver, "default_truncation_radius", lambda init: radius)
+
+
 def textbook_step(state, xi, coeffs, dt, radius, scheme):
     """from_modes(to_modes(u + dt f_n + sigma u dW) * multiplier), unclamped."""
     f = np.stack(truncated_drift(state[0], state[1], coeffs, radius))
@@ -354,14 +360,14 @@ class TestCrossSchemeDeterministic:
 # Determinism and ensemble plumbing
 # ---------------------------------------------------------------------------
 
-def small_run(n_paths=10, chunk_size=None, threads=1, seed=11, scheme="fd"):
+def small_run(n_paths=10, chunk_size=None, threads=1, seed=11, scheme="fd", path_offset=0):
     n = 32
     init = constant_field(n, 0.5, 0.4)
     coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4)
     plan = NoisePlan(master_seed=seed)
     cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-3, t_final=0.1,
                        record_interval=2e-2)
-    return run_ensemble(init, coeffs, plan, cfg, n_paths=n_paths,
+    return run_ensemble(init, coeffs, plan, cfg, n_paths=n_paths, path_offset=path_offset,
                         chunk_size=chunk_size, threads=threads)
 
 
@@ -377,10 +383,8 @@ class TestDeterminism:
     def test_chunking_does_not_change_results(self, scheme):
         a = small_run(chunk_size=10, scheme=scheme)
         b = small_run(chunk_size=3, scheme=scheme)
-        assert np.array_equal(a.path_indices, b.path_indices)
-        assert np.array_equal(a.mass_u, b.mass_u)
-        assert np.array_equal(a.site_v, b.site_v)
-        assert np.array_equal(a.clip_max_ratio, b.clip_max_ratio)
+        for name in EnsembleStats.PER_PATH_FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     @pytest.mark.parametrize("scheme", ["fd", "spectral"])
     def test_threads_do_not_change_results(self, scheme):
@@ -482,23 +486,16 @@ class TestEnsembleStats:
         assert stats.mass_u.shape == (3, stats.times.size)
         assert stats.site_u.shape[2] == stats.site_x.size
 
-    def test_merge_requires_disjoint_paths(self):
-        a = small_run(n_paths=4)
-        with pytest.raises(ValueError, match="overlap"):
-            a.merge(a)
-
     def test_merge_concatenates_in_order(self):
-        a = small_run(n_paths=10)
-        parts = small_run(n_paths=10, chunk_size=4)
-        assert np.array_equal(parts.path_indices, np.arange(10))
-        assert np.array_equal(a.mass_v, parts.mass_v)
-        first = small_run(n_paths=3)
-        second = small_run(n_paths=7)
-        second.path_indices = second.path_indices + 3
-        merged = first.merge(second)
+        whole = small_run(n_paths=10)
+        parts = [small_run(n_paths=3), small_run(n_paths=2, path_offset=3),
+                 small_run(n_paths=5, path_offset=5)]
+        merged = EnsembleStats.merge(parts)
+        assert merged.n_paths == 10
         for name in EnsembleStats.PER_PATH_FIELDS:
-            assert getattr(merged, name).shape[0] == 3 + 7, name
-            assert np.array_equal(getattr(merged, name)[:3], getattr(first, name)), name
+            assert np.array_equal(getattr(merged, name), getattr(whole, name)), name
+        for name in ("times", "site_x", "space_lags", "space_count", "time_lags", "time_count"):
+            assert np.array_equal(getattr(merged, name), getattr(whole, name)), name
 
     def test_per_path_fields_are_the_path_axis_fields(self):
         # 7 paths, and no other axis of any field has length 7, so a field's
@@ -516,12 +513,12 @@ class TestEnsembleStats:
         assert len(set(EnsembleStats.PER_PATH_FIELDS)) == len(EnsembleStats.PER_PATH_FIELDS)
         assert leading == set(EnsembleStats.PER_PATH_FIELDS)
 
-    def test_exit_probe_fires(self):
+    def test_exit_probe_fires(self, monkeypatch):
+        fix_radius(monkeypatch, 6.0)
         n = 16
         init = constant_field(n, 5.0, 0.0)
         coeffs = CoefficientSet.constant(n, m1=3.0)
-        cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=1.0,
-                           truncation_radius=6.0)
+        cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=1.0)
         stats = run_ensemble(init, coeffs, NoisePlan(master_seed=0), cfg, n_paths=2)
         assert stats.exit_fraction() == 1.0
         # deterministic growth e^{3t} from 5 crosses 6 near t = ln(1.2)/3
@@ -529,13 +526,14 @@ class TestEnsembleStats:
         assert abs(t_exit - np.log(6.0 / 5.0) / 3.0) < 5e-3
         assert np.all(np.isfinite(stats.supnorm))
 
-    def test_exit_step_independent_of_chunks_and_workers(self):
+    def test_exit_step_independent_of_chunks_and_workers(self, monkeypatch):
         # noisy growth from 1 crosses the radius 3 at a different step on
-        # each path
+        # each path; the forked pool workers inherit the radius
+        fix_radius(monkeypatch, 3.0)
         n = 16
         init = constant_field(n, 1.0, 0.5)
         coeffs = CoefficientSet.constant(n, m1=2.0, sigma1=1.0, m2=0.5, sigma2=0.5)
-        cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=1.0, truncation_radius=3.0)
+        cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=1.0)
         runs = [run_ensemble(init, coeffs, NoisePlan(master_seed=5), cfg, n_paths=8,
                              chunk_size=chunk, threads=threads)
                 for chunk, threads in ((None, 1), (3, 1), (1, 1), (None, 2), (3, 2))]
@@ -662,8 +660,9 @@ class TestTruncation:
             return euler_step(state, *args, inside=inside, **kwargs)
 
         monkeypatch.setattr(solver, "euler_step", recording_step)
+        fix_radius(monkeypatch, 6.0)
         n = 16
-        cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=0.1, truncation_radius=6.0)
+        cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=0.1)
         stats = run_ensemble(constant_field(n, 5.0, 0.0), CoefficientSet.constant(n, m1=3.0),
                              NoisePlan(master_seed=0), cfg, n_paths=2)
         exit_step = int(stats.exit_step[0])
@@ -807,6 +806,11 @@ class TestLiveSpecies:
         assert np.all(pair_ratio == 0.0)
         assert ratio is None or np.array_equal(ratio[0], pair_ratio[alive])
 
+    @pytest.fixture(autouse=True)
+    def small_ball(self, monkeypatch):
+        # paths leave the ball of radius 0.7, so the projection is exercised
+        fix_radius(monkeypatch, 0.7)
+
     def run(self, scheme, u0=0.5, v0=0.0, seed=13, n_paths=3, **coefficients):
         n = 32
         x = cell_centers(n)
@@ -816,7 +820,7 @@ class TestLiveSpecies:
         coeffs = CoefficientSet.constant(n, **values)
         plan = NoisePlan(master_seed=seed)
         cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-3, t_final=0.1,
-                           record_interval=1e-2, truncation_radius=0.7, stats_after=0.05,
+                           record_interval=1e-2, stats_after=0.05,
                            space_lag_cells=(1, 2), time_lag_steps=(1, 3))
         return run_ensemble(Field(profile(u0), profile(v0)), coeffs, plan, cfg, n_paths)
 
