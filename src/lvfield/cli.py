@@ -14,11 +14,13 @@ config or usage error, 3 on a blowup, an estimator refusing its input or
 a crash (with its traceback on stderr); exits 2 and 3 write no
 verdicts.csv.  Exit 2 covers what a command's estimators would refuse,
 caught before anything is simulated: holder lags too few or too narrow,
-an extinction tail window with fewer than 3 record times, invariant and
-density without a probe site, an invariant record grid too coarse for the
-flat-tail or stationarity windows, and a path count (--paths or [run]
-n_paths) below density's sample minimum or too small for the invariant
-site KS test to fail.  Once the output directory exists,
+holder and invariant on a U that is identically zero, an extinction tail
+window with fewer than 3 record times, invariant and density without a
+probe site, an invariant record grid too coarse for the flat-tail or
+stationarity windows, and a path count (--paths or [run] n_paths) below
+density's sample minimum or too small for the invariant site KS test to
+fail.  An output directory (--out or [run] output_dir) that cannot be made
+exits 2 too.  Once the output directory exists,
 runtime.json records the outcome as its status: "ok", "checks-failed" or
 "error" (with the message).
 """
@@ -46,7 +48,7 @@ from .analysis import (SERIES_COLUMNS, check_density_samples, check_lag_coverage
                        stationarity_windows, tail_window_mask)
 from .config import ConfigError, ExperimentConfig, load_config
 from .noise import SPECIES_U, SPECIES_V
-from .solver import SimulationBlowup, Trajectory, chunk_plan, run_ensemble, simulate_path
+from .solver import SimulationBlowup, chunk_plan, run_ensemble, simulate_path
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +145,10 @@ class EnsembleMeter:
 
     def run(self, simulate, init, coeffs, plan, config, *args, **kwargs):
         start = time.perf_counter()
-        out = simulate(init, coeffs, plan, config, *args, **kwargs)
+        stats = simulate(init, coeffs, plan, config, *args, **kwargs)
         self.seconds += time.perf_counter() - start
-        stats, snapshots = (out.stats, out.snapshots) if isinstance(out, Trajectory) else (out, ())
         self.path_steps += stats.n_paths * config.n_steps
-        # simulate_path runs one path in the calling process, as a one-path
-        # run_ensemble would
+        # simulate_path is the one-path run_ensemble, in the calling process
         chunks, workers = chunk_plan(stats.n_paths, kwargs.get("threads", 1))
         self.chunks += len(chunks)
         self.workers = max(self.workers, workers)
@@ -156,8 +156,8 @@ class EnsembleMeter:
         self.exited_paths += int(np.count_nonzero(stats.exit_step >= 0))
         self.clip_steps += int(stats.clip_events.sum())
         self.clip_max_ratio = max(self.clip_max_ratio, float(stats.clip_max_ratio.max()))
-        self.recorded_floor = min(self.recorded_floor, recorded_floor(stats, snapshots))
-        return out
+        self.recorded_floor = min(self.recorded_floor, recorded_floor(stats, stats.snapshots))
+        return stats
 
 
 def _build(cfg: ExperimentConfig):
@@ -193,13 +193,13 @@ def cmd_noise_check(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     init, coeffs, plan, sconf = _build(cfg)
     sconf = replace(sconf, snapshot_times=sconf.snapshot_times or (sconf.t_final,))
-    traj = meter.run(simulate_path, init, coeffs, plan, sconf, path_index=0)
+    stats = meter.run(simulate_path, init, coeffs, plan, sconf, path_index=0)
 
     path = out_dir / "snapshots.ndjson"
-    write_snapshots(path, cfg, traj.snapshots)
-    return (positivity_verdicts(traj.stats, traj.snapshots)
-            + mild_log_functional_audit(traj.snapshots, coeffs)
-            + logistic_verdicts(traj.stats, coeffs, init)), [path]
+    write_snapshots(path, cfg, stats.snapshots)
+    return (positivity_verdicts(stats, stats.snapshots)
+            + mild_log_functional_audit(stats.snapshots, coeffs)
+            + logistic_verdicts(stats, coeffs, init)), [path]
 
 
 def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
@@ -215,9 +215,17 @@ def cmd_ensemble(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
     return verdicts, [path, summary]
 
 
+def _refuse_zero_u(cfg: ExperimentConfig, command: str) -> None:
+    """Refuse a U that is identically zero, and so stays zero, for a command
+    whose checks read the increments or the law of U."""
+    if not cfg.initial_field().u.any():
+        raise cfg.error("model", "u0", f"{command} tests U, and u0 is zero on the grid")
+
+
 def cmd_holder(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
-    # Refuse lag sets the estimator would refuse before paying for the
-    # ensemble; the lags are the ones the solver records.
+    # Refuse a zero U and lag sets the estimator would refuse before paying
+    # for the ensemble; the lags are the ones the solver records.
+    _refuse_zero_u(cfg, "holder")
     lag_sets = tuple(zip(("space_lags", "time_lags"), cfg.solver.recorded_lags()))
     if not any(lags.size for _, lags in lag_sets):
         raise ConfigError("holder needs space_lags or time_lags in [solver]",
@@ -283,9 +291,10 @@ def _refuse_paths(cfg: ExperimentConfig, check) -> None:
 
 
 def cmd_invariant(cfg: ExperimentConfig, out_dir: Path, meter: EnsembleMeter):
-    # refuse what the estimators would refuse before paying for the
-    # ensemble: no probe site, a record grid too coarse for their windows,
-    # too few paths for the site KS test
+    # refuse what the estimators would refuse or could not fail on before
+    # paying for the ensemble: a zero U, no probe site, a record grid too
+    # coarse for their windows, too few paths for the site KS test
+    _refuse_zero_u(cfg, "invariant")
     if not cfg.solver.probe_sites:
         raise cfg.error("solver", "probe_sites", "invariant needs at least one probe site")
     times = cfg.solver.record_steps() * cfg.solver.dt
@@ -387,7 +396,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config).with_overrides(
             seed=args.seed, n_paths=args.paths, threads=args.threads)
         out_dir = Path(args.out or cfg.run.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            message = f"cannot make the output directory: {e}"
+            raise (ConfigError(f"--out: {message}") if args.out
+                   else cfg.error("run", "output_dir", message)) from None
         verdicts, files = args.func(cfg, out_dir, meter)
     except Exception as e:
         message = str(e)

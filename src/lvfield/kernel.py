@@ -36,8 +36,8 @@ from .grid import cell_centers, from_modes, to_modes
 # Eigen series truncation rule: keep modes until exp(-K^2 pi^2 t) < MODE_TOL.
 MODE_TOL = 1e-14
 
-# Representation switch of heat_kernel.  Both representations are well
-# converged near the switch point with the default truncations.
+# Representation switch of kernel_mass_defect.  Both representations are
+# well converged near the switch point with the default truncations.
 T_SWITCH = 0.01
 
 # Images n = -N_IMAGES..N_IMAGES of the image sum.  The tail decays like
@@ -95,22 +95,17 @@ def kernel_eigen_series(t, x, y):
     return out if out.ndim else float(out)
 
 
-def heat_kernel(t, x, y):
-    """Neumann heat kernel: the image sum below T_SWITCH, the eigen series above."""
-    if t < T_SWITCH:
-        return kernel_image_sum(t, x, y)
-    return kernel_eigen_series(t, x, y)
-
-
 def kernel_mass_defect(t: float, x, n_quad: int = DEFAULT_N_QUAD) -> float:
     """Max |h sum_q G_t(x, xi_q) - 1| over the given x values.
 
     Conservation of mass under Neumann boundary conditions; the quadrature is
-    the literal midpoint sum of heat_kernel.
+    the literal midpoint sum of the kernel, the image sum below T_SWITCH and
+    the eigen series above.
     """
     xi = cell_centers(n_quad)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = heat_kernel(t, x[:, None], xi[None, :])
+    kernel = kernel_image_sum if t < T_SWITCH else kernel_eigen_series
+    vals = kernel(t, x[:, None], xi[None, :])
     return float(np.max(np.abs(vals.mean(axis=-1) - 1.0)))
 
 
@@ -159,46 +154,41 @@ def gaussian_comparison_sweep(times) -> tuple[float, float]:
 # the eigen modes at n_quad - 1; n_time: midpoint cells of the time integral.
 # ---------------------------------------------------------------------------
 
-def _diag_quadrature(const_coeff, cos_coeffs):
-    # xi-midpoint quadrature of (const + sum_n c_n cos(n pi xi))^2 via
-    # orthogonality; equals the literal grid sum for K < n_quad.
-    return const_coeff**2 + 0.5 * np.sum(cos_coeffs**2, axis=-1)
+def _modes(t_min: float, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
+    # The eigen modes n = 1 .. K of the shortest time t_min and their
+    # eigenvalues n^2 pi^2.
+    n = np.arange(1, modes_for_time(float(t_min), n_quad) + 1)
+    return n, n**2 * np.pi**2
+
+
+def _squared_series(decay, profile, const=0.0):
+    # xi-midpoint quadrature of (const + sum_n 2 decay_n profile_n
+    # cos(n pi xi))^2 for each row of decay, via orthogonality; equals the
+    # literal grid sum for K < n_quad.
+    coeffs = 2.0 * decay * profile
+    return const**2 + 0.5 * np.sum(coeffs**2, axis=-1)
 
 
 def _space_increment_integrand(times, x, y, n_quad):
     # int (G_u(x, .) - G_u(y, .))^2 dxi for each u in times; the constant
     # modes cancel in the difference.
-    times = np.asarray(times, dtype=float)
-    k = modes_for_time(float(times.min()), n_quad)
-    n = np.arange(1, k + 1)
-    coeffs = 2.0 * np.exp(-np.outer(times, n**2 * np.pi**2)) * (
-        np.cos(n * np.pi * x) - np.cos(n * np.pi * y)
-    )
-    const = np.zeros(len(times))
-    return _diag_quadrature(const, coeffs)
+    n, lam = _modes(np.min(times), n_quad)
+    return _squared_series(np.exp(-np.outer(times, lam)),
+                           np.cos(n * np.pi * x) - np.cos(n * np.pi * y))
 
 
 def _square_integrand(times, x, n_quad):
     # int G_u(x, .)^2 dxi for each u in times.
-    times = np.asarray(times, dtype=float)
-    k = modes_for_time(float(times.min()), n_quad)
-    n = np.arange(1, k + 1)
-    coeffs = 2.0 * np.exp(-np.outer(times, n**2 * np.pi**2)) * np.cos(n * np.pi * x)
-    const = np.ones(len(times))
-    return _diag_quadrature(const, coeffs)
+    n, lam = _modes(np.min(times), n_quad)
+    return _squared_series(np.exp(-np.outer(times, lam)), np.cos(n * np.pi * x), const=1.0)
 
 
 def _time_increment_integrand(gaps_t, gaps_s, x, n_quad):
     # int (G_{u}(x, .) - G_{v}(x, .))^2 dxi for paired times u = gaps_t,
     # v = gaps_s; constants cancel.
-    gaps_t = np.asarray(gaps_t, dtype=float)
-    gaps_s = np.asarray(gaps_s, dtype=float)
-    k = modes_for_time(float(min(gaps_t.min(), gaps_s.min())), n_quad)
-    n = np.arange(1, k + 1)
-    lam = n**2 * np.pi**2
-    coeffs = 2.0 * (np.exp(-np.outer(gaps_t, lam)) - np.exp(-np.outer(gaps_s, lam))) * np.cos(n * np.pi * x)
-    const = np.zeros(len(gaps_t))
-    return _diag_quadrature(const, coeffs)
+    n, lam = _modes(min(np.min(gaps_t), np.min(gaps_s)), n_quad)
+    return _squared_series(np.exp(-np.outer(gaps_t, lam)) - np.exp(-np.outer(gaps_s, lam)),
+                           np.cos(n * np.pi * x))
 
 
 def _time_integral(integrand, length: float, n_time: int) -> float:

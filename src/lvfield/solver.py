@@ -53,18 +53,19 @@ truncation, whose per-cell check is skipped while every cell is inside the
 ball.  One min reduction skips the clamp, and the loop's clip bookkeeping,
 when every cell is positive.  Beyond that a step only copies: the state
 into a preallocated buffer at each record step, U at the probe sites into
-a ring from the first step of the increment statistics on, and the
-snapshot fields.  The records (masses, sup-norm, roughness, probe-site
-values) and the space and time increment sums of those steps are taken at
-each block edge, in one vectorised pass over the block's steps.  Each
-per-path sum adds its increments in step order (np.add.accumulate from the
-running sum), so the sums carry the bits of one addition per step whatever
-the block layout.
+a ring from the first step of the increment statistics on, and the first
+path's fields at the snapshot times.  The records (masses, sup-norm,
+roughness, probe-site values) and the space and time increment sums of
+those steps are taken at each block edge, in one vectorised pass over the
+block's steps.  Each per-path sum adds its increments in step order
+(np.add.accumulate from the running sum), so the sums carry the bits of one
+addition per step whatever the block layout.
 run_ensemble cuts the paths into chunks of CHUNK_PATHS, the last one
 shorter, whatever the thread count: at 64 paths and n = 128 the step's
 state-sized arrays fit together in a 2 MB L2 cache, and smaller chunks pay
 the per-step Python overhead more often.  The threads only pick how many
-processes run the chunks; one chunk runs in the calling process.
+processes run the chunks; one chunk runs in the calling process.  Every
+run, simulate_path's one path too, returns one EnsembleStats.
 
 Normals are drawn in blocks of steps, one block ahead, by the loop and one
 helper thread together.  A block's draw is one task per (live species,
@@ -92,6 +93,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -136,8 +138,8 @@ class SolverConfig:
     grid_size : int
         Number of cells.
     snapshot_times : tuple of float
-        Increasing times at which full fields are kept (single-path runs),
-        at most one per step.
+        Increasing times at which the full fields of the run's first path
+        are kept, at most one per step.
     record_interval : float, optional
         Spacing of the scalar record series; defaults to t_final / 200.
     probe_sites : tuple of float
@@ -394,7 +396,8 @@ def euler_step(state: np.ndarray, noise: np.ndarray, coeffs: CoefficientSet, dt:
 
 @dataclass
 class EnsembleStats:
-    """Per-path summary series and increment statistics of an ensemble.
+    """Per-path summary series and increment statistics of a run, one path
+    or many, and the snapshot fields of its first path.
 
     All per-path arrays have the path axis first, in path order; merge
     joins the chunks of one run by concatenation along it, so chunked and
@@ -421,6 +424,7 @@ class EnsembleStats:
     time_p2: np.ndarray             # (P, K) summed squared probe-site increments
     time_p4: np.ndarray             # (P, K) summed fourth powers
     time_count: np.ndarray          # (K,) increments summed per path
+    snapshots: list                 # Fields of the first path at snapshot_times
 
     # The fields with the path axis first; merge concatenates exactly these.
     PER_PATH_FIELDS = ("mass_u", "mass_v", "supnorm", "rough_u", "site_u", "site_v",
@@ -454,14 +458,6 @@ class _DrawBlock:
         self.tasks = iter(range(n_tasks))
 
 
-@dataclass
-class Trajectory:
-    """A single path: snapshot fields plus its record series."""
-
-    snapshots: list
-    stats: EnsembleStats
-
-
 def _add_in_order(total: np.ndarray, parts: np.ndarray) -> None:
     # total += parts[0], then parts[1], ...: one rounding per addition in
     # that order, the bits of one addition per step
@@ -470,8 +466,7 @@ def _add_in_order(total: np.ndarray, parts: np.ndarray) -> None:
 
 
 def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
-               config: SolverConfig, path_indices,
-               keep_snapshots: bool = False) -> tuple[EnsembleStats, list]:
+               config: SolverConfig, path_indices) -> EnsembleStats:
     radius = validate_run(config, coeffs, init)
 
     path_indices = np.asarray(path_indices, dtype=np.int64)
@@ -500,9 +495,7 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     n_rec = record_steps.size
 
     # at most one snapshot time per step (SolverConfig refuses two)
-    snapshot_steps = ({round(t / dt): t for t in config.snapshot_times}
-                      if keep_snapshots else {})
-    snapshots = []
+    snapshot_steps = {round(t / dt): t for t in config.snapshot_times}
 
     site_idx = config.site_indices()
     n_sites = site_idx.size
@@ -524,7 +517,7 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
         space_count=np.zeros(space_lags.size, dtype=np.int64),
         time_lags=time_lag_t, time_p2=np.zeros((p, time_lags.size)),
         time_p4=np.zeros((p, time_lags.size)),
-        time_count=np.zeros(time_lags.size, dtype=np.int64))
+        time_count=np.zeros(time_lags.size, dtype=np.int64), snapshots=[])
 
     # the first step whose state enters the increment statistics
     stats_start = n_steps + 1 if config.stats_after is None else round(config.stats_after / dt)
@@ -638,8 +631,8 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
 
     def keep(step: int) -> None:
         # The copies of the state after `step` steps (step 0 is the initial
-        # state) that the block edge and the snapshots read; the state is
-        # work[step % 2].
+        # state) that the block edge reads, and the first path's snapshot;
+        # the state is work[step % 2].
         nonlocal n_kept, next_record
         u, v = work_fields[step % 2]
         if step >= ring_from:
@@ -649,7 +642,7 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
             n_kept += 1
             next_record = next(next_records, None)
         if step in snapshot_steps:
-            snapshots.append(Field(u[0].copy(), v[0].copy(), time=snapshot_steps[step]))
+            stats.snapshots.append(Field(u[0].copy(), v[0].copy(), time=snapshot_steps[step]))
 
     # The state alternates between two work arrays; the one a step has just
     # left takes U^2 + V^2 of the new state.  The growth terms at
@@ -719,20 +712,6 @@ def _run_paths(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                 keep(step)
             flush(step)
 
-    return stats, snapshots
-
-
-def simulate_path(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
-                  config: SolverConfig, path_index: int = 0) -> Trajectory:
-    """Advance one path, keeping full fields at the configured snapshot times."""
-    stats, snapshots = _run_paths(init, coeffs, plan, config, [path_index],
-                                  keep_snapshots=True)
-    return Trajectory(snapshots=snapshots, stats=stats)
-
-
-def _worker(args):
-    init, coeffs, plan, config, chunk = args
-    stats, _ = _run_paths(init, coeffs, plan, config, chunk)
     return stats
 
 
@@ -756,23 +735,30 @@ def chunk_plan(n_paths: int, threads: int = 1,
 def run_ensemble(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
                  config: SolverConfig, n_paths: int, path_offset: int = 0,
                  threads: int = 1, chunk_size: int | None = None) -> EnsembleStats:
-    """Advance n_paths independent paths and collect their statistics.
+    """Advance n_paths independent paths, numbered from path_offset: their
+    statistics and the snapshot fields of the first, path path_offset.
 
-    The paths run in the chunks of chunk_plan(n_paths, threads, chunk_size),
-    numbered from path_offset; a single process runs them in the calling
-    one.  Two or more chunks are joined by one EnsembleStats.merge.  The
-    thread count never changes results; the chunk size only where the gemm
-    rows depend on the row count (see the module docstring).
+    The paths run in the chunks of chunk_plan(n_paths, threads, chunk_size);
+    a single process runs them in the calling one.  Two or more chunks are
+    joined by one EnsembleStats.merge.  The thread count never changes
+    results; the chunk size only where the gemm rows depend on the row count.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     chunks, workers = chunk_plan(n_paths, threads, chunk_size)
-    jobs = [(init, coeffs, plan, config, np.arange(path_offset + c.start, path_offset + c.stop))
-            for c in chunks]
+    run = partial(_run_paths, init, coeffs, plan, config)
+    paths = [np.arange(path_offset + c.start, path_offset + c.stop) for c in chunks]
     if workers == 1:
-        results = [_worker(job) for job in jobs]
+        results = list(map(run, paths))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_worker, jobs))
+            results = list(pool.map(run, paths))
 
     return results[0] if len(results) == 1 else EnsembleStats.merge(results)
+
+
+def simulate_path(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
+                  config: SolverConfig, path_index: int = 0) -> EnsembleStats:
+    """Advance path path_index alone: the one-path run_ensemble, its
+    snapshot fields at the configured snapshot times."""
+    return run_ensemble(init, coeffs, plan, config, 1, path_offset=path_index)

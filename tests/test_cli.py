@@ -194,7 +194,7 @@ class TestSimulate:
         # the closed form written with the carrying capacity, u0/(1 + a u0 t) at m = 0
         econf = parse_config_text(text)
         stats = simulate_path(econf.initial_field(), econf.coefficient_set(),
-                              econf.noise_plan(), econf.solver_config()).stats
+                              econf.noise_plan(), econf.solver_config())
         t = stats.times
         exact = (u0 / (1 + a * u0 * t) if m == 0 else
                  (m / a) * u0 / (u0 + (m / a - u0) * np.exp(-m * t)))
@@ -290,10 +290,9 @@ class TestRuntimeThroughput:
         assert sorted(runtime["files"]) == sorted(tree_bytes(tmp_path / "a"))
 
         # the positivity counters are those of the returned ensemble
-        (out,) = returned
-        stats, snapshots = (out.stats, out.snapshots) if command == "simulate" else (out, [])
+        (stats,) = returned
         recorded = [stats.mass_u, stats.mass_v, stats.site_u, stats.site_v]
-        recorded += [a for snap in snapshots for a in (snap.u, snap.v)]
+        recorded += [a for snap in stats.snapshots for a in (snap.u, snap.v)]
         assert runtime["recorded_floor"] == min(float(np.min(a)) for a in recorded)
         assert runtime["clip_max_ratio"] == float(np.max(stats.clip_max_ratio))
         assert runtime["clip_steps"] == int(np.sum(stats.clip_events))
@@ -658,9 +657,11 @@ class TestExitCodes:
         runtime = json.loads((out / "runtime.json").read_text())
         assert runtime["status"] == "error" and runtime["path_steps"] == 0
 
-    def test_estimator_refusal_is_3(self, tmp_path, capsys):
+    def test_estimator_refusal_is_3(self, tmp_path, capsys, monkeypatch):
         # U is identically zero, so every space increment of U is zero and
-        # the Hölder estimator refuses the simulated table
+        # the Hölder estimator refuses the simulated table; the command's
+        # own refusal of a zero U, before simulating, is lifted to get there
+        monkeypatch.setattr(cli, "_refuse_zero_u", lambda cfg, command: None)
         cfg = write(tmp_path, BENCH.replace("u0 = 0.5", "u0 = 0").replace(
             "[solver]\n", "[solver]\nspace_lags = 1, 2, 3, 5, 8\nstats_after = 0.1\n"))
         out = tmp_path / "h"
@@ -714,6 +715,50 @@ class TestExitCodes:
         assert not (out / "verdicts.csv").exists()
         runtime = json.loads((out / "runtime.json").read_text())
         assert runtime["status"] == "error" and runtime["path_steps"] == 0
+
+    # a zero U stays zero: holder's estimator would refuse its increments,
+    # and invariant's site KS test would compare two all-zero samples
+    @pytest.mark.parametrize("command, text, flags", [
+        ("holder", BENCH.replace("u0 = 0.5", "u0 = 0").replace(
+            "[solver]\n", "[solver]\nspace_lags = 1, 2, 3, 5, 8\nstats_after = 0.1\n"), []),
+        ("invariant", (CONFIG_DIR / "invariant_control.ini").read_text().replace(
+            "u0 = 0.5", "u0 = 0\nv0 = 0.5").replace(
+            "record_interval = 0.25", "record_interval = 0.25\nprobe_sites = 0.2, 0.5, 0.8"),
+         ["--paths", "8"]),
+    ], ids=["holder", "invariant"])
+    def test_zero_u_refused_before_simulating(self, tmp_path, capsys, monkeypatch, command,
+                                              text, flags):
+        cfg = write(tmp_path, text)
+        monkeypatch.setattr(cli, "run_ensemble", None)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+        line = text.splitlines().index("u0 = 0") + 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:{line}: [model] u0: {command} tests U, and u0 is zero on the grid\n")
+        assert not (out / "verdicts.csv").exists()
+        runtime = json.loads((out / "runtime.json").read_text())
+        assert runtime["status"] == "error" and runtime["path_steps"] == 0
+
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("via", ["--out", "output_dir"])
+    def test_unusable_output_directory_is_2(self, tmp_path, capsys, monkeypatch, via,
+                                            under_file):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if under_file else blocker
+        monkeypatch.setattr(cli, "simulate_path", None)
+        if via == "--out":
+            cfg, flags, where = write(tmp_path, BENCH), ["--out", str(out)], "--out"
+        else:
+            text = BENCH.replace("n_paths = 4\n", f"n_paths = 4\noutput_dir = {out}\n")
+            cfg, flags = write(tmp_path, text), []
+            line = text.splitlines().index(f"output_dir = {out}") + 1
+            where = f"{cfg}:{line}: [run] output_dir"
+        assert main(["simulate", "--config", cfg, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: cannot make the output directory: ")
+        assert "Traceback" not in err and str(out) in err
+        assert blocker.read_text() == "kept\n"
 
     def test_blowup_is_3(self, tmp_path, capsys, monkeypatch):
         def blow_up(*args, **kwargs):

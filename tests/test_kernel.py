@@ -10,7 +10,6 @@ from lvfield.grid import cell_centers, from_modes, to_modes
 from lvfield.kernel import (
     DEFAULT_N_QUAD,
     gaussian_comparison_sweep,
-    heat_kernel,
     kernel_eigen_series,
     kernel_image_sum,
     kernel_mass_defect,
@@ -125,11 +124,10 @@ class TestRepresentations:
 
     def test_auto_switch_is_seamless(self):
         # Both representations are fully converged at the switch time, so
-        # heat_kernel has no representation jump there.
-        for t in (0.00999, 0.01001):
+        # kernel_mass_defect's switch between them makes no jump there.
+        for t in (kernel.T_SWITCH * (1 - 1e-3), kernel.T_SWITCH, kernel.T_SWITCH * (1 + 1e-3)):
             img = kernel_image_sum(t, 0.4, 0.6)
             eig = kernel_eigen_series(t, 0.4, 0.6)
-            assert heat_kernel(t, 0.4, 0.6) == (img if t < 0.01 else eig)
             assert img == pytest.approx(eig, abs=1e-12)
 
     def test_invalid_inputs(self):
@@ -224,8 +222,9 @@ class TestIncrementFunctionals:
     def test_diagonal_equals_literal_quadrature(self, functional, kwargs, small, monkeypatch):
         # The orthogonality shortcut must reproduce the literal midpoint sum.
         a = functional(**kwargs, **small)
-        monkeypatch.setattr(kernel, "_diag_quadrature", lambda const, coeffs: quadrature_literal(
-            const, coeffs, _SMALL["n_quad"]))
+        monkeypatch.setattr(kernel, "_squared_series", lambda decay, profile, const=0.0:
+                            quadrature_literal(np.asarray(const), 2.0 * decay * profile,
+                                               _SMALL["n_quad"]))
         b = functional(**kwargs, **small)
         assert a == pytest.approx(b, rel=1e-12)
 

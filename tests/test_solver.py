@@ -371,6 +371,30 @@ def small_run(n_paths=10, chunk_size=None, threads=1, seed=11, scheme="fd", path
                         chunk_size=chunk_size, threads=threads)
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """run_ensemble's process pool run in process: returns the log of each
+    pool's max_workers, followed by the path count of each chunk it maps."""
+    class InlinePool:
+        def __init__(self, max_workers):
+            jobs.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            jobs.extend(len(chunk) for chunk in chunks)
+            return map(fn, chunks)
+
+    jobs = []
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", InlinePool)
+    return jobs
+
+
 class TestDeterminism:
     def test_replay_is_bit_identical(self):
         a = small_run()
@@ -394,24 +418,8 @@ class TestDeterminism:
         assert np.array_equal(a.site_u, b.site_u)
 
     @pytest.mark.parametrize("scheme", ["fd", "spectral"])
-    def test_default_plan_cuts_fixed_chunks_whatever_the_threads(self, scheme, monkeypatch):
-        class InlinePool:
-            def __init__(self, max_workers):
-                jobs.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                args = list(args)
-                jobs.extend(len(arg[-1]) for arg in args)
-                return map(fn, args)
-
-        jobs = []
-        monkeypatch.setattr(solver, "ProcessPoolExecutor", InlinePool)
+    def test_default_plan_cuts_fixed_chunks_whatever_the_threads(self, scheme, inline_pool):
+        jobs = inline_pool
         for n_paths, pooled in ((130, [2, 64, 64, 2]), (10, [])):
             jobs.clear()
             a = small_run(n_paths=n_paths, threads=1, scheme=scheme)
@@ -458,10 +466,38 @@ class TestDeterminism:
                            record_interval=2e-2)
         ensemble = run_ensemble(init, coeffs, plan, cfg, n_paths=5, path_offset=3)
         for row, index in ((0, 3), (2, 5)):
-            single = simulate_path(init, coeffs, plan, cfg, path_index=index).stats
+            single = simulate_path(init, coeffs, plan, cfg, path_index=index)
             for name in EnsembleStats.PER_PATH_FIELDS:
                 assert np.array_equal(getattr(single, name)[0], getattr(ensemble, name)[row]), \
                     (name, index)
+
+    @pytest.mark.parametrize("scheme", ["fd", "spectral"])
+    def test_ensemble_snapshots_are_its_first_paths(self, scheme, inline_pool):
+        # 130 paths are chunks of 64, 64 and 2, run in process or on two
+        # workers; the snapshots are those of path path_offset, bit for bit
+        # what simulate_path keeps of it
+        n = 32
+        x = cell_centers(n)
+        init = Field(0.5 + 0.2 * np.cos(np.pi * x), np.full(n, 0.4))
+        coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4)
+        plan = NoisePlan(master_seed=23)
+        cfg = SolverConfig(scheme=scheme, grid_size=n, dt=2e-3, t_final=0.1,
+                           snapshot_times=(0.0, 0.05, 0.1))
+        finals = []
+        for offset in (0, 7):
+            single = simulate_path(init, coeffs, plan, cfg, path_index=offset)
+            assert [snap.time for snap in single.snapshots] == [0.0, 0.05, 0.1]
+            finals.append(single.snapshots[-1].u)
+            for threads in (1, 2):
+                inline_pool.clear()
+                ensemble = run_ensemble(init, coeffs, plan, cfg, n_paths=130,
+                                        path_offset=offset, threads=threads)
+                assert inline_pool == ([] if threads == 1 else [2, 64, 64, 2])
+                for got, want in zip(ensemble.snapshots, single.snapshots, strict=True):
+                    assert got.time == want.time
+                    assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v), \
+                        (offset, threads, got.time)
+        assert not np.array_equal(*finals)
 
     def test_different_seeds_differ(self):
         a = small_run(seed=11)
@@ -1131,8 +1167,8 @@ class TestDrawAhead:
                 for name in EnsembleStats.PER_PATH_FIELDS:
                     assert np.array_equal(getattr(other, name), getattr(ref, name)), \
                         (name, *where)
-                    assert np.array_equal(getattr(path.stats, name),
-                                          getattr(ref_path.stats, name)), (name, *where)
+                    assert np.array_equal(getattr(path, name), getattr(ref_path, name)), \
+                        (name, *where)
                 for got, want in zip(path.snapshots, ref_path.snapshots, strict=True):
                     assert got.time == want.time, where
                     assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v), \
