@@ -341,7 +341,7 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as e:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config: {e}", str(path)) from e
     return parse_config_text(text, str(path))

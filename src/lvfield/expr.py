@@ -1,32 +1,23 @@
-"""Tiny expression language for coefficient and initial-condition profiles.
+"""Profile expressions: the coefficients and initial data as arithmetic in x.
 
-Grammar (EBNF):
-
-    expr    := term { ("+" | "-") term }
-    term    := factor { "*" factor }
-    factor  := ("+" | "-") factor | power
-    power   := atom [ "^" signed_number ]
-    atom    := number | "x" | func "(" expr ")" | "(" expr ")"
-    func    := "cos" | "sin" | "exp" | "abs"
-    number  := decimal literal, e.g. 2, 0.3, 1e-3
-
-The variable is always called x; profiles are evaluated on the cell-center
-grid.  Exponents are numeric literals only, so the parser stays total and
-errors carry a column.  A fractional power of a negative base evaluates to
-nan and is rejected by the caller's finiteness validation.
+A subset of Python's expression syntax, read by `ast`: int and float literals,
+x, `+ - *`, unary signs, powers with a signed numeric literal for exponent, and
+one-argument calls of cos, sin, exp and abs.  `^` is rewritten to `**` first,
+and `×` to ` * ` (so `××` is no power).  Anything else is an ExprError at its
+column.  A fractional power of a negative base is nan; callers refuse it.
 """
 
 from __future__ import annotations
 
-import re
+import ast
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.?\d+(?:[eE][+-]?\d+)?)"
-                    r"|([A-Za-z_]\w*)|(\*\*|[*+\-^()×]))")
-
 _FUNCS = {"cos": np.cos, "sin": np.sin, "exp": np.exp, "abs": np.abs}
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+_SIGNS = (ast.UAdd, ast.USub)
 
 
 class ExprError(ValueError):
@@ -37,167 +28,91 @@ class ExprError(ValueError):
         self.column = column
 
 
-def _tokenize(src: str):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None:
-            if src[pos:].strip() == "":
-                break
-            bad = src[pos:].lstrip()
-            col = len(src) - len(bad)
-            raise ExprError(f"unexpected character {bad[0]!r}", col)
-        num, ident, op = m.groups()
-        col = m.start(1) if num else m.start(2) if ident else m.start(3)
-        if num:
-            tokens.append(("num", float(num), col))
-        elif ident:
-            tokens.append(("ident", ident, col))
-        elif op in ("*", "×", "**"):
-            # ** is accepted as a synonym for ^ to be forgiving; x2 the
-            # tokenizer folds multiplication signs to one token kind.
-            tokens.append(("op", "^" if op == "**" else "*", col))
-        else:
-            tokens.append(("op", op, col))
-        pos = m.end()
-    tokens.append(("end", "", len(src)))
-    return tokens
-
-
 @dataclass(frozen=True)
 class Expr:
     """A parsed profile expression; call it on an ndarray of x values."""
 
-    _ast: tuple
+    _tree: ast.expr
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            out = _eval(self._ast, x)
+        try:
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                out = _eval(self._tree, x)
+        except (RecursionError, OverflowError) as e:    # a deep tree, an int past 1e308
+            raise ExprError(str(e), 0) from None
         return np.broadcast_to(out, x.shape).astype(float, copy=True) if np.ndim(out) == 0 else out
 
 
 def _eval(node, x):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "var":
+    if isinstance(node, ast.Constant):
+        return float(node.value)
+    if isinstance(node, ast.Name):
         return x
-    if kind == "add":
-        return _eval(node[1], x) + _eval(node[2], x)
-    if kind == "sub":
-        return _eval(node[1], x) - _eval(node[2], x)
-    if kind == "mul":
-        return _eval(node[1], x) * _eval(node[2], x)
-    if kind == "neg":
-        return -_eval(node[1], x)
-    if kind == "pow":
-        return np.power(_eval(node[1], x), node[2])
-    # call
-    return _FUNCS[node[1]](_eval(node[2], x))
+    if isinstance(node, ast.UnaryOp):
+        return -_eval(node.operand, x) if isinstance(node.op, ast.USub) else _eval(node.operand, x)
+    if isinstance(node, ast.Call):
+        return _FUNCS[node.func.id](_eval(node.args[0], x))
+    if isinstance(node.op, ast.Pow):
+        # np.power, not **: numpy sends ** 2, 0.5 and -1 to other ufuncs
+        return np.power(_eval(node.left, x), _eval(node.right, x))
+    return _BINOPS[type(node.op)](_eval(node.left, x), _eval(node.right, x))
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
+def _is_literal(node) -> bool:
+    """An int or float literal, with at most one sign."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, _SIGNS):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, col = self.peek()
-        if kind != "op" or val != op:
-            raise ExprError(f"expected {op!r}", col)
-        self.next()
-
-    def parse(self):
-        node = self.expr()
-        kind, val, col = self.peek()
-        if kind != "end":
-            raise ExprError(f"unexpected {val!r}", col)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                node = ("add" if val == "+" else "sub", node, rhs)
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                node = ("mul", node, self.factor())
-            else:
-                return node
-
-    def factor(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            inner = self.factor()
-            return inner if val == "+" else ("neg", inner)
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            node = ("pow", node, self.signed_number())
-        return node
-
-    def signed_number(self):
-        sign = 1.0
-        kind, val, col = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1.0 if val == "-" else 1.0
-            kind, val, col = self.peek()
-        if kind != "num":
-            raise ExprError("exponent must be a numeric literal", col)
-        self.next()
-        return sign * val
-
-    def atom(self):
-        kind, val, col = self.next()
-        if kind == "num":
-            return ("num", val)
-        if kind == "ident":
-            if val == "x":
-                return ("var",)
-            if val in _FUNCS:
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return ("call", val, inner)
-            raise ExprError(f"unknown name {val!r} (allowed: x, cos, sin, exp, abs)", col)
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ExprError(f"expected a value, got {val!r}" if val else "unexpected end of expression", col)
+def _check(node, text: str, cols: list) -> None:
+    """Raise an ExprError at the first node outside the subset."""
+    if isinstance(node, ast.Name) and node.id in _FUNCS:
+        raise ExprError(f"expected '(' after {node.id}", cols[node.end_col_offset])
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords):
+        children = node.args
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        if not _is_literal(node.right):
+            raise ExprError("exponent must be a numeric literal", cols[node.right.col_offset])
+        children = [node.left]
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        children = [node.left, node.right]
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _SIGNS):
+        children = [node.operand]
+    elif isinstance(node, ast.Name) and node.id == "x" or _is_literal(node):
+        children = []
+    else:
+        raise ExprError(f"{ast.get_source_segment(text, node)!r} is not allowed (allowed: numbers,"
+                        " x, + - *, ^ a number, cos, sin, exp, abs)", cols[node.col_offset])
+    for child in children:
+        _check(child, text, cols)
 
 
 def parse(src: str) -> Expr:
     """Parse a profile expression; raises ExprError with a column on failure."""
     if not src.strip():
         raise ExprError("empty expression", 0)
-    return Expr(_Parser(_tokenize(src)).parse())
+    text, cols = "", []                     # cols[i]: the source column of text[i]
+    for i, c in enumerate(src):
+        c = "**" if c == "^" else " * " if c == "×" else " " if c.isspace() else c
+        if c == "#" or not (c.isascii() and c.isprintable()):
+            raise ExprError(f"unexpected character {c!r}", i)
+        if not text:                        # leading blanks would be an indent
+            c = c.lstrip()
+        text += c
+        cols += [i] * len(c)
+    cols.append(len(src))                   # the end, also where Python reports none
+    try:
+        tree = ast.parse(text, mode="eval").body
+        _check(tree, text, cols)
+    except SyntaxError as e:
+        at = -1 if "never closed" in e.msg else min((e.offset or 0) - 1, len(text))
+        raise ExprError(e.msg, cols[at]) from None
+    except RecursionError as e:             # a tree too deep to build or walk
+        raise ExprError(str(e), 0) from None
+    return Expr(tree)
 
 
 def evaluate(src: str, x) -> np.ndarray:

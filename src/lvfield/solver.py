@@ -91,7 +91,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -751,6 +751,7 @@ def run_ensemble(init: Field, coeffs: CoefficientSet, plan: NoisePlan,
     if workers == 1:
         results = list(map(run, paths))
     else:
+        from concurrent.futures import ProcessPoolExecutor    # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, paths))
 

@@ -432,6 +432,25 @@ class TestExitCodes:
         assert err.startswith(f"error: {flag}: ") and "must be" in err
         assert not (out / "verdicts.csv").exists()
 
+    def test_config_that_is_not_utf8_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_bytes(b"[model]\nu0 = 0.5\xff\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: cannot read config: 'utf-8' codec can't decode byte 0xff")
+
+    # each input overflows a recursive parser or evaluator
+    @pytest.mark.parametrize("u0", [
+        "(" * 1000 + "0.5" + ")" * 1000, "-" * 3000 + "0.5", "+".join(["x"] * 20000)],
+        ids=["nested-parentheses", "unary-minus", "long-sum"])
+    def test_pathological_expression_is_2(self, tmp_path, capsys, u0):
+        cfg = write(tmp_path, BENCH.replace("u0 = 0.5", f"u0 = {u0}"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        line = BENCH.splitlines().index("u0 = 0.5") + 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:{line}: [model] u0: column ")
+        assert "Traceback" not in err
+
     def test_malformed_config_reports_line(self, tmp_path, capsys):
         cfg = write(tmp_path, "[model]\nu0 = 1.0\n[solver]\ndt = soon\n")
         assert main(["simulate", "--config", cfg]) == 2
@@ -962,6 +981,12 @@ def test_simulate_run_leaves_scipy_unloaded(tmp_path):
     run = f"assert main(['simulate', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0"
     code = f"import sys\nfrom lvfield.cli import main\n{run}\n{SCIPY_LOADED}"
     assert lvfield_subprocess(code) == "[]"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a run_ensemble on two or more workers imports the process pool
+    code = "import sys, lvfield.cli\nprint('multiprocessing' in sys.modules)"
+    assert lvfield_subprocess(code) == "False"
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

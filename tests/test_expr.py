@@ -1,5 +1,8 @@
 """Profile expression grammar."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,12 @@ X = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     ("1e-3 + 2.5e2*x", 1e-3 + 250 * X),
     ("--x", X),
     ("0.5 + 0.2*cos(2*3.141592653589793*x)", 0.5 + 0.2 * np.cos(2 * np.pi * X)),
+    ("2×x", 2 * X),
+    ("x^-2", np.array([np.inf, 16.0, 4.0, 16 / 9, 1.0])),
+    ("x**+2", X**2),
+    ("1_000*x", 1000 * X),
+    ("0x10", np.full(5, 16.0)),
+    ("0b1 + 0o7*x", 1 + 7 * X),
 ])
 def test_evaluates(src, expected):
     np.testing.assert_allclose(evaluate(src, X), expected, rtol=1e-14)
@@ -56,11 +65,47 @@ def test_power_binds_tighter_than_mul():
     ("1 ? 2", 2),
     ("(1 + 2", 6),
     ("1 2", 2),
+    ("True", 0),
+    ("2j", 0),
+    ("1/2", 0),
+    ("x.real", 0),
+    ("x[0]", 0),
+    ("cos(x, 1)", 0),
+    ("cos(x=1)", 0),
+    ("x^(1 + 1)", 3),
+    ("x^2^3", 2),
+    ("(x, 1)", 0),
+    ("x if x else 1", 0),
+    ("lambda: 1", 0),
+    ("01", 0),
+    ("x××2", 2),
+    ("x # note", 2),
+    ("π*x", 0),
 ])
 def test_errors_carry_column(src, col):
     with pytest.raises(ExprError) as err:
         parse(src)
     assert err.value.column == col
+
+
+@pytest.mark.parametrize("exponent", [2.0, 0.5, -1.0])
+def test_power_is_np_power(exponent):
+    # numpy's ** would send these exponents to square, sqrt and reciprocal
+    x = np.linspace(0.1, 3.0, 64)
+    assert evaluate(f"x^{exponent}", x).tobytes() == np.power(x, exponent).tobytes()
+
+
+def test_recursion_and_overflow_in_evaluation_are_expr_errors():
+    with pytest.raises(ExprError):
+        evaluate("1" + "0" * 400, X)
+    f = parse("+".join(["x"] * 200))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        with pytest.raises(ExprError):
+            f(X)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_fractional_power_of_negative_base_is_nan():

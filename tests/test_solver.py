@@ -1,6 +1,7 @@
 """Scheme correctness against deterministic oracles, determinism of the
 ensemble machinery, and the strong self-refinement rate."""
 
+import concurrent.futures
 import dataclasses
 import itertools
 import sys
@@ -391,7 +392,7 @@ def inline_pool(monkeypatch):
             return map(fn, chunks)
 
     jobs = []
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return jobs
 
 
