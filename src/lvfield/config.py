@@ -329,10 +329,13 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
     if representation not in (None, "sheet" if cfg.solver.scheme == "fd" else "spectral"):
         raise cfg.error("noise", "representation",
                         f"{representation} noise does not drive the {cfg.solver.scheme} scheme")
-    # the profiles on the grid: nonnegative initial data and rates
+    # the profiles on the grid: finite, nonnegative initial data and rates,
+    # a refused one reported at its key's line
     try:
         cfg.coefficient_set()
         cfg.initial_field()
+    except FieldError as e:
+        raise cfg.error("model", e.field, str(e)) from e
     except ValueError as e:
         raise ConfigError(f"[model] {e}", path) from e
     return cfg

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import expr
 from .grid import cell_centers
+from .noise import FieldError
 
 COEFFICIENT_NAMES = ("m1", "a1", "b1", "sigma1", "m2", "a2", "b2", "sigma2")
 # sigma may take either sign in principle but only sigma^2 enters anything
@@ -29,7 +30,8 @@ _NONNEGATIVE = ("m1", "a1", "b1", "m2", "a2", "b2")
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Grid samples of the eight coefficient profiles, all shape (n,)."""
+    """Grid samples of the eight coefficient profiles, all shape (n,); a
+    profile refused raises a FieldError that names it."""
 
     m1: np.ndarray
     a1: np.ndarray
@@ -45,7 +47,8 @@ class CoefficientSet:
         for name in COEFFICIENT_NAMES:
             v = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if v.ndim != 1:
-                raise ValueError(f"coefficient {name} must be a 1d profile, got shape {v.shape}")
+                raise FieldError(name, f"coefficient {name} must be a 1d profile, "
+                                       f"got shape {v.shape}")
             sizes.append(v.size)
         n = max(sizes)
         for name in COEFFICIENT_NAMES:
@@ -53,11 +56,11 @@ class CoefficientSet:
             if v.size == 1:
                 v = np.full(n, v[0])
             if v.size != n:
-                raise ValueError(f"coefficient {name} has {v.size} samples, expected {n}")
+                raise FieldError(name, f"coefficient {name} has {v.size} samples, expected {n}")
             if not np.all(np.isfinite(v)):
-                raise ValueError(f"coefficient {name} contains non-finite samples")
+                raise FieldError(name, f"coefficient {name} contains non-finite samples")
             if name in _NONNEGATIVE and np.any(v < 0):
-                raise ValueError(f"coefficient {name} must be nonnegative everywhere")
+                raise FieldError(name, f"coefficient {name} must be nonnegative everywhere")
             object.__setattr__(self, name, v)
 
     @property
@@ -71,11 +74,8 @@ class CoefficientSet:
         if unknown:
             raise ValueError(f"unknown coefficient names: {sorted(unknown)}")
         x = cell_centers(n)
-        values = {}
-        for name in COEFFICIENT_NAMES:
-            src = sources.get(name, "0")
-            values[name] = expr.evaluate(src, x)
-        return cls(**values)
+        return cls(**{name: _evaluate(name, sources.get(name, "0"), x)
+                      for name in COEFFICIENT_NAMES})
 
     @classmethod
     def constant(cls, n: int, **scalars: float) -> "CoefficientSet":
@@ -101,10 +101,11 @@ class Field:
         v = np.asarray(self.v, dtype=float)
         if u.shape != v.shape or u.ndim != 1:
             raise ValueError(f"u, v must be matching 1d arrays, got {u.shape} and {v.shape}")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise ValueError("field contains non-finite samples")
-        if np.any(u < 0) or np.any(v < 0):
-            raise ValueError("population fields must be nonnegative")
+        for name, w in (("u", u), ("v", v)):
+            if not np.all(np.isfinite(w)):
+                raise FieldError(name, "field contains non-finite samples")
+            if np.any(w < 0):
+                raise FieldError(name, "population fields must be nonnegative")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
@@ -114,8 +115,22 @@ class Field:
 
     @classmethod
     def from_expressions(cls, n: int, u0: str, v0: str) -> "Field":
+        """The initial data on the grid; a refused profile raises a
+        FieldError that names it, u0 or v0."""
         x = cell_centers(n)
-        return cls(expr.evaluate(u0, x), expr.evaluate(v0, x))
+        u, v = _evaluate("u0", u0, x), _evaluate("v0", v0, x)
+        try:
+            return cls(u, v)
+        except FieldError as e:
+            raise FieldError(e.field + "0", str(e)) from None
+
+
+def _evaluate(name: str, src: str, x: np.ndarray) -> np.ndarray:
+    """The profile src on the grid x; a failure raises a FieldError naming it."""
+    try:
+        return expr.evaluate(src, x)
+    except ValueError as e:
+        raise FieldError(name, str(e)) from None
 
 
 def drift(u, v, coeffs: CoefficientSet):

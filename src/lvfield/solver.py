@@ -82,9 +82,12 @@ noise by one (S P, n) product with the cosine basis (a per-path (steps, n)
 product would send one-step blocks through gemv, an ulp away), then by the
 scale sigma sqrt(dt n).  _BLOCK_BUDGET bounds each of the two buffers, the
 live species counted, so the draw memory of a run is at most
-2 * _BLOCK_BUDGET doubles; the block length bounds the records, probe-site
-ring and time increments kept for a block edge too.  The increment
-statistics take fourth powers as (d^2)^2, never through libm pow.
+2 * _BLOCK_BUDGET doubles, 8 MB: 30-step blocks for 64 paths of both
+species on 128 cells, 122 for 64 paths of one species on 64 cells, one
+1050-step block for one path on 64 cells.  The block length bounds the
+records, probe-site ring and time increments kept for a block edge too.
+The increment statistics take fourth powers as (d^2)^2, never through libm
+pow.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ STABILITY_LIMIT = 0.5
 # Elements per noise draw buffer (two buffers per run, the live species in
 # each); its block length bounds the step loop's memory (see the module
 # docstring), never its results.
-_BLOCK_BUDGET = 1_000_000
+_BLOCK_BUDGET = 500_000
 
 # Paths per chunk of an ensemble, the last chunk holding the remainder.
 CHUNK_PATHS = 64

@@ -451,6 +451,15 @@ class TestExitCodes:
         assert err.startswith(f"error: {cfg}:{line}: [model] u0: column ")
         assert "Traceback" not in err
 
+    def test_profile_refused_on_the_grid_is_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, BENCH.replace("u0 = 0.5", "u0 = cos(9*x) - 2"))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        line = BENCH.splitlines().index("u0 = 0.5") + 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:{line}: [model] u0: population fields must be nonnegative\n")
+        assert not out.exists()
+
     def test_malformed_config_reports_line(self, tmp_path, capsys):
         cfg = write(tmp_path, "[model]\nu0 = 1.0\n[solver]\ndt = soon\n")
         assert main(["simulate", "--config", cfg]) == 2

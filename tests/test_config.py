@@ -153,6 +153,19 @@ class TestParseErrors:
         msg = self.err("[model]\nn = 8\nu0 = cos(9*x) - 2\n")
         assert "[model]" in msg
 
+    # profiles that parse but are refused on the grid, each at its key's line
+    @pytest.mark.parametrize("line, message", [
+        ("u0 = cos(9*x) - 2", "u0: population fields must be nonnegative"),
+        ("v0 = (x - 0.5)^0.5", "v0: field contains non-finite samples"),
+        ("u0 = 1" + "0" * 400, "u0: column 0: int too large to convert to float"),
+        ("a1 = x - 1", "a1: coefficient a1 must be nonnegative everywhere"),
+        ("sigma2 = exp(800)", "sigma2: coefficient sigma2 contains non-finite samples"),
+    ], ids=["negative-u0", "nan-v0", "huge-int-u0", "negative-a1", "overflowing-sigma2"])
+    def test_profile_refused_on_the_grid_at_its_line(self, line, message):
+        u0 = "" if line.startswith("u0") else "u0 = 1.0\n"
+        msg = self.err(f"[model]\nn = 8\n{line}\n{u0}")
+        assert msg == f"cfg.ini:3: [model] {message}"
+
     def test_bad_scheme(self):
         msg = self.err("[model]\nu0 = 1.0\n[solver]\nscheme = dg\n")
         assert msg == "cfg.ini:4: [solver] unknown scheme 'dg'"

@@ -580,6 +580,66 @@ class TestEnsembleStats:
             assert np.array_equal(other.exit_step, steps)
             assert np.array_equal(other.mass_u, runs[0].mass_u)
 
+    def test_probe_takes_the_cells_not_the_species_maxima(self, monkeypatch):
+        # heat flow of a U peak and a V peak in different cells: the species
+        # maxima put max U^2 + max V^2 beyond radius^2, while no cell's
+        # U^2 + V^2 gets there, so every step must find every cell inside
+        # the ball and no path may exit
+        steps = []
+
+        def recording_step(state, *args, inside=False, **kwargs):
+            steps.append((state.copy(), inside))
+            return euler_step(state, *args, inside=inside, **kwargs)
+
+        monkeypatch.setattr(solver, "euler_step", recording_step)
+        fix_radius(monkeypatch, 4.5)
+        n = 16
+        u, v = np.full(n, 0.1), np.full(n, 0.1)
+        u[2], v[12] = 3.0, 4.0
+        cfg = SolverConfig(grid_size=n, dt=1e-5, t_final=1e-4)
+        stats = run_ensemble(Field(u, v), CoefficientSet.constant(n), NoisePlan(master_seed=0),
+                             cfg, n_paths=2)
+        assert len(steps) == cfg.n_steps
+        for state, inside in steps:
+            bound = sum(float(state[k].max()) ** 2 for k in range(2))
+            assert bound > 4.5 ** 2 > np.max(state[0] ** 2 + state[1] ** 2)
+            assert inside
+        assert np.all(stats.exit_step == -1)
+
+    @pytest.mark.parametrize("beside", [-0.25, -0.0])
+    def test_nan_beside_a_negative_cell_is_a_blowup(self, monkeypatch, beside):
+        # a NaN beside a negative cell of one species: the clamp leaves both
+        # (its minimum is NaN), and the probe must still report the NaN
+        count, clamp = itertools.count(1), solver._clamp
+
+        def clamp_poisoned(arr):
+            if next(count) == 7:
+                arr[0, 1, 3], arr[0, 1, 5] = np.nan, beside
+            return clamp(arr)
+
+        monkeypatch.setattr(solver, "_clamp", clamp_poisoned)
+        n = 8
+        cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=0.02)
+        with pytest.raises(SimulationBlowup, match=r"at step 7 \(t = 0\.007\) on path 11$"):
+            run_ensemble(constant_field(n, 0.5, 0.5), CoefficientSet.constant(n, m1=1.0),
+                         NoisePlan(master_seed=0), cfg, n_paths=3, path_offset=10)
+
+    def test_exit_step_is_the_first_state_outside_the_ball(self, monkeypatch):
+        # noisy growth from 1 leaves the ball of radius 1.6 mid-run; the
+        # snapshots at every step are path 0's states
+        fix_radius(monkeypatch, 1.6)
+        n = 16
+        cfg = SolverConfig(grid_size=n, dt=1e-3, t_final=0.2,
+                           snapshot_times=tuple(np.arange(1, 201) * 1e-3))
+        coeffs = CoefficientSet.constant(n, m1=2.0, sigma1=1.0, m2=0.5, sigma2=0.5)
+        stats = run_ensemble(constant_field(n, 1.0, 0.5), coeffs, NoisePlan(master_seed=5),
+                             cfg, n_paths=3)
+        assert len(stats.snapshots) == cfg.n_steps
+        out = [step for step, snap in enumerate(stats.snapshots, start=1)
+               if np.max(snap.u * snap.u + snap.v * snap.v) >= 1.6 ** 2]
+        assert 1 < out[0] < cfg.n_steps
+        assert stats.exit_step[0] == out[0]
+
     def test_no_exit_when_radius_large(self):
         stats = small_run(n_paths=4)
         assert stats.exit_fraction() == 0.0
@@ -1272,6 +1332,40 @@ class TestDrawAhead:
         # whichever thread claims it: 10 blocks of 5 steps, or one of 50
         block = 50 if budget == 10**6 else 5
         assert slabs == [block] * (8 * (50 // block))
+
+    def test_draw_memory_at_the_budget(self, monkeypatch):
+        # at the real budget: 64 paths of both species on 128 cells (the
+        # holder chunk) draw 30-step blocks into two buffers of at most
+        # _BLOCK_BUDGET doubles, 8 MB in all; 61 steps are blocks of 30,
+        # 30 and 1
+        bases, drawn = {}, []
+
+        def recording(gen, size, out):
+            bases[id(out.base)] = out.base
+            drawn.append(size)
+            return gen.standard_normal(size, out=out)
+
+        wrap_generators(monkeypatch, recording)
+        s, p, n = 2, 64, 128
+        cfg = SolverConfig(grid_size=n, dt=1e-4, t_final=61e-4)
+        coeffs = CoefficientSet.constant(n, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4)
+        run_ensemble(constant_field(n, 0.5, 0.4), coeffs, NoisePlan(master_seed=3), cfg,
+                     n_paths=p)
+        block = max(1, min(cfg.n_steps, solver._BLOCK_BUDGET // (s * p * n)))
+        assert block == 30
+        assert len(bases) == 2
+        assert all(buf.size <= solver._BLOCK_BUDGET for buf in bases.values())
+        assert sum(buf.nbytes for buf in bases.values()) <= 8_000_000
+        assert drawn == [(30, n)] * (2 * s * p) + [(1, n)] * (s * p)
+
+        # one path of 1050 steps on 64 cells: one block, one buffer
+        bases.clear(), drawn.clear()
+        cfg = SolverConfig(grid_size=64, dt=1e-3, t_final=1.05)
+        simulate_path(constant_field(64, 0.5, 0.4),
+                      CoefficientSet.constant(64, m1=0.2, sigma1=0.5, m2=0.1, sigma2=0.4),
+                      NoisePlan(master_seed=3), cfg)
+        assert drawn == [(1050, 64)] * 2
+        assert len(bases) == 1
 
 
 # ---------------------------------------------------------------------------
